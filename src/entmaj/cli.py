@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .densop import DensityMatrix, random_density, von_neumann_entropy
+from .densop import DensityMatrix, isometry_defect, random_density, von_neumann_entropy
 from .errors import DomainError, SchemaError
 from .qchan import (
     KrausChannel,
@@ -39,6 +39,7 @@ from .serial import (
     mixed_unitary_to_json,
     prob_vector_from_json,
     prob_vector_to_json,
+    read_json,
     real_matrix_to_json,
     to_json_value,
 )
@@ -55,6 +56,13 @@ SUBCOMMANDS = (
 )
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not >= 1")
+    return value
+
+
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="entmaj")
     top.add_argument("--version", action="version", version=__version__)
@@ -67,8 +75,8 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--out", dest="out", default=None, metavar="PATH")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--d", type=int, default=None)
-        p.add_argument("--trials", type=int, default=1000)
+        p.add_argument("--d", type=_positive_int, default=None)
+        p.add_argument("--trials", type=_positive_int, default=1000)
         p.add_argument("--require", action="store_true",
                        help="exit 1 on a negative verdict")
         p.add_argument("--expect-isometry", dest="expect_isometry",
@@ -105,38 +113,17 @@ def _load_inputs(paths, count, what):
     return [load_json(p) for p in paths]
 
 
-def _load_vector_pair(paths):
-    """Two vectors from two files, or from one {'a':..,'b':..} bundle."""
+def _load_pair(paths, keys, from_json):
+    """Two values from two files, or from one bundle holding both named fields."""
     if len(paths) == 1:
-        import json
-        with open(paths[0], "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        if not isinstance(obj, dict) or "a" not in obj or "b" not in obj:
-            raise SchemaError("bundle needs fields 'a' and 'b'", field=str(paths[0]))
-        return (prob_vector_from_json(obj["a"], "a"),
-                prob_vector_from_json(obj["b"], "b"))
-    pair = _load_inputs(paths, 2, "a vector pair")
-    for k, v in enumerate(pair):
-        if not isinstance(v, ProbVector):
-            raise SchemaError("expected a probability vector", field=str(paths[k]))
-    return pair
-
-
-def _load_state_pair(paths):
-    if len(paths) == 1:
-        import json
-        with open(paths[0], "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        if not isinstance(obj, dict) or "rho1" not in obj or "rho2" not in obj:
-            raise SchemaError("bundle needs fields 'rho1' and 'rho2'",
+        obj = read_json(paths[0])
+        if not isinstance(obj, dict) or any(k not in obj for k in keys):
+            raise SchemaError(f"bundle needs fields {keys[0]!r} and {keys[1]!r}",
                               field=str(paths[0]))
-        return (density_from_json(obj["rho1"], "rho1"),
-                density_from_json(obj["rho2"], "rho2"))
-    pair = _load_inputs(paths, 2, "a state pair")
-    for k, v in enumerate(pair):
-        if not isinstance(v, DensityMatrix):
-            raise SchemaError("expected a density matrix", field=str(paths[k]))
-    return pair
+        return tuple(from_json(obj[k], k) for k in keys)
+    if len(paths) != 2:
+        raise SchemaError(f"expected a bundle or 2 --in files, got {len(paths)}")
+    return tuple(from_json(read_json(p), str(p)) for p in paths)
 
 
 def _report(sub, args, tolerances, body):
@@ -172,7 +159,7 @@ def _run_entropy(args) -> int:
 
 
 def _run_majorize(args) -> int:
-    a, b = _load_vector_pair(args.inputs)
+    a, b = _load_pair(args.inputs, ("a", "b"), prob_vector_from_json)
     tol = args.tol if args.tol is not None else 1e-9
     verdict = is_majorized(a, b, tol)
     body = {"holds": verdict.holds, "sums_equal": verdict.sums_equal,
@@ -187,7 +174,7 @@ def _run_majorize(args) -> int:
 
 
 def _run_transfer(args) -> int:
-    a, b = _load_vector_pair(args.inputs)
+    a, b = _load_pair(args.inputs, ("a", "b"), prob_vector_from_json)
     tol = args.tol if args.tol is not None else 1e-9
     chain = find_transfer_chain(a, b, tol)
     from .xfer import apply_t_transform
@@ -223,7 +210,7 @@ def _run_birkhoff(args) -> int:
 
 
 def _run_schur_horn(args) -> int:
-    a, b = _load_vector_pair(args.inputs)
+    a, b = _load_pair(args.inputs, ("a", "b"), prob_vector_from_json)
     tol = args.tol if args.tol is not None else 1e-9
     u = schur_horn_orthogonal(a, b, tol)
     d = u.d
@@ -231,7 +218,7 @@ def _run_schur_horn(args) -> int:
     a_sorted = np.pad(sort_desc(a).entries, (0, d - a.d))
     diag = np.diag(u.entries @ np.diag(bs) @ u.entries.T)
     err = float(np.abs(diag - a_sorted).max())
-    defect = float(np.abs(u.entries.T @ u.entries - np.eye(d)).max())
+    defect = isometry_defect(u.entries)
     body = dict(real_matrix_to_json(u))
     body["verified"] = {"diagonal_max_error": err, "ok_diagonal": err <= 1e-9,
                         "orthogonality_defect": defect, "ok_orthogonal": defect <= 1e-9}
@@ -239,22 +226,22 @@ def _run_schur_horn(args) -> int:
 
 
 def _run_uhlmann(args) -> int:
-    rho1, rho2 = _load_state_pair(args.inputs)
+    rho1, rho2 = _load_pair(args.inputs, ("rho1", "rho2"), density_from_json)
     tol = args.tol if args.tol is not None else 1e-9
     psi = uhlmann_channel(rho1, rho2, tol)
     td = trace_distance(apply_channel(psi, rho2), rho1)
     body = dict(to_json_value(psi))
     body["verified"] = {
         "trace_distance": td, "ok_trace_distance": td <= 1e-7,
-        "completeness_defect": KrausChannel.completeness_defect_of(psi.kraus, psi.d_in),
-        "unitality_defect": KrausChannel.unitality_defect_of(psi.kraus, psi.d_out),
+        "completeness_defect": psi.completeness_defect,
+        "unitality_defect": psi.unitality_defect,
     }
     tols = {"majorization_abs": tol, "trace_distance_max": 1e-7}
     return _finish(_report("uhlmann", args, tols, body), args)
 
 
 def _run_mixed_unitary(args) -> int:
-    rho1, rho2 = _load_state_pair(args.inputs)
+    rho1, rho2 = _load_pair(args.inputs, ("rho1", "rho2"), density_from_json)
     tol = args.tol if args.tol is not None else 1e-9
     mix = mixed_unitary_uhlmann(rho1, rho2, tol)
     out = np.zeros_like(rho2.matrix)
@@ -303,10 +290,7 @@ def _run_detect_isometry(args) -> int:
     tol = args.tol if args.tol is not None else 1e-7
     report = detect_isometry(value, tol)
     body = dict(isometry_report_to_json(report))
-    defect = None
-    if report.isometry is not None:
-        v = report.isometry
-        defect = float(np.abs(v.conj().T @ v - np.eye(value.d_in)).max())
+    defect = None if report.isometry is None else isometry_defect(report.isometry)
     body["verified"] = {"isometry_defect": defect}
     rc = _finish(_report("detect-isometry", args, {"scalar_max_entry": tol}, body), args)
     if args.expect_isometry and not report.is_isometric_conjugation:

@@ -94,13 +94,24 @@ def eig_hermitian(h) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=vals, eigenvectors=vecs)
 
 
-def spectrum(rho: DensityMatrix) -> ProbVector:
-    """Eigenvalues of a state, clamped to [0, 1] and sorted descending."""
-    vals = eig_hermitian(rho).eigenvalues
-    vals = np.clip(vals, 0.0, 1.0)
+def spectrum(rho) -> ProbVector:
+    """Eigenvalues of a state or its SpectralDecomposition, clamped to [0, 1], descending."""
+    decomp = rho if isinstance(rho, SpectralDecomposition) else eig_hermitian(rho)
+    vals = np.clip(decomp.eigenvalues, 0.0, 1.0)
     if abs(vals.sum() - 1.0) > 1e-8:
         raise ValueError(f"clamped spectrum sums to {vals.sum()}, not 1")
     return ProbVector(vals, normalized=True)
+
+
+def isometry_defect(m):
+    """Largest entry of |m^* m - I|, zero exactly when m has orthonormal columns.
+
+    A (k, r, c) stack gives k defects.  NaN entries give NaN: test `not defect <= tol`.
+    """
+    m = np.asarray(m)
+    gram = np.swapaxes(m, -1, -2).conj() @ m
+    dev = np.abs(gram - np.eye(m.shape[-1])).max(axis=(-2, -1))
+    return float(dev) if dev.ndim == 0 else dev
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

@@ -9,7 +9,7 @@ an isometry, which is exactly the entropy-preserving case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -18,9 +18,9 @@ from .densop import (
     DensityMatrix,
     eig_hermitian,
     haar_unitary,
+    isometry_defect,
     random_density,
     spectrum,
-    state_majorized,
     trace_distance,
     von_neumann_entropy,
 )
@@ -30,6 +30,7 @@ from .errors import (
     NotTracePreserving,
     NotUnitary,
 )
+from .seqmaj import is_majorized
 from .xfer import (
     birkhoff_decompose,
     chain_to_doubly_stochastic,
@@ -41,54 +42,66 @@ COMPLETENESS_TOL = 1e-8
 UNITARY_TOL = 1e-9
 
 
+def _as_stack(ops) -> np.ndarray:
+    """Operators as one non-empty complex array, stacked along the first axis."""
+    try:
+        stack = np.array(ops, dtype=complex)
+    except ValueError as exc:  # ragged: the operators differ in shape
+        raise DimensionMismatch(str(exc)) from exc
+    if not stack.size:
+        raise ValueError("need at least one operator")
+    return stack
+
+
 @dataclass(frozen=True)
 class KrausChannel:
-    """Ordered family of d_out x d_in Kraus operators with validity flags.
+    """Kraus operators A_i held as one read-only (k, d_out, d_in) stack.
 
-    When flagged trace_preserving, sum_i A_i^* A_i must be the identity; when
-    flagged unital, sum_i A_i A_i^* must be.  Both are checked entrywise at
-    construction.
+    Both defects, max |sum_i A_i^* A_i - I| and max |sum_i A_i A_i^* - I|, are
+    computed once at construction and stored.  A channel flagged
+    trace_preserving (unital) must have the first (second) within
+    COMPLETENESS_TOL; every entry must be finite.
     """
 
     d_in: int
     d_out: int
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
     trace_preserving: bool = True
     unital: bool = False
+    completeness_defect: float = field(init=False)
+    unitality_defect: float = field(init=False)
 
     def __post_init__(self):
-        ops = tuple(np.array(a, dtype=complex) for a in self.kraus)
-        if not ops:
-            raise ValueError("need at least one Kraus operator")
-        for idx, a in enumerate(ops):
-            if a.shape != (self.d_out, self.d_in):
-                raise DimensionMismatch(
-                    f"kraus[{idx}] has shape {a.shape}, expected "
-                    f"({self.d_out}, {self.d_in})")
-            a.setflags(write=False)
+        stack = _as_stack(self.kraus)
+        if stack.shape[1:] != (self.d_out, self.d_in):
+            raise DimensionMismatch(f"Kraus stack has shape {stack.shape}, expected "
+                                    f"(k, {self.d_out}, {self.d_in})")
+        if not np.isfinite(stack).all():
+            raise ValueError("Kraus entries must be finite")
+        stack.setflags(write=False)
+        object.__setattr__(self, "kraus", stack)
+        object.__setattr__(self, "completeness_defect", self.completeness_defect_of(stack))
+        object.__setattr__(self, "unitality_defect", self.unitality_defect_of(stack))
         if self.trace_preserving:
-            dev = self.completeness_defect_of(ops, self.d_in)
-            if dev > COMPLETENESS_TOL:
-                raise NotTracePreserving(f"sum A*A deviates from I by {dev}")
-        if self.unital:
-            dev = self.unitality_defect_of(ops, self.d_out)
-            if dev > COMPLETENESS_TOL:
-                raise ValueError(f"flagged unital but sum AA* deviates from I by {dev}")
-        object.__setattr__(self, "kraus", ops)
+            _require_trace_preserving(self)
+        if self.unital and not self.unitality_defect <= COMPLETENESS_TOL:
+            raise ValueError(f"flagged unital but sum AA* deviates from I by "
+                             f"{self.unitality_defect}")
 
     @staticmethod
-    def completeness_defect_of(ops, d_in: int) -> float:
-        acc = sum(a.conj().T @ a for a in ops)
-        return float(np.abs(acc - np.eye(d_in)).max())
+    def completeness_defect_of(kraus: np.ndarray) -> float:
+        """max |sum_i A_i^* A_i - I|: the stack read as one tall (k d_out, d_in) matrix."""
+        return isometry_defect(kraus.reshape(-1, kraus.shape[2]))
 
     @staticmethod
-    def unitality_defect_of(ops, d_out: int) -> float:
-        acc = sum(a @ a.conj().T for a in ops)
-        return float(np.abs(acc - np.eye(d_out)).max())
+    def unitality_defect_of(kraus: np.ndarray) -> float:
+        """max |sum_i A_i A_i^* - I|: the stack read as one wide (d_out, k d_in) matrix."""
+        wide = kraus.transpose(1, 0, 2).reshape(kraus.shape[1], -1)
+        return isometry_defect(wide.conj().T)
 
     @property
     def num_kraus(self) -> int:
-        return len(self.kraus)
+        return self.kraus.shape[0]
 
 
 @dataclass(frozen=True)
@@ -150,9 +163,16 @@ class FixedPointReport:
 
 
 def _require_trace_preserving(phi: KrausChannel):
-    dev = KrausChannel.completeness_defect_of(phi.kraus, phi.d_in)
-    if dev > COMPLETENESS_TOL:
-        raise NotTracePreserving(f"sum A*A deviates from I by {dev}")
+    if not phi.completeness_defect <= COMPLETENESS_TOL:
+        raise NotTracePreserving(f"sum A*A deviates from I by {phi.completeness_defect}")
+
+
+def _sandwich(stack: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_i A_i X A_i^*: batched A_i X, then one GEMM with the A_i laid side by side."""
+    k, rows, cols = stack.shape
+    left = (stack @ x).transpose(1, 0, 2).reshape(rows, k * cols)
+    wide = stack.transpose(1, 0, 2).reshape(rows, k * cols)
+    return left @ wide.conj().T
 
 
 def apply_channel(phi: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
@@ -160,9 +180,7 @@ def apply_channel(phi: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     if rho.d != phi.d_in:
         raise DimensionMismatch(f"state dimension {rho.d} != channel input {phi.d_in}")
     _require_trace_preserving(phi)
-    out = np.zeros((phi.d_out, phi.d_out), dtype=complex)
-    for a in phi.kraus:
-        out += a @ rho.matrix @ a.conj().T
+    out = _sandwich(phi.kraus, rho.matrix)
     return DensityMatrix((out + out.conj().T) / 2.0)
 
 
@@ -171,10 +189,7 @@ def apply_raw(phi: KrausChannel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     if x.shape != (phi.d_in, phi.d_in):
         raise DimensionMismatch(f"matrix shape {x.shape} != ({phi.d_in}, {phi.d_in})")
-    out = np.zeros((phi.d_out, phi.d_out), dtype=complex)
-    for a in phi.kraus:
-        out += a @ x @ a.conj().T
-    return out
+    return _sandwich(phi.kraus, x)
 
 
 def adjoint_apply(phi: KrausChannel, x: np.ndarray) -> np.ndarray:
@@ -182,10 +197,7 @@ def adjoint_apply(phi: KrausChannel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     if x.shape != (phi.d_out, phi.d_out):
         raise DimensionMismatch(f"matrix shape {x.shape} != ({phi.d_out}, {phi.d_out})")
-    out = np.zeros((phi.d_in, phi.d_in), dtype=complex)
-    for a in phi.kraus:
-        out += a.conj().T @ x @ a
-    return out
+    return _sandwich(phi.kraus.conj().transpose(0, 2, 1), x)
 
 
 def choi_of_linear_map(fn, d_in: int, d_out: int) -> np.ndarray:
@@ -196,62 +208,58 @@ def choi_of_linear_map(fn, d_in: int, d_out: int) -> np.ndarray:
     positivity: the map is completely positive exactly when this matrix is
     positive semidefinite.
     """
-    c = np.zeros((d_in * d_out, d_in * d_out), dtype=complex)
-    for i in range(d_in):
-        for j in range(d_in):
-            e = np.zeros((d_in, d_in), dtype=complex)
-            e[i, j] = 1.0
-            block = np.asarray(fn(e), dtype=complex)
-            c[i * d_out:(i + 1) * d_out, j * d_out:(j + 1) * d_out] = block
-    return c / d_in
+    units = np.eye(d_in * d_in, dtype=complex).reshape(d_in, d_in, d_in, d_in)  # [i, j] = e_ij
+    blocks = np.array([[fn(e) for e in row] for row in units], dtype=complex)
+    return blocks.transpose(0, 2, 1, 3).reshape(d_in * d_out, d_in * d_out) / d_in
 
 
 def choi_matrix(phi: KrausChannel) -> np.ndarray:
     """Choi matrix of a Kraus channel (trace-normalized by d_in)."""
-    c = np.zeros((phi.d_in * phi.d_out, phi.d_in * phi.d_out), dtype=complex)
-    for a in phi.kraus:
-        v = a.T.reshape(-1)  # columns of A stacked: (e_i (x) A e_i) summed
-        c += np.outer(v, v.conj())
-    return c / phi.d_in
+    # row i of cols is A_i with its columns stacked: sum_j e_j (x) A_i e_j
+    cols = phi.kraus.transpose(0, 2, 1).reshape(phi.num_kraus, -1)
+    return (cols.T @ cols.conj()) / phi.d_in
 
 
 def structure_checks(phi: KrausChannel) -> StructureReport:
     """Report trace preservation, unitality, and complete positivity defects."""
-    tp_dev = KrausChannel.completeness_defect_of(phi.kraus, phi.d_in)
-    un_dev = KrausChannel.unitality_defect_of(phi.kraus, phi.d_out)
     min_eig = float(np.linalg.eigvalsh(choi_matrix(phi)).min())
     return StructureReport(
-        trace_preserving=tp_dev <= COMPLETENESS_TOL,
-        unital=un_dev <= COMPLETENESS_TOL,
+        trace_preserving=phi.completeness_defect <= COMPLETENESS_TOL,
+        unital=phi.unitality_defect <= COMPLETENESS_TOL,
         completely_positive=min_eig >= -1e-8,
-        trace_preserving_defect=tp_dev,
-        unitality_defect=un_dev,
+        trace_preserving_defect=phi.completeness_defect,
+        unitality_defect=phi.unitality_defect,
         min_choi_eigenvalue=min_eig,
     )
 
 
 def identity_channel(d: int) -> KrausChannel:
-    return KrausChannel(d_in=d, d_out=d, kraus=(np.eye(d, dtype=complex),),
+    return KrausChannel(d_in=d, d_out=d, kraus=np.eye(d, dtype=complex)[None],
                         trace_preserving=True, unital=True)
 
 
 def mixed_unitary_channel(weights, unitaries) -> KrausChannel:
     """Bistochastic channel sum_i t_i U_i X U_i^* from weights and unitaries."""
     w = np.asarray(weights, dtype=float)
-    us = [np.asarray(u, dtype=complex) for u in unitaries]
-    if w.size != len(us) or w.size == 0:
+    if w.ndim != 1 or w.size == 0 or w.size != len(unitaries):
         raise ValueError("need one weight per unitary")
     if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-9:
         raise ValueError("weights must be positive and sum to 1")
-    d = us[0].shape[0]
-    for u in us:
-        if u.shape != (d, d):
-            raise DimensionMismatch("unitaries must share one square shape")
-        if np.abs(u.conj().T @ u - np.eye(d)).max() > 1e-8:
-            raise NotUnitary("matrix is not unitary within 1e-8")
-    ops = tuple(np.sqrt(t) * u for t, u in zip(w, us))
-    return KrausChannel(d_in=d, d_out=d, kraus=ops,
+    us = _as_stack(unitaries)
+    d = us.shape[-1]
+    if us.shape[1:] != (d, d):
+        raise DimensionMismatch("unitaries must share one square shape")
+    if not isometry_defect(us).max() <= 1e-8:
+        raise NotUnitary("matrix is not unitary within 1e-8")
+    return KrausChannel(d_in=d, d_out=d, kraus=np.sqrt(w)[:, None, None] * us,
                         trace_preserving=True, unital=True)
+
+
+def _unitary_basis(basis) -> np.ndarray:
+    b = np.asarray(basis, dtype=complex)
+    if b.ndim != 2 or b.shape[0] != b.shape[1] or not isometry_defect(b) <= UNITARY_TOL:
+        raise NotUnitary("basis must be unitary within 1e-9")
+    return b
 
 
 def pinching_channel(basis) -> KrausChannel:
@@ -260,12 +268,9 @@ def pinching_channel(basis) -> KrausChannel:
     Kraus operators are the rank-one projections onto the basis columns;
     the channel is bistochastic and idempotent.
     """
-    b = np.asarray(basis, dtype=complex)
-    d = b.shape[0]
-    if b.shape != (d, d) or np.abs(b.conj().T @ b - np.eye(d)).max() > UNITARY_TOL:
-        raise NotUnitary("basis must be unitary within 1e-9")
-    ops = tuple(np.outer(b[:, i], b[:, i].conj()) for i in range(d))
-    return KrausChannel(d_in=d, d_out=d, kraus=ops,
+    b = _unitary_basis(basis)
+    projections = b.T[:, :, None] * b.T.conj()[:, None, :]  # |b_i><b_i| per column
+    return KrausChannel(d_in=b.shape[0], d_out=b.shape[0], kraus=projections,
                         trace_preserving=True, unital=True)
 
 
@@ -281,8 +286,8 @@ def phase_averaging_channel(n: int, d: int) -> KrausChannel:
         raise ValueError(f"n={n} out of range 1..{d}")
     omega = np.exp(2j * np.pi / n)
     diag = np.concatenate([omega ** np.arange(1, n + 1), np.ones(d - n)])
-    ops = tuple(np.diag(diag ** k) / np.sqrt(n) for k in range(1, n + 1))
-    return KrausChannel(d_in=d, d_out=d, kraus=ops,
+    powers = diag[None, :] ** np.arange(1, n + 1)[:, None]
+    return KrausChannel(d_in=d, d_out=d, kraus=powers[:, :, None] * np.eye(d) / np.sqrt(n),
                         trace_preserving=True, unital=True)
 
 
@@ -294,9 +299,9 @@ def pinch_convergence_experiment(rho2: DensityMatrix, basis) -> list[PinchRow]:
     rho2 compressed to coordinates n..d of that basis.  The distance never
     exceeds the bound, and the n = d row is exactly pinched.
     """
-    b = np.asarray(basis, dtype=complex)
+    b = _unitary_basis(basis)
     d = rho2.d
-    if b.shape != (d, d) or np.abs(b.conj().T @ b - np.eye(d)).max() > UNITARY_TOL:
+    if b.shape != (d, d):
         raise NotUnitary("basis must be unitary within 1e-9")
     rot = b.conj().T @ rho2.matrix @ b  # rho2 expressed in the pinching basis
     rot = DensityMatrix((rot + rot.conj().T) / 2.0)
@@ -311,6 +316,20 @@ def pinch_convergence_experiment(rho2: DensityMatrix, basis) -> list[PinchRow]:
     return rows
 
 
+def _spectral_preamble(rho1: DensityMatrix, rho2: DensityMatrix, tol: float):
+    """Spectra and eigenbases of both states, each decomposed once; rho1 must be
+    majorized by rho2."""
+    if rho1.d != rho2.d:
+        raise DimensionMismatch(f"dimensions {rho1.d} vs {rho2.d}")
+    e1, e2 = eig_hermitian(rho1), eig_hermitian(rho2)
+    a, b = spectrum(e1), spectrum(e2)
+    verdict = is_majorized(a, b, tol)
+    if not verdict.holds:
+        raise MajorizationFailed("spectrum(rho1) is not majorized by spectrum(rho2)",
+                                 verdict=verdict)
+    return a, b, e1.eigenvectors, e2.eigenvectors
+
+
 def uhlmann_channel(rho1: DensityMatrix, rho2: DensityMatrix,
                     tol: float = 1e-9) -> KrausChannel:
     """Bistochastic channel carrying rho2 onto rho1 when rho1 is spectrally flatter.
@@ -321,19 +340,10 @@ def uhlmann_channel(rho1: DensityMatrix, rho2: DensityMatrix,
     the eigenbasis of rho1.  The result pinches and relabels in one step and
     is exactly bistochastic.
     """
-    if rho1.d != rho2.d:
-        raise DimensionMismatch(f"dimensions {rho1.d} vs {rho2.d}")
-    verdict = state_majorized(rho1, rho2, tol)
-    if not verdict.holds:
-        raise MajorizationFailed("spectrum(rho1) is not majorized by spectrum(rho2)",
-                                 verdict=verdict)
-    a = spectrum(rho1)
-    b = spectrum(rho2)
-    f = eig_hermitian(rho1).eigenvectors
-    y = eig_hermitian(rho2).eigenvectors
+    a, b, f, y = _spectral_preamble(rho1, rho2, tol)
     u = schur_horn_orthogonal(a, b, tol).entries
     e = y @ u.T  # column i satisfies <rho2 e_i, e_i> = a_i
-    ops = tuple(np.outer(f[:, i], e[:, i].conj()) for i in range(rho1.d))
+    ops = f.T[:, :, None] * e.T.conj()[:, None, :]  # |f_i><e_i| per column
     return KrausChannel(d_in=rho1.d, d_out=rho1.d, kraus=ops,
                         trace_preserving=True, unital=True)
 
@@ -346,25 +356,13 @@ def mixed_unitary_uhlmann(rho1: DensityMatrix, rho2: DensityMatrix,
     each permutation becomes a unitary that relabels rho2's eigenbasis onto
     rho1's through that permutation.
     """
-    if rho1.d != rho2.d:
-        raise DimensionMismatch(f"dimensions {rho1.d} vs {rho2.d}")
-    verdict = state_majorized(rho1, rho2, tol)
-    if not verdict.holds:
-        raise MajorizationFailed("spectrum(rho1) is not majorized by spectrum(rho2)",
-                                 verdict=verdict)
-    a = spectrum(rho1)
-    b = spectrum(rho2)
-    f = eig_hermitian(rho1).eigenvectors
-    y = eig_hermitian(rho2).eigenvectors
+    a, b, f, y = _spectral_preamble(rho1, rho2, tol)
     chain = find_transfer_chain(a, b, tol)
     q = chain_to_doubly_stochastic(chain)
     decomp = birkhoff_decompose(q, tol=1e-10)
-    d = rho1.d
-    eye = np.eye(d)
-    unitaries = []
-    for p in decomp.permutations:
-        # P[i, p[i]] = 1, so P rearranges rho2's sorted eigenvalues by p
-        unitaries.append(f @ eye[p] @ y.conj().T)
+    # P = eye[p] has P[i, p[i]] = 1, so it rearranges rho2's sorted eigenvalues
+    # by p; f @ P is f with its columns permuted by the inverse of p
+    unitaries = f[:, np.argsort(decomp.permutations, axis=1)].transpose(1, 0, 2) @ y.conj().T
     return MixedUnitaryTransfer(weights=decomp.weights, unitaries=tuple(unitaries))
 
 
@@ -378,11 +376,11 @@ def detect_isometry(phi: KrausChannel, tol: float = 1e-7) -> IsometryReport:
     zero operator is removable representation redundancy.
     """
     _require_trace_preserving(phi)
-    weights = [float(np.trace(a.conj().T @ a).real) / phi.d_in for a in phi.kraus]
-    kept = [i for i, w in enumerate(weights) if w > tol]
+    weights = (np.abs(phi.kraus) ** 2).sum(axis=(1, 2)) / phi.d_in
+    kept = np.flatnonzero(weights > tol).tolist()
     if not kept:
         raise NotTracePreserving("all Kraus operators are negligible")
-    ops = [phi.kraus[i] for i in kept]
+    ops = phi.kraus[kept]
     m = len(ops)
     eye = np.eye(phi.d_in)
 
@@ -410,8 +408,8 @@ def detect_isometry(phi: KrausChannel, tol: float = 1e-7) -> IsometryReport:
                                                float(abs(diag.sum() - 1.0))))
 
     v = ops[0] / np.sqrt(diag[0])
-    dev = float(np.abs(v.conj().T @ v - eye).max())
-    if dev > tol:
+    dev = isometry_defect(v)
+    if not dev <= tol:
         return IsometryReport(is_isometric_conjugation=False, gram=gram,
                               failure_witness=((kept[0], kept[0]), dev))
     # fix the global phase: first nonzero column entry becomes real positive
@@ -433,18 +431,18 @@ def entropy_probe(phi: KrausChannel, trials: int, d: int,
     """
     if d != phi.d_in:
         raise DimensionMismatch(f"probe states must match the channel input {phi.d_in}")
+    if trials < 1:
+        raise ValueError(f"trials={trials} must be >= 1")
     _require_trace_preserving(phi)
     seeds = rng.integers(0, 2**63 - 1, size=trials)
-    worst = -1.0
-    worst_seed = int(seeds[0]) if trials else 0
+    devs = []
     for s in seeds:
-        local = np.random.default_rng(int(s))
-        rho = random_density(d, local)
-        dev = abs(von_neumann_entropy(apply_channel(phi, rho)) - von_neumann_entropy(rho))
-        if dev > worst:
-            worst = dev
-            worst_seed = int(s)
-    return EntropyProbeResult(max_deviation=worst, worst_seed=worst_seed, trials=trials)
+        rho = random_density(d, np.random.default_rng(int(s)))
+        devs.append(abs(von_neumann_entropy(apply_channel(phi, rho))
+                        - von_neumann_entropy(rho)))
+    worst = int(np.argmax(devs))  # first maximum, as the trials ran
+    return EntropyProbeResult(max_deviation=devs[worst], worst_seed=int(seeds[worst]),
+                              trials=trials)
 
 
 def fixed_point_commutant_check(phi: KrausChannel, b, tol: float = 1e-9) -> FixedPointReport:
@@ -458,16 +456,13 @@ def fixed_point_commutant_check(phi: KrausChannel, b, tol: float = 1e-9) -> Fixe
     x = np.asarray(b, dtype=complex)
     if x.shape != (phi.d_in, phi.d_in):
         raise DimensionMismatch(f"matrix shape {x.shape} != ({phi.d_in}, {phi.d_in})")
-    dual_unit = sum(a.conj().T @ a for a in phi.kraus)
-    excess = float(np.linalg.eigvalsh(dual_unit).max()) - 1.0
+    tall = phi.kraus.reshape(-1, phi.d_in)
+    excess = float(np.linalg.eigvalsh(tall.conj().T @ tall).max()) - 1.0
     if excess > tol:
         raise ValueError(f"dual map is not subunital: largest eigenvalue 1+{excess}")
     defect = float(np.abs(apply_raw(phi, x) - x).max())
-    comm = 0.0
-    for a in phi.kraus:
-        comm = max(comm, float(np.abs(a @ x - x @ a).max()))
-        ah = a.conj().T
-        comm = max(comm, float(np.abs(ah @ x - x @ ah).max()))
+    both = np.concatenate([phi.kraus, phi.kraus.conj().transpose(0, 2, 1)])
+    comm = float(np.abs(both @ x - x @ both).max())
     return FixedPointReport(is_fixed=defect <= tol, defect=defect,
                             max_commutator_norm=comm)
 
@@ -477,8 +472,9 @@ def compose_channels(outer: KrausChannel, inner: KrausChannel) -> KrausChannel:
     if inner.d_out != outer.d_in:
         raise DimensionMismatch(
             f"inner output {inner.d_out} != outer input {outer.d_in}")
-    ops = tuple(a @ b for a in outer.kraus for b in inner.kraus)
-    return KrausChannel(d_in=inner.d_in, d_out=outer.d_out, kraus=ops,
+    ops = outer.kraus[:, None] @ inner.kraus[None, :]  # outer index varies slowest
+    return KrausChannel(d_in=inner.d_in, d_out=outer.d_out,
+                        kraus=ops.reshape(-1, outer.d_out, inner.d_in),
                         trace_preserving=inner.trace_preserving and outer.trace_preserving,
                         unital=inner.unital and outer.unital)
 
@@ -518,7 +514,7 @@ def random_isometric_conjugation_channel(d_in: int, d_out: int,
     v = random_isometry(d_in, d_out, rng)
     weights = rng.dirichlet(np.ones(num_terms))
     phases = np.exp(2j * np.pi * rng.random(num_terms))
-    ops = tuple(np.sqrt(w) * ph * v for w, ph in zip(weights, phases))
+    ops = (np.sqrt(weights) * phases)[:, None, None] * v
     chan = KrausChannel(d_in=d_in, d_out=d_out, kraus=ops,
                         trace_preserving=True, unital=(d_in == d_out))
     return chan, v

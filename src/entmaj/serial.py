@@ -260,15 +260,19 @@ def from_json_value(obj, where: str = "$"):
     raise SchemaError("unrecognized schema", field=where)
 
 
-def load_json(path):
-    """Load a typed value from a JSON file; schema errors name the field."""
+def read_json(path):
+    """Parse a JSON file into plain Python values; malformed text is a SchemaError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"malformed JSON at line {exc.lineno} column {exc.colno}: "
                           f"{exc.msg}", field=str(path)) from exc
-    return from_json_value(obj, where=str(path))
+
+
+def load_json(path):
+    """Load a typed value from a JSON file; schema errors name the field."""
+    return from_json_value(read_json(path), where=str(path))
 
 
 def save_json(value, path):

@@ -220,11 +220,9 @@ def schur_horn_orthogonal(a, b, tol: float = 1e-9) -> OrthogonalMatrix:
 
 def orthostochastic_of(u) -> DoublyStochasticMatrix:
     """Squared entries of an orthogonal matrix; doubly stochastic by the norm identity."""
-    arr = u.entries if isinstance(u, OrthogonalMatrix) else np.asarray(u, dtype=float)
-    defect = np.abs(arr.T @ arr - np.eye(arr.shape[0])).max()
-    if defect > SUM_TOL:
-        raise NotOrthogonal(f"U^T U deviates from identity by {defect}")
-    return DoublyStochasticMatrix(arr ** 2)
+    if not isinstance(u, OrthogonalMatrix):
+        u = OrthogonalMatrix(u)
+    return DoublyStochasticMatrix(u.entries ** 2)
 
 
 def birkhoff_decompose(q, tol: float = 1e-9) -> BirkhoffDecomposition:

@@ -223,3 +223,39 @@ class TestGenAndErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestInputRejection:
+    def assert_clean_exit_two(self, rc, err):
+        assert rc == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_nan_channel_exit_two(self, tmp_path, capsys):
+        p = tmp_path / "nan.json"
+        nan_row = [[float("nan"), 0.0], [0.0, 0.0]]
+        p.write_text(json.dumps({"d_in": 2, "d_out": 2,
+                                 "kraus": [{"d_rows": 2, "d_cols": 2,
+                                            "rows": [nan_row, nan_row]}],
+                                 "flags": {"trace_preserving": True, "unital": False}}))
+        for argv in (("detect-isometry", "--in", str(p)),
+                     ("probe-entropy", "--in", str(p), "--trials", "3")):
+            rc, _, err = run(capsys, *argv)
+            self.assert_clean_exit_two(rc, err)
+
+    @pytest.mark.parametrize("sub,kind", [("majorize", "pair"), ("uhlmann", "state-pair")])
+    def test_truncated_bundle_exit_two(self, tmp_path, capsys, sub, kind):
+        bundle = tmp_path / "bundle.json"
+        run(capsys, "gen", kind, "--d", "3", "--out", str(bundle))
+        bundle.write_text(bundle.read_text()[:40])
+        rc, _, err = run(capsys, sub, "--in", str(bundle))
+        self.assert_clean_exit_two(rc, err)
+
+    @pytest.mark.parametrize("argv", [("probe-entropy", "--in", "c.json", "--trials", "0"),
+                                      ("gen", "state", "--d", "0"),
+                                      ("gen", "state", "--d", "-3")])
+    def test_flag_below_one_exit_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert ">= 1" in capsys.readouterr().err

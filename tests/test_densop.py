@@ -5,6 +5,7 @@ from entmaj.densop import (
     DensityMatrix,
     eig_hermitian,
     haar_unitary,
+    isometry_defect,
     ky_fan_sum,
     l1_equivalent,
     pure_state,
@@ -84,6 +85,32 @@ class TestSpectrum:
     def test_diagonal(self):
         rho = DensityMatrix(np.diag([0.25, 0.75]).astype(complex))
         np.testing.assert_allclose(spectrum(rho).entries, [0.75, 0.25], atol=1e-12)
+
+
+    def test_from_decomposition_is_bit_identical(self):
+        rho = random_density(6, np.random.default_rng(41))
+        np.testing.assert_array_equal(spectrum(eig_hermitian(rho)).entries,
+                                      spectrum(rho).entries)
+
+
+class TestIsometryDefect:
+    def test_isometry_and_scaled_matrix(self):
+        v = haar_unitary(5, np.random.default_rng(42))[:, :3]
+        assert isometry_defect(v) <= 1e-12
+        assert isometry_defect(2 * v) == pytest.approx(3.0)
+
+    def test_stack_gives_one_defect_per_matrix(self):
+        rng = np.random.default_rng(43)
+        stack = np.array([haar_unitary(4, rng), 0.5 * haar_unitary(4, rng)])
+        dev = isometry_defect(stack)
+        assert dev.shape == (2,)
+        assert dev[0] <= 1e-12
+        assert dev[1] == pytest.approx(0.75)
+
+    def test_nan_entry_gives_nan(self):
+        m = np.eye(2)
+        m[0, 1] = np.nan
+        assert not isometry_defect(m) <= 1.0
 
 
 class TestVonNeumannEntropy:

@@ -469,3 +469,92 @@ class TestKrausChannelType:
         v = random_isometry(2, 4, np.random.default_rng(31))
         with pytest.raises(DimensionMismatch):
             KrausChannel(4, 2, (v,), trace_preserving=False)
+
+
+def loop_reference(phi):
+    """Per-operator sums, the form the stacked computations must reproduce."""
+    ops = list(phi.kraus)
+    return {
+        "apply": lambda x: sum(a @ x @ a.conj().T for a in ops),
+        "adjoint": lambda x: sum(a.conj().T @ x @ a for a in ops),
+        "choi": sum(np.outer(a.T.reshape(-1), a.T.reshape(-1).conj()) for a in ops) / phi.d_in,
+        "completeness": np.abs(sum(a.conj().T @ a for a in ops) - np.eye(phi.d_in)).max(),
+        "unitality": np.abs(sum(a @ a.conj().T for a in ops) - np.eye(phi.d_out)).max(),
+    }
+
+
+class TestKrausStack:
+    # stacked GEMMs sum in another order than the loops: allow a few ulps per term
+    TOL = 1e-12
+
+    @pytest.mark.parametrize("d_in,d_out,terms", [(3, 3, 1), (2, 5, 3), (4, 6, 2)])
+    def test_matches_per_operator_loops(self, d_in, d_out, terms):
+        rng = np.random.default_rng(44 + d_out)
+        g = rng.standard_normal((terms, d_out, d_in)) + 1j * rng.standard_normal(
+            (terms, d_out, d_in))
+        phi = KrausChannel(d_in, d_out, g, trace_preserving=False)
+        ref = loop_reference(phi)
+        x = rng.standard_normal((d_in, d_in)) + 1j * rng.standard_normal((d_in, d_in))
+        y = rng.standard_normal((d_out, d_out)) + 1j * rng.standard_normal((d_out, d_out))
+        scale = np.abs(g).max() ** 2 * terms * max(d_in, d_out)
+        assert np.abs(apply_raw(phi, x) - ref["apply"](x)).max() <= self.TOL * scale * 10
+        assert np.abs(adjoint_apply(phi, y) - ref["adjoint"](y)).max() <= self.TOL * scale * 10
+        assert np.abs(choi_matrix(phi) - ref["choi"]).max() <= self.TOL * scale
+        assert abs(phi.completeness_defect - ref["completeness"]) <= self.TOL * scale
+        assert abs(phi.unitality_defect - ref["unitality"]) <= self.TOL * scale
+
+    def test_stack_is_read_only_and_ordered(self):
+        rng = np.random.default_rng(45)
+        us = [haar_unitary(3, rng) for _ in range(2)]
+        phi = mixed_unitary_channel([0.25, 0.75], us)
+        assert phi.kraus.shape == (2, 3, 3)
+        assert not phi.kraus.flags.writeable
+        np.testing.assert_allclose(phi.kraus[1], np.sqrt(0.75) * us[1])
+
+    def test_composition_order_is_outer_major(self):
+        rng = np.random.default_rng(46)
+        outer = random_bistochastic_channel(3, rng, kind="mixed_unitary")
+        inner = pinching_channel(haar_unitary(3, rng))
+        comp = compose_channels(outer, inner)
+        expected = [a @ b for a in outer.kraus for b in inner.kraus]
+        np.testing.assert_allclose(comp.kraus, expected, atol=1e-14)
+
+    def test_defects_are_stored_at_construction(self):
+        half = KrausChannel(2, 2, (np.eye(2, dtype=complex) / np.sqrt(2),),
+                            trace_preserving=False)
+        assert half.completeness_defect == pytest.approx(0.5)
+        assert half.unitality_defect == pytest.approx(0.5)
+        assert not structure_checks(half).trace_preserving
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        a = np.eye(2, dtype=complex)
+        a[0, 1] = bad
+        for flagged in (True, False):
+            with pytest.raises(ValueError, match="finite"):
+                KrausChannel(2, 2, (a,), trace_preserving=flagged)
+
+    def test_ragged_family_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            KrausChannel(2, 2, (np.eye(2), np.eye(3)), trace_preserving=False)
+
+
+class TestSpectralPreamble:
+    def test_uhlmann_constructions_decompose_each_state_once(self, monkeypatch):
+        rng = np.random.default_rng(47)
+        a, b = random_majorized_pair(5, rng)
+        rho1 = random_density(5, rng, spec=a)
+        rho2 = random_density(5, rng, spec=b)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(1) or eigh(m))
+        uhlmann_channel(rho1, rho2)
+        assert len(calls) == 2
+        calls.clear()
+        mixed_unitary_uhlmann(rho1, rho2)
+        assert len(calls) == 2
+
+
+def test_entropy_probe_needs_a_trial():
+    with pytest.raises(ValueError):
+        entropy_probe(dephasing_channel(), 0, 2, np.random.default_rng(0))
