@@ -12,50 +12,21 @@ import argparse
 
 import numpy as np
 
-from entmaj.densop import haar_unitary
-from entmaj.qchan import (
-    depolarizing_channel,
-    detect_isometry,
-    entropy_probe,
-    mixed_unitary_channel,
-    pinching_channel,
-    random_isometric_conjugation_channel,
-)
+from entmaj.qchan import detect_isometry, detector_corpus, entropy_probe
 
 
-def build_corpus(rng, n_pos, n_neg):
-    corpus = []
-    for _ in range(n_pos):
-        d_in = int(rng.integers(2, 9))
-        d_out = int(rng.integers(d_in, 13))
-        chan, _ = random_isometric_conjugation_channel(
-            d_in, d_out, rng, num_terms=int(rng.integers(1, 6)))
-        corpus.append((chan, True))
-    for k in range(n_neg):
-        d = int(rng.integers(2, 9))
-        if k % 3 == 0:
-            chan = pinching_channel(haar_unitary(d, rng))
-        elif k % 3 == 1:
-            chan = depolarizing_channel(d, p=float(rng.uniform(0.2, 1.0)))
-        else:
-            m = int(rng.integers(2, 4))
-            w = rng.dirichlet(np.ones(m)) * 0.8 + 0.2 / m
-            chan = mixed_unitary_channel(w, [haar_unitary(d, rng) for _ in range(m)])
-        corpus.append((chan, False))
-    return corpus
-
-
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--positives", type=int, default=50)
     ap.add_argument("--negatives", type=int, default=50)
     ap.add_argument("--trials", type=int, default=300)
     ap.add_argument("--tol", type=float, default=1e-7)
     ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     rng = np.random.default_rng(args.seed)
-    corpus = build_corpus(rng, args.positives, args.negatives)
+    positives, negatives = detector_corpus(rng, args.positives, args.negatives)
+    corpus = [(chan, True) for chan, _ in positives] + [(chan, False) for chan in negatives]
     errors = 0
     print(f"{'truth':>8} {'verdict':>8} {'d_in':>4} {'d_out':>5} {'#K':>3} "
           f"{'max |dS|':>10}")

@@ -45,14 +45,14 @@ def random_minimum(d, floor, gap, samples, rng):
     return worst, found
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--floor", type=float, default=0.01)
     ap.add_argument("--gap", type=float, default=0.01)
     ap.add_argument("--step", type=float, default=0.002)
     ap.add_argument("--samples", type=int, default=3000)
     ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     diff, at = grid_minimum_2d(args.floor, args.gap, args.step)
     print(f"d=2 grid (step {args.step}): min H(a)-H(b) = {diff:.6e} at a1={at[0]:.3f}, "

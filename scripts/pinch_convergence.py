@@ -14,13 +14,13 @@ from entmaj.densop import haar_unitary, random_density
 from entmaj.qchan import pinch_convergence_experiment
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--d", type=int, default=32)
     ap.add_argument("--states", type=int, default=10)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--outdir", type=pathlib.Path, default=pathlib.Path("pinch_tables"))
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     rng = np.random.default_rng(args.seed)
     args.outdir.mkdir(parents=True, exist_ok=True)

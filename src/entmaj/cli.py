@@ -2,8 +2,8 @@
 
 One subcommand per construction; JSON in, JSON out (CSV for the pinch
 convergence table).  Exit codes: 0 success, 1 domain failure (violated
-precondition, failed verification, or a negative verdict under --require /
---expect-isometry), 2 I/O or schema errors.
+precondition, a value failing its type's check, failed verification, or a negative
+verdict under --require / --expect-isometry), 2 I/O, schema or flag errors.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from . import __version__
 from .densop import DensityMatrix, isometry_defect, random_density, von_neumann_entropy
 from .errors import DomainError, SchemaError
 from .qchan import (
+    ISOMETRY_TOL,
     KrausChannel,
     apply_channel,
     detect_isometry,
@@ -27,7 +28,8 @@ from .qchan import (
     trace_distance,
     uhlmann_channel,
 )
-from .seqmaj import ProbVector, is_majorized, random_majorized_pair, shannon_entropy, sort_desc
+from .seqmaj import (MAJORIZATION_TOL, ProbVector, is_majorized, random_majorized_pair,
+                     shannon_entropy, sort_desc)
 from .serial import (
     birkhoff_to_json,
     chain_to_json,
@@ -44,7 +46,9 @@ from .serial import (
     to_json_value,
 )
 from .xfer import (
+    SUPPORT_TOL,
     DoublyStochasticMatrix,
+    apply_t_transform,
     birkhoff_decompose,
     find_transfer_chain,
     schur_horn_orthogonal,
@@ -56,11 +60,22 @@ SUBCOMMANDS = (
 )
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not >= 1")
-    return value
+# Thresholds of the reports' verified blocks.
+REPLAY_TOL = 1e-9
+TRACE_DISTANCE_TOL = 1e-7
+PINCH_SLACK = 1e-8
+
+
+def _positive(cast):
+    """An argparse type: a finite value > 0 read by `cast`, so an int is >= 1."""
+    def parse(text: str):
+        value = cast(text)
+        if not 0 < value < np.inf:  # false for NaN too
+            raise argparse.ArgumentTypeError(
+                f"{value} is not {'>= 1' if cast is int else 'finite and > 0'}")
+        return value
+    parse.__name__ = cast.__name__  # argparse names the type in its messages
+    return parse
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -68,15 +83,15 @@ def _parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, help_, n_inputs=0, gen_kind=False):
+    def add(name, help_, tol=None, gen_kind=False):
         p = sub.add_parser(name, help=help_)
         p.add_argument("--in", dest="inputs", action="append", default=[],
                        metavar="PATH", help="input file (repeatable, ordered)")
         p.add_argument("--out", dest="out", default=None, metavar="PATH")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--d", type=_positive_int, default=None)
-        p.add_argument("--trials", type=_positive_int, default=1000)
+        p.add_argument("--tol", type=_positive(float), default=tol)
+        p.add_argument("--d", type=_positive(int), default=None)
+        p.add_argument("--trials", type=_positive(int), default=1000)
         p.add_argument("--require", action="store_true",
                        help="exit 1 on a negative verdict")
         p.add_argument("--expect-isometry", dest="expect_isometry",
@@ -86,14 +101,18 @@ def _parser() -> argparse.ArgumentParser:
         return p
 
     add("entropy", "Shannon/von Neumann entropy of a vector or state")
-    add("majorize", "decide whether the first vector is majorized by the second")
-    add("transfer", "elementary transfer chain certifying majorization")
-    add("birkhoff", "split a doubly stochastic matrix into permutations")
-    add("schur-horn", "orthogonal matrix carrying one spectrum onto a diagonal")
-    add("uhlmann", "bistochastic channel carrying the second state onto the first")
-    add("mixed-unitary", "unitary mixture carrying the second state onto the first")
+    add("majorize", "decide whether the first vector is majorized by the second",
+        MAJORIZATION_TOL)
+    add("transfer", "elementary transfer chain certifying majorization", MAJORIZATION_TOL)
+    add("birkhoff", "split a doubly stochastic matrix into permutations", SUPPORT_TOL)
+    add("schur-horn", "orthogonal matrix carrying one spectrum onto a diagonal",
+        MAJORIZATION_TOL)
+    add("uhlmann", "bistochastic channel carrying the second state onto the first",
+        MAJORIZATION_TOL)
+    add("mixed-unitary", "unitary mixture carrying the second state onto the first",
+        MAJORIZATION_TOL)
     add("pinch-converge", "phase-averaging convergence table (CSV)")
-    add("detect-isometry", "test a channel for isometric conjugation")
+    add("detect-isometry", "test a channel for isometric conjugation", ISOMETRY_TOL)
     add("probe-entropy", "max entropy deviation over random states")
     add("gen", "generate seeded random inputs", gen_kind=True)
     return top
@@ -107,10 +126,14 @@ def _emit(text: str, out_path):
             fh.write(text)
 
 
-def _load_inputs(paths, count, what):
-    if len(paths) != count:
-        raise SchemaError(f"expected {count} --in file(s) for {what}, got {len(paths)}")
-    return [load_json(p) for p in paths]
+def _load_one(paths, types, what):
+    """The value of the one --in file, which must be an instance of `types`."""
+    if len(paths) != 1:
+        raise SchemaError(f"expected 1 --in file, got {len(paths)}")
+    value = load_json(paths[0])
+    if not isinstance(value, types):
+        raise SchemaError(f"expected {what}", field=str(paths[0]))
+    return value
 
 
 def _load_pair(paths, keys, from_json):
@@ -141,18 +164,16 @@ def _finish(report, args) -> int:
 
 
 def _run_entropy(args) -> int:
-    (value,) = _load_inputs(args.inputs, 1, "entropy")
+    value = _load_one(args.inputs, (ProbVector, DensityMatrix),
+                      "a probability vector or a density matrix")
     if isinstance(value, ProbVector):
         bits = shannon_entropy(value)
         kind = "prob_vector"
         total = value.total()
-    elif isinstance(value, DensityMatrix):
+    else:
         bits = von_neumann_entropy(value)
         kind = "density"
         total = float(value.matrix.trace().real)
-    else:
-        raise SchemaError("expected a probability vector or a density matrix",
-                          field=str(args.inputs[0]))
     body = {"shannon_bits": bits, "input_kind": kind,
             "verified": {"input_total": total, "ok_nonnegative": bits >= 0.0}}
     return _finish(_report("entropy", args, {}, body), args)
@@ -160,14 +181,13 @@ def _run_entropy(args) -> int:
 
 def _run_majorize(args) -> int:
     a, b = _load_pair(args.inputs, ("a", "b"), prob_vector_from_json)
-    tol = args.tol if args.tol is not None else 1e-9
-    verdict = is_majorized(a, b, tol)
+    verdict = is_majorized(a, b, args.tol)
     body = {"holds": verdict.holds, "sums_equal": verdict.sums_equal,
             "first_violation": None, "verified": {"prefix_pairs_checked": max(a.d, b.d)}}
     if verdict.first_violation is not None:
         fv = verdict.first_violation
         body["first_violation"] = {"k": fv.k, "lhs": fv.lhs, "rhs": fv.rhs}
-    rc = _finish(_report("majorize", args, {"majorization_abs": tol}, body), args)
+    rc = _finish(_report("majorize", args, {"majorization_abs": args.tol}, body), args)
     if args.require and not verdict.holds:
         return 1
     return rc
@@ -175,9 +195,7 @@ def _run_majorize(args) -> int:
 
 def _run_transfer(args) -> int:
     a, b = _load_pair(args.inputs, ("a", "b"), prob_vector_from_json)
-    tol = args.tol if args.tol is not None else 1e-9
-    chain = find_transfer_chain(a, b, tol)
-    from .xfer import apply_t_transform
+    chain = find_transfer_chain(a, b, args.tol)
     replay = sort_desc(b)
     target = np.pad(sort_desc(a).entries, (0, chain.d - a.d))
     replay = np.pad(replay.entries, (0, chain.d - b.d))
@@ -186,33 +204,29 @@ def _run_transfer(args) -> int:
         cur = apply_t_transform(step, cur)
     err = float(np.abs(cur.entries - target).max())
     body = {"chain": chain_to_json(chain),
-            "verified": {"replay_max_abs_error": err, "ok_replay": err <= 1e-9,
+            "verified": {"replay_max_abs_error": err, "ok_replay": err <= REPLAY_TOL,
                          "steps": len(chain.steps), "step_bound": chain.d - 1,
                          "ok_step_bound": len(chain.steps) <= chain.d - 1}}
-    return _finish(_report("transfer", args, {"majorization_abs": tol}, body), args)
+    return _finish(_report("transfer", args, {"majorization_abs": args.tol}, body), args)
 
 
 def _run_birkhoff(args) -> int:
-    (value,) = _load_inputs(args.inputs, 1, "birkhoff")
-    if not isinstance(value, np.ndarray):
-        raise SchemaError("expected a real square matrix", field=str(args.inputs[0]))
-    tol = args.tol if args.tol is not None else 1e-9
+    value = _load_one(args.inputs, np.ndarray, "a real square matrix")
     q = DoublyStochasticMatrix(value)
-    decomp = birkhoff_decompose(q, tol)
+    decomp = birkhoff_decompose(q, args.tol)
     err = float(np.abs(decomp.matrix() - q.entries).max())
     bound = (q.d - 1) ** 2 + 1
     body = dict(birkhoff_to_json(decomp))
-    body["verified"] = {"reconstruction_max_error": err, "ok_reconstruction": err <= 10 * tol,
+    body["verified"] = {"reconstruction_max_error": err, "ok_reconstruction": err <= 10 * args.tol,
                         "term_count": len(decomp.permutations), "term_bound": bound,
                         "ok_term_bound": len(decomp.permutations) <= bound,
                         "weight_sum": float(decomp.weights.sum())}
-    return _finish(_report("birkhoff", args, {"support_threshold": tol}, body), args)
+    return _finish(_report("birkhoff", args, {"support_threshold": args.tol}, body), args)
 
 
 def _run_schur_horn(args) -> int:
     a, b = _load_pair(args.inputs, ("a", "b"), prob_vector_from_json)
-    tol = args.tol if args.tol is not None else 1e-9
-    u = schur_horn_orthogonal(a, b, tol)
+    u = schur_horn_orthogonal(a, b, args.tol)
     d = u.d
     bs = np.pad(sort_desc(b).entries, (0, d - b.d))
     a_sorted = np.pad(sort_desc(a).entries, (0, d - a.d))
@@ -220,63 +234,54 @@ def _run_schur_horn(args) -> int:
     err = float(np.abs(diag - a_sorted).max())
     defect = isometry_defect(u.entries)
     body = dict(real_matrix_to_json(u))
-    body["verified"] = {"diagonal_max_error": err, "ok_diagonal": err <= 1e-9,
-                        "orthogonality_defect": defect, "ok_orthogonal": defect <= 1e-9}
-    return _finish(_report("schur-horn", args, {"majorization_abs": tol}, body), args)
+    body["verified"] = {"diagonal_max_error": err, "ok_diagonal": err <= REPLAY_TOL,
+                        "orthogonality_defect": defect, "ok_orthogonal": defect <= REPLAY_TOL}
+    return _finish(_report("schur-horn", args, {"majorization_abs": args.tol}, body), args)
 
 
 def _run_uhlmann(args) -> int:
     rho1, rho2 = _load_pair(args.inputs, ("rho1", "rho2"), density_from_json)
-    tol = args.tol if args.tol is not None else 1e-9
-    psi = uhlmann_channel(rho1, rho2, tol)
+    psi = uhlmann_channel(rho1, rho2, args.tol)
     td = trace_distance(apply_channel(psi, rho2), rho1)
     body = dict(to_json_value(psi))
     body["verified"] = {
-        "trace_distance": td, "ok_trace_distance": td <= 1e-7,
+        "trace_distance": td, "ok_trace_distance": td <= TRACE_DISTANCE_TOL,
         "completeness_defect": psi.completeness_defect,
         "unitality_defect": psi.unitality_defect,
     }
-    tols = {"majorization_abs": tol, "trace_distance_max": 1e-7}
+    tols = {"majorization_abs": args.tol, "trace_distance_max": TRACE_DISTANCE_TOL}
     return _finish(_report("uhlmann", args, tols, body), args)
 
 
 def _run_mixed_unitary(args) -> int:
     rho1, rho2 = _load_pair(args.inputs, ("rho1", "rho2"), density_from_json)
-    tol = args.tol if args.tol is not None else 1e-9
-    mix = mixed_unitary_uhlmann(rho1, rho2, tol)
+    mix = mixed_unitary_uhlmann(rho1, rho2, args.tol)
     out = np.zeros_like(rho2.matrix)
     for w, u in zip(mix.weights, mix.unitaries):
         out += w * (u @ rho2.matrix @ u.conj().T)
     td = trace_distance(DensityMatrix((out + out.conj().T) / 2), rho1)
     bound = (rho1.d - 1) ** 2 + 1
     body = dict(mixed_unitary_to_json(mix))
-    body["verified"] = {"trace_distance": td, "ok_trace_distance": td <= 1e-7,
+    body["verified"] = {"trace_distance": td, "ok_trace_distance": td <= TRACE_DISTANCE_TOL,
                         "term_count": len(mix.unitaries), "term_bound": bound,
                         "ok_term_bound": len(mix.unitaries) <= bound,
                         "weight_sum": float(mix.weights.sum())}
-    tols = {"majorization_abs": tol, "trace_distance_max": 1e-7}
+    tols = {"majorization_abs": args.tol, "trace_distance_max": TRACE_DISTANCE_TOL}
     return _finish(_report("mixed-unitary", args, tols, body), args)
 
 
 def _run_pinch_converge(args) -> int:
     if len(args.inputs) not in (1, 2):
         raise SchemaError("expected --in state [--in basis]")
-    values = [load_json(p) for p in args.inputs]
-    rho2 = values[0]
-    if not isinstance(rho2, DensityMatrix):
-        raise SchemaError("expected a density matrix", field=str(args.inputs[0]))
-    if len(values) == 2:
-        basis = values[1]
-        if not isinstance(basis, np.ndarray):
-            raise SchemaError("expected a matrix basis", field=str(args.inputs[1]))
-        basis = basis.astype(complex)
-    else:
-        basis = np.eye(rho2.d, dtype=complex)
+    rho2 = _load_one(args.inputs[:1], DensityMatrix, "a density matrix")
+    basis = np.eye(rho2.d, dtype=complex)
+    if len(args.inputs) == 2:
+        basis = _load_one(args.inputs[1:], np.ndarray, "a matrix basis").astype(complex)
     rows = pinch_convergence_experiment(rho2, basis)
-    ok = all(r.trace_distance <= r.bound + 1e-8 for r in rows)
-    final_ok = rows[-1].trace_distance <= 1e-8
+    ok = all(r.trace_distance <= r.bound + PINCH_SLACK for r in rows)
+    final_ok = rows[-1].trace_distance <= PINCH_SLACK
     lines = [f"# entmaj {__version__} pinch-converge d={rho2.d} "
-             f"bound_slack=1e-08 ok_bound={ok} ok_final={final_ok}",
+             f"bound_slack={PINCH_SLACK} ok_bound={ok} ok_final={final_ok}",
              "n,trace_distance,bound"]
     lines += [f"{r.n},{r.trace_distance!r},{r.bound!r}" for r in rows]
     _emit("\n".join(lines) + "\n", args.out)
@@ -284,24 +289,19 @@ def _run_pinch_converge(args) -> int:
 
 
 def _run_detect_isometry(args) -> int:
-    (value,) = _load_inputs(args.inputs, 1, "detect-isometry")
-    if not isinstance(value, KrausChannel):
-        raise SchemaError("expected a Kraus channel", field=str(args.inputs[0]))
-    tol = args.tol if args.tol is not None else 1e-7
-    report = detect_isometry(value, tol)
+    value = _load_one(args.inputs, KrausChannel, "a Kraus channel")
+    report = detect_isometry(value, args.tol)
     body = dict(isometry_report_to_json(report))
     defect = None if report.isometry is None else isometry_defect(report.isometry)
     body["verified"] = {"isometry_defect": defect}
-    rc = _finish(_report("detect-isometry", args, {"scalar_max_entry": tol}, body), args)
+    rc = _finish(_report("detect-isometry", args, {"scalar_max_entry": args.tol}, body), args)
     if args.expect_isometry and not report.is_isometric_conjugation:
         return 1
     return rc
 
 
 def _run_probe_entropy(args) -> int:
-    (value,) = _load_inputs(args.inputs, 1, "probe-entropy")
-    if not isinstance(value, KrausChannel):
-        raise SchemaError("expected a Kraus channel", field=str(args.inputs[0]))
+    value = _load_one(args.inputs, KrausChannel, "a Kraus channel")
     d = args.d if args.d is not None else value.d_in
     rng = np.random.default_rng(args.seed)
     result = entropy_probe(value, args.trials, d, rng)
@@ -349,10 +349,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _RUNNERS[args.subcommand](args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:

@@ -11,25 +11,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, NotUnitVector
+from .errors import DimensionMismatch, InvalidValue, NotHermitian, NotUnitVector, require
 from .seqmaj import MajorizationVerdict, ProbVector, is_majorized, shannon_entropy
 
 HERMITIAN_TOL = 1e-9
 TRACE_TOL = 1e-9
 EIG_FLOOR = -1e-9
 RECONSTRUCTION_TOL = 1e-8
+UNIT_NORM_TOL = 1e-9
 
 
-def _as_complex(m) -> np.ndarray:
+def _hermitian(m) -> np.ndarray:
+    """m as a complex array, proved non-empty, square, finite and Hermitian; a
+    DensityMatrix was proved so when it was built and is not checked again."""
     if isinstance(m, DensityMatrix):
         return m.matrix
-    return np.asarray(m, dtype=complex)
-
-
-def _hermitian_defect(m: np.ndarray) -> tuple[float, tuple[int, int]]:
-    dev = np.abs(m - m.conj().T)
-    idx = np.unravel_index(np.argmax(dev), dev.shape)
-    return float(dev[idx]), (int(idx[0]), int(idx[1]))
+    arr = np.array(m, dtype=complex)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not np.isfinite(arr).all() or not arr.size:
+        raise InvalidValue("expected a non-empty square matrix of finite numbers")
+    dev = np.abs(arr - arr.conj().T)
+    i, j = np.unravel_index(np.argmax(dev), dev.shape)
+    require(dev[i, j], HERMITIAN_TOL, NotHermitian,
+            "worst entry pair ({0}, {1})/({1}, {0}) deviates by {2}", i, j, dev[i, j])
+    return arr
 
 
 @dataclass(frozen=True)
@@ -39,19 +43,11 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.matrix, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("density matrix must be square")
-        defect, pair = _hermitian_defect(arr)
-        if defect > HERMITIAN_TOL:
-            raise NotHermitian(
-                f"worst entry pair {pair}/{pair[::-1]} deviates by {defect}")
+        arr = _hermitian(self.matrix)
         tr = arr.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace {tr} is not 1")
+        require(abs(tr - 1.0), TRACE_TOL, InvalidValue, "trace {} is not 1", tr)
         lo = float(np.linalg.eigvalsh(arr).min())
-        if lo < EIG_FLOOR:
-            raise ValueError(f"negative eigenvalue {lo}")
+        require(-lo, -EIG_FLOOR, InvalidValue, "negative eigenvalue {}", lo)
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
 
@@ -78,10 +74,7 @@ class SpectralDecomposition:
 
 def eig_hermitian(h) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian matrix, eigenvalues descending."""
-    arr = _as_complex(h)
-    defect, pair = _hermitian_defect(arr)
-    if defect > HERMITIAN_TOL:
-        raise NotHermitian(f"worst entry pair {pair} deviates by {defect}")
+    arr = _hermitian(h)
     sym = (arr + arr.conj().T) / 2.0
     vals, vecs = np.linalg.eigh(sym)
     vals = vals[::-1].copy()
@@ -97,10 +90,7 @@ def eig_hermitian(h) -> SpectralDecomposition:
 def spectrum(rho) -> ProbVector:
     """Eigenvalues of a state or its SpectralDecomposition, clamped to [0, 1], descending."""
     decomp = rho if isinstance(rho, SpectralDecomposition) else eig_hermitian(rho)
-    vals = np.clip(decomp.eigenvalues, 0.0, 1.0)
-    if abs(vals.sum() - 1.0) > 1e-8:
-        raise ValueError(f"clamped spectrum sums to {vals.sum()}, not 1")
-    return ProbVector(vals, normalized=True)
+    return ProbVector(np.clip(decomp.eigenvalues, 0.0, 1.0), normalized=True)
 
 
 def isometry_defect(m):
@@ -127,8 +117,8 @@ def state_majorized(rho1: DensityMatrix, rho2: DensityMatrix,
 
 def trace_distance(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     """Trace norm of the difference: sum of absolute eigenvalues."""
-    a = _as_complex(rho1)
-    b = _as_complex(rho2)
+    a = _hermitian(rho1)
+    b = _hermitian(rho2)
     if a.shape != b.shape:
         raise DimensionMismatch(f"shapes {a.shape} vs {b.shape}")
     return float(np.abs(np.linalg.eigvalsh(a - b)).sum())
@@ -139,10 +129,7 @@ def ky_fan_sum(a, k: int) -> float:
 
     This equals the maximum of tr(A P) over rank-k orthogonal projections P.
     """
-    arr = _as_complex(a)
-    defect, pair = _hermitian_defect(arr)
-    if defect > HERMITIAN_TOL:
-        raise NotHermitian(f"worst entry pair {pair} deviates by {defect}")
+    arr = _hermitian(a)
     if not 1 <= k <= arr.shape[0]:
         raise ValueError(f"k={k} out of range 1..{arr.shape[0]}")
     vals = np.linalg.eigvalsh((arr + arr.conj().T) / 2.0)
@@ -166,8 +153,7 @@ def pure_state(x) -> DensityMatrix:
     """Rank-one projection onto a unit vector."""
     v = np.asarray(x, dtype=complex).ravel()
     norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > 1e-9:
-        raise NotUnitVector(f"norm {norm} is not 1")
+    require(abs(norm - 1.0), UNIT_NORM_TOL, NotUnitVector, "norm {} is not 1", norm)
     return DensityMatrix(np.outer(v, v.conj()))
 
 
@@ -193,11 +179,10 @@ def random_density(d: int, rng: np.random.Generator,
     if spec is None:
         vals = rng.dirichlet(np.ones(d))
     else:
-        vals = spec.entries if isinstance(spec, ProbVector) else np.asarray(spec, dtype=float)
-        if vals.ndim != 1 or vals.size > d or np.any(vals < 0):
-            raise ValueError("spectrum must be <= d non-negative reals")
-        if abs(vals.sum() - 1.0) > 1e-9:
-            raise ValueError(f"spectrum sums to {vals.sum()}, not 1")
+        vals = ProbVector(spec.entries if isinstance(spec, ProbVector) else spec,
+                          normalized=True).entries
+        if vals.size > d:
+            raise InvalidValue(f"spectrum has {vals.size} > d = {d} entries")
         vals = np.pad(vals, (0, d - vals.size))
     vals = -np.sort(-vals)
     v = haar_unitary(d, rng)

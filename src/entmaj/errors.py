@@ -1,8 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check that raises them."""
 
 
 class DomainError(Exception):
     """Base class for mathematical-contract violations (exit code 1 in the CLI)."""
+
+
+class InvalidValue(DomainError, ValueError):
+    """A value failed its type's check and no more specific error applies."""
 
 
 class MajorizationFailed(DomainError):
@@ -57,3 +61,10 @@ class SchemaError(Exception):
     def __init__(self, message, field=None):
         super().__init__(message if field is None else f"{field}: {message}")
         self.field = field
+
+
+def require(defect, tol, exc, msg, *args):
+    """Raise exc(msg.format(*args)) unless defect <= tol, so a NaN defect fails; the
+    message is formatted only on failure, and a passing check costs one comparison."""
+    if not defect <= tol:
+        raise exc(msg.format(*args))

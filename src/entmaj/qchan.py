@@ -26,11 +26,13 @@ from .densop import (
 )
 from .errors import (
     DimensionMismatch,
+    InvalidValue,
     MajorizationFailed,
     NotTracePreserving,
     NotUnitary,
+    require,
 )
-from .seqmaj import is_majorized
+from .seqmaj import MAJORIZATION_TOL, convex_weights, is_majorized
 from .xfer import (
     birkhoff_decompose,
     chain_to_doubly_stochastic,
@@ -40,6 +42,10 @@ from .xfer import (
 
 COMPLETENESS_TOL = 1e-8
 UNITARY_TOL = 1e-9
+MIXTURE_UNITARY_TOL = 1e-8  # unitarity of the terms of a mixed-unitary channel
+CP_FLOOR = -1e-8  # smallest Choi eigenvalue still read as completely positive
+ISOMETRY_TOL = 1e-7  # default tolerance of the isometric-conjugation detector
+MIXTURE_SUPPORT_TOL = 1e-10  # Birkhoff stopping entry inside mixed_unitary_uhlmann
 
 
 def _as_stack(ops) -> np.ndarray:
@@ -49,7 +55,7 @@ def _as_stack(ops) -> np.ndarray:
     except ValueError as exc:  # ragged: the operators differ in shape
         raise DimensionMismatch(str(exc)) from exc
     if not stack.size:
-        raise ValueError("need at least one operator")
+        raise InvalidValue("need at least one operator")
     return stack
 
 
@@ -77,16 +83,16 @@ class KrausChannel:
             raise DimensionMismatch(f"Kraus stack has shape {stack.shape}, expected "
                                     f"(k, {self.d_out}, {self.d_in})")
         if not np.isfinite(stack).all():
-            raise ValueError("Kraus entries must be finite")
+            raise InvalidValue("Kraus entries must be finite")
         stack.setflags(write=False)
         object.__setattr__(self, "kraus", stack)
         object.__setattr__(self, "completeness_defect", self.completeness_defect_of(stack))
         object.__setattr__(self, "unitality_defect", self.unitality_defect_of(stack))
         if self.trace_preserving:
             _require_trace_preserving(self)
-        if self.unital and not self.unitality_defect <= COMPLETENESS_TOL:
-            raise ValueError(f"flagged unital but sum AA* deviates from I by "
-                             f"{self.unitality_defect}")
+        if self.unital:
+            require(self.unitality_defect, COMPLETENESS_TOL, InvalidValue,
+                    "flagged unital but sum AA* deviates from I by {}", self.unitality_defect)
 
     @staticmethod
     def completeness_defect_of(kraus: np.ndarray) -> float:
@@ -163,8 +169,8 @@ class FixedPointReport:
 
 
 def _require_trace_preserving(phi: KrausChannel):
-    if not phi.completeness_defect <= COMPLETENESS_TOL:
-        raise NotTracePreserving(f"sum A*A deviates from I by {phi.completeness_defect}")
+    require(phi.completeness_defect, COMPLETENESS_TOL, NotTracePreserving,
+            "sum A*A deviates from I by {}", phi.completeness_defect)
 
 
 def _sandwich(stack: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -226,7 +232,7 @@ def structure_checks(phi: KrausChannel) -> StructureReport:
     return StructureReport(
         trace_preserving=phi.completeness_defect <= COMPLETENESS_TOL,
         unital=phi.unitality_defect <= COMPLETENESS_TOL,
-        completely_positive=min_eig >= -1e-8,
+        completely_positive=min_eig >= CP_FLOOR,
         trace_preserving_defect=phi.completeness_defect,
         unitality_defect=phi.unitality_defect,
         min_choi_eigenvalue=min_eig,
@@ -240,17 +246,13 @@ def identity_channel(d: int) -> KrausChannel:
 
 def mixed_unitary_channel(weights, unitaries) -> KrausChannel:
     """Bistochastic channel sum_i t_i U_i X U_i^* from weights and unitaries."""
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size == 0 or w.size != len(unitaries):
-        raise ValueError("need one weight per unitary")
-    if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-9:
-        raise ValueError("weights must be positive and sum to 1")
+    w = convex_weights(weights, len(unitaries))
     us = _as_stack(unitaries)
     d = us.shape[-1]
     if us.shape[1:] != (d, d):
         raise DimensionMismatch("unitaries must share one square shape")
-    if not isometry_defect(us).max() <= 1e-8:
-        raise NotUnitary("matrix is not unitary within 1e-8")
+    require(isometry_defect(us).max(), MIXTURE_UNITARY_TOL, NotUnitary,
+            "matrix is not unitary within {}", MIXTURE_UNITARY_TOL)
     return KrausChannel(d_in=d, d_out=d, kraus=np.sqrt(w)[:, None, None] * us,
                         trace_preserving=True, unital=True)
 
@@ -258,7 +260,7 @@ def mixed_unitary_channel(weights, unitaries) -> KrausChannel:
 def _unitary_basis(basis) -> np.ndarray:
     b = np.asarray(basis, dtype=complex)
     if b.ndim != 2 or b.shape[0] != b.shape[1] or not isometry_defect(b) <= UNITARY_TOL:
-        raise NotUnitary("basis must be unitary within 1e-9")
+        raise NotUnitary(f"basis must be unitary within {UNITARY_TOL}")
     return b
 
 
@@ -302,7 +304,7 @@ def pinch_convergence_experiment(rho2: DensityMatrix, basis) -> list[PinchRow]:
     b = _unitary_basis(basis)
     d = rho2.d
     if b.shape != (d, d):
-        raise NotUnitary("basis must be unitary within 1e-9")
+        raise NotUnitary(f"basis must be unitary within {UNITARY_TOL}")
     rot = b.conj().T @ rho2.matrix @ b  # rho2 expressed in the pinching basis
     rot = DensityMatrix((rot + rot.conj().T) / 2.0)
     pinched = DensityMatrix(np.diag(np.diag(rot.matrix).real.astype(complex)))
@@ -331,7 +333,7 @@ def _spectral_preamble(rho1: DensityMatrix, rho2: DensityMatrix, tol: float):
 
 
 def uhlmann_channel(rho1: DensityMatrix, rho2: DensityMatrix,
-                    tol: float = 1e-9) -> KrausChannel:
+                    tol: float = MAJORIZATION_TOL) -> KrausChannel:
     """Bistochastic channel carrying rho2 onto rho1 when rho1 is spectrally flatter.
 
     Rank-one construction: rotate the eigenbasis of rho2 by the orthogonal
@@ -349,7 +351,7 @@ def uhlmann_channel(rho1: DensityMatrix, rho2: DensityMatrix,
 
 
 def mixed_unitary_uhlmann(rho1: DensityMatrix, rho2: DensityMatrix,
-                          tol: float = 1e-9) -> MixedUnitaryTransfer:
+                          tol: float = MAJORIZATION_TOL) -> MixedUnitaryTransfer:
     """Mixture of unitaries with sum_i t_i U_i rho2 U_i^* = rho1.
 
     The transfer chain's doubly stochastic matrix is split into permutations;
@@ -359,14 +361,14 @@ def mixed_unitary_uhlmann(rho1: DensityMatrix, rho2: DensityMatrix,
     a, b, f, y = _spectral_preamble(rho1, rho2, tol)
     chain = find_transfer_chain(a, b, tol)
     q = chain_to_doubly_stochastic(chain)
-    decomp = birkhoff_decompose(q, tol=1e-10)
+    decomp = birkhoff_decompose(q, tol=MIXTURE_SUPPORT_TOL)
     # P = eye[p] has P[i, p[i]] = 1, so it rearranges rho2's sorted eigenvalues
     # by p; f @ P is f with its columns permuted by the inverse of p
     unitaries = f[:, np.argsort(decomp.permutations, axis=1)].transpose(1, 0, 2) @ y.conj().T
     return MixedUnitaryTransfer(weights=decomp.weights, unitaries=tuple(unitaries))
 
 
-def detect_isometry(phi: KrausChannel, tol: float = 1e-7) -> IsometryReport:
+def detect_isometry(phi: KrausChannel, tol: float = ISOMETRY_TOL) -> IsometryReport:
     """Decide whether the channel is X -> V X V^* for an isometry V.
 
     Tests the Kraus family pairwise: every A_j^* A_i must be a scalar
@@ -433,7 +435,6 @@ def entropy_probe(phi: KrausChannel, trials: int, d: int,
         raise DimensionMismatch(f"probe states must match the channel input {phi.d_in}")
     if trials < 1:
         raise ValueError(f"trials={trials} must be >= 1")
-    _require_trace_preserving(phi)
     seeds = rng.integers(0, 2**63 - 1, size=trials)
     devs = []
     for s in seeds:
@@ -453,13 +454,11 @@ def fixed_point_commutant_check(phi: KrausChannel, b, tol: float = 1e-9) -> Fixe
     """
     if phi.d_in != phi.d_out:
         raise DimensionMismatch("fixed points need a square channel")
-    x = np.asarray(b, dtype=complex)
-    if x.shape != (phi.d_in, phi.d_in):
-        raise DimensionMismatch(f"matrix shape {x.shape} != ({phi.d_in}, {phi.d_in})")
+    x = np.asarray(b, dtype=complex)  # apply_raw checks its shape
     tall = phi.kraus.reshape(-1, phi.d_in)
     excess = float(np.linalg.eigvalsh(tall.conj().T @ tall).max()) - 1.0
-    if excess > tol:
-        raise ValueError(f"dual map is not subunital: largest eigenvalue 1+{excess}")
+    require(excess, tol, InvalidValue,
+            "dual map is not subunital: largest eigenvalue 1+{}", excess)
     defect = float(np.abs(apply_raw(phi, x) - x).max())
     both = np.concatenate([phi.kraus, phi.kraus.conj().transpose(0, 2, 1)])
     comm = float(np.abs(both @ x - x @ both).max())
@@ -518,6 +517,29 @@ def random_isometric_conjugation_channel(d_in: int, d_out: int,
     chan = KrausChannel(d_in=d_in, d_out=d_out, kraus=ops,
                         trace_preserving=True, unital=(d_in == d_out))
     return chan, v
+
+
+def detector_corpus(rng: np.random.Generator, n_pos: int, n_neg: int):
+    """n_pos (channel, V) pairs of isometric conjugations and n_neg channels that are not
+    (pinchings, depolarizing mixtures, mixed unitaries with well-separated weights)."""
+    positives = []
+    for _ in range(n_pos):
+        d_in = int(rng.integers(2, 9))
+        d_out = int(rng.integers(d_in, 13))
+        terms = int(rng.integers(1, 6))
+        positives.append(random_isometric_conjugation_channel(d_in, d_out, rng, terms))
+    negatives = []
+    for k in range(n_neg):
+        d = int(rng.integers(2, 9))
+        if k % 3 == 0:
+            negatives.append(pinching_channel(haar_unitary(d, rng)))
+        elif k % 3 == 1:
+            negatives.append(depolarizing_channel(d, p=float(rng.uniform(0.2, 1.0))))
+        else:
+            m = int(rng.integers(2, 4))
+            w = rng.dirichlet(np.ones(m)) * 0.8 + 0.2 / m
+            negatives.append(mixed_unitary_channel(w, [haar_unitary(d, rng) for _ in range(m)]))
+    return positives, negatives
 
 
 def random_bistochastic_channel(d: int, rng: np.random.Generator,

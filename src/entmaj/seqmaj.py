@@ -13,12 +13,15 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import InvalidValue, require
+
 # Entries in [-CLAMP_TOL, 0) are rounded up to zero on construction.
 CLAMP_TOL = 1e-12
 # |sum - 1| allowed for vectors flagged as normalized.
 NORMALIZED_TOL = 1e-9
 # Positive values below this underflow x*log(x) and are treated as zero.
 LOG_FLOOR = 1e-300
+MAJORIZATION_TOL = 1e-9  # default absolute tolerance of the prefix-sum comparisons
 
 
 @dataclass(frozen=True)
@@ -31,15 +34,17 @@ class ProbVector:
     def __post_init__(self):
         arr = np.array(self.entries, dtype=float)
         if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("entries must be a non-empty 1-d sequence")
+            raise InvalidValue("entries must be a non-empty 1-d sequence")
         if not np.all(np.isfinite(arr)):
-            raise ValueError("entries must be finite")
+            raise InvalidValue("entries must be finite")
         if np.any(arr < -CLAMP_TOL):
             worst = float(arr.min())
-            raise ValueError(f"negative entry {worst} below -{CLAMP_TOL}")
+            raise InvalidValue(f"negative entry {worst} below -{CLAMP_TOL}")
         arr[(arr < 0)] = 0.0
-        if self.normalized and abs(arr.sum() - 1.0) > NORMALIZED_TOL:
-            raise ValueError(f"normalized vector sums to {arr.sum()}, not 1")
+        if self.normalized:
+            total = arr.sum()
+            require(abs(total - 1.0), NORMALIZED_TOL, InvalidValue,
+                    "normalized vector sums to {}, not 1", total)
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -84,7 +89,7 @@ def sort_desc(p: ProbVector) -> ProbVector:
     return ProbVector(arr[order], normalized=getattr(p, "normalized", False))
 
 
-def is_majorized(a, b, tol: float = 1e-9) -> MajorizationVerdict:
+def is_majorized(a, b, tol: float = MAJORIZATION_TOL) -> MajorizationVerdict:
     """Decide whether a is majorized by b, zero-padding to a common length.
 
     Prefix comparisons use the absolute tolerance `tol`; a total-sum mismatch
@@ -105,6 +110,17 @@ def is_majorized(a, b, tol: float = 1e-9) -> MajorizationVerdict:
         return MajorizationVerdict(holds=False, sums_equal=sums_equal,
                                    first_violation=violation)
     return MajorizationVerdict(holds=sums_equal, sums_equal=sums_equal)
+
+
+def convex_weights(weights, count: int) -> np.ndarray:
+    """One positive weight per term, for `count` >= 1 terms, forming a normalized ProbVector."""
+    if not 1 <= count == np.size(weights):
+        raise InvalidValue(f"need at least one term and one weight per term, "
+                           f"got {np.size(weights)} weights for {count} terms")
+    w = ProbVector(weights, normalized=True).entries
+    if not w.min() > 0:
+        raise InvalidValue(f"weights must be positive, got {w.min()}")
+    return w
 
 
 def shannon_entropy(p) -> float:

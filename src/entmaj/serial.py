@@ -12,16 +12,18 @@ Schemas:
                        (perm maps row index -> column index)
 
 All reals round-trip exactly through the default IEEE-754 decimal repr.
+Every number read must be finite, and every dimension an integer >= 1.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from typing import Any
 
 import numpy as np
 
-from .errors import NotHermitian, SchemaError
+from .errors import DomainError, SchemaError
 from .qchan import IsometryReport, KrausChannel, MixedUnitaryTransfer
 from .densop import DensityMatrix
 from .seqmaj import ProbVector
@@ -34,17 +36,60 @@ from .xfer import (
 )
 
 
+def _number(x, where: str, *index) -> float:
+    """A JSON number (not a bool) as a finite float; `where` and `index` name it on error."""
+    if (type(x) is float or type(x) is int) and abs(x) <= sys.float_info.max:
+        return float(x)
+    raise SchemaError("expected a finite number",
+                      field=where + "".join(f"[{k}]" for k in index))
+
+
 def _expect(obj, key, kind, where):
     if not isinstance(obj, dict) or key not in obj:
         raise SchemaError("missing required field", field=f"{where}.{key}")
     val = obj[key]
     if kind is float:
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise SchemaError("expected a number", field=f"{where}.{key}")
-        return float(val)
-    if not isinstance(val, kind):
+        return _number(val, f"{where}.{key}")
+    if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
         raise SchemaError(f"expected {kind.__name__}", field=f"{where}.{key}")
     return val
+
+
+def _complex(pair, where: str, i, j) -> complex:
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise SchemaError("expected an [re, im] pair", field=f"{where}[{i}][{j}]")
+    return complex(_number(pair[0], where, i, j), _number(pair[1], where, i, j))
+
+
+def _dimension(obj, key, where) -> int:
+    d = _expect(obj, key, int, where)
+    if d < 1:
+        raise SchemaError(f"dimension {d} is not >= 1", field=f"{where}.{key}")
+    return d
+
+
+def _matrix(obj, where: str, row_key: str, col_key: str, entry) -> np.ndarray:
+    """obj["rows"] as an array, each entry read by `entry`; built after every check."""
+    r = _dimension(obj, row_key, where)
+    c = _dimension(obj, col_key, where)
+    rows = _expect(obj, "rows", list, where)
+    field = f"{where}.rows"
+    if len(rows) != r:
+        raise SchemaError(f"expected {r} rows, got {len(rows)}", field=field)
+    out = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != c:
+            raise SchemaError(f"expected {c} entries", field=f"{field}[{i}]")
+        out.append([entry(x, field, i, j) for j, x in enumerate(row)])
+    return np.array(out)
+
+
+def _construct(where: str, cls, *args, **kwargs):
+    """cls(*args, **kwargs); a value the type rejects is a SchemaError naming `where`."""
+    try:
+        return cls(*args, **kwargs)
+    except (DomainError, ValueError) as exc:
+        raise SchemaError(str(exc), field=where) from exc
 
 
 def prob_vector_to_json(p: ProbVector) -> dict:
@@ -53,16 +98,9 @@ def prob_vector_to_json(p: ProbVector) -> dict:
 
 def prob_vector_from_json(obj, where: str = "prob_vector") -> ProbVector:
     entries = _expect(obj, "entries", list, where)
-    if not entries:
-        raise SchemaError("must be non-empty", field=f"{where}.entries")
-    for k, x in enumerate(entries):
-        if not isinstance(x, (int, float)) or isinstance(x, bool):
-            raise SchemaError("expected a number", field=f"{where}.entries[{k}]")
-    normalized = bool(obj.get("normalized", False))
-    try:
-        return ProbVector(np.array(entries, dtype=float), normalized=normalized)
-    except ValueError as exc:
-        raise SchemaError(str(exc), field=f"{where}.entries") from exc
+    field = f"{where}.entries"
+    values = np.array([_number(x, field, k) for k, x in enumerate(entries)])
+    return _construct(field, ProbVector, values, normalized=bool(obj.get("normalized", False)))
 
 
 def real_matrix_to_json(m) -> dict:
@@ -71,19 +109,7 @@ def real_matrix_to_json(m) -> dict:
 
 
 def real_matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
-    d = _expect(obj, "d", int, where)
-    rows = _expect(obj, "rows", list, where)
-    if len(rows) != d:
-        raise SchemaError(f"expected {d} rows, got {len(rows)}", field=f"{where}.rows")
-    out = np.zeros((d, d))
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != d:
-            raise SchemaError(f"expected {d} numbers", field=f"{where}.rows[{i}]")
-        for j, x in enumerate(row):
-            if not isinstance(x, (int, float)) or isinstance(x, bool):
-                raise SchemaError("expected a number", field=f"{where}.rows[{i}][{j}]")
-            out[i, j] = float(x)
-    return out
+    return _matrix(obj, where, "d", "d", _number)
 
 
 def complex_matrix_to_json(arr: np.ndarray, kind: str | None = None) -> dict:
@@ -99,23 +125,7 @@ def complex_matrix_to_json(arr: np.ndarray, kind: str | None = None) -> dict:
 
 
 def complex_matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
-    r = _expect(obj, "d_rows", int, where)
-    c = _expect(obj, "d_cols", int, where)
-    rows = _expect(obj, "rows", list, where)
-    if len(rows) != r:
-        raise SchemaError(f"expected {r} rows, got {len(rows)}", field=f"{where}.rows")
-    out = np.zeros((r, c), dtype=complex)
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != c:
-            raise SchemaError(f"expected {c} entries", field=f"{where}.rows[{i}]")
-        for j, pair in enumerate(row):
-            if (not isinstance(pair, list) or len(pair) != 2
-                    or any(isinstance(x, bool) or not isinstance(x, (int, float))
-                           for x in pair)):
-                raise SchemaError("expected an [re, im] pair",
-                                  field=f"{where}.rows[{i}][{j}]")
-            out[i, j] = complex(pair[0], pair[1])
-    return out
+    return _matrix(obj, where, "d_rows", "d_cols", _complex)
 
 
 def density_to_json(rho: DensityMatrix) -> dict:
@@ -124,10 +134,7 @@ def density_to_json(rho: DensityMatrix) -> dict:
 
 def density_from_json(obj, where: str = "density") -> DensityMatrix:
     arr = complex_matrix_from_json(obj, where)
-    try:
-        return DensityMatrix(arr)
-    except (NotHermitian, ValueError) as exc:
-        raise SchemaError(str(exc), field=where) from exc
+    return _construct(where, DensityMatrix, arr)
 
 
 def channel_to_json(phi: KrausChannel) -> dict:
@@ -140,19 +147,15 @@ def channel_to_json(phi: KrausChannel) -> dict:
 
 
 def channel_from_json(obj, where: str = "channel") -> KrausChannel:
-    d_in = _expect(obj, "d_in", int, where)
-    d_out = _expect(obj, "d_out", int, where)
+    d_in = _dimension(obj, "d_in", where)
+    d_out = _dimension(obj, "d_out", where)
     kraus_list = _expect(obj, "kraus", list, where)
-    flags = obj.get("flags", {})
+    flags = _expect(obj, "flags", dict, where) if "flags" in obj else {}
     ops = [complex_matrix_from_json(k, where=f"{where}.kraus[{i}]")
            for i, k in enumerate(kraus_list)]
-    try:
-        return KrausChannel(
-            d_in=d_in, d_out=d_out, kraus=tuple(ops),
-            trace_preserving=bool(flags.get("trace_preserving", True)),
-            unital=bool(flags.get("unital", False)))
-    except Exception as exc:
-        raise SchemaError(str(exc), field=where) from exc
+    return _construct(where, KrausChannel, d_in=d_in, d_out=d_out, kraus=tuple(ops),
+                      trace_preserving=bool(flags.get("trace_preserving", True)),
+                      unital=bool(flags.get("unital", False)))
 
 
 def chain_to_json(chain: TransferChain) -> dict:
@@ -161,17 +164,14 @@ def chain_to_json(chain: TransferChain) -> dict:
 
 
 def chain_from_json(obj, where: str = "chain") -> TransferChain:
-    d = _expect(obj, "d", int, where)
+    d = _dimension(obj, "d", where)
     steps = _expect(obj, "steps", list, where)
     out = []
     for k, s in enumerate(steps):
-        out.append(TTransform(i=_expect(s, "i", int, f"{where}.steps[{k}]"),
-                              j=_expect(s, "j", int, f"{where}.steps[{k}]"),
-                              t=_expect(s, "t", float, f"{where}.steps[{k}]")))
-    try:
-        return TransferChain(d=d, steps=tuple(out))
-    except ValueError as exc:
-        raise SchemaError(str(exc), field=f"{where}.steps") from exc
+        field = f"{where}.steps[{k}]"
+        out.append(_construct(field, TTransform, i=_expect(s, "i", int, field),
+                              j=_expect(s, "j", int, field), t=_expect(s, "t", float, field)))
+    return _construct(f"{where}.steps", TransferChain, d=d, steps=tuple(out))
 
 
 def birkhoff_to_json(decomp: BirkhoffDecomposition) -> dict:
@@ -186,11 +186,11 @@ def birkhoff_from_json(obj, where: str = "birkhoff") -> BirkhoffDecomposition:
     for k, term in enumerate(terms):
         weights.append(_expect(term, "weight", float, f"{where}.terms[{k}]"))
         perm = _expect(term, "perm", list, f"{where}.terms[{k}]")
-        perms.append(np.array(perm, dtype=int))
-    try:
-        return BirkhoffDecomposition(weights=np.array(weights), permutations=tuple(perms))
-    except ValueError as exc:
-        raise SchemaError(str(exc), field=f"{where}.terms") from exc
+        if not all(type(x) is int and 0 <= x < len(perm) for x in perm):
+            raise SchemaError("expected indices 0..d-1", field=f"{where}.terms[{k}].perm")
+        perms.append(perm)
+    return _construct(f"{where}.terms", BirkhoffDecomposition, weights=weights,
+                      permutations=tuple(perms))
 
 
 def mixed_unitary_to_json(mix: MixedUnitaryTransfer) -> dict:
@@ -250,7 +250,7 @@ def from_json_value(obj, where: str = "$"):
         return chain_from_json(obj, where)
     if "terms" in obj:
         terms = obj["terms"]
-        if terms and isinstance(terms[0], dict) and "perm" in terms[0]:
+        if isinstance(terms, list) and terms and isinstance(terms[0], dict) and "perm" in terms[0]:
             return birkhoff_from_json(obj, where)
         raise SchemaError("unsupported terms schema", field=f"{where}.terms")
     if "d_rows" in obj:
@@ -260,14 +260,21 @@ def from_json_value(obj, where: str = "$"):
     raise SchemaError("unrecognized schema", field=where)
 
 
+def _non_finite(token):
+    raise ValueError(f"{token} is not a JSON number")
+
+
 def read_json(path):
-    """Parse a JSON file into plain Python values; malformed text is a SchemaError."""
+    """Parse a JSON file into plain Python values; malformed text is a SchemaError,
+    and so are the NaN and Infinity tokens that the json module accepts."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_non_finite)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"malformed JSON at line {exc.lineno} column {exc.colno}: "
                           f"{exc.msg}", field=str(path)) from exc
+    except (ValueError, RecursionError) as exc:  # NaN, Infinity, not UTF-8, or too deep
+        raise SchemaError(f"malformed JSON: {exc}", field=str(path)) from exc
 
 
 def load_json(path):

@@ -14,13 +14,16 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from .errors import MajorizationFailed, MatchingFailed, NotDoublyStochastic, NotOrthogonal
-from .seqmaj import ProbVector, is_majorized, sort_desc
+from .densop import isometry_defect
+from .errors import (InvalidValue, MajorizationFailed, MatchingFailed, NotDoublyStochastic,
+                     NotOrthogonal, require)
+from .seqmaj import MAJORIZATION_TOL, ProbVector, convex_weights, is_majorized, sort_desc
 
 ENTRY_TOL = 1e-12
 SUM_TOL = 1e-9
 # Two values closer than this are considered already transferred.
 MATCH_TOL = 1e-12
+SUPPORT_TOL = 1e-9  # default residual entry below which the Birkhoff decomposition stops
 
 
 @dataclass(frozen=True)
@@ -33,9 +36,9 @@ class TTransform:
 
     def __post_init__(self):
         if self.i == self.j or self.i < 0 or self.j < 0:
-            raise ValueError("need two distinct non-negative indices")
+            raise InvalidValue("need two distinct non-negative indices")
         if not -ENTRY_TOL <= self.t <= 1.0 + ENTRY_TOL:
-            raise ValueError(f"t={self.t} outside [0, 1]")
+            raise InvalidValue(f"t={self.t} outside [0, 1]")
         object.__setattr__(self, "t", min(max(self.t, 0.0), 1.0))
 
 
@@ -48,13 +51,13 @@ class TransferChain:
         object.__setattr__(self, "steps", tuple(self.steps))
         for s in self.steps:
             if s.i >= self.d or s.j >= self.d:
-                raise ValueError(f"step indices ({s.i},{s.j}) exceed dimension {self.d}")
+                raise InvalidValue(f"step indices ({s.i},{s.j}) exceed dimension {self.d}")
 
 
 def _square_array(entries, name: str) -> np.ndarray:
     arr = np.array(entries, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"{name} must be a square matrix")
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not np.isfinite(arr).all() or not arr.size:
+        raise InvalidValue(f"{name} must be a non-empty square matrix of finite numbers")
     arr.setflags(write=False)
     return arr
 
@@ -69,11 +72,8 @@ class DoublyStochasticMatrix:
         arr = _square_array(self.entries, "doubly stochastic matrix")
         if np.any(arr < -ENTRY_TOL) or np.any(arr > 1.0 + ENTRY_TOL):
             raise NotDoublyStochastic(f"entry outside [0,1]: {arr.min()}..{arr.max()}")
-        rows = arr.sum(axis=1)
-        cols = arr.sum(axis=0)
-        worst = max(np.abs(rows - 1).max(), np.abs(cols - 1).max())
-        if worst > SUM_TOL:
-            raise NotDoublyStochastic(f"row/column sum deviates from 1 by {worst}")
+        worst = max(np.abs(arr.sum(axis=1) - 1).max(), np.abs(arr.sum(axis=0) - 1).max())
+        require(worst, SUM_TOL, NotDoublyStochastic, "row/column sum deviates from 1 by {}", worst)
         object.__setattr__(self, "entries", arr)
 
     @property
@@ -87,9 +87,8 @@ class OrthogonalMatrix:
 
     def __post_init__(self):
         arr = _square_array(self.entries, "orthogonal matrix")
-        defect = np.abs(arr.T @ arr - np.eye(arr.shape[0])).max()
-        if defect > SUM_TOL:
-            raise NotOrthogonal(f"U^T U deviates from identity by {defect}")
+        defect = isometry_defect(arr)
+        require(defect, SUM_TOL, NotOrthogonal, "U^T U deviates from identity by {}", defect)
         object.__setattr__(self, "entries", arr)
 
     @property
@@ -105,24 +104,17 @@ class BirkhoffDecomposition:
     permutations: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
         perms = tuple(np.array(p, dtype=int) for p in self.permutations)
-        if w.size != len(perms) or w.size == 0:
-            raise ValueError("need one weight per permutation")
-        if np.any(w <= 0):
-            raise ValueError("weights must be positive")
-        if abs(w.sum() - 1.0) > SUM_TOL:
-            raise ValueError(f"weights sum to {w.sum()}, not 1")
+        w = convex_weights(self.weights, len(perms))
         d = perms[0].size
         bound = (d - 1) ** 2 + 1
         if len(perms) > bound:
-            raise ValueError(f"{len(perms)} terms exceed the bound {bound} for d={d}")
+            raise InvalidValue(f"{len(perms)} terms exceed the bound {bound} for d={d}")
         ident = np.arange(d)
         for p in perms:
             if p.size != d or np.any(np.sort(p) != ident):
-                raise ValueError("not a permutation of 0..d-1")
+                raise InvalidValue("not a permutation of 0..d-1")
             p.setflags(write=False)
-        w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "permutations", perms)
 
@@ -144,14 +136,14 @@ def apply_t_transform(step: TTransform, v) -> ProbVector:
     p = v if isinstance(v, ProbVector) else ProbVector(v)
     arr = np.array(p.entries)
     if step.i >= arr.size or step.j >= arr.size:
-        raise ValueError(f"indices ({step.i},{step.j}) out of range for d={arr.size}")
+        raise InvalidValue(f"indices ({step.i},{step.j}) out of range for d={arr.size}")
     vi, vj = arr[step.i], arr[step.j]
     arr[step.i] = step.t * vi + (1.0 - step.t) * vj
     arr[step.j] = (1.0 - step.t) * vi + step.t * vj
     return ProbVector(arr, normalized=p.normalized)
 
 
-def find_transfer_chain(a, b, tol: float = 1e-9) -> TransferChain:
+def find_transfer_chain(a, b, tol: float = MAJORIZATION_TOL) -> TransferChain:
     """Build at most d-1 elementary transfers carrying b's sorted vector to a's.
 
     At each step the mass surplus at the deepest still-mismatched coordinate
@@ -200,7 +192,7 @@ def chain_to_doubly_stochastic(chain: TransferChain) -> DoublyStochasticMatrix:
     return DoublyStochasticMatrix(q)
 
 
-def schur_horn_orthogonal(a, b, tol: float = 1e-9) -> OrthogonalMatrix:
+def schur_horn_orthogonal(a, b, tol: float = MAJORIZATION_TOL) -> OrthogonalMatrix:
     """Real orthogonal U with diag(U diag(b_sorted) U^T) = a_sorted.
 
     One plane rotation per transfer step, with cos^2(theta) equal to the
@@ -225,7 +217,7 @@ def orthostochastic_of(u) -> DoublyStochasticMatrix:
     return DoublyStochasticMatrix(u.entries ** 2)
 
 
-def birkhoff_decompose(q, tol: float = 1e-9) -> BirkhoffDecomposition:
+def birkhoff_decompose(q, tol: float = SUPPORT_TOL) -> BirkhoffDecomposition:
     """Greedy decomposition into a convex mixture of permutation matrices.
 
     Repeatedly finds a perfect matching on the support graph of the
@@ -240,21 +232,14 @@ def birkhoff_decompose(q, tol: float = 1e-9) -> BirkhoffDecomposition:
     would let borderline entries strand whole rows.
 
     Raises MatchingFailed when the residual support admits no perfect
-    matching above the floor (numerical breakdown), NotDoublyStochastic for
-    bad input.
+    matching above the floor (numerical breakdown), the errors of
+    DoublyStochasticMatrix for bad input, and ValueError unless 0 < tol < inf.
     """
-    if isinstance(q, DoublyStochasticMatrix):
-        arr = q.entries
-    else:
-        arr = np.asarray(q, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise NotDoublyStochastic("input must be a square matrix")
-        rows = arr.sum(axis=1)
-        cols = arr.sum(axis=0)
-        worst = max(np.abs(rows - 1).max(), np.abs(cols - 1).max())
-        if np.any(arr < -tol) or worst > max(tol, SUM_TOL):
-            raise NotDoublyStochastic(f"row/column sums deviate by {worst}")
-    residual = arr.copy()
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol={tol} must be finite and > 0")
+    if not isinstance(q, DoublyStochasticMatrix):
+        q = DoublyStochasticMatrix(q)
+    residual = q.entries.copy()
     residual[residual < 0] = 0.0
     d = residual.shape[0]
     rows = np.arange(d)

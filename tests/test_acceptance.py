@@ -18,8 +18,8 @@ from entmaj.densop import (
 )
 from entmaj.qchan import (
     apply_channel,
-    depolarizing_channel,
     detect_isometry,
+    detector_corpus,
     entropy_probe,
     fixed_point_commutant_check,
     haar_unitary,
@@ -28,7 +28,6 @@ from entmaj.qchan import (
     pinch_convergence_experiment,
     pinching_channel,
     random_bistochastic_channel,
-    random_isometric_conjugation_channel,
     trace_distance,
     uhlmann_channel,
 )
@@ -176,27 +175,7 @@ def test_criterion_5_pinch_convergence_bound():
 
 
 def _detector_corpus():
-    rng = np.random.default_rng(6000)
-    positives = []
-    for _ in range(60):
-        d_in = int(rng.integers(2, 9))
-        d_out = int(rng.integers(d_in, 13))
-        terms = int(rng.integers(1, 6))
-        positives.append(random_isometric_conjugation_channel(d_in, d_out, rng, terms))
-    negatives = []
-    for k in range(60):
-        d = int(rng.integers(2, 9))
-        style = k % 3
-        if style == 0:  # dephasing: rank-one projections are never scalar
-            negatives.append(pinching_channel(haar_unitary(d, rng)))
-        elif style == 1:
-            negatives.append(depolarizing_channel(d, p=float(rng.uniform(0.2, 1.0))))
-        else:  # mixed unitary with well-separated weights
-            m = int(rng.integers(2, 4))
-            w = rng.dirichlet(np.ones(m)) * 0.8 + 0.2 / m
-            negatives.append(mixed_unitary_channel(w, [haar_unitary(d, rng)
-                                                       for _ in range(m)]))
-    return positives, negatives
+    return detector_corpus(np.random.default_rng(6000), 60, 60)
 
 
 def test_criterion_6_detector_classification():

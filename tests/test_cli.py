@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entmaj.cli import main
 from entmaj.densop import DensityMatrix, random_density
@@ -259,3 +265,132 @@ class TestInputRejection:
             main(list(argv))
         assert exc.value.code == 2
         assert ">= 1" in capsys.readouterr().err
+
+
+class TestExitCodeContract:
+    """Every rejection exits 1 with a domain report or 2 with one `error:` line."""
+
+    def assert_error_line(self, rc, out, err, code=2):
+        assert rc == code
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("sub,text", [
+        ("entropy", '{"kind": "density", "d_rows": 2, "d_cols": 2, "rows": '
+                    '[[[NaN, 0], [0, 0]], [[0, 0], [0.5, 0]]]}'),
+        ("birkhoff", '{"d": 2, "rows": [[NaN, 0.5], [0.5, 0.5]]}'),
+        ("birkhoff", '{"d": 2, "rows": [[Infinity, 0.5], [0.5, -Infinity]]}'),
+        ("entropy", '{"entries": [1e400, 0.5]}'),
+        ("pinch-converge", '{"d_rows": 0, "d_cols": -5, "rows": []}'),
+        ("birkhoff", '{"d": 0, "rows": []}'),
+        ("detect-isometry", '{"d_in": 1, "d_out": 0, "kraus": []}'),
+        ("entropy", "[" * 100_000 + "]" * 100_000),
+    ], ids=["nan-density", "nan-matrix", "infinity-matrix", "1e400", "zero-and-negative-dims",
+            "zero-dim", "empty-channel", "deep-nesting"])
+    def test_non_finite_or_empty_input_exit_two(self, tmp_path, capsys, sub, text):
+        p = tmp_path / "in.json"
+        p.write_text(text)
+        self.assert_error_line(*run(capsys, sub, "--in", str(p)))
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "-inf"])
+    def test_tol_outside_open_half_line_exit_two(self, tmp_path, capsys, tol):
+        p = tmp_path / "q.json"
+        write_json(p, {"d": 2, "rows": [[0.5, 0.5], [0.5, 0.5]]})
+        with pytest.raises(SystemExit) as exc:
+            main(["birkhoff", "--in", str(p), f"--tol={tol}"])
+        assert exc.value.code == 2
+        assert "error: argument --tol" in capsys.readouterr().err
+
+    def test_valid_tol_that_leaves_no_terms_is_a_domain_report(self, tmp_path, capsys):
+        p = tmp_path / "q.json"
+        write_json(p, {"d": 2, "rows": [[0.5, 0.5], [0.5, 0.5]]})
+        rc, out, err = run(capsys, "birkhoff", "--in", str(p), "--tol", "0.6")
+        assert rc == 1
+        assert err == ""
+        assert json.loads(out)["error"] == "InvalidValue"
+
+    def test_default_tolerances_reported(self, tmp_path, capsys):
+        p = tmp_path / "q.json"
+        write_json(p, {"d": 2, "rows": [[0.5, 0.5], [0.5, 0.5]]})
+        _, out, _ = run(capsys, "birkhoff", "--in", str(p))
+        assert json.loads(out)["tolerances"] == {"support_threshold": 1e-9}
+        chan, _ = random_isometric_conjugation_channel(2, 2, np.random.default_rng(1))
+        save_json(chan, p)
+        _, out, _ = run(capsys, "detect-isometry", "--in", str(p))
+        assert json.loads(out)["tolerances"] == {"scalar_max_entry": 1e-7}
+
+
+READERS = ("entropy", "majorize", "transfer", "birkhoff", "schur-horn", "uhlmann",
+           "mixed-unitary", "pinch-converge", "detect-isometry", "probe-entropy")
+KEYS = ("entries", "normalized", "d", "rows", "d_rows", "d_cols", "kind", "d_in", "d_out",
+        "kraus", "flags", "trace_preserving", "unital", "steps", "i", "j", "t", "terms",
+        "weight", "perm", "a", "b", "rho1", "rho2")
+# json.dumps writes 1e300 as "1e+300"; the test swaps that text for 1e400, a
+# literal that Python's json module reads as inf.
+BIG = 1e300
+
+
+def _json_documents():
+    """Schema-shaped values with arbitrary leaves, arbitrary trees, and bundles."""
+    number = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.just(BIG),
+                       st.integers(-2, 3), st.sampled_from([0.0, 0.25, 0.5, 1.0, 10**400]))
+    leaf = st.one_of(st.none(), st.booleans(), number, st.text(max_size=3),
+                     st.just("density"))
+    dim = st.integers(-1, 3)
+
+    def grid(entry):
+        return st.lists(st.lists(entry, min_size=1, max_size=3), min_size=1, max_size=3)
+
+    vector = st.fixed_dictionaries({"entries": st.lists(number, min_size=1, max_size=4)},
+                                   optional={"normalized": st.booleans()})
+    real = st.fixed_dictionaries({"d": dim, "rows": grid(number)})
+    complex_ = st.fixed_dictionaries({"d_rows": dim, "d_cols": dim,
+                                      "rows": grid(st.lists(number, min_size=2, max_size=2))})
+    density = complex_.map(lambda m: {**m, "kind": "density"})
+    channel = st.fixed_dictionaries(
+        {"d_in": dim, "d_out": dim, "kraus": st.lists(complex_, max_size=2)},
+        optional={"flags": st.one_of(leaf, st.fixed_dictionaries(
+            {}, optional={"trace_preserving": leaf, "unital": leaf}))})
+    chain = st.fixed_dictionaries({"d": dim, "steps": st.lists(st.fixed_dictionaries(
+        {"i": number, "j": number, "t": number}), max_size=2)})
+    birkhoff = st.fixed_dictionaries({"terms": st.lists(st.fixed_dictionaries(
+        {"weight": number, "perm": st.lists(number, max_size=3)}), max_size=2)})
+    trees = st.recursive(leaf, lambda kids: st.one_of(
+        st.lists(kids, max_size=3), st.dictionaries(st.sampled_from(KEYS), kids, max_size=4)),
+        max_leaves=12)
+    bundle = st.one_of(st.fixed_dictionaries({"a": vector, "b": vector}),
+                       st.fixed_dictionaries({"rho1": density, "rho2": density}))
+    return st.one_of(vector, real, complex_, density, channel, chain, birkhoff, trees, bundle)
+
+
+# --d and --trials stay <= 8 so that no input asks for a large allocation.
+FLAGS = st.lists(st.one_of(
+    st.tuples(st.just("--tol"), st.sampled_from(["1e-9", "0.6", "1e300", "0", "-1", "nan"])),
+    st.tuples(st.just("--d"), st.sampled_from(["-1", "0", "1", "2", "8"])),
+    st.tuples(st.just("--trials"), st.sampled_from(["0", "1", "8"]))), max_size=2)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(sub=st.sampled_from(READERS), docs=st.lists(_json_documents(), min_size=1, max_size=2),
+       flags=FLAGS)
+def test_any_json_input_keeps_the_exit_code_contract(sub, docs, flags):
+    with tempfile.TemporaryDirectory() as workdir:
+        argv = [sub]
+        for k, doc in enumerate(docs):
+            path = os.path.join(workdir, f"in{k}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(doc).replace("1e+300", "1e400"))
+            argv += ["--in", path]
+        for flag in flags:
+            argv += flag
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)  # an uncaught exception fails the test with its traceback
+            except SystemExit as exc:  # argparse rejects a flag value
+                rc = exc.code
+    assert rc in (0, 1, 2), (argv, rc)
+    assert "Traceback" not in err.getvalue()
+    if rc == 2:
+        assert "error:" in err.getvalue(), argv

@@ -1,0 +1,39 @@
+"""Smoke test: each experiment script's main() runs with its smallest arguments."""
+
+import importlib.util
+import pathlib
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _main(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main
+
+
+def test_every_script_is_covered():
+    assert {p.stem for p in SCRIPTS.glob("*.py")} == {
+        "detector_corpus", "pinch_convergence", "entropy_gap_sweep"}
+
+
+def test_detector_corpus(capsys):
+    _main("detector_corpus")(["--positives", "2", "--negatives", "2", "--trials", "5"])
+    assert "4/4 classified correctly" in capsys.readouterr().out
+
+
+def test_pinch_convergence(tmp_path, capsys):
+    _main("pinch_convergence")(["--d", "3", "--states", "2", "--outdir", str(tmp_path)])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["state_000.csv", "state_001.csv"]
+    assert (tmp_path / "state_000.csv").read_text().splitlines()[0] == "n,trace_distance,bound"
+    assert "worst slack over 2 states at d=3" in capsys.readouterr().out
+
+
+def test_entropy_gap_sweep(capsys):
+    _main("entropy_gap_sweep")(["--step", "0.05", "--samples", "2"])
+    out = capsys.readouterr().out
+    assert "overall minimum entropy gap" in out
+    gap = float(out.split("overall minimum entropy gap: ")[1].split()[0])
+    assert gap > 0
+

@@ -1,0 +1,130 @@
+"""The validation layer: one NaN-safe check per invariant, one exception path."""
+
+import numpy as np
+import pytest
+
+from entmaj.densop import DensityMatrix, eig_hermitian, ky_fan_sum, random_density, trace_distance
+from entmaj.errors import DomainError, InvalidValue, NotHermitian, NotTracePreserving, require
+from entmaj.qchan import KrausChannel, entropy_probe, mixed_unitary_channel
+from entmaj.seqmaj import ProbVector, convex_weights
+from entmaj.xfer import (
+    BirkhoffDecomposition,
+    DoublyStochasticMatrix,
+    OrthogonalMatrix,
+    TTransform,
+    birkhoff_decompose,
+)
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+def _with(x, bad):
+    """x (a float array) with its first entry replaced by `bad`."""
+    out = np.array(x)
+    out.flat[0] = bad
+    return out
+
+
+# Each builder makes a valid value from an array, and each array is valid as
+# given; the test replaces one entry with a non-finite number.
+BUILDERS = {
+    "ProbVector": (lambda x: ProbVector(x, normalized=True), np.array([0.5, 0.5])),
+    "DensityMatrix": (DensityMatrix, np.eye(2, dtype=complex) / 2),
+    "DoublyStochasticMatrix": (DoublyStochasticMatrix, np.full((2, 2), 0.5)),
+    "OrthogonalMatrix": (OrthogonalMatrix, np.eye(2)),
+    "BirkhoffDecomposition": (
+        lambda w: BirkhoffDecomposition(weights=w, permutations=([0, 1], [1, 0])),
+        np.array([0.5, 0.5])),
+    "KrausChannel": (lambda k: KrausChannel(2, 2, k), np.eye(2, dtype=complex)[None]),
+    "mixed_unitary_channel": (lambda w: mixed_unitary_channel(w, [np.eye(2), np.eye(2)]),
+                              np.array([0.5, 0.5])),
+    "random_density spec": (lambda s: random_density(2, np.random.default_rng(0), spec=s),
+                            np.array([0.75, 0.25])),
+    "TTransform": (lambda t: TTransform(0, 1, float(t[0])), np.array([0.5])),
+}
+
+
+class TestRequire:
+    def test_passes_at_the_tolerance(self):
+        require(1e-9, 1e-9, InvalidValue, "unused")
+
+    @pytest.mark.parametrize("defect", [2e-9, np.nan, np.inf])
+    def test_raises_above_the_tolerance_and_on_nan(self, defect):
+        with pytest.raises(InvalidValue, match="too far"):
+            require(defect, 1e-9, InvalidValue, "too far")
+
+    def test_invalid_value_is_both_domain_and_value_error(self):
+        assert issubclass(InvalidValue, DomainError)
+        assert issubclass(InvalidValue, ValueError)
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_valid_input_is_accepted(self, name):
+        build, good = BUILDERS[name]
+        build(good)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_one_non_finite_entry_is_rejected(self, name, bad):
+        build, good = BUILDERS[name]
+        with pytest.raises(DomainError):
+            build(_with(good, bad))
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_all_nan_is_rejected(self, name):
+        build, good = BUILDERS[name]
+        with pytest.raises(DomainError):
+            build(np.full_like(good, np.nan))
+
+    def test_eig_hermitian_and_ky_fan_reject_nan(self):
+        m = _with(np.eye(2, dtype=complex), np.nan)
+        for fn in (eig_hermitian, lambda a: ky_fan_sum(a, 1)):
+            with pytest.raises(DomainError):
+                fn(m)
+
+
+class TestOneCheckPerInvariant:
+    def test_empty_matrices_rejected(self):
+        for build in (DensityMatrix, DoublyStochasticMatrix, OrthogonalMatrix):
+            with pytest.raises(InvalidValue):
+                build(np.zeros((0, 0)))
+
+    def test_birkhoff_decompose_uses_the_type_check(self):
+        # a raw matrix gets DoublyStochasticMatrix's check, which does not widen with tol
+        with pytest.raises(DomainError):
+            birkhoff_decompose(np.array([[1.0 + 1e-6, 0.0], [0.0, 1.0]]), tol=1e-3)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    def test_birkhoff_decompose_rejects_tol_outside_open_half_line(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            birkhoff_decompose(np.full((2, 2), 0.5), tol=tol)
+
+    def test_tol_above_every_entry_leaves_no_terms(self):
+        with pytest.raises(InvalidValue, match="at least one term"):
+            birkhoff_decompose(np.full((2, 2), 0.5), tol=0.6)
+
+    @pytest.mark.parametrize("weights,count", [([0.5, 0.5], 3), ([], 0), ([1.0, 0.0], 2),
+                                               ([0.6, 0.6], 2), ([[0.5, 0.5]], 2)])
+    def test_convex_weights_rejects(self, weights, count):
+        with pytest.raises(InvalidValue):
+            convex_weights(weights, count)
+
+    def test_convex_weights_accepts_and_is_read_only(self):
+        w = convex_weights([0.25, 0.75], 2)
+        assert w.tolist() == [0.25, 0.75]
+        assert not w.flags.writeable
+
+    def test_probe_of_unflagged_channel_is_refused_by_apply(self):
+        phi = KrausChannel(2, 2, 2 * np.eye(2, dtype=complex)[None], trace_preserving=False)
+        with pytest.raises(NotTracePreserving):
+            entropy_probe(phi, 1, 2, np.random.default_rng(0))
+
+    def test_density_matrix_accepted_where_a_hermitian_matrix_is(self):
+        rho = DensityMatrix(np.diag([0.75, 0.25]).astype(complex))
+        assert ky_fan_sum(rho, 1) == pytest.approx(0.75)
+        np.testing.assert_allclose(eig_hermitian(rho).eigenvalues, [0.75, 0.25])
+
+    def test_trace_distance_checks_raw_matrices(self):
+        with pytest.raises(NotHermitian):
+            trace_distance(np.array([[1.0, 1.0], [0.0, 0.0]]), np.eye(2) / 2)
