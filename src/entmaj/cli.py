@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -18,7 +19,6 @@ from .densop import DensityMatrix, isometry_defect, random_density, von_neumann_
 from .errors import DomainError, SchemaError
 from .qchan import (
     ISOMETRY_TOL,
-    KrausChannel,
     apply_channel,
     detect_isometry,
     entropy_probe,
@@ -33,15 +33,17 @@ from .seqmaj import (MAJORIZATION_TOL, ProbVector, is_majorized, random_majorize
 from .serial import (
     birkhoff_to_json,
     chain_to_json,
+    channel_from_json,
+    complex_matrix_from_json,
     density_from_json,
     density_to_json,
     dumps_report,
     isometry_report_to_json,
-    load_json,
     mixed_unitary_to_json,
     prob_vector_from_json,
     prob_vector_to_json,
     read_json,
+    real_matrix_from_json,
     real_matrix_to_json,
     to_json_value,
 )
@@ -53,12 +55,6 @@ from .xfer import (
     find_transfer_chain,
     schur_horn_orthogonal,
 )
-
-SUBCOMMANDS = (
-    "entropy", "majorize", "transfer", "birkhoff", "schur-horn", "uhlmann",
-    "mixed-unitary", "pinch-converge", "detect-isometry", "probe-entropy", "gen",
-)
-
 
 # Thresholds of the reports' verified blocks.
 REPLAY_TOL = 1e-9
@@ -78,43 +74,60 @@ def _positive(cast):
     return parse
 
 
+# The flags beyond --in, --out and --tol, each declared only where it is read.
+FLAGS = {
+    "--seed": {"type": int, "default": 0},
+    "--d": {"type": _positive(int), "default": 4},
+    "--trials": {"type": _positive(int), "default": 1000},
+    "--require": {"action": "store_true", "help": "exit 1 on a negative verdict"},
+    "--expect-isometry": {"action": "store_true", "help": "exit 1 on a negative detection"},
+}
+
+
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="entmaj")
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, help_, tol=None, gen_kind=False):
+    def add(name, run, help_, load=None, tol=None, flags=()):
+        """--out, plus --in if `load` reads files, --tol if `tol` is set, and `flags`."""
         p = sub.add_parser(name, help=help_)
-        p.add_argument("--in", dest="inputs", action="append", default=[],
-                       metavar="PATH", help="input file (repeatable, ordered)")
-        p.add_argument("--out", dest="out", default=None, metavar="PATH")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=_positive(float), default=tol)
-        p.add_argument("--d", type=_positive(int), default=None)
-        p.add_argument("--trials", type=_positive(int), default=1000)
-        p.add_argument("--require", action="store_true",
-                       help="exit 1 on a negative verdict")
-        p.add_argument("--expect-isometry", dest="expect_isometry",
-                       action="store_true", help="exit 1 on a negative detection")
-        if gen_kind:
-            p.add_argument("kind", choices=("state", "pair", "state-pair", "channel"))
+        p.set_defaults(run=run, load=load)
+        if load is not None:
+            p.add_argument("--in", dest="inputs", action="append", default=[],
+                           metavar="PATH", help="input file (repeatable, ordered)")
+        p.add_argument("--out", default=None, metavar="PATH")
+        if tol is not None:
+            p.add_argument("--tol", type=_positive(float), default=tol)
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
         return p
 
-    add("entropy", "Shannon/von Neumann entropy of a vector or state")
-    add("majorize", "decide whether the first vector is majorized by the second",
-        MAJORIZATION_TOL)
-    add("transfer", "elementary transfer chain certifying majorization", MAJORIZATION_TOL)
-    add("birkhoff", "split a doubly stochastic matrix into permutations", SUPPORT_TOL)
-    add("schur-horn", "orthogonal matrix carrying one spectrum onto a diagonal",
-        MAJORIZATION_TOL)
-    add("uhlmann", "bistochastic channel carrying the second state onto the first",
-        MAJORIZATION_TOL)
-    add("mixed-unitary", "unitary mixture carrying the second state onto the first",
-        MAJORIZATION_TOL)
-    add("pinch-converge", "phase-averaging convergence table (CSV)")
-    add("detect-isometry", "test a channel for isometric conjugation", ISOMETRY_TOL)
-    add("probe-entropy", "max entropy deviation over random states")
-    add("gen", "generate seeded random inputs", gen_kind=True)
+    vectors = partial(_load_pair, keys=("a", "b"), from_json=prob_vector_from_json)
+    states = partial(_load_pair, keys=("rho1", "rho2"), from_json=density_from_json)
+    channel = partial(_load_one, from_json=channel_from_json)
+    add("entropy", _run_entropy, "Shannon/von Neumann entropy of a vector or state",
+        partial(_load_one, from_json=_vector_or_state))
+    add("majorize", _run_majorize, "decide whether the first vector is majorized by the second",
+        vectors, MAJORIZATION_TOL, ("--require",))
+    add("transfer", _run_transfer, "elementary transfer chain certifying majorization",
+        vectors, MAJORIZATION_TOL)
+    add("birkhoff", _run_birkhoff, "split a doubly stochastic matrix into permutations",
+        partial(_load_one, from_json=real_matrix_from_json), SUPPORT_TOL)
+    add("schur-horn", _run_schur_horn, "orthogonal matrix carrying one spectrum onto a diagonal",
+        vectors, MAJORIZATION_TOL)
+    add("uhlmann", _run_uhlmann, "bistochastic channel carrying the second state onto the first",
+        states, MAJORIZATION_TOL)
+    add("mixed-unitary", _run_mixed_unitary,
+        "unitary mixture carrying the second state onto the first", states, MAJORIZATION_TOL)
+    add("pinch-converge", _run_pinch_converge, "phase-averaging convergence table (CSV)",
+        _load_state_and_basis)
+    add("detect-isometry", _run_detect_isometry, "test a channel for isometric conjugation",
+        channel, ISOMETRY_TOL, ("--expect-isometry",))
+    add("probe-entropy", _run_probe_entropy, "max entropy deviation over random states",
+        channel, flags=("--seed", "--trials"))
+    add("gen", _run_gen, "generate seeded random inputs", flags=("--seed", "--d")).add_argument(
+        "kind", choices=("state", "pair", "state-pair", "channel"))
     return top
 
 
@@ -126,14 +139,11 @@ def _emit(text: str, out_path):
             fh.write(text)
 
 
-def _load_one(paths, types, what):
-    """The value of the one --in file, which must be an instance of `types`."""
+def _load_one(paths, from_json):
+    """The value of the one --in file, read by `from_json`."""
     if len(paths) != 1:
         raise SchemaError(f"expected 1 --in file, got {len(paths)}")
-    value = load_json(paths[0])
-    if not isinstance(value, types):
-        raise SchemaError(f"expected {what}", field=str(paths[0]))
-    return value
+    return from_json(read_json(paths[0]), str(paths[0]))
 
 
 def _load_pair(paths, keys, from_json):
@@ -149,14 +159,26 @@ def _load_pair(paths, keys, from_json):
     return tuple(from_json(read_json(p), str(p)) for p in paths)
 
 
-def _report(sub, args, tolerances, body):
-    report = {"subcommand": sub, "version": __version__, "seed": args.seed,
-              "tolerances": tolerances}
-    report.update(body)
-    return report
+def _vector_or_state(obj, where):
+    """A probability vector if `obj` has "entries"; otherwise a state, "kind" optional."""
+    if isinstance(obj, dict) and "entries" in obj:
+        return prob_vector_from_json(obj, where)
+    return density_from_json(obj, where)
 
 
-def _finish(report, args) -> int:
+def _load_state_and_basis(paths):
+    """The state of the first --in file and the pinching basis of an optional second."""
+    if len(paths) not in (1, 2):
+        raise SchemaError("expected --in state [--in basis]")
+    rho2 = _load_one(paths[:1], density_from_json)
+    basis = _load_one(paths[1:], complex_matrix_from_json) if paths[1:] else np.eye(rho2.d)
+    return rho2, basis
+
+
+def _finish(args, tolerances, body) -> int:
+    """Write the report; exit 1 if one of its `verified` ok_ checks failed."""
+    report = {"subcommand": args.subcommand, "version": __version__,
+              "tolerances": tolerances, **body}
     _emit(dumps_report(report), args.out)
     verified = report.get("verified", {})
     ok = all(v for k, v in verified.items() if k.startswith("ok_"))
@@ -164,8 +186,7 @@ def _finish(report, args) -> int:
 
 
 def _run_entropy(args) -> int:
-    value = _load_one(args.inputs, (ProbVector, DensityMatrix),
-                      "a probability vector or a density matrix")
+    value = args.load(args.inputs)
     if isinstance(value, ProbVector):
         bits = shannon_entropy(value)
         kind = "prob_vector"
@@ -176,25 +197,25 @@ def _run_entropy(args) -> int:
         total = float(value.matrix.trace().real)
     body = {"shannon_bits": bits, "input_kind": kind,
             "verified": {"input_total": total, "ok_nonnegative": bits >= 0.0}}
-    return _finish(_report("entropy", args, {}, body), args)
+    return _finish(args, {}, body)
 
 
 def _run_majorize(args) -> int:
-    a, b = _load_pair(args.inputs, ("a", "b"), prob_vector_from_json)
+    a, b = args.load(args.inputs)
     verdict = is_majorized(a, b, args.tol)
     body = {"holds": verdict.holds, "sums_equal": verdict.sums_equal,
             "first_violation": None, "verified": {"prefix_pairs_checked": max(a.d, b.d)}}
     if verdict.first_violation is not None:
         fv = verdict.first_violation
         body["first_violation"] = {"k": fv.k, "lhs": fv.lhs, "rhs": fv.rhs}
-    rc = _finish(_report("majorize", args, {"majorization_abs": args.tol}, body), args)
+    rc = _finish(args, {"majorization_abs": args.tol}, body)
     if args.require and not verdict.holds:
         return 1
     return rc
 
 
 def _run_transfer(args) -> int:
-    a, b = _load_pair(args.inputs, ("a", "b"), prob_vector_from_json)
+    a, b = args.load(args.inputs)
     chain = find_transfer_chain(a, b, args.tol)
     replay = sort_desc(b)
     target = np.pad(sort_desc(a).entries, (0, chain.d - a.d))
@@ -207,12 +228,11 @@ def _run_transfer(args) -> int:
             "verified": {"replay_max_abs_error": err, "ok_replay": err <= REPLAY_TOL,
                          "steps": len(chain.steps), "step_bound": chain.d - 1,
                          "ok_step_bound": len(chain.steps) <= chain.d - 1}}
-    return _finish(_report("transfer", args, {"majorization_abs": args.tol}, body), args)
+    return _finish(args, {"majorization_abs": args.tol}, body)
 
 
 def _run_birkhoff(args) -> int:
-    value = _load_one(args.inputs, np.ndarray, "a real square matrix")
-    q = DoublyStochasticMatrix(value)
+    q = DoublyStochasticMatrix(args.load(args.inputs))
     decomp = birkhoff_decompose(q, args.tol)
     err = float(np.abs(decomp.matrix() - q.entries).max())
     bound = (q.d - 1) ** 2 + 1
@@ -221,11 +241,11 @@ def _run_birkhoff(args) -> int:
                         "term_count": len(decomp.permutations), "term_bound": bound,
                         "ok_term_bound": len(decomp.permutations) <= bound,
                         "weight_sum": float(decomp.weights.sum())}
-    return _finish(_report("birkhoff", args, {"support_threshold": args.tol}, body), args)
+    return _finish(args, {"support_threshold": args.tol}, body)
 
 
 def _run_schur_horn(args) -> int:
-    a, b = _load_pair(args.inputs, ("a", "b"), prob_vector_from_json)
+    a, b = args.load(args.inputs)
     u = schur_horn_orthogonal(a, b, args.tol)
     d = u.d
     bs = np.pad(sort_desc(b).entries, (0, d - b.d))
@@ -236,11 +256,11 @@ def _run_schur_horn(args) -> int:
     body = dict(real_matrix_to_json(u))
     body["verified"] = {"diagonal_max_error": err, "ok_diagonal": err <= REPLAY_TOL,
                         "orthogonality_defect": defect, "ok_orthogonal": defect <= REPLAY_TOL}
-    return _finish(_report("schur-horn", args, {"majorization_abs": args.tol}, body), args)
+    return _finish(args, {"majorization_abs": args.tol}, body)
 
 
 def _run_uhlmann(args) -> int:
-    rho1, rho2 = _load_pair(args.inputs, ("rho1", "rho2"), density_from_json)
+    rho1, rho2 = args.load(args.inputs)
     psi = uhlmann_channel(rho1, rho2, args.tol)
     td = trace_distance(apply_channel(psi, rho2), rho1)
     body = dict(to_json_value(psi))
@@ -250,11 +270,11 @@ def _run_uhlmann(args) -> int:
         "unitality_defect": psi.unitality_defect,
     }
     tols = {"majorization_abs": args.tol, "trace_distance_max": TRACE_DISTANCE_TOL}
-    return _finish(_report("uhlmann", args, tols, body), args)
+    return _finish(args, tols, body)
 
 
 def _run_mixed_unitary(args) -> int:
-    rho1, rho2 = _load_pair(args.inputs, ("rho1", "rho2"), density_from_json)
+    rho1, rho2 = args.load(args.inputs)
     mix = mixed_unitary_uhlmann(rho1, rho2, args.tol)
     out = np.zeros_like(rho2.matrix)
     for w, u in zip(mix.weights, mix.unitaries):
@@ -267,16 +287,11 @@ def _run_mixed_unitary(args) -> int:
                         "ok_term_bound": len(mix.unitaries) <= bound,
                         "weight_sum": float(mix.weights.sum())}
     tols = {"majorization_abs": args.tol, "trace_distance_max": TRACE_DISTANCE_TOL}
-    return _finish(_report("mixed-unitary", args, tols, body), args)
+    return _finish(args, tols, body)
 
 
 def _run_pinch_converge(args) -> int:
-    if len(args.inputs) not in (1, 2):
-        raise SchemaError("expected --in state [--in basis]")
-    rho2 = _load_one(args.inputs[:1], DensityMatrix, "a density matrix")
-    basis = np.eye(rho2.d, dtype=complex)
-    if len(args.inputs) == 2:
-        basis = _load_one(args.inputs[1:], np.ndarray, "a matrix basis").astype(complex)
+    rho2, basis = args.load(args.inputs)
     rows = pinch_convergence_experiment(rho2, basis)
     ok = all(r.trace_distance <= r.bound + PINCH_SLACK for r in rows)
     final_ok = rows[-1].trace_distance <= PINCH_SLACK
@@ -289,66 +304,47 @@ def _run_pinch_converge(args) -> int:
 
 
 def _run_detect_isometry(args) -> int:
-    value = _load_one(args.inputs, KrausChannel, "a Kraus channel")
-    report = detect_isometry(value, args.tol)
+    report = detect_isometry(args.load(args.inputs), args.tol)
     body = dict(isometry_report_to_json(report))
     defect = None if report.isometry is None else isometry_defect(report.isometry)
     body["verified"] = {"isometry_defect": defect}
-    rc = _finish(_report("detect-isometry", args, {"scalar_max_entry": args.tol}, body), args)
+    rc = _finish(args, {"scalar_max_entry": args.tol}, body)
     if args.expect_isometry and not report.is_isometric_conjugation:
         return 1
     return rc
 
 
 def _run_probe_entropy(args) -> int:
-    value = _load_one(args.inputs, KrausChannel, "a Kraus channel")
-    d = args.d if args.d is not None else value.d_in
-    rng = np.random.default_rng(args.seed)
-    result = entropy_probe(value, args.trials, d, rng)
-    body = {"max_abs_entropy_deviation": result.max_deviation,
+    phi = args.load(args.inputs)
+    result = entropy_probe(phi, args.trials, phi.d_in, np.random.default_rng(args.seed))
+    body = {"seed": args.seed, "max_abs_entropy_deviation": result.max_deviation,
             "worst_seed": result.worst_seed, "trials": result.trials,
             "verified": {"ok_trials": result.trials == args.trials}}
-    return _finish(_report("probe-entropy", args, {}, body), args)
+    return _finish(args, {}, body)
 
 
 def _run_gen(args) -> int:
-    d = args.d if args.d is not None else 4
     rng = np.random.default_rng(args.seed)
     if args.kind == "state":
-        obj = density_to_json(random_density(d, rng))
+        obj = density_to_json(random_density(args.d, rng))
     elif args.kind == "pair":
-        a, b = random_majorized_pair(d, rng)
+        a, b = random_majorized_pair(args.d, rng)
         obj = {"a": prob_vector_to_json(a), "b": prob_vector_to_json(b)}
     elif args.kind == "state-pair":
-        a, b = random_majorized_pair(d, rng)
-        rho2 = random_density(d, rng, spec=b)
-        rho1 = random_density(d, rng, spec=a)
+        a, b = random_majorized_pair(args.d, rng)
+        rho2 = random_density(args.d, rng, spec=b)
+        rho1 = random_density(args.d, rng, spec=a)
         obj = {"rho1": density_to_json(rho1), "rho2": density_to_json(rho2)}
     else:
-        obj = to_json_value(random_bistochastic_channel(d, rng))
+        obj = to_json_value(random_bistochastic_channel(args.d, rng))
     _emit(dumps_report(obj), args.out)
     return 0
-
-
-_RUNNERS = {
-    "entropy": _run_entropy,
-    "majorize": _run_majorize,
-    "transfer": _run_transfer,
-    "birkhoff": _run_birkhoff,
-    "schur-horn": _run_schur_horn,
-    "uhlmann": _run_uhlmann,
-    "mixed-unitary": _run_mixed_unitary,
-    "pinch-converge": _run_pinch_converge,
-    "detect-isometry": _run_detect_isometry,
-    "probe-entropy": _run_probe_entropy,
-    "gen": _run_gen,
-}
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return _RUNNERS[args.subcommand](args)
+        return args.run(args)
     except (SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -131,7 +131,11 @@ def shannon_entropy(p) -> float:
     pos = arr[arr > LOG_FLOOR]
     if pos.size == 0:
         return 0.0
-    return float(-np.sum(pos * np.log2(pos)))
+    with np.errstate(over="ignore"):  # entries near the float maximum overflow x*log(x)
+        bits = -np.sum(pos * np.log2(pos))
+    if not np.isfinite(bits):
+        raise InvalidValue(f"entropy sum {bits} is not finite")
+    return float(bits)
 
 
 def tail_group(c: ProbVector, n: int) -> ProbVector:

@@ -286,8 +286,7 @@ def save_json(value, path):
     """Write a typed value (or a plain report dict) as deterministic JSON."""
     obj = value if isinstance(value, dict) else to_json_value(value)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(dumps_report(obj))
 
 
 def dumps_report(obj: dict) -> str:

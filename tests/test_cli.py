@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from entmaj.cli import main
 from entmaj.densop import DensityMatrix, random_density
-from entmaj.serial import density_to_json, load_json, save_json
+from entmaj.serial import (complex_matrix_to_json, density_to_json, load_json,
+                           real_matrix_to_json, save_json)
 from entmaj.qchan import KrausChannel, random_isometric_conjugation_channel
 
 
@@ -23,6 +24,10 @@ def run(capsys, *argv):
 
 def write_json(path, obj):
     path.write_text(json.dumps(obj))
+
+
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not standard JSON")
 
 
 class TestEntropy:
@@ -150,6 +155,20 @@ class TestStatePipelines:
         assert [r[0] for r in rows] == ["1", "2", "3", "4"]
         assert float(rows[-1][1]) <= 1e-8
 
+    def test_pinch_converge_basis_is_a_complex_matrix(self, tmp_path, capsys):
+        rho = tmp_path / "rho.json"
+        basis = tmp_path / "basis.json"
+        save_json(random_density(2, np.random.default_rng(3)), rho)
+        hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+        write_json(basis, complex_matrix_to_json(hadamard))
+        rc, out, _ = run(capsys, "pinch-converge", "--in", str(rho), "--in", str(basis))
+        assert rc == 0
+        assert "ok_final=True" in out.splitlines()[0]
+        write_json(basis, real_matrix_to_json(hadamard))
+        rc, _, err = run(capsys, "pinch-converge", "--in", str(rho), "--in", str(basis))
+        assert rc == 2
+        assert err.startswith("error:")
+
 
 class TestDetectorCli:
     def test_positive_and_expectation(self, tmp_path, capsys):
@@ -267,6 +286,36 @@ class TestInputRejection:
         assert ">= 1" in capsys.readouterr().err
 
 
+class TestDeclaredFlags:
+    """Each subcommand parses only the flags its runner reads."""
+
+    @pytest.mark.parametrize("argv", [
+        ("entropy", "--in", "pv.json", "--tol", "0.5"),
+        ("gen", "state", "--in", "x.json"),
+        ("probe-entropy", "--in", "c.json", "--d", "3"),
+        ("probe-entropy", "--in", "c.json", "--tol", "1e-3"),
+        ("majorize", "--in", "pair.json", "--expect-isometry"),
+        ("detect-isometry", "--in", "c.json", "--require"),
+    ], ids=["entropy-tol", "gen-in", "probe-d", "probe-tol", "majorize-expect-isometry",
+            "detect-require"])
+    def test_undeclared_flag_exit_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_only_probe_entropy_reports_its_seed(self, tmp_path, capsys):
+        chan = tmp_path / "chan.json"
+        pair = tmp_path / "pair.json"
+        run(capsys, "gen", "channel", "--d", "2", "--out", str(chan))
+        run(capsys, "gen", "pair", "--d", "3", "--out", str(pair))
+        _, out, _ = run(capsys, "probe-entropy", "--in", str(chan), "--trials", "3",
+                        "--seed", "11")
+        assert json.loads(out)["seed"] == 11
+        _, out, _ = run(capsys, "majorize", "--in", str(pair))
+        assert "seed" not in json.loads(out)
+
+
 class TestExitCodeContract:
     """Every rejection exits 1 with a domain report or 2 with one `error:` line."""
 
@@ -309,6 +358,20 @@ class TestExitCodeContract:
         assert rc == 1
         assert err == ""
         assert json.loads(out)["error"] == "InvalidValue"
+
+    def test_complex_matrix_to_birkhoff_exit_two(self, tmp_path, capsys):
+        p = tmp_path / "complex.json"
+        p.write_text('{"d_rows":2,"d_cols":2,"rows":[[[0.5,0],[0.5,0]],[[0.5,0],[0.5,0.1]]]}')
+        self.assert_error_line(*run(capsys, "birkhoff", "--in", str(p)))
+
+    @pytest.mark.parametrize("entries", [[1e308, 1e308], [1e308]], ids=["sum-inf", "sum-finite"])
+    def test_overflowing_entropy_is_a_domain_report(self, tmp_path, capsys, entries):
+        p = tmp_path / "pv.json"
+        write_json(p, {"entries": entries})
+        rc, out, err = run(capsys, "entropy", "--in", str(p))
+        assert rc == 1
+        assert err == ""
+        assert json.loads(out, parse_constant=_refuse_constant)["error"] == "InvalidValue"
 
     def test_default_tolerances_reported(self, tmp_path, capsys):
         p = tmp_path / "q.json"
@@ -394,3 +457,5 @@ def test_any_json_input_keeps_the_exit_code_contract(sub, docs, flags):
     assert "Traceback" not in err.getvalue()
     if rc == 2:
         assert "error:" in err.getvalue(), argv
+    elif sub != "pinch-converge":  # every other subcommand writes a JSON report
+        json.loads(out.getvalue(), parse_constant=_refuse_constant)

@@ -124,6 +124,15 @@ class TestSchemaErrors:
             from_json_value({"mystery": 1})
 
 
+class TestWriter:
+    def test_save_json_writes_the_sorted_indented_report_form(self, tmp_path):
+        phi = random_bistochastic_channel(2, np.random.default_rng(5))
+        path = tmp_path / "chan.json"
+        save_json(phi, path)
+        expected = json.dumps(channel_to_json(phi), indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
+
+
 class TestScalarFidelity:
     def test_doubles_round_trip_exactly(self, tmp_path):
         rng = np.random.default_rng(7)
