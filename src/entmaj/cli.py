@@ -15,7 +15,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .densop import DensityMatrix, isometry_defect, random_density, von_neumann_entropy
+from .densop import isometry_defect, random_density, von_neumann_entropy
 from .errors import DomainError, SchemaError
 from .qchan import (
     ISOMETRY_TOL,
@@ -276,15 +276,12 @@ def _run_uhlmann(args) -> int:
 def _run_mixed_unitary(args) -> int:
     rho1, rho2 = args.load(args.inputs)
     mix = mixed_unitary_uhlmann(rho1, rho2, args.tol)
-    out = np.zeros_like(rho2.matrix)
-    for w, u in zip(mix.weights, mix.unitaries):
-        out += w * (u @ rho2.matrix @ u.conj().T)
-    td = trace_distance(DensityMatrix((out + out.conj().T) / 2), rho1)
-    bound = (rho1.d - 1) ** 2 + 1
+    td = trace_distance(apply_channel(mix.to_channel(), rho2), rho1)
+    count, bound = len(mix.unitaries), (rho1.d - 1) ** 2 + 1
     body = dict(mixed_unitary_to_json(mix))
     body["verified"] = {"trace_distance": td, "ok_trace_distance": td <= TRACE_DISTANCE_TOL,
-                        "term_count": len(mix.unitaries), "term_bound": bound,
-                        "ok_term_bound": len(mix.unitaries) <= bound,
+                        "term_count": count, "term_bound": bound, "ok_term_bound": count <= bound,
+                        "caratheodory_bound": rho1.d, "ok_caratheodory_bound": count <= rho1.d,
                         "weight_sum": float(mix.weights.sum())}
     tols = {"majorization_abs": args.tol, "trace_distance_max": TRACE_DISTANCE_TOL}
     return _finish(args, tols, body)

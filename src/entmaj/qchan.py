@@ -35,6 +35,7 @@ from .errors import (
 from .seqmaj import MAJORIZATION_TOL, convex_weights, is_majorized
 from .xfer import (
     birkhoff_decompose,
+    caratheodory_reduce,
     chain_to_doubly_stochastic,
     find_transfer_chain,
     schur_horn_orthogonal,
@@ -354,14 +355,15 @@ def mixed_unitary_uhlmann(rho1: DensityMatrix, rho2: DensityMatrix,
                           tol: float = MAJORIZATION_TOL) -> MixedUnitaryTransfer:
     """Mixture of unitaries with sum_i t_i U_i rho2 U_i^* = rho1.
 
-    The transfer chain's doubly stochastic matrix is split into permutations;
-    each permutation becomes a unitary that relabels rho2's eigenbasis onto
-    rho1's through that permutation.
+    The transfer chain's doubly stochastic matrix is split into permutations,
+    and those are cut to at most d that rearrange rho2's spectrum into the
+    same mixture; each one becomes a unitary that relabels rho2's eigenbasis
+    onto rho1's through that permutation.
     """
     a, b, f, y = _spectral_preamble(rho1, rho2, tol)
     chain = find_transfer_chain(a, b, tol)
     q = chain_to_doubly_stochastic(chain)
-    decomp = birkhoff_decompose(q, tol=MIXTURE_SUPPORT_TOL)
+    decomp = caratheodory_reduce(birkhoff_decompose(q, tol=MIXTURE_SUPPORT_TOL), b.entries)
     # P = eye[p] has P[i, p[i]] = 1, so it rearranges rho2's sorted eigenvalues
     # by p; f @ P is f with its columns permuted by the inverse of p
     unitaries = f[:, np.argsort(decomp.permutations, axis=1)].transpose(1, 0, 2) @ y.conj().T

@@ -94,14 +94,18 @@ def is_majorized(a, b, tol: float = MAJORIZATION_TOL) -> MajorizationVerdict:
 
     Prefix comparisons use the absolute tolerance `tol`; a total-sum mismatch
     beyond `tol` is a false verdict with sums_equal=False, not an error.
+    Prefix sums that overflow raise InvalidValue.
     """
     av = _as_array(a)
     bv = _as_array(b)
     d = max(av.size, bv.size)
     av = np.pad(-np.sort(-av), (0, d - av.size))
     bv = np.pad(-np.sort(-bv), (0, d - bv.size))
-    pa = np.cumsum(av)
-    pb = np.cumsum(bv)
+    with np.errstate(over="ignore"):  # entries near the float maximum overflow the sums
+        pa = np.cumsum(av)
+        pb = np.cumsum(bv)
+    if not (np.isfinite(pa[-1]) and np.isfinite(pb[-1])):  # an overflow stays to the end
+        raise InvalidValue(f"prefix sums {pa[-1]}, {pb[-1]} are not finite")
     sums_equal = bool(abs(pa[-1] - pb[-1]) <= tol)
     bad = np.nonzero(pa > pb + tol)[0]
     if bad.size:

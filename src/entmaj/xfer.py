@@ -2,8 +2,9 @@
 
 Four interoperating witnesses: chains of elementary two-coordinate transfers,
 the doubly stochastic matrix a chain multiplies out to, its decomposition into
-a convex mixture of permutations, and a real orthogonal matrix whose squared
-entries carry the sorted source spectrum onto the sorted target.
+a convex mixture of permutations (which `caratheodory_reduce` cuts to at most d
+that carry the source vector to the same point), and a real orthogonal matrix
+whose squared entries carry the sorted source spectrum onto the sorted target.
 """
 
 from __future__ import annotations
@@ -260,3 +261,49 @@ def birkhoff_decompose(q, tol: float = SUPPORT_TOL) -> BirkhoffDecomposition:
         perms.append(perm)
         residual[rows, perm] -= w
     return BirkhoffDecomposition(weights=np.array(weights), permutations=tuple(perms))
+
+
+def caratheodory_reduce(decomp: BirkhoffDecomposition, b) -> BirkhoffDecomposition:
+    """At most d of decomp's permutations, reweighted to keep sum_i t_i b[p_i] and sum_i t_i.
+
+    The points b[p_i] lie in the (d-1)-dimensional permutohedron of b, so by
+    Carathéodory's theorem d of them carry the same convex combination.  They
+    are taken d at a time, added to the points kept so far; every null vector
+    of the kept points' constraints drops one of them by a ratio test, and one
+    null vector is spent to make the others zero at the dropped point.  A
+    least-squares solve on the kept points then removes the rounding drift of
+    those steps.
+    """
+    perms = np.array(decomp.permutations)
+    m, d = perms.shape
+    if np.shape(b) != (d,):
+        raise InvalidValue(f"b has shape {np.shape(b)}, expected ({d},)")
+    points = np.asarray(b, dtype=float)[perms]  # row i is b[p_i]
+    # every point sums to sum(b): the weights' total fixes the last coordinate
+    constraints = np.vstack([points[:, :-1].T, np.ones(m)])
+    t = decomp.weights.copy()
+    kept = np.arange(0)
+    for start in range(0, m, d):
+        rows = np.concatenate([kept, np.arange(start, min(start + d, m))])
+        _, s, vt = np.linalg.svd(constraints[:, rows])
+        null = vt[int((s > s[0] * rows.size * np.finfo(float).eps).sum()):].T
+        alive = np.ones(rows.size, dtype=bool)
+        while null.shape[1]:
+            z = null[:, 0]  # sums to 0 (the last constraint), so it has positive entries
+            pos = np.nonzero(z > 0)[0]
+            r = pos[np.argmin(t[rows[pos]] / z[pos])]
+            t[rows] = np.maximum(t[rows] - t[rows[r]] / z[r] * z, 0.0)
+            t[rows[r]] = 0.0
+            alive[r] = False
+            # eliminate row r on the null vector largest there, so no multiplier exceeds 1
+            c = np.argmax(np.abs(null[r]))
+            null = np.delete(null - np.outer(null[:, c], null[r] / null[r, c]), c, axis=1)
+            null[r] = 0.0
+        kept = rows[alive & (t[rows] > 0)]
+    lhs = np.vstack([points.T, np.ones(m)])
+    rhs = lhs @ decomp.weights
+    while True:
+        weights = np.linalg.lstsq(lhs[:, kept], rhs, rcond=None)[0]
+        if weights.min() > 0:
+            return BirkhoffDecomposition(weights=weights, permutations=tuple(perms[kept]))
+        kept = kept[weights > 0]

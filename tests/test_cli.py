@@ -141,6 +141,19 @@ class TestStatePipelines:
         assert report["verified"]["ok_trace_distance"] is True
         assert report["verified"]["ok_term_bound"] is True
 
+    def test_mixed_unitary_writes_at_most_d_unitaries(self, tmp_path, capsys):
+        bundle = tmp_path / "pair.json"
+        run(capsys, "gen", "state-pair", "--d", "20", "--seed", "20", "--out", str(bundle))
+        rc, out, _ = run(capsys, "mixed-unitary", "--in", str(bundle))
+        assert rc == 0
+        verified = json.loads(out)["verified"]
+        assert verified["term_count"] <= 20
+        assert verified["caratheodory_bound"] == 20
+        assert verified["ok_caratheodory_bound"] is True
+        assert verified["ok_term_bound"] is True
+        assert verified["ok_trace_distance"] is True
+        assert len(json.loads(out)["terms"]) == verified["term_count"]
+
     def test_pinch_converge_csv(self, tmp_path, capsys):
         rho = tmp_path / "rho.json"
         out_path = tmp_path / "table.csv"
@@ -369,6 +382,15 @@ class TestExitCodeContract:
         p = tmp_path / "pv.json"
         write_json(p, {"entries": entries})
         rc, out, err = run(capsys, "entropy", "--in", str(p))
+        assert rc == 1
+        assert err == ""
+        assert json.loads(out, parse_constant=_refuse_constant)["error"] == "InvalidValue"
+
+    @pytest.mark.parametrize("sub", ["majorize", "transfer"])
+    def test_overflowing_prefix_sums_are_a_domain_report(self, tmp_path, capsys, sub):
+        p = tmp_path / "pair.json"
+        write_json(p, {"a": {"entries": [1e308, 1e308]}, "b": {"entries": [1e308, 1e308]}})
+        rc, out, err = run(capsys, sub, "--in", str(p))
         assert rc == 1
         assert err == ""
         assert json.loads(out, parse_constant=_refuse_constant)["error"] == "InvalidValue"

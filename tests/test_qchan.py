@@ -263,6 +263,16 @@ class TestMixedUnitaryUhlmann:
         assert mix.weights[0] == pytest.approx(1.0, abs=1e-12)
         assert trace_distance(mixture_output(mix, rho), rho) <= 1e-8
 
+    def test_pure_to_maximally_mixed_needs_exactly_d_unitaries(self):
+        rng = np.random.default_rng(18)
+        for d in (2, 3, 6, 9):
+            rho2 = pure_state(haar_unitary(d, rng)[:, 0])
+            rho1 = DensityMatrix(np.eye(d, dtype=complex) / d)
+            mix = mixed_unitary_uhlmann(rho1, rho2)
+            assert len(mix.unitaries) == d
+            np.testing.assert_allclose(mix.weights, 1.0 / d, atol=1e-12)
+            assert trace_distance(mixture_output(mix, rho2), rho1) <= 1e-9
+
     def test_random_pairs_majorization_both_ways(self):
         rng = np.random.default_rng(16)
         for _ in range(8):
@@ -273,7 +283,7 @@ class TestMixedUnitaryUhlmann:
             mix = mixed_unitary_uhlmann(rho1, rho2)
             out = mixture_output(mix, rho2)
             assert trace_distance(out, rho1) <= 1e-7
-            assert len(mix.unitaries) <= (d - 1) ** 2 + 1
+            assert len(mix.unitaries) <= d
             # sufficiency: the mixture output is spectrally flatter than rho2
             assert is_majorized(spectrum(out), spectrum(rho2), 1e-8).holds
             chan = mix.to_channel()

@@ -15,7 +15,7 @@ def _main(name):
 
 def test_every_script_is_covered():
     assert {p.stem for p in SCRIPTS.glob("*.py")} == {
-        "detector_corpus", "pinch_convergence", "entropy_gap_sweep"}
+        "detector_corpus", "pinch_convergence", "entropy_gap_sweep", "mixed_unitary_scaling"}
 
 
 def test_detector_corpus(capsys):
@@ -37,3 +37,11 @@ def test_entropy_gap_sweep(capsys):
     gap = float(out.split("overall minimum entropy gap: ")[1].split()[0])
     assert gap > 0
 
+
+
+def test_mixed_unitary_scaling(capsys):
+    _main("mixed_unitary_scaling")(["--d", "3"])
+    header, row = capsys.readouterr().out.splitlines()
+    assert header == "d,seconds,terms,trace_distance"
+    d, _, terms, error = row.split(",")
+    assert d == "3" and 1 <= int(terms) <= 3 and float(error) <= 1e-7

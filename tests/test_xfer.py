@@ -4,13 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entmaj.errors import MajorizationFailed, NotDoublyStochastic, NotOrthogonal
-from entmaj.seqmaj import ProbVector, is_majorized, random_majorized_pair, sort_desc
+from entmaj.qchan import MIXTURE_SUPPORT_TOL
+from entmaj.seqmaj import (NORMALIZED_TOL, ProbVector, is_majorized, random_majorized_pair,
+                           sort_desc)
 from entmaj.xfer import (
     BirkhoffDecomposition,
     DoublyStochasticMatrix,
     TTransform,
     apply_t_transform,
     birkhoff_decompose,
+    caratheodory_reduce,
     chain_to_doubly_stochastic,
     find_transfer_chain,
     orthostochastic_of,
@@ -156,6 +159,91 @@ class TestBirkhoffDecompose:
             BirkhoffDecomposition(
                 weights=np.full(3, 1 / 3),
                 permutations=tuple(np.array([0, 1]) for _ in range(3)))
+
+
+def mixture_point(decomp, b):
+    """sum_i t_i b[p_i]."""
+    return decomp.weights @ np.asarray(b)[np.array(decomp.permutations)]
+
+
+class TestCaratheodoryReduce:
+    def reduce_chain(self, a, b):
+        """The chain's Birkhoff terms as qchan.mixed_unitary_uhlmann splits them, and their cut."""
+        q = chain_to_doubly_stochastic(find_transfer_chain(a, b))
+        decomp = birkhoff_decompose(q, tol=MIXTURE_SUPPORT_TOL)
+        return decomp, caratheodory_reduce(decomp, sort_desc(ProbVector(b)).entries)
+
+    def assert_reduced(self, decomp, reduced, a, b):
+        d = len(b)
+        bs = sort_desc(ProbVector(b)).entries
+        assert len(reduced.permutations) <= d
+        assert reduced.weights.min() > 0
+        assert abs(reduced.weights.sum() - 1.0) <= NORMALIZED_TOL
+        assert reduced.weights.sum() == pytest.approx(decomp.weights.sum(), abs=1e-12)
+        assert np.abs(mixture_point(reduced, bs) - sort_desc(ProbVector(a)).entries).max() <= 1e-12
+        assert np.abs(mixture_point(reduced, bs) - mixture_point(decomp, bs)).max() <= 1e-12
+        given = {tuple(p) for p in decomp.permutations}
+        assert all(tuple(p) in given for p in reduced.permutations)
+
+    def test_random_pairs_keep_at_most_d_terms(self):
+        rng = np.random.default_rng(20)
+        for d in range(1, 41):
+            a, b = random_majorized_pair(d, rng)
+            decomp, reduced = self.reduce_chain(a.entries, b.entries)
+            self.assert_reduced(decomp, reduced, a.entries, b.entries)
+
+    def test_equal_vectors_give_one_term(self):
+        rng = np.random.default_rng(21)
+        b = rng.dirichlet(np.ones(7))
+        decomp, reduced = self.reduce_chain(b, b)
+        assert len(reduced.permutations) == 1
+        self.assert_reduced(decomp, reduced, b, b)
+
+    def test_many_terms_of_the_flat_vector_give_one_term(self):
+        decomp = birkhoff_decompose(np.full((5, 5), 0.2))
+        assert len(decomp.permutations) > 1
+        reduced = caratheodory_reduce(decomp, np.full(5, 0.2))
+        assert len(reduced.permutations) == 1
+        assert reduced.weights[0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_pure_to_flat_needs_exactly_d_terms(self):
+        for d in (2, 5, 12):
+            a, b = np.full(d, 1.0 / d), np.eye(d)[0]
+            decomp, reduced = self.reduce_chain(a, b)
+            assert len(reduced.permutations) == d
+            self.assert_reduced(decomp, reduced, a, b)
+
+    @pytest.mark.parametrize("a,b", [
+        ([0.25, 0.25, 0.25, 0.25], [0.4, 0.4, 0.1, 0.1]),
+        ([0.3, 0.3, 0.2, 0.1, 0.1], [0.5, 0.25, 0.25, 0.0, 0.0]),
+        ([0.2, 0.2, 0.2, 0.2, 0.1, 0.1], [0.3, 0.3, 0.3, 0.05, 0.05, 0.0]),
+    ])
+    def test_ties_on_both_sides(self, a, b):
+        decomp, reduced = self.reduce_chain(a, b)
+        self.assert_reduced(decomp, reduced, a, b)
+
+    def test_many_tied_points(self):
+        # b takes a few values, so many permutations give the same point b[p]
+        rng = np.random.default_rng(22)
+        for _ in range(30):
+            d = int(rng.integers(20, 49))
+            b = rng.integers(0, 4, size=d) + (np.arange(d) == 0)
+            b = b / b.sum()
+            a = sum(w * b[rng.permutation(d)] for w in rng.dirichlet(np.ones(3)))
+            decomp, reduced = self.reduce_chain(a, b)
+            self.assert_reduced(decomp, reduced, a, b)
+
+    def test_dimension_one(self):
+        decomp = birkhoff_decompose(np.eye(1))
+        reduced = caratheodory_reduce(decomp, [1.0])
+        assert len(reduced.permutations) == 1
+        assert reduced.weights[0] == pytest.approx(1.0, abs=1e-12)
+        assert tuple(reduced.permutations[0]) == (0,)
+
+    def test_rejects_b_of_another_length(self):
+        decomp = birkhoff_decompose(np.full((3, 3), 1 / 3))
+        with pytest.raises(ValueError):
+            caratheodory_reduce(decomp, [0.5, 0.3, 0.1, 0.1])
 
 
 class TestSchurHorn:
