@@ -46,7 +46,7 @@ UNITARY_TOL = 1e-9
 MIXTURE_UNITARY_TOL = 1e-8  # unitarity of the terms of a mixed-unitary channel
 CP_FLOOR = -1e-8  # smallest Choi eigenvalue still read as completely positive
 ISOMETRY_TOL = 1e-7  # default tolerance of the isometric-conjugation detector
-MIXTURE_SUPPORT_TOL = 1e-10  # Birkhoff stopping entry inside mixed_unitary_uhlmann
+MIXTURE_SUPPORT_TOL = 1e-10  # birkhoff_decompose's tol inside mixed_unitary_uhlmann
 
 
 def _as_stack(ops) -> np.ndarray:

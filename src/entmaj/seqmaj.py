@@ -35,12 +35,13 @@ class ProbVector:
         arr = np.array(self.entries, dtype=float)
         if arr.ndim != 1 or arr.size < 1:
             raise InvalidValue("entries must be a non-empty 1-d sequence")
-        if not np.all(np.isfinite(arr)):
+        lo, hi = arr.min(), arr.max()  # both NaN when any entry is
+        if not -np.inf < lo <= hi < np.inf:
             raise InvalidValue("entries must be finite")
-        if np.any(arr < -CLAMP_TOL):
-            worst = float(arr.min())
-            raise InvalidValue(f"negative entry {worst} below -{CLAMP_TOL}")
-        arr[(arr < 0)] = 0.0
+        if lo < -CLAMP_TOL:
+            raise InvalidValue(f"negative entry {float(lo)} below -{CLAMP_TOL}")
+        if lo < 0:
+            arr[arr < 0] = 0.0
         if self.normalized:
             total = arr.sum()
             require(abs(total - 1.0), NORMALIZED_TOL, InvalidValue,
@@ -130,7 +131,7 @@ def convex_weights(weights, count: int) -> np.ndarray:
 def shannon_entropy(p) -> float:
     """H(p) = -sum p_i log2(p_i) in bits, with 0*log(0) = 0."""
     arr = _as_array(p)
-    if isinstance(p, ProbVector) and p.normalized and np.any(arr > 1.0 + NORMALIZED_TOL):
+    if isinstance(p, ProbVector) and p.normalized and arr.max() > 1.0 + NORMALIZED_TOL:
         raise ValueError(f"normalized vector has entry {arr.max()} > 1")
     pos = arr[arr > LOG_FLOOR]
     if pos.size == 0:

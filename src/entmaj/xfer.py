@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .densop import isometry_defect
 from .errors import (InvalidValue, MajorizationFailed, MatchingFailed, NotDoublyStochastic,
@@ -24,7 +22,7 @@ ENTRY_TOL = 1e-12
 SUM_TOL = 1e-9
 # Two values closer than this are considered already transferred.
 MATCH_TOL = 1e-12
-SUPPORT_TOL = 1e-9  # default residual entry below which the Birkhoff decomposition stops
+SUPPORT_TOL = 1e-9  # default tol of birkhoff_decompose
 
 
 @dataclass(frozen=True)
@@ -71,8 +69,9 @@ class DoublyStochasticMatrix:
 
     def __post_init__(self):
         arr = _square_array(self.entries, "doubly stochastic matrix")
-        if np.any(arr < -ENTRY_TOL) or np.any(arr > 1.0 + ENTRY_TOL):
-            raise NotDoublyStochastic(f"entry outside [0,1]: {arr.min()}..{arr.max()}")
+        lo, hi = arr.min(), arr.max()
+        if lo < -ENTRY_TOL or hi > 1.0 + ENTRY_TOL:
+            raise NotDoublyStochastic(f"entry outside [0,1]: {lo}..{hi}")
         worst = max(np.abs(arr.sum(axis=1) - 1).max(), np.abs(arr.sum(axis=0) - 1).max())
         require(worst, SUM_TOL, NotDoublyStochastic, "row/column sum deviates from 1 by {}", worst)
         object.__setattr__(self, "entries", arr)
@@ -218,23 +217,61 @@ def orthostochastic_of(u) -> DoublyStochasticMatrix:
     return DoublyStochasticMatrix(u.entries ** 2)
 
 
+def _augment(support: np.ndarray, perm: np.ndarray, inv: np.ndarray, root: int) -> bool:
+    """Match the free row `root` along one BFS augmenting path; False when none exists.
+
+    perm maps rows to columns and inv columns to rows, -1 where unmatched; both
+    are updated in place.  Each BFS level is one reduction over the frontier
+    rows' support, restricted to columns not yet seen.
+    """
+    seen = np.zeros(inv.size, dtype=bool)
+    via = np.empty(inv.size, dtype=int)  # via[c]: the frontier row that reached column c
+    frontier = np.array([root])
+    while frontier.size:
+        hit = support[frontier] & ~seen
+        cols = np.flatnonzero(hit.any(axis=0))
+        seen[cols] = True
+        via[cols] = frontier[hit[:, cols].argmax(axis=0)]
+        free = cols[inv[cols] < 0]
+        if free.size:
+            c = free[0]
+            while c >= 0:  # flip the path back to root, whose perm is -1
+                r = via[c]
+                perm[r], inv[c], c = c, r, perm[r]
+            return True
+        frontier = inv[cols]
+    return False
+
+
 def birkhoff_decompose(q, tol: float = SUPPORT_TOL) -> BirkhoffDecomposition:
     """Greedy decomposition into a convex mixture of permutation matrices.
 
     Repeatedly finds a perfect matching on the support graph of the
-    residual, subtracts the minimal matched entry, and stops once the
-    residual's largest entry falls below tol.  Each round zeroes at least
-    one entry, so the loop is finite.
+    residual and subtracts the minimal matched entry.  Each round zeroes at
+    least one entry, so the loop is finite.  The first round runs only if
+    some entry is >= tol.  Later rounds run while the residual's row mass
+    exceeds tol / 100: stopping at the first residual below tol could leave
+    nearly tol per row undecomposed.  They end early, without error, when
+    no perfect matching is left and every entry is below tol.
 
-    The support graph keeps entries down to tol / (100 d): while any entry
-    is still >= tol, every row of the residual carries at least tol of mass,
-    so the invisible sub-floor mass (at most tol/100 per row) cannot break
-    Hall's condition and a perfect matching exists.  A floor at tol itself
-    would let borderline entries strand whole rows.
+    The matching is warm-started: a round drops from the support only the
+    matched entries that fell to the floor, unmatches their rows, and
+    re-matches each of them by one augmenting path (Hopcroft and Karp, SIAM
+    J. Comput. 2, 1973), which by Berge's theorem reaches a perfect matching
+    whenever the support has one.
 
-    Raises MatchingFailed when the residual support admits no perfect
-    matching above the floor (numerical breakdown), the errors of
-    DoublyStochasticMatrix for bad input, and ValueError unless 0 < tol < inf.
+    The support graph keeps entries down to the floor tol / (100 d).  Rows
+    and columns of the residual carry equal mass m, and each row hides at
+    most d * floor = tol / 100 below the floor, so a set X of rows reaches
+    |N(X)| >= |X| (1 - tol / (100 m)) columns.  While some entry is >= tol,
+    m >= tol and |N(X)| >= 0.99 |X|, which is Hall's condition |N(X)| >= |X|
+    for every X when d < 100; beyond that MatchingFailed guards the round.
+    A floor at tol itself would let borderline entries strand whole rows.
+
+    Raises MatchingFailed when some entry is still >= tol but the support
+    above the floor admits no perfect matching (numerical breakdown), the
+    errors of DoublyStochasticMatrix for bad input, and ValueError unless
+    0 < tol < inf.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol={tol} must be finite and > 0")
@@ -245,21 +282,31 @@ def birkhoff_decompose(q, tol: float = SUPPORT_TOL) -> BirkhoffDecomposition:
     d = residual.shape[0]
     rows = np.arange(d)
     floor = tol / (100.0 * d)
+    support = residual > floor
+    perm = np.full(d, -1)
+    inv = np.full(d, -1)
+    mass = residual.sum(axis=1).max()  # every round takes w from every row
 
     weights = []
     perms = []
-    while residual.max() >= tol:
-        support = csr_matrix(residual > floor)
-        match = maximum_bipartite_matching(support, perm_type="column")
-        if np.any(match < 0):
+    going = residual.max() >= tol
+    while going:
+        if not all(_augment(support, perm, inv, r) for r in np.flatnonzero(perm < 0)):
+            if residual.max() < tol:
+                break
             raise MatchingFailed(
                 f"no perfect matching on the support above {floor} "
                 f"after {len(weights)} terms")
-        perm = np.asarray(match, dtype=int)
         w = float(residual[rows, perm].min())
         weights.append(w)
-        perms.append(perm)
+        perms.append(perm.copy())
         residual[rows, perm] -= w
+        mass -= w
+        gone = np.flatnonzero(residual[rows, perm] <= floor)
+        support[gone, perm[gone]] = False
+        inv[perm[gone]] = -1
+        perm[gone] = -1
+        going = mass > d * floor
     return BirkhoffDecomposition(weights=np.array(weights), permutations=tuple(perms))
 
 

@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import os
+import pathlib
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import entmaj
 from entmaj.cli import main
 from entmaj.densop import DensityMatrix, random_density
 from entmaj.serial import (complex_matrix_to_json, density_to_json, load_json,
@@ -104,6 +108,19 @@ class TestTransferAndFriends:
         report = json.loads(out)
         assert report["verified"]["ok_reconstruction"] is True
         assert len(report["terms"]) == 2
+
+    def test_birkhoff_in_a_fresh_interpreter_imports_no_scipy(self, tmp_path):
+        # importing scipy.sparse would add about 0.2 s to every fresh `entmaj` process
+        q = tmp_path / "q.json"
+        write_json(q, {"d": 2, "rows": [[0.5, 0.5], [0.5, 0.5]]})
+        argv = ["birkhoff", "--in", str(q), "--out", str(tmp_path / "report.json")]
+        code = ("import sys, entmaj.cli\n"
+                f"rc = entmaj.cli.main({argv!r})\n"
+                "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        src = pathlib.Path(entmaj.__file__).resolve().parent.parent
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+        assert proc.stdout.strip() == "0 []", proc.stderr
 
     def test_schur_horn(self, tmp_path, capsys):
         a = tmp_path / "a.json"
@@ -371,6 +388,14 @@ class TestExitCodeContract:
         assert rc == 1
         assert err == ""
         assert json.loads(out)["error"] == "InvalidValue"
+
+    def test_matching_failure_is_a_domain_report(self, tmp_path, capsys):
+        p = tmp_path / "q.json"
+        write_json(p, {"d": 2, "rows": [[1.0, 0.0], [5e-10, 1.0 - 5e-10]]})
+        rc, out, err = run(capsys, "birkhoff", "--in", str(p), "--tol", "1e-12")
+        assert rc == 1
+        assert err == ""
+        assert json.loads(out)["error"] == "MatchingFailed"
 
     def test_complex_matrix_to_birkhoff_exit_two(self, tmp_path, capsys):
         p = tmp_path / "complex.json"

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entmaj.errors import MajorizationFailed, NotDoublyStochastic, NotOrthogonal
-from entmaj.qchan import MIXTURE_SUPPORT_TOL
+from entmaj.densop import random_density
+from entmaj.errors import MajorizationFailed, MatchingFailed, NotDoublyStochastic, NotOrthogonal
+from entmaj.qchan import MIXTURE_SUPPORT_TOL, mixed_unitary_uhlmann
 from entmaj.seqmaj import (NORMALIZED_TOL, ProbVector, is_majorized, random_majorized_pair,
                            sort_desc)
 from entmaj.xfer import (
+    SUPPORT_TOL,
     BirkhoffDecomposition,
     DoublyStochasticMatrix,
     TTransform,
@@ -154,6 +156,35 @@ class TestBirkhoffDecompose:
             assert np.abs(dec.matrix() - q.entries).max() <= 1e-8
             assert dec.weights.sum() == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("scrambled", [False, True])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_cyclic_mixture_splits_into_k_terms(self, k, scrambled):
+        # (I + C + ... + C^(k-1)) / k for the cyclic shift C; relabelling rows and
+        # columns makes the repairs follow long augmenting paths
+        d = 50
+        q = sum(np.roll(np.eye(d), j, axis=1) for j in range(k)) / k
+        if scrambled:
+            rng = np.random.default_rng(5)
+            q = q[rng.permutation(d)][:, rng.permutation(d)]
+        dec = birkhoff_decompose(q)
+        assert len(dec.weights) == k
+        assert np.array_equal(dec.matrix(), q)
+
+    @pytest.mark.parametrize("d", [64, 128, 256])
+    def test_large_chain_matrices(self, d):
+        a, b = random_majorized_pair(d, np.random.default_rng(d))
+        q = chain_to_doubly_stochastic(find_transfer_chain(a, b))
+        dec = birkhoff_decompose(q, tol=SUPPORT_TOL)
+        assert np.abs(dec.matrix() - q.entries).max() <= 10 * SUPPORT_TOL
+        assert len(dec.weights) <= (d - 1) ** 2 + 1
+        assert abs(dec.weights.sum() - 1.0) <= NORMALIZED_TOL
+
+    def test_residual_above_tol_without_a_perfect_matching_fails(self):
+        # column 0 sums to 1 + 5e-10, inside SUM_TOL; after the identity term the
+        # residual 5e-10 sits in column 0 of both rows, where no permutation reaches it
+        with pytest.raises(MatchingFailed, match="no perfect matching"):
+            birkhoff_decompose([[1.0, 0.0], [5e-10, 1.0 - 5e-10]], tol=1e-12)
+
     def test_term_bound_enforced_by_type(self):
         with pytest.raises(ValueError):
             BirkhoffDecomposition(
@@ -232,6 +263,19 @@ class TestCaratheodoryReduce:
             a = sum(w * b[rng.permutation(d)] for w in rng.dirichlet(np.ones(3)))
             decomp, reduced = self.reduce_chain(a, b)
             self.assert_reduced(decomp, reduced, a, b)
+
+    def test_mixed_unitary_uhlmann_reaches_the_source_spectra_at_d64(self):
+        # stopping at the first residual below MIXTURE_SUPPORT_TOL could leave up to
+        # a permutation's worth of mass, about 1e-10 per row, out of the mixture
+        rng = np.random.default_rng(64)
+        for _ in range(10):
+            a, b = random_majorized_pair(64, rng)
+            rho2 = random_density(64, rng, spec=b)
+            mix = mixed_unitary_uhlmann(random_density(64, rng, spec=a), rho2)
+            out = sum(t * u @ rho2.matrix @ u.conj().T
+                      for t, u in zip(mix.weights, mix.unitaries))
+            point = np.linalg.eigvalsh(out)[::-1]
+            assert np.abs(point - sort_desc(a).entries).max() <= 1e-12
 
     def test_dimension_one(self):
         decomp = birkhoff_decompose(np.eye(1))
