@@ -32,8 +32,7 @@ def main(argv=None):
           f"{'max |dS|':>10}")
     for chan, truth in corpus:
         rep = detect_isometry(chan, tol=args.tol)
-        probe = entropy_probe(chan, args.trials, chan.d_in,
-                              np.random.default_rng(int(rng.integers(2**32))))
+        probe = entropy_probe(chan, args.trials, np.random.default_rng(int(rng.integers(2**32))))
         ok = rep.is_isometric_conjugation == truth
         errors += not ok
         tag = "" if ok else "   <-- MISCLASSIFIED"

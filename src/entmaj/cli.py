@@ -313,7 +313,7 @@ def _run_detect_isometry(args) -> int:
 
 def _run_probe_entropy(args) -> int:
     phi = args.load(args.inputs)
-    result = entropy_probe(phi, args.trials, phi.d_in, np.random.default_rng(args.seed))
+    result = entropy_probe(phi, args.trials, np.random.default_rng(args.seed))
     body = {"seed": args.seed, "max_abs_entropy_deviation": result.max_deviation,
             "worst_seed": result.worst_seed, "trials": result.trials,
             "verified": {"ok_trials": result.trials == args.trials}}

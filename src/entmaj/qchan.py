@@ -424,7 +424,7 @@ def detect_isometry(phi: KrausChannel, tol: float = ISOMETRY_TOL) -> IsometryRep
     return IsometryReport(is_isometric_conjugation=True, isometry=v, gram=gram)
 
 
-def entropy_probe(phi: KrausChannel, trials: int, d: int,
+def entropy_probe(phi: KrausChannel, trials: int,
                   rng: np.random.Generator) -> EntropyProbeResult:
     """Largest entropy change observed on random full-rank states.
 
@@ -433,14 +433,12 @@ def entropy_probe(phi: KrausChannel, trials: int, d: int,
     state is reported.  Rectangular channels are fine: the input state lives
     at d = d_in and the output entropy is taken at d_out.
     """
-    if d != phi.d_in:
-        raise DimensionMismatch(f"probe states must match the channel input {phi.d_in}")
     if trials < 1:
         raise ValueError(f"trials={trials} must be >= 1")
     seeds = rng.integers(0, 2**63 - 1, size=trials)
     devs = []
     for s in seeds:
-        rho = random_density(d, np.random.default_rng(int(s)))
+        rho = random_density(phi.d_in, np.random.default_rng(int(s)))
         devs.append(abs(von_neumann_entropy(apply_channel(phi, rho))
                         - von_neumann_entropy(rho)))
     worst = int(np.argmax(devs))  # first maximum, as the trials ran

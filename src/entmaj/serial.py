@@ -11,8 +11,12 @@ Schemas:
   Birkhoff mixture     {"terms": [{"weight": t, "perm": [...]}, ...]}
                        (perm maps row index -> column index)
 
-All reals round-trip exactly through the default IEEE-754 decimal repr.
-Every number read must be finite, and every dimension an integer >= 1.
+Every report and every `save_json` file is one line of JSON with sorted keys
+and the json module's default separators (pipe it through `python -m json.tool`
+to indent it).  Arrays are written through one `ndarray.tolist()` each, and
+every real is written as its shortest IEEE-754 decimal repr, so it reads back
+bit for bit.  Every number read must be finite, and every dimension an
+integer >= 1.
 """
 
 from __future__ import annotations
@@ -93,7 +97,7 @@ def _construct(where: str, cls, *args, **kwargs):
 
 
 def prob_vector_to_json(p: ProbVector) -> dict:
-    return {"entries": [float(x) for x in p.entries], "normalized": bool(p.normalized)}
+    return {"entries": p.entries.tolist(), "normalized": bool(p.normalized)}
 
 
 def prob_vector_from_json(obj, where: str = "prob_vector") -> ProbVector:
@@ -104,8 +108,11 @@ def prob_vector_from_json(obj, where: str = "prob_vector") -> ProbVector:
 
 
 def real_matrix_to_json(m) -> dict:
+    """Raises ValueError unless the matrix is square and non-empty, as the schema needs."""
     arr = m.entries if hasattr(m, "entries") else np.asarray(m, dtype=float)
-    return {"d": int(arr.shape[0]), "rows": [[float(x) for x in row] for row in arr]}
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not arr.size:
+        raise ValueError(f"a real matrix must be square and non-empty, not {arr.shape}")
+    return {"d": arr.shape[0], "rows": arr.tolist()}
 
 
 def real_matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
@@ -113,11 +120,14 @@ def real_matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
 
 
 def complex_matrix_to_json(arr: np.ndarray, kind: str | None = None) -> dict:
+    """Raises ValueError unless the array is 2-D and non-empty, as the schema needs."""
     arr = np.asarray(arr, dtype=complex)
+    if arr.ndim != 2 or not arr.size:
+        raise ValueError(f"a complex matrix must be 2-D and non-empty, not {arr.shape}")
     obj: dict[str, Any] = {
-        "d_rows": int(arr.shape[0]),
-        "d_cols": int(arr.shape[1]),
-        "rows": [[[float(x.real), float(x.imag)] for x in row] for row in arr],
+        "d_rows": arr.shape[0],
+        "d_cols": arr.shape[1],
+        "rows": np.stack((arr.real, arr.imag), axis=-1).tolist(),
     }
     if kind is not None:
         obj["kind"] = kind
@@ -175,8 +185,8 @@ def chain_from_json(obj, where: str = "chain") -> TransferChain:
 
 
 def birkhoff_to_json(decomp: BirkhoffDecomposition) -> dict:
-    return {"terms": [{"weight": float(w), "perm": [int(x) for x in p]}
-                      for w, p in zip(decomp.weights, decomp.permutations)]}
+    return {"terms": [{"weight": w, "perm": p} for w, p in
+                      zip(decomp.weights.tolist(), decomp.permutations.tolist())]}
 
 
 def birkhoff_from_json(obj, where: str = "birkhoff") -> BirkhoffDecomposition:
@@ -283,11 +293,12 @@ def load_json(path):
 
 
 def save_json(value, path):
-    """Write a typed value (or a plain report dict) as deterministic JSON."""
+    """Write a typed value (or a plain report dict) as one line of deterministic JSON."""
     obj = value if isinstance(value, dict) else to_json_value(value)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps_report(obj))
 
 
 def dumps_report(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """One line of sorted-key JSON; without indent the json module's C encoder writes it."""
+    return json.dumps(obj, sort_keys=True) + "\n"

@@ -98,37 +98,43 @@ class OrthogonalMatrix:
 
 @dataclass(frozen=True)
 class BirkhoffDecomposition:
-    """Convex mixture of permutations: weights t_i and maps row -> column."""
+    """Convex mixture of permutations: weights t_i and maps row -> column.
+
+    The permutations are one read-only (terms, d) int stack, row i mapping
+    row indices to column indices for weight t_i.
+    """
 
     weights: np.ndarray
-    permutations: tuple[np.ndarray, ...]
+    permutations: np.ndarray
 
     def __post_init__(self):
-        perms = tuple(np.array(p, dtype=int) for p in self.permutations)
+        try:
+            perms = np.array(self.permutations, dtype=int)
+        except ValueError as exc:  # ragged rows
+            raise InvalidValue("permutations must share one length") from exc
         w = convex_weights(self.weights, len(perms))
-        d = perms[0].size
+        if perms.ndim != 2:
+            raise InvalidValue(f"permutations must form a (terms, d) stack, not {perms.shape}")
+        k, d = perms.shape
         bound = (d - 1) ** 2 + 1
-        if len(perms) > bound:
-            raise InvalidValue(f"{len(perms)} terms exceed the bound {bound} for d={d}")
-        ident = np.arange(d)
-        for p in perms:
-            if p.size != d or np.any(np.sort(p) != ident):
-                raise InvalidValue("not a permutation of 0..d-1")
-            p.setflags(write=False)
+        if k > bound:
+            raise InvalidValue(f"{k} terms exceed the bound {bound} for d={d}")
+        if not d or np.any(np.sort(perms, axis=1) != np.arange(d)):
+            raise InvalidValue("not a permutation of 0..d-1")
+        perms.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "permutations", perms)
 
     @property
     def d(self) -> int:
-        return self.permutations[0].size
+        return self.permutations.shape[1]
 
     def matrix(self) -> np.ndarray:
-        """Assemble sum_i t_i P(pi_i)."""
-        out = np.zeros((self.d, self.d))
-        rows = np.arange(self.d)
-        for w, p in zip(self.weights, self.permutations):
-            out[rows, p] += w
-        return out
+        """Assemble sum_i t_i P(pi_i), adding the terms in order."""
+        d = self.d
+        cells = (np.arange(d) * d + self.permutations).ravel()
+        return np.bincount(cells, weights=np.repeat(self.weights, d),
+                           minlength=d * d).reshape(d, d)
 
 
 def apply_t_transform(step: TTransform, v) -> ProbVector:
@@ -307,7 +313,7 @@ def birkhoff_decompose(q, tol: float = SUPPORT_TOL) -> BirkhoffDecomposition:
         inv[perm[gone]] = -1
         perm[gone] = -1
         going = mass > d * floor
-    return BirkhoffDecomposition(weights=np.array(weights), permutations=tuple(perms))
+    return BirkhoffDecomposition(weights=np.array(weights), permutations=np.array(perms))
 
 
 def caratheodory_reduce(decomp: BirkhoffDecomposition, b) -> BirkhoffDecomposition:
@@ -321,7 +327,7 @@ def caratheodory_reduce(decomp: BirkhoffDecomposition, b) -> BirkhoffDecompositi
     least-squares solve on the kept points then removes the rounding drift of
     those steps.
     """
-    perms = np.array(decomp.permutations)
+    perms = decomp.permutations
     m, d = perms.shape
     if np.shape(b) != (d,):
         raise InvalidValue(f"b has shape {np.shape(b)}, expected ({d},)")
@@ -352,5 +358,5 @@ def caratheodory_reduce(decomp: BirkhoffDecomposition, b) -> BirkhoffDecompositi
     while True:
         weights = np.linalg.lstsq(lhs[:, kept], rhs, rcond=None)[0]
         if weights.min() > 0:
-            return BirkhoffDecomposition(weights=weights, permutations=tuple(perms[kept]))
+            return BirkhoffDecomposition(weights=weights, permutations=perms[kept])
         kept = kept[weights > 0]

@@ -202,13 +202,11 @@ def test_criterion_7_entropy_isometry_link():
     failures = 0
     rng = np.random.default_rng(7000)
     for chan, _ in positives:
-        probe = entropy_probe(chan, 1000, chan.d_in,
-                              np.random.default_rng(int(rng.integers(2**32))))
+        probe = entropy_probe(chan, 1000, np.random.default_rng(int(rng.integers(2**32))))
         if probe.max_deviation > 1e-6:
             failures += 1
     for chan in negatives:
-        probe = entropy_probe(chan, 1000, chan.d_in,
-                              np.random.default_rng(int(rng.integers(2**32))))
+        probe = entropy_probe(chan, 1000, np.random.default_rng(int(rng.integers(2**32))))
         if probe.max_deviation < 1e-3:
             failures += 1
     report(7, "entropy preserved iff isometric (10^3 trials per channel)", failures)

@@ -16,8 +16,9 @@ import entmaj
 from entmaj.cli import main
 from entmaj.densop import DensityMatrix, random_density
 from entmaj.serial import (complex_matrix_to_json, density_to_json, load_json,
-                           real_matrix_to_json, save_json)
+                           prob_vector_from_json, real_matrix_to_json, save_json)
 from entmaj.qchan import KrausChannel, random_isometric_conjugation_channel
+from entmaj.xfer import chain_to_doubly_stochastic, find_transfer_chain
 
 
 def run(capsys, *argv):
@@ -429,6 +430,45 @@ class TestExitCodeContract:
         save_json(chan, p)
         _, out, _ = run(capsys, "detect-isometry", "--in", str(p))
         assert json.loads(out)["tolerances"] == {"scalar_max_entry": 1e-7}
+
+
+class TestOneLineReports:
+    """Every JSON report, error reports and `gen` output included, is one line of
+    sorted-key JSON with the json module's default separators."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path, capsys):
+        files = {}
+        for kind in ("state", "pair", "state-pair", "channel"):
+            files[kind] = str(tmp_path / f"{kind}.json")
+            run(capsys, "gen", kind, "--d", "4", "--seed", "3", "--out", files[kind])
+        bundle = json.loads(pathlib.Path(files["pair"]).read_text())
+        a, b = (prob_vector_from_json(bundle[key]) for key in ("a", "b"))
+        files["matrix"] = str(tmp_path / "matrix.json")
+        save_json(chain_to_doubly_stochastic(find_transfer_chain(a, b)), files["matrix"])
+        unmajorized = tmp_path / "unmajorized.json"
+        write_json(unmajorized, {"a": {"entries": [0.6, 0.4]}, "b": {"entries": [0.5, 0.5]}})
+        files["unmajorized"] = str(unmajorized)
+        return files
+
+    @pytest.mark.parametrize("sub,kind,extra", [
+        ("entropy", "state", ()), ("majorize", "pair", ()), ("transfer", "pair", ()),
+        ("birkhoff", "matrix", ()), ("schur-horn", "pair", ()), ("uhlmann", "state-pair", ()),
+        ("mixed-unitary", "state-pair", ()), ("detect-isometry", "channel", ()),
+        ("probe-entropy", "channel", ("--trials", "5")), ("transfer", "unmajorized", ())])
+    def test_report_is_one_line(self, inputs, capsys, sub, kind, extra):
+        rc, out, err = run(capsys, sub, "--in", inputs[kind], *extra)
+        assert rc == (1 if kind == "unmajorized" else 0)
+        assert err == ""
+        assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+        assert out.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", ["state", "pair", "state-pair", "channel"])
+    def test_gen_output_is_one_line(self, capsys, kind):
+        rc, out, _ = run(capsys, "gen", kind, "--d", "4", "--seed", "3")
+        assert rc == 0
+        assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+        assert out.count("\n") == 1
 
 
 READERS = ("entropy", "majorize", "transfer", "birkhoff", "schur-horn", "uhlmann",

@@ -387,11 +387,11 @@ class TestEntropyProbe:
     def test_isometric_channel_preserves_entropy(self):
         rng = np.random.default_rng(25)
         chan, _ = random_isometric_conjugation_channel(4, 4, rng, num_terms=2)
-        result = entropy_probe(chan, 200, 4, np.random.default_rng(0))
+        result = entropy_probe(chan, 200, np.random.default_rng(0))
         assert result.max_deviation <= 1e-7
 
     def test_dephasing_shows_large_deviation(self):
-        result = entropy_probe(dephasing_channel(), 1000, 2, np.random.default_rng(1))
+        result = entropy_probe(dephasing_channel(), 1000, np.random.default_rng(1))
         assert result.max_deviation >= 0.5
 
     def test_probe_is_existential_not_universal(self):
@@ -404,8 +404,8 @@ class TestEntropyProbe:
         assert abs(von_neumann_entropy(out) - von_neumann_entropy(rho)) <= 1e-12
 
     def test_deterministic_given_seed(self):
-        r1 = entropy_probe(dephasing_channel(), 50, 2, np.random.default_rng(5))
-        r2 = entropy_probe(dephasing_channel(), 50, 2, np.random.default_rng(5))
+        r1 = entropy_probe(dephasing_channel(), 50, np.random.default_rng(5))
+        r2 = entropy_probe(dephasing_channel(), 50, np.random.default_rng(5))
         assert r1 == r2
 
     def test_detector_positive_implies_purity_preserved(self):
@@ -567,4 +567,4 @@ class TestSpectralPreamble:
 
 def test_entropy_probe_needs_a_trial():
     with pytest.raises(ValueError):
-        entropy_probe(dephasing_channel(), 0, 2, np.random.default_rng(0))
+        entropy_probe(dephasing_channel(), 0, np.random.default_rng(0))

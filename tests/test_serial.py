@@ -25,7 +25,8 @@ from entmaj.serial import (
     real_matrix_to_json,
     save_json,
 )
-from entmaj.xfer import birkhoff_decompose, chain_to_doubly_stochastic, find_transfer_chain
+from entmaj.xfer import (BirkhoffDecomposition, birkhoff_decompose, chain_to_doubly_stochastic,
+                         find_transfer_chain)
 
 
 class TestRoundTrips:
@@ -125,12 +126,28 @@ class TestSchemaErrors:
 
 
 class TestWriter:
-    def test_save_json_writes_the_sorted_indented_report_form(self, tmp_path):
+    def test_save_json_writes_the_sorted_one_line_report_form(self, tmp_path):
         phi = random_bistochastic_channel(2, np.random.default_rng(5))
         path = tmp_path / "chan.json"
         save_json(phi, path)
-        expected = json.dumps(channel_to_json(phi), indent=2, sort_keys=True) + "\n"
+        expected = json.dumps(channel_to_json(phi), sort_keys=True) + "\n"
         assert path.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("shape", [(3, 2), (3,), (2, 2, 2), (0, 0)])
+    def test_real_writer_refuses_what_its_schema_cannot_hold(self, shape, tmp_path):
+        arr = np.ones(shape)
+        with pytest.raises(ValueError):
+            real_matrix_to_json(arr)
+        with pytest.raises(ValueError):
+            save_json(arr, tmp_path / "m.json")
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2), (0, 3)])
+    def test_complex_writer_refuses_what_its_schema_cannot_hold(self, shape, tmp_path):
+        arr = np.ones(shape, dtype=complex)
+        with pytest.raises(ValueError):
+            complex_matrix_to_json(arr)
+        with pytest.raises(ValueError):
+            save_json(arr, tmp_path / "m.json")
 
 
 class TestScalarFidelity:
@@ -142,3 +159,55 @@ class TestScalarFidelity:
         save_json(p, path)
         raw = json.loads(path.read_text())
         np.testing.assert_array_equal(np.array(raw["entries"]), p.entries)
+
+
+def _reprs(nested) -> list[str]:
+    """The repr of every number in a nested list, in row-major order."""
+    if isinstance(nested, list):
+        return [r for x in nested for r in _reprs(x)]
+    return [repr(nested)]
+
+
+class TestValueFidelity:
+    """Every number written reads back with the repr of the double the library holds."""
+
+    SPECIAL = [-0.0, 5e-324, 1.7976931348623157e308]
+
+    def _read_back(self, value, tmp_path):
+        path = tmp_path / "value.json"
+        save_json(value, path)
+        return json.loads(path.read_text())
+
+    def test_complex_matrix(self, tmp_path):
+        rng = np.random.default_rng(11)
+        parts = np.concatenate([self.SPECIAL, -np.array(self.SPECIAL), rng.standard_normal(18)])
+        m = parts.view(complex).reshape(3, 4)  # consecutive parts are (re, im)
+        raw = self._read_back(m, tmp_path)
+        assert _reprs(raw["rows"]) == [repr(float(x)) for x in parts]
+        assert raw["rows"][0][0] == [-0.0, 5e-324] and repr(raw["rows"][0][0][0]) == "-0.0"
+
+    def test_real_matrix(self, tmp_path):
+        rng = np.random.default_rng(12)
+        m = np.concatenate([self.SPECIAL, rng.standard_normal(13) * 1e-3]).reshape(4, 4)
+        raw = self._read_back(m, tmp_path)
+        assert _reprs(raw["rows"]) == [repr(float(x)) for x in m.ravel()]
+
+    def test_prob_vector(self, tmp_path):
+        rng = np.random.default_rng(13)
+        p = ProbVector(np.concatenate([self.SPECIAL, rng.random(9)]))
+        raw = self._read_back(p, tmp_path)
+        assert _reprs(raw["entries"]) == [repr(float(x)) for x in p.entries]
+        assert repr(raw["entries"][0]) == "-0.0"
+
+    def test_birkhoff_mixture(self, tmp_path):
+        # weights are positive and sum to one, so 5e-324 is the only special value they take
+        rng = np.random.default_rng(14)
+        w = rng.random(4)
+        weights = np.append(w / w.sum(), 5e-324)
+        perms = np.array([rng.permutation(5) for _ in range(5)])
+        dec = BirkhoffDecomposition(weights=weights, permutations=perms)
+        raw = self._read_back(dec, tmp_path)
+        assert [repr(t["weight"]) for t in raw["terms"]] == [repr(float(x)) for x in dec.weights]
+        assert raw["terms"][-1]["weight"] == 5e-324
+        assert [t["perm"] for t in raw["terms"]] == [[int(x) for x in p] for p in perms]
+        assert all(type(x) is int for t in raw["terms"] for x in t["perm"])

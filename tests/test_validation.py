@@ -118,7 +118,7 @@ class TestOneCheckPerInvariant:
     def test_probe_of_unflagged_channel_is_refused_by_apply(self):
         phi = KrausChannel(2, 2, 2 * np.eye(2, dtype=complex)[None], trace_preserving=False)
         with pytest.raises(NotTracePreserving):
-            entropy_probe(phi, 1, 2, np.random.default_rng(0))
+            entropy_probe(phi, 1, np.random.default_rng(0))
 
     def test_density_matrix_accepted_where_a_hermitian_matrix_is(self):
         rho = DensityMatrix(np.diag([0.75, 0.25]).astype(complex))

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entmaj.densop import random_density
-from entmaj.errors import MajorizationFailed, MatchingFailed, NotDoublyStochastic, NotOrthogonal
+from entmaj.errors import (InvalidValue, MajorizationFailed, MatchingFailed, NotDoublyStochastic,
+                           NotOrthogonal)
 from entmaj.qchan import MIXTURE_SUPPORT_TOL, mixed_unitary_uhlmann
 from entmaj.seqmaj import (NORMALIZED_TOL, ProbVector, is_majorized, random_majorized_pair,
                            sort_desc)
@@ -190,6 +191,28 @@ class TestBirkhoffDecompose:
             BirkhoffDecomposition(
                 weights=np.full(3, 1 / 3),
                 permutations=tuple(np.array([0, 1]) for _ in range(3)))
+
+    @pytest.mark.parametrize("perms", [([0, 1], [0, 1, 2]), ([0, 1], [1, 1]), ([0, 2], [1, 0]),
+                                       [0, 1], [[[0, 1]], [[1, 0]]], [[], []]],
+                             ids=["ragged", "repeat", "out-of-range", "flat", "3-d", "empty"])
+    def test_rows_must_form_a_stack_of_permutations(self, perms):
+        with pytest.raises(InvalidValue):
+            BirkhoffDecomposition(weights=[0.5, 0.5], permutations=perms)
+
+    def test_permutations_are_one_read_only_stack(self):
+        dec = BirkhoffDecomposition(weights=[0.25, 0.75], permutations=([1, 0, 2], [0, 1, 2]))
+        assert dec.permutations.shape == (2, 3)
+        assert not dec.permutations.flags.writeable
+        assert dec.d == 3
+        np.testing.assert_array_equal(dec.matrix(), [[0.75, 0.25, 0], [0.25, 0.75, 0], [0, 0, 1]])
+
+    def test_matrix_adds_the_terms_in_order(self):
+        a, b = random_majorized_pair(32, np.random.default_rng(32))
+        dec = birkhoff_decompose(chain_to_doubly_stochastic(find_transfer_chain(a, b)))
+        expected = np.zeros((32, 32))
+        for w, p in zip(dec.weights, dec.permutations):
+            expected[np.arange(32), p] += w
+        assert np.array_equal(dec.matrix(), expected)
 
 
 def mixture_point(decomp, b):
