@@ -305,7 +305,7 @@ def _run_detect_isometry(args) -> int:
     body = dict(isometry_report_to_json(report))
     defect = None if report.isometry is None else isometry_defect(report.isometry)
     body["verified"] = {"isometry_defect": defect}
-    rc = _finish(args, {"scalar_max_entry": args.tol}, body)
+    rc = _finish(args, {"gram_rank_gap": args.tol}, body)
     if args.expect_isometry and not report.is_isometric_conjugation:
         return 1
     return rc

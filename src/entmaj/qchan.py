@@ -116,9 +116,13 @@ class IsometryReport:
     """Outcome of the isometric-conjugation test.
 
     On success `isometry` holds the recovered V (global phase fixed by making
-    its first nonzero column entry real positive) and `gram` the matrix of
-    pairwise scalars.  On failure `failure_witness` is ((i, j), deviation)
-    for the first violated Kraus pair or self-consistency check.
+    its first nonzero column entry real positive) and `gram` the k x k Kraus
+    Gram matrix tr(A_i^* A_j) / d_in; `gram` is None on failure.  On failure
+    `failure_witness` is ((i, j), gap): i < j is the Kraus pair with the
+    largest defect G_ii G_jj - |G_ij|^2 and gap the sum of all but the
+    largest eigenvalue of G.  When the gap passes but V misses being an
+    isometry, it is ((t, t), isometry defect of V) with t the heaviest entry
+    of the top eigenvector.
     """
 
     is_isometric_conjugation: bool
@@ -312,7 +316,9 @@ def pinch_convergence_experiment(rho2: DensityMatrix, basis) -> list[PinchRow]:
     tail = np.diag(rot.matrix).real
     rows = []
     for n in range(1, d + 1):
-        avg = apply_channel(phase_averaging_channel(n, d), rot)
+        # phase_averaging_channel(n, d) keeps entry (i, j) iff i == j or i, j >= n - 1
+        kept = np.arange(d) >= n - 1
+        avg = DensityMatrix(rot.matrix * (np.eye(d, dtype=bool) | np.outer(kept, kept)))
         dist = trace_distance(avg, pinched)
         bound = 2.0 * float(tail[n - 1:].sum())
         rows.append(PinchRow(n=n, trace_distance=dist, bound=bound))
@@ -373,52 +379,36 @@ def mixed_unitary_uhlmann(rho1: DensityMatrix, rho2: DensityMatrix,
 def detect_isometry(phi: KrausChannel, tol: float = ISOMETRY_TOL) -> IsometryReport:
     """Decide whether the channel is X -> V X V^* for an isometry V.
 
-    Tests the Kraus family pairwise: every A_j^* A_i must be a scalar
-    multiple of the identity, the scalars must form a rank-one Gram matrix
-    with unit diagonal sum, and the normalized first operator must be an
-    isometry.  Kraus terms of negligible weight are dropped first, since a
-    zero operator is removable representation redundancy.
+    The channel is an isometric conjugation exactly when every Kraus operator
+    is a multiple of one operator, that is when the Gram matrix
+    G_ij = tr(A_i^* A_j) / d_in has rank one (Choi 1975; Nielsen and Chuang,
+    Thm 8.2).  The test is one product and one `eigh`: the sum of all but the
+    largest eigenvalue must be at most `tol`.  Zero operators add zero rows and
+    columns, and an operator of weight w raises that sum by at most w.  With
+    (lam, u) the top eigenpair, V = sum_i u_i A_i / sqrt(lam), and its
+    isometry defect must be at most `tol` as well.
     """
     _require_trace_preserving(phi)
-    weights = (np.abs(phi.kraus) ** 2).sum(axis=(1, 2)) / phi.d_in
-    kept = np.flatnonzero(weights > tol).tolist()
-    if not kept:
-        raise NotTracePreserving("all Kraus operators are negligible")
-    ops = phi.kraus[kept]
-    m = len(ops)
-    eye = np.eye(phi.d_in)
-
-    gram = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            prod = ops[j].conj().T @ ops[i]
-            lam = np.trace(prod) / phi.d_in
-            gram[j, i] = lam
-            dev = float(np.abs(prod - lam * eye).max())
-            if dev > tol:
-                return IsometryReport(is_isometric_conjugation=False,
-                                      failure_witness=((kept[i], kept[j]), dev))
-
-    diag = np.diag(gram).real
-    for i in range(m):
-        for j in range(m):
-            dev = float(abs(abs(gram[i, j]) ** 2 - diag[i] * diag[j]))
-            if dev > tol:
-                return IsometryReport(is_isometric_conjugation=False, gram=gram,
-                                      failure_witness=((kept[i], kept[j]), dev))
-    if abs(diag.sum() - 1.0) > tol:
-        return IsometryReport(is_isometric_conjugation=False, gram=gram,
-                              failure_witness=((kept[0], kept[0]),
-                                               float(abs(diag.sum() - 1.0))))
-
-    v = ops[0] / np.sqrt(diag[0])
+    flat = phi.kraus.reshape(phi.num_kraus, -1)
+    gram = (flat.conj() @ flat.T) / phi.d_in
+    evals, evecs = np.linalg.eigh(gram)
+    gap = float(evals[:-1].sum())
+    if not gap <= tol:
+        # some 2x2 principal minor of a PSD matrix of rank >= 2 is positive
+        diag = gram.diagonal().real
+        defect = np.triu(np.outer(diag, diag) - np.abs(gram) ** 2, 1)
+        i, j = np.unravel_index(np.argmax(defect), defect.shape)
+        return IsometryReport(is_isometric_conjugation=False,
+                              failure_witness=((int(i), int(j)), gap))
+    u = evecs[:, -1]
+    v = (u @ flat).reshape(phi.d_out, phi.d_in) / np.sqrt(evals[-1])
     dev = isometry_defect(v)
     if not dev <= tol:
-        return IsometryReport(is_isometric_conjugation=False, gram=gram,
-                              failure_witness=((kept[0], kept[0]), dev))
+        t = int(np.argmax(np.abs(u)))
+        return IsometryReport(is_isometric_conjugation=False, failure_witness=((t, t), dev))
     # fix the global phase: first nonzero column entry becomes real positive
-    flat = v.T.reshape(-1)
-    lead = flat[np.abs(flat) > 1e-12][0]
+    col = v.T.reshape(-1)
+    lead = col[np.abs(col) > 1e-12][0]
     v = v * (lead.conjugate() / abs(lead))
     v.setflags(write=False)
     return IsometryReport(is_isometric_conjugation=True, isometry=v, gram=gram)

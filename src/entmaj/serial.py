@@ -294,11 +294,13 @@ def load_json(path):
 
 def save_json(value, path):
     """Write a typed value (or a plain report dict) as one line of deterministic JSON."""
-    obj = value if isinstance(value, dict) else to_json_value(value)
+    text = dumps_report(value if isinstance(value, dict) else to_json_value(value))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_report(obj))
+        fh.write(text)
 
 
 def dumps_report(obj: dict) -> str:
-    """One line of sorted-key JSON; without indent the json module's C encoder writes it."""
-    return json.dumps(obj, sort_keys=True) + "\n"
+    """One line of sorted-key JSON; without indent the json module's C encoder writes it.
+
+    NaN and infinities raise ValueError, since `read_json` refuses them."""
+    return json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"

@@ -226,6 +226,20 @@ class TestDetectorCli:
         rc, _, _ = run(capsys, "detect-isometry", "--in", str(p), "--expect-isometry")
         assert rc == 1
 
+    def test_loose_tolerance_gives_a_verdict_not_an_error(self, tmp_path, capsys):
+        # both dephasing operators weigh 0.5 < tol; the Gram gap is 0.5 <= 0.6
+        z = np.diag([1.0, -1.0]).astype(complex)
+        chan = KrausChannel(2, 2, (np.eye(2, dtype=complex) / np.sqrt(2), z / np.sqrt(2)),
+                            trace_preserving=True, unital=True)
+        p = tmp_path / "chan.json"
+        save_json(chan, p)
+        rc, out, _ = run(capsys, "detect-isometry", "--in", str(p), "--tol", "0.6")
+        assert rc == 0
+        report = json.loads(out)
+        assert "error" not in report
+        assert report["tolerances"] == {"gram_rank_gap": 0.6}
+        assert report["is_isometric_conjugation"] is True
+
     def test_probe_entropy(self, tmp_path, capsys):
         z = np.diag([1.0, -1.0]).astype(complex)
         chan = KrausChannel(2, 2, (np.eye(2, dtype=complex) / np.sqrt(2), z / np.sqrt(2)),
@@ -429,7 +443,7 @@ class TestExitCodeContract:
         chan, _ = random_isometric_conjugation_channel(2, 2, np.random.default_rng(1))
         save_json(chan, p)
         _, out, _ = run(capsys, "detect-isometry", "--in", str(p))
-        assert json.loads(out)["tolerances"] == {"scalar_max_entry": 1e-7}
+        assert json.loads(out)["tolerances"] == {"gram_rank_gap": 1e-7}
 
 
 class TestOneLineReports:

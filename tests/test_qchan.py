@@ -213,6 +213,17 @@ class TestPinchConvergence:
         bounds = [r.bound for r in rows]
         assert all(b2 <= b1 + 1e-12 for b1, b2 in zip(bounds, bounds[1:]))
 
+    def test_distances_match_the_phase_averaging_channel(self):
+        rng = np.random.default_rng(12)
+        for d in range(2, 13):
+            rho, basis = random_density(d, rng), haar_unitary(d, rng)
+            rows = pinch_convergence_experiment(rho, basis)
+            rot = DensityMatrix(basis.conj().T @ rho.matrix @ basis)
+            pinched = DensityMatrix(np.diag(np.diag(rot.matrix)))
+            for r in rows:
+                avg = apply_channel(phase_averaging_channel(r.n, d), rot)
+                assert abs(r.trace_distance - trace_distance(avg, pinched)) <= 1e-12
+
 
 class TestUhlmannChannel:
     def test_pure_to_maximally_mixed(self):
@@ -381,6 +392,62 @@ class TestDetectIsometry:
         for _ in range(5):
             phi = random_bistochastic_channel(4, rng, kind="mixed_unitary")
             assert not detect_isometry(phi).is_isometric_conjugation
+
+    def test_zero_kraus_operator_keeps_verdict_and_isometry(self):
+        chan, _ = random_isometric_conjugation_channel(3, 4, np.random.default_rng(28),
+                                                       num_terms=2)
+        padded = KrausChannel(3, 4, np.concatenate([chan.kraus, np.zeros((1, 4, 3))]),
+                              trace_preserving=True)
+        rep, rep0 = detect_isometry(padded), detect_isometry(chan)
+        assert rep.is_isometric_conjugation and rep0.is_isometric_conjugation
+        assert np.abs(rep.isometry - rep0.isometry).max() <= 1e-12
+
+    def test_one_dimensional_input_split_is_rejected(self):
+        e = np.eye(2, dtype=complex)
+        chan = KrausChannel(1, 2, (e[:, :1] / np.sqrt(2), e[:, 1:] / np.sqrt(2)))
+        rep = detect_isometry(chan)
+        assert not rep.is_isometric_conjugation
+        pair, gap = rep.failure_witness
+        assert pair == (0, 1)
+        assert gap == pytest.approx(0.5, abs=1e-12)
+
+    def test_one_dimensional_input_phases_of_one_vector_are_accepted(self):
+        w = np.array([[1.0], [2.0j], [-2.0]]) / 3.0
+        c = np.array([0.6, 0.8j * np.exp(0.3j)])
+        chan = KrausChannel(1, 3, c[:, None, None] * w)
+        rep = detect_isometry(chan)
+        assert rep.is_isometric_conjugation
+        assert phase_matched_max_error(rep.isometry, w) <= 1e-12
+
+    def test_negative_witness_is_the_largest_defect_pair_and_the_gap(self):
+        rng = np.random.default_rng(29)
+        for phi in (depolarizing_channel(3, 0.5), dephasing_channel(),
+                    random_bistochastic_channel(3, rng, kind="mixed_unitary")):
+            (i, j), gap = detect_isometry(phi).failure_witness
+            flat = phi.kraus.reshape(phi.num_kraus, -1)
+            g = flat.conj() @ flat.T / phi.d_in
+            defect = np.outer(g.diagonal().real, g.diagonal().real) - np.abs(g) ** 2
+            assert i < j
+            assert defect[i, j] > 0
+            assert defect[i, j] == defect[np.triu_indices(phi.num_kraus, 1)].max()
+            assert gap == pytest.approx(np.linalg.eigvalsh(g)[:-1].sum(), abs=1e-12)
+
+    def test_gap_within_tol_but_no_isometry_has_a_diagonal_witness(self):
+        # amplitude damping at c = 0.6: Gram gap 0.32, isometry defect of V 8/17
+        ops = np.array([np.diag([1.0, 0.6]), [[0.0, 0.8], [0.0, 0.0]]], dtype=complex)
+        rep = detect_isometry(KrausChannel(2, 2, ops), tol=0.4)
+        assert not rep.is_isometric_conjugation and rep.gram is None
+        pair, dev = rep.failure_witness
+        assert pair == (0, 0)
+        assert dev == pytest.approx(8 / 17, abs=1e-12)
+
+    def test_gram_only_on_positive_verdicts(self):
+        assert detect_isometry(depolarizing_channel(3, 0.5)).gram is None
+        chan, _ = random_isometric_conjugation_channel(3, 5, np.random.default_rng(30),
+                                                       num_terms=3)
+        gram = detect_isometry(chan).gram
+        assert gram.shape == (3, 3)
+        assert np.abs(gram - gram.conj().T).max() <= 1e-15
 
 
 class TestEntropyProbe:

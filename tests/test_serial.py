@@ -17,6 +17,7 @@ from entmaj.serial import (
     complex_matrix_from_json,
     complex_matrix_to_json,
     density_from_json,
+    dumps_report,
     from_json_value,
     load_json,
     prob_vector_from_json,
@@ -148,6 +149,14 @@ class TestWriter:
             complex_matrix_to_json(arr)
         with pytest.raises(ValueError):
             save_json(arr, tmp_path / "m.json")
+
+    def test_non_finite_entries_are_refused_and_leave_no_file(self, tmp_path):
+        path = tmp_path / "nan.json"
+        with pytest.raises(ValueError):
+            save_json(np.array([[np.nan, 1.0], [1.0, np.inf]]), path)
+        assert not path.exists()
+        with pytest.raises(ValueError):
+            dumps_report({"defect": float("inf")})
 
 
 class TestScalarFidelity:
