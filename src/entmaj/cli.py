@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -62,13 +62,13 @@ TRACE_DISTANCE_TOL = 1e-7
 PINCH_SLACK = 1e-8
 
 
-def _positive(cast):
-    """An argparse type: a finite value > 0 read by `cast`, so an int is >= 1."""
+def _above(cast, low=0):
+    """An argparse type: a finite value > low read by `cast`, so an int is >= low + 1."""
     def parse(text: str):
         value = cast(text)
-        if not 0 < value < np.inf:  # false for NaN too
+        if not low < value < np.inf:  # false for NaN too
             raise argparse.ArgumentTypeError(
-                f"{value} is not {'>= 1' if cast is int else 'finite and > 0'}")
+                f"{value} is not {f'>= {low + 1}' if cast is int else f'finite and > {low}'}")
         return value
     parse.__name__ = cast.__name__  # argparse names the type in its messages
     return parse
@@ -76,14 +76,15 @@ def _positive(cast):
 
 # The flags beyond --in, --out and --tol, each declared only where it is read.
 FLAGS = {
-    "--seed": {"type": int, "default": 0},
-    "--d": {"type": _positive(int), "default": 4},
-    "--trials": {"type": _positive(int), "default": 1000},
+    "--seed": {"type": _above(int, low=-1), "default": 0},  # any size, as default_rng takes
+    "--d": {"type": _above(int), "default": 4},
+    "--trials": {"type": _above(int), "default": 1000},
     "--require": {"action": "store_true", "help": "exit 1 on a negative verdict"},
     "--expect-isometry": {"action": "store_true", "help": "exit 1 on a negative detection"},
 }
 
 
+@cache  # built once per process; each parse copies --in's default list before appending
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="entmaj")
     top.add_argument("--version", action="version", version=__version__)
@@ -98,7 +99,7 @@ def _parser() -> argparse.ArgumentParser:
                            metavar="PATH", help="input file (repeatable, ordered)")
         p.add_argument("--out", default=None, metavar="PATH")
         if tol is not None:
-            p.add_argument("--tol", type=_positive(float), default=tol)
+            p.add_argument("--tol", type=_above(float), default=tol)
         for flag in flags:
             p.add_argument(flag, **FLAGS[flag])
         return p

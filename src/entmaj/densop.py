@@ -21,19 +21,63 @@ RECONSTRUCTION_TOL = 1e-8
 UNIT_NORM_TOL = 1e-9
 
 
-def _hermitian(m) -> np.ndarray:
-    """m as a complex array, proved non-empty, square, finite and Hermitian; a
-    DensityMatrix was proved so when it was built and is not checked again."""
+def _hermitian(m, ndim: int = 2) -> np.ndarray:
+    """m as a complex array, proved non-empty, square, finite and Hermitian, or with
+    ndim=3 a stack of such matrices; a DensityMatrix was proved so when it was built
+    and is not checked again."""
     if isinstance(m, DensityMatrix):
         return m.matrix
     arr = np.array(m, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not np.isfinite(arr).all() or not arr.size:
+    if (arr.ndim != ndim or arr.shape[-1] != arr.shape[-2] or not np.isfinite(arr).all()
+            or not arr.size):
         raise InvalidValue("expected a non-empty square matrix of finite numbers")
-    dev = np.abs(arr - arr.conj().T)
-    i, j = np.unravel_index(np.argmax(dev), dev.shape)
-    require(dev[i, j], HERMITIAN_TOL, NotHermitian,
-            "worst entry pair ({0}, {1})/({1}, {0}) deviates by {2}", i, j, dev[i, j])
+    dev = np.abs(arr - _dagger(arr))
+    at = np.unravel_index(np.argmax(dev), dev.shape)
+    require(dev[at], HERMITIAN_TOL, NotHermitian,
+            "worst entry pair ({0}, {1})/({1}, {0}){2} deviates by {3}",
+            at[-2], at[-1], "" if ndim == 2 else f" of state {at[0]}", dev[at])
     return arr
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.swapaxes(m, -1, -2).conj()
+
+
+def _require_states(arr: np.ndarray, vals: np.ndarray):
+    """Unit trace within TRACE_TOL and no eigenvalue below EIG_FLOOR, for one Hermitian
+    matrix or a stack of them with its eigenvalues `vals`."""
+    tr = arr.trace(axis1=-2, axis2=-1)
+    if tr.ndim:  # one trace per state: check the one farthest from 1
+        tr = tr[np.abs(tr - 1.0).argmax()]
+    require(abs(tr - 1.0), TRACE_TOL, InvalidValue, "trace {} is not 1", tr)
+    lo = vals.min()
+    require(-lo, -EIG_FLOOR, InvalidValue, "negative eigenvalue {}", lo)
+
+
+def _eigh(arr: np.ndarray):
+    """(eigenvalues ascending, eigenvectors) of the Hermitian part of one matrix or of
+    each matrix of a stack; the decomposition must reconstruct it within RECONSTRUCTION_TOL."""
+    sym = (arr + _dagger(arr)) / 2.0
+    vals, vecs = np.linalg.eigh(sym)
+    recon = (vecs * vals[..., None, :]) @ _dagger(vecs)
+    if not np.abs(recon - sym).max() <= RECONSTRUCTION_TOL:
+        raise ArithmeticError("eigendecomposition failed to reconstruct input")
+    return vals, vecs
+
+
+def spectra(states) -> np.ndarray:
+    """Spectra of an (n, d, d) stack of states as rows, descending and clamped to [0, 1].
+
+    One `eigh` serves the whole stack.  Each state passes the checks that
+    DensityMatrix and eig_hermitian make on it alone, with the same tolerances and
+    exception types: finite and Hermitian, unit trace, no eigenvalue below
+    EIG_FLOOR, and a decomposition that reconstructs it.
+    """
+    arr = _hermitian(states, ndim=3)
+    vals, _ = _eigh(arr)
+    _require_states(arr, vals)
+    return np.clip(vals[:, ::-1], 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -44,10 +88,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         arr = _hermitian(self.matrix)
-        tr = arr.trace()
-        require(abs(tr - 1.0), TRACE_TOL, InvalidValue, "trace {} is not 1", tr)
-        lo = float(np.linalg.eigvalsh(arr).min())
-        require(-lo, -EIG_FLOOR, InvalidValue, "negative eigenvalue {}", lo)
+        _require_states(arr, np.linalg.eigvalsh(arr))
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
 
@@ -74,14 +115,9 @@ class SpectralDecomposition:
 
 def eig_hermitian(h) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian matrix, eigenvalues descending."""
-    arr = _hermitian(h)
-    sym = (arr + arr.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(sym)
+    vals, vecs = _eigh(_hermitian(h))
     vals = vals[::-1].copy()
     vecs = vecs[:, ::-1].copy()
-    recon = (vecs * vals) @ vecs.conj().T
-    if np.abs(recon - sym).max() > RECONSTRUCTION_TOL:
-        raise ArithmeticError("eigendecomposition failed to reconstruct input")
     vals.setflags(write=False)
     vecs.setflags(write=False)
     return SpectralDecomposition(eigenvalues=vals, eigenvectors=vecs)
@@ -157,13 +193,25 @@ def pure_state(x) -> DensityMatrix:
     return DensityMatrix(np.outer(v, v.conj()))
 
 
+def _haar(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Haar unitaries from the QR of (re + i im) / sqrt(2), one per trailing (d, d) block,
+    each column's phase fixed so that R has a positive diagonal (Mezzadri, Notices AMS
+    54, 2007)."""
+    q, r = np.linalg.qr((re + 1j * im) / np.sqrt(2))
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (phases / np.abs(phases))[..., None, :]
+
+
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary from the QR of a complex Gaussian matrix."""
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    phases = np.diagonal(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
+    return _haar(rng.standard_normal((d, d)), rng.standard_normal((d, d)))
+
+
+def _with_spectra(vals: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v diag(vals sorted descending) v^*, symmetrized; one matrix or a stack."""
+    vals = -np.sort(-vals, axis=-1)
+    rho = (v * vals[..., None, :]) @ _dagger(v)
+    return (rho + _dagger(rho)) / 2.0
 
 
 def random_density(d: int, rng: np.random.Generator,
@@ -184,7 +232,24 @@ def random_density(d: int, rng: np.random.Generator,
         if vals.size > d:
             raise InvalidValue(f"spectrum has {vals.size} > d = {d} entries")
         vals = np.pad(vals, (0, d - vals.size))
-    vals = -np.sort(-vals)
-    v = haar_unitary(d, rng)
-    rho = (v * vals) @ v.conj().T
-    return DensityMatrix((rho + rho.conj().T) / 2.0)
+    return DensityMatrix(_with_spectra(vals, haar_unitary(d, rng)))
+
+
+def random_density_stack(d: int, seeds) -> np.ndarray:
+    """The matrices of random_density(d, default_rng(s)) for each seed s, as one
+    unvalidated (n, d, d) stack; `spectra` checks them.
+
+    Each seed's generator draws what random_density draws, in its order: the
+    Dirichlet spectrum, then the real and the imaginary Gaussian block of the
+    Haar unitary.  So every state replays alone from its seed.
+    """
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    ones = np.ones(d)
+    vals = np.empty((len(seeds), d))
+    gauss = np.empty((len(seeds), 2, d, d))
+    for s, row, block in zip(seeds, vals, gauss):
+        rng = np.random.default_rng(int(s))
+        row[:] = rng.dirichlet(ones)
+        rng.standard_normal(out=block)
+    return _with_spectra(vals, _haar(gauss[:, 0], gauss[:, 1]))

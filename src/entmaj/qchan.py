@@ -19,10 +19,10 @@ from .densop import (
     eig_hermitian,
     haar_unitary,
     isometry_defect,
-    random_density,
+    random_density_stack,
+    spectra,
     spectrum,
     trace_distance,
-    von_neumann_entropy,
 )
 from .errors import (
     DimensionMismatch,
@@ -32,7 +32,7 @@ from .errors import (
     NotUnitary,
     require,
 )
-from .seqmaj import MAJORIZATION_TOL, convex_weights, is_majorized
+from .seqmaj import MAJORIZATION_TOL, convex_weights, is_majorized, shannon_entropies
 from .xfer import (
     birkhoff_decompose,
     caratheodory_reduce,
@@ -47,6 +47,8 @@ MIXTURE_UNITARY_TOL = 1e-8  # unitarity of the terms of a mixed-unitary channel
 CP_FLOOR = -1e-8  # smallest Choi eigenvalue still read as completely positive
 ISOMETRY_TOL = 1e-7  # default tolerance of the isometric-conjugation detector
 MIXTURE_SUPPORT_TOL = 1e-10  # birkhoff_decompose's tol inside mixed_unitary_uhlmann
+# most complex entries in any stack entropy_probe builds for one chunk of trials
+PROBE_CHUNK_ENTRIES = 2**14
 
 
 def _as_stack(ops) -> np.ndarray:
@@ -179,9 +181,11 @@ def _require_trace_preserving(phi: KrausChannel):
 
 
 def _sandwich(stack: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_i A_i X A_i^*: batched A_i X, then one GEMM with the A_i laid side by side."""
+    """sum_i A_i X A_i^* for one X or each X of an (n, cols, cols) stack: batched A_i X,
+    then one GEMM per X with the A_i laid side by side."""
     k, rows, cols = stack.shape
-    left = (stack @ x).transpose(1, 0, 2).reshape(rows, k * cols)
+    left = stack @ x[..., None, :, :]  # (..., k, rows, cols)
+    left = np.swapaxes(left, -3, -2).reshape(*x.shape[:-2], rows, k * cols)
     wide = stack.transpose(1, 0, 2).reshape(rows, k * cols)
     return left @ wide.conj().T
 
@@ -420,19 +424,30 @@ def entropy_probe(phi: KrausChannel, trials: int,
 
     Each trial derives its own seed from the generator, so the result is
     reproducible and independent of evaluation order; the seed of the worst
-    state is reported.  Rectangular channels are fine: the input state lives
-    at d = d_in and the output entropy is taken at d_out.
+    state is reported, and random_density(phi.d_in, default_rng(worst_seed))
+    replays that state.  Rectangular channels are fine: the input state lives at
+    d = d_in and the output entropy is taken at d_out.
+
+    The trials run in chunks small enough that the Kraus sandwich temporary
+    (chunk, k, d_out, d_in) and the output stack hold at most PROBE_CHUNK_ENTRIES
+    complex entries each, unless one trial alone is larger.  A chunk is one stack
+    of states, one Kraus sandwich and one `eigh` per side, and every input and
+    output state passes the checks of DensityMatrix, eig_hermitian and its
+    spectrum's ProbVector.
     """
     if trials < 1:
         raise ValueError(f"trials={trials} must be >= 1")
+    _require_trace_preserving(phi)
     seeds = rng.integers(0, 2**63 - 1, size=trials)
-    devs = []
-    for s in seeds:
-        rho = random_density(phi.d_in, np.random.default_rng(int(s)))
-        devs.append(abs(von_neumann_entropy(apply_channel(phi, rho))
-                        - von_neumann_entropy(rho)))
-    worst = int(np.argmax(devs))  # first maximum, as the trials ran
-    return EntropyProbeResult(max_deviation=devs[worst], worst_seed=int(seeds[worst]),
+    chunk = max(1, PROBE_CHUNK_ENTRIES // max(phi.kraus.size, phi.d_out**2))
+    devs = np.empty(trials)
+    for start in range(0, trials, chunk):
+        rho = random_density_stack(phi.d_in, seeds[start:start + chunk])
+        before = shannon_entropies(spectra(rho))
+        after = shannon_entropies(spectra(_sandwich(phi.kraus, rho)))
+        devs[start:start + chunk] = np.abs(after - before)
+    worst = int(np.argmax(devs))  # first maximum, in seed order
+    return EntropyProbeResult(max_deviation=float(devs[worst]), worst_seed=int(seeds[worst]),
                               trials=trials)
 
 

@@ -35,17 +35,7 @@ class ProbVector:
         arr = np.array(self.entries, dtype=float)
         if arr.ndim != 1 or arr.size < 1:
             raise InvalidValue("entries must be a non-empty 1-d sequence")
-        lo, hi = arr.min(), arr.max()  # both NaN when any entry is
-        if not -np.inf < lo <= hi < np.inf:
-            raise InvalidValue("entries must be finite")
-        if lo < -CLAMP_TOL:
-            raise InvalidValue(f"negative entry {float(lo)} below -{CLAMP_TOL}")
-        if lo < 0:
-            arr[arr < 0] = 0.0
-        if self.normalized:
-            total = arr.sum()
-            require(abs(total - 1.0), NORMALIZED_TOL, InvalidValue,
-                    "normalized vector sums to {}, not 1", total)
+        _require_probabilities(arr, self.normalized)
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -75,6 +65,24 @@ class MajorizationVerdict:
     def __post_init__(self):
         if self.holds and (self.first_violation is not None or not self.sums_equal):
             raise ValueError("holds requires sums_equal and no violation")
+
+
+def _require_probabilities(arr: np.ndarray, normalized: bool):
+    """Prove arr finite with no entry below -CLAMP_TOL, and set its negative entries to
+    zero in place; if normalized, each vector along the last axis must sum to 1."""
+    lo, hi = arr.min(), arr.max()  # both NaN when any entry is
+    if not -np.inf < lo <= hi < np.inf:
+        raise InvalidValue("entries must be finite")
+    if lo < -CLAMP_TOL:
+        raise InvalidValue(f"negative entry {float(lo)} below -{CLAMP_TOL}")
+    if lo < 0:
+        arr[arr < 0] = 0.0
+    if normalized:
+        total = arr.sum(axis=-1)
+        if total.ndim:  # one sum per row: check the one farthest from 1
+            total = total[np.abs(total - 1.0).argmax()]
+        require(abs(total - 1.0), NORMALIZED_TOL, InvalidValue,
+                "normalized vector sums to {}, not 1", total)
 
 
 def _as_array(p) -> np.ndarray:
@@ -136,11 +144,30 @@ def shannon_entropy(p) -> float:
     pos = arr[arr > LOG_FLOOR]
     if pos.size == 0:
         return 0.0
+    return float(_bits(pos))
+
+
+def shannon_entropies(rows) -> np.ndarray:
+    """H of each row of an (n, d) array, in bits.
+
+    Each row passes the checks of ProbVector(row, normalized=True) and of
+    shannon_entropy on it: finite, no entry below -CLAMP_TOL, a sum within
+    NORMALIZED_TOL of 1 (so no entry above 1 + NORMALIZED_TOL), and a finite entropy.
+    """
+    arr = np.array(rows, dtype=float)
+    if arr.ndim != 2 or not arr.size:
+        raise InvalidValue("rows must be a non-empty 2-d array")
+    _require_probabilities(arr, normalized=True)
+    return _bits(np.where(arr > LOG_FLOOR, arr, 1.0))  # an entry of 1 adds 0 bits
+
+
+def _bits(pos: np.ndarray) -> np.ndarray:
+    """-sum p log2(p) along the last axis, for entries above LOG_FLOOR; must be finite."""
     with np.errstate(over="ignore"):  # entries near the float maximum overflow x*log(x)
-        bits = -np.sum(pos * np.log2(pos))
-    if not np.isfinite(bits):
+        bits = -np.sum(pos * np.log2(pos), axis=-1)
+    if not np.isfinite(bits).all():
         raise InvalidValue(f"entropy sum {bits} is not finite")
-    return float(bits)
+    return bits
 
 
 def tail_group(c: ProbVector, n: int) -> ProbVector:

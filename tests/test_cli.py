@@ -361,6 +361,63 @@ class TestDeclaredFlags:
         assert "seed" not in json.loads(out)
 
 
+class TestSeedFlag:
+    """--seed takes any integer >= 0, however large, as default_rng does."""
+
+    @pytest.mark.parametrize("sub", ["probe-entropy", "gen"])
+    @pytest.mark.parametrize("seed", ["-1", "-5"])
+    def test_negative_seed_exit_two(self, tmp_path, capsys, sub, seed):
+        chan = tmp_path / "chan.json"
+        save_json(random_isometric_conjugation_channel(2, 3, np.random.default_rng(3))[0], chan)
+        argv = (["probe-entropy", "--in", str(chan), "--trials", "2"] if sub == "probe-entropy"
+                else ["gen", "state", "--d", "3"])
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", seed])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert f"error: argument --seed: {seed} is not >= 0" in err
+        assert "Traceback" not in err
+
+    def test_huge_seed_works(self, tmp_path, capsys):
+        huge = "123456789012345678901234567890"
+        chan = tmp_path / "chan.json"
+        rc, _, _ = run(capsys, "gen", "channel", "--d", "2", "--seed", huge, "--out", str(chan))
+        assert rc == 0
+        rc, out, _ = run(capsys, "probe-entropy", "--in", str(chan), "--trials", "2",
+                         "--seed", huge)
+        assert rc == 0
+        assert json.loads(out)["seed"] == int(huge)
+
+
+class TestParserBuiltOnce:
+    """main reuses one parser; no parse leaves state behind for the next."""
+
+    def test_one_parser_per_process(self):
+        from entmaj.cli import _parser
+        assert _parser() is _parser()
+
+    def test_successive_calls_see_only_their_own_files(self, tmp_path, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        write_json(a, {"entries": [0.6, 0.4]})
+        write_json(b, {"entries": [0.5, 0.5]})
+        rc, out, _ = run(capsys, "majorize", "--in", str(a), "--in", str(b))
+        assert rc == 0 and json.loads(out)["holds"] is False
+        rc, out, _ = run(capsys, "majorize", "--in", str(b), "--in", str(a))
+        assert rc == 0 and json.loads(out)["holds"] is True
+        rc, out, _ = run(capsys, "entropy", "--in", str(b))
+        assert rc == 0 and json.loads(out)["shannon_bits"] == 1.0
+
+    def test_rejected_call_leaves_no_trace(self, tmp_path, capsys):
+        b = tmp_path / "b.json"
+        write_json(b, {"entries": [0.5, 0.5]})
+        with pytest.raises(SystemExit) as exc:
+            main(["entropy", "--in", str(b), "--in", str(b), "--tol", "1"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        rc, out, _ = run(capsys, "entropy", "--in", str(b))
+        assert rc == 0 and json.loads(out)["shannon_bits"] == 1.0
+
+
 class TestExitCodeContract:
     """Every rejection exits 1 with a domain report or 2 with one `error:` line."""
 

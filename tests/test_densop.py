@@ -10,13 +10,15 @@ from entmaj.densop import (
     l1_equivalent,
     pure_state,
     random_density,
+    random_density_stack,
+    spectra,
     spectrum,
     state_majorized,
     trace_distance,
     von_neumann_entropy,
 )
-from entmaj.errors import DimensionMismatch, NotHermitian, NotUnitVector
-from entmaj.seqmaj import shannon_entropy
+from entmaj.errors import DimensionMismatch, InvalidValue, NotHermitian, NotUnitVector
+from entmaj.seqmaj import shannon_entropies, shannon_entropy
 
 
 def two_level_entropy(lam):
@@ -313,3 +315,79 @@ class TestPureMixtureOverlap:
             assert abs(s - 1.0) <= 1e-9
         else:
             assert abs(s - 1.0) > 1e-9
+
+
+def _single_state_error(m):
+    """The exception DensityMatrix, or else eig_hermitian, raises for one matrix alone."""
+    for check in (DensityMatrix, eig_hermitian):
+        try:
+            check(m)
+        except Exception as exc:  # noqa: BLE001 - the type is what is compared
+            return type(exc)
+    return None
+
+
+class TestStackedStateCheck:
+    """spectra checks every state of a stack as DensityMatrix and eig_hermitian check one."""
+
+    def stack(self):
+        return random_density_stack(3, [80, 81, 82, 83])
+
+    def test_valid_stack_matches_per_state_spectra(self):
+        rows = spectra(self.stack())
+        for s, row in zip([80, 81, 82, 83], rows):
+            expected = spectrum(random_density(3, np.random.default_rng(s))).entries
+            np.testing.assert_allclose(row, expected, atol=1e-15)
+        assert np.all(np.diff(rows, axis=1) <= 0)
+
+    def test_stack_holds_random_density_states(self):
+        for s, m in zip([80, 81, 82, 83], self.stack()):
+            np.testing.assert_array_equal(m, random_density(3, np.random.default_rng(s)).matrix)
+
+    def test_spectra_are_clamped_as_spectrum_clamps(self):
+        states = self.stack()
+        states[3] = np.diag([0.5 + 1e-10, 0.5, -1e-10])  # above EIG_FLOOR, below -CLAMP_TOL
+        rows = spectra(states)
+        np.testing.assert_array_equal(rows[3], spectrum(DensityMatrix(states[3])).entries)
+        assert rows.min() == 0.0
+        assert shannon_entropies(rows)[3] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("fault", [
+        np.diag([0.6, 0.3, 0.2]),  # trace 1.1
+        np.diag([0.6, 0.400001, -1e-6]),  # an eigenvalue of -1e-6
+        np.array([[0.5, 0.1, 0.0], [0.0, 0.3, 0.0], [0.0, 0.0, 0.2]]),  # not Hermitian
+        np.diag([np.nan, 0.5, 0.5]),  # a NaN entry
+    ], ids=["trace", "negative-eigenvalue", "non-hermitian", "nan"])
+    def test_one_faulty_state_is_refused_as_it_is_alone(self, fault):
+        expected = _single_state_error(fault.astype(complex))
+        assert expected in (InvalidValue, NotHermitian)
+        states = self.stack()
+        states[2] = fault
+        with pytest.raises(Exception) as err:
+            spectra(states)
+        assert type(err.value) is expected
+
+    def test_non_hermitian_state_is_named(self):
+        states = self.stack()
+        states[1, 0, 2] += 1e-3
+        with pytest.raises(NotHermitian, match="of state 1"):
+            spectra(states)
+
+    def test_failed_reconstruction_is_refused(self, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def skewed(m):
+            vals, vecs = eigh(m)
+            return vals, vecs * 1.001
+
+        monkeypatch.setattr(np.linalg, "eigh", skewed)
+        with pytest.raises(ArithmeticError):
+            spectra(self.stack())
+        with pytest.raises(ArithmeticError):
+            eig_hermitian(self.stack()[0])
+
+    @pytest.mark.parametrize("bad", [np.zeros((3, 3)), np.zeros((2, 3, 4)), np.zeros((0, 3, 3))],
+                             ids=["one-matrix", "not-square", "empty"])
+    def test_refuses_what_is_not_a_stack_of_square_matrices(self, bad):
+        with pytest.raises(InvalidValue):
+            spectra(bad)

@@ -12,7 +12,9 @@ from entmaj.densop import (
     von_neumann_entropy,
 )
 from entmaj.errors import DimensionMismatch, MajorizationFailed, NotTracePreserving, NotUnitary
+from entmaj import qchan
 from entmaj.qchan import (
+    PROBE_CHUNK_ENTRIES,
     KrausChannel,
     adjoint_apply,
     apply_channel,
@@ -635,3 +637,97 @@ class TestSpectralPreamble:
 def test_entropy_probe_needs_a_trial():
     with pytest.raises(ValueError):
         entropy_probe(dephasing_channel(), 0, np.random.default_rng(0))
+
+
+def per_trial_probe(phi, trials, rng):
+    """The probe one validated state at a time: (max deviation, worst seed, deviations)."""
+    seeds = rng.integers(0, 2**63 - 1, size=trials)
+    devs = []
+    for s in seeds:
+        rho = random_density(phi.d_in, np.random.default_rng(int(s)))
+        devs.append(abs(von_neumann_entropy(apply_channel(phi, rho)) - von_neumann_entropy(rho)))
+    worst = int(np.argmax(devs))
+    return devs[worst], int(seeds[worst]), devs
+
+
+class TestBatchedProbeMatchesPerTrial:
+    """entropy_probe against the per-trial oracle on the same seeds."""
+
+    @pytest.mark.parametrize("make", [
+        dephasing_channel,
+        *[lambda d=d: depolarizing_channel(d, 0.6) for d in range(2, 9)],
+        lambda: pinching_channel(haar_unitary(4, np.random.default_rng(61))),
+    ], ids=["dephasing", *[f"depolarizing-d{d}" for d in range(2, 9)], "pinching-d4"])
+    def test_same_worst_seed_where_the_deviation_is_signal(self, make):
+        phi = make()
+        result = entropy_probe(phi, 200, np.random.default_rng(62))
+        dev, seed, _ = per_trial_probe(phi, 200, np.random.default_rng(62))
+        assert result.worst_seed == seed
+        assert abs(result.max_deviation - dev) <= 1e-14
+        assert result.trials == 200
+
+    @pytest.mark.parametrize("d_in,d_out,terms", [(2, 2, 1), (4, 9, 3), (3, 7, 1), (8, 12, 5)])
+    def test_isometric_positives_agree_within_rounding(self, d_in, d_out, terms):
+        phi, _ = random_isometric_conjugation_channel(d_in, d_out, np.random.default_rng(63),
+                                                      terms)
+        result = entropy_probe(phi, 100, np.random.default_rng(64))
+        dev, _, _ = per_trial_probe(phi, 100, np.random.default_rng(64))
+        assert result.max_deviation <= 1e-13
+        assert abs(result.max_deviation - dev) <= 1e-14
+
+    def test_one_dimensional_input(self):
+        result = entropy_probe(identity_channel(1), 7, np.random.default_rng(66))
+        dev, seed, _ = per_trial_probe(identity_channel(1), 7, np.random.default_rng(66))
+        assert result.max_deviation == dev == 0.0
+        assert result.worst_seed == seed  # every deviation is 0: the first seed
+        phi, _ = random_isometric_conjugation_channel(1, 3, np.random.default_rng(65), 2)
+        result = entropy_probe(phi, 7, np.random.default_rng(66))
+        dev, _, _ = per_trial_probe(phi, 7, np.random.default_rng(66))
+        assert result.max_deviation <= 1e-13
+        assert abs(result.max_deviation - dev) <= 1e-14
+
+    def test_single_trial(self):
+        result = entropy_probe(dephasing_channel(), 1, np.random.default_rng(67))
+        dev, seed, _ = per_trial_probe(dephasing_channel(), 1, np.random.default_rng(67))
+        assert (result.worst_seed, result.trials) == (seed, 1)
+        assert abs(result.max_deviation - dev) <= 1e-14
+
+    def test_trials_one_past_a_chunk_boundary(self, monkeypatch):
+        phi = depolarizing_channel(8, 0.9)  # k = 64 Kraus operators
+        assert phi.num_kraus == 64
+        chunk = PROBE_CHUNK_ENTRIES // phi.kraus.size
+        calls = []
+        spectra = qchan.spectra
+        monkeypatch.setattr(qchan, "spectra", lambda x: calls.append(len(x)) or spectra(x))
+        result = entropy_probe(phi, chunk + 1, np.random.default_rng(68))
+        assert calls == [chunk, chunk, 1, 1]  # inputs and outputs of two chunks
+        dev, seed, _ = per_trial_probe(phi, chunk + 1, np.random.default_rng(68))
+        assert result.worst_seed == seed
+        assert abs(result.max_deviation - dev) <= 1e-14
+
+    def test_chunks_bound_a_wide_output_stack(self, monkeypatch):
+        phi, _ = random_isometric_conjugation_channel(2, 40, np.random.default_rng(73), 1)
+        assert phi.kraus.size < phi.d_out**2  # the output stack is the larger one
+        sizes = []
+        spectra = qchan.spectra
+        monkeypatch.setattr(qchan, "spectra", lambda x: sizes.append(x.size) or spectra(x))
+        result = entropy_probe(phi, 25, np.random.default_rng(74))
+        assert len(sizes) > 2 and max(sizes) <= PROBE_CHUNK_ENTRIES
+        dev, _, _ = per_trial_probe(phi, 25, np.random.default_rng(74))
+        assert abs(result.max_deviation - dev) <= 1e-14
+
+    def test_worst_seed_replays_the_worst_state(self):
+        phi = pinching_channel(haar_unitary(3, np.random.default_rng(69)))
+        result = entropy_probe(phi, 50, np.random.default_rng(70))
+        rho = random_density(phi.d_in, np.random.default_rng(result.worst_seed))
+        replay = abs(von_neumann_entropy(apply_channel(phi, rho)) - von_neumann_entropy(rho))
+        assert abs(replay - result.max_deviation) <= 1e-14
+
+    def test_eigensolver_runs_once_per_side_per_chunk(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)  # the probe needs no second solver
+        phi, _ = random_isometric_conjugation_channel(3, 7, np.random.default_rng(71), 1)
+        entropy_probe(phi, 40, np.random.default_rng(72))
+        assert calls == [(40, 3, 3), (40, 7, 7)]
