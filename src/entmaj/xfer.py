@@ -16,7 +16,8 @@ import numpy as np
 from .densop import isometry_defect
 from .errors import (InvalidValue, MajorizationFailed, MatchingFailed, NotDoublyStochastic,
                      NotOrthogonal, require)
-from .seqmaj import MAJORIZATION_TOL, ProbVector, convex_weights, is_majorized, sort_desc
+from .seqmaj import (MAJORIZATION_TOL, NORMALIZED_TOL, ProbVector, convex_weights,
+                     is_majorized, sort_desc)
 
 ENTRY_TOL = 1e-12
 SUM_TOL = 1e-9
@@ -109,10 +110,13 @@ class BirkhoffDecomposition:
 
     def __post_init__(self):
         try:
-            perms = np.array(self.permutations, dtype=int)
+            perms = np.array(self.permutations)
         except ValueError as exc:  # ragged rows
             raise InvalidValue("permutations must share one length") from exc
         w = convex_weights(self.weights, len(perms))
+        if perms.dtype.kind not in "iu":  # no truncated floats, no booleans
+            raise InvalidValue(f"permutations must hold integers, not {perms.dtype}")
+        perms = perms.astype(int, copy=False)
         if perms.ndim != 2:
             raise InvalidValue(f"permutations must form a (terms, d) stack, not {perms.shape}")
         k, d = perms.shape
@@ -235,7 +239,7 @@ def _augment(support: np.ndarray, perm: np.ndarray, inv: np.ndarray, root: int) 
     frontier = np.array([root])
     while frontier.size:
         hit = support[frontier] & ~seen
-        cols = np.flatnonzero(hit.any(axis=0))
+        cols = hit.any(axis=0).nonzero()[0]
         seen[cols] = True
         via[cols] = frontier[hit[:, cols].argmax(axis=0)]
         free = cols[inv[cols] < 0]
@@ -249,6 +253,31 @@ def _augment(support: np.ndarray, perm: np.ndarray, inv: np.ndarray, root: int) 
     return False
 
 
+def _swap(support: np.ndarray, perm: np.ndarray, inv: np.ndarray, residual: np.ndarray,
+          cur: np.ndarray, r: int) -> bool:
+    """Drop row r's matched entry from the support and re-match r by one swap.
+
+    Row r, the only row left free, takes the lowest column of its support
+    whose mate m reaches r's old column c, and m takes c: the path that
+    `_augment` from r finds first, since c is the only free column.  m's old
+    entry is written back to `residual` and both rows' entries are read into
+    `cur`.  Returns False, with only the support changed, when no such
+    column exists.
+    """
+    c = perm[r]
+    support[r, c] = False
+    cols = support[r].nonzero()[0]
+    mates = inv[cols]
+    hit = support[mates, c].nonzero()[0]
+    if not hit.size:
+        return False
+    c2, m = cols[hit[0]], mates[hit[0]]
+    residual[m, c2] = cur[m]
+    cur[r], cur[m] = residual[r, c2], residual[m, c]
+    perm[r], inv[c2], perm[m], inv[c] = c2, r, c, m
+    return True
+
+
 def birkhoff_decompose(q, tol: float = SUPPORT_TOL) -> BirkhoffDecomposition:
     """Greedy decomposition into a convex mixture of permutation matrices.
 
@@ -256,15 +285,20 @@ def birkhoff_decompose(q, tol: float = SUPPORT_TOL) -> BirkhoffDecomposition:
     residual and subtracts the minimal matched entry.  Each round zeroes at
     least one entry, so the loop is finite.  The first round runs only if
     some entry is >= tol.  Later rounds run while the residual's row mass
-    exceeds tol / 100: stopping at the first residual below tol could leave
-    nearly tol per row undecomposed.  They end early, without error, when
-    no perfect matching is left and every entry is below tol.
+    exceeds min(tol / 100, NORMALIZED_TOL): stopping at the first residual
+    below tol could leave nearly tol per row undecomposed, and a mass above
+    NORMALIZED_TOL would leave weights that do not sum to 1.
 
     The matching is warm-started: a round drops from the support only the
-    matched entries that fell to the floor, unmatches their rows, and
-    re-matches each of them by one augmenting path (Hopcroft and Karp, SIAM
-    J. Comput. 2, 1973), which by Berge's theorem reaches a perfect matching
-    whenever the support has one.
+    matched entries that fell to the floor and unmatches their rows.  When
+    a single row is freed it is first repaired by one swap with the mate of
+    one of its columns (`_swap`); otherwise, and when no swap exists, each
+    freed row is re-matched by one BFS augmenting path (Hopcroft and Karp,
+    SIAM J. Comput. 2, 1973), which by Berge's theorem reaches a perfect
+    matching whenever the support has one.  The swap is the path the BFS
+    would pick first, so both give the same terms.  The matched entries are
+    carried as one vector across rounds and written back to `residual` only
+    before a BFS repair and where a swap moves a row off its entry.
 
     The support graph keeps entries down to the floor tol / (100 d).  Rows
     and columns of the residual carry equal mass m, and each row hides at
@@ -274,10 +308,12 @@ def birkhoff_decompose(q, tol: float = SUPPORT_TOL) -> BirkhoffDecomposition:
     for every X when d < 100; beyond that MatchingFailed guards the round.
     A floor at tol itself would let borderline entries strand whole rows.
 
-    Raises MatchingFailed when some entry is still >= tol but the support
-    above the floor admits no perfect matching (numerical breakdown), the
-    errors of DoublyStochasticMatrix for bad input, and ValueError unless
-    0 < tol < inf.
+    Raises MatchingFailed, naming the undecomposed row mass and tol, when a
+    round finds no perfect matching on the support above the floor: either
+    an entry >= tol is stranded (numerical breakdown), or the entries below
+    the floor hold more than NORMALIZED_TOL of row mass, which a tol above
+    100 NORMALIZED_TOL allows.  Also raises the errors of
+    DoublyStochasticMatrix for bad input, and ValueError unless 0 < tol < inf.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol={tol} must be finite and > 0")
@@ -288,31 +324,40 @@ def birkhoff_decompose(q, tol: float = SUPPORT_TOL) -> BirkhoffDecomposition:
     d = residual.shape[0]
     rows = np.arange(d)
     floor = tol / (100.0 * d)
+    stop = min(d * floor, NORMALIZED_TOL)
     support = residual > floor
     perm = np.full(d, -1)
     inv = np.full(d, -1)
+    cur = np.zeros(d)  # residual[rows, perm] where matched; residual is stale there
     mass = residual.sum(axis=1).max()  # every round takes w from every row
 
     weights = []
     perms = []
+    free = rows
     going = residual.max() >= tol
     while going:
-        if not all(_augment(support, perm, inv, r) for r in np.flatnonzero(perm < 0)):
-            if residual.max() < tol:
-                break
-            raise MatchingFailed(
-                f"no perfect matching on the support above {floor} "
-                f"after {len(weights)} terms")
-        w = float(residual[rows, perm].min())
+        if free.size:
+            matched = (perm >= 0).nonzero()[0]
+            residual[matched, perm[matched]] = cur[matched]
+            if not all(_augment(support, perm, inv, r) for r in free):
+                raise MatchingFailed(
+                    f"no perfect matching on the support above {floor} after "
+                    f"{len(weights)} terms; row mass {mass:.3g} undecomposed at tol={tol}")
+            cur = residual[rows, perm]
+        w = float(cur.min())
         weights.append(w)
         perms.append(perm.copy())
-        residual[rows, perm] -= w
+        cur -= w
         mass -= w
-        gone = np.flatnonzero(residual[rows, perm] <= floor)
+        going = mass > stop
+        gone = (cur <= floor).nonzero()[0]
+        if gone.size == 1 and _swap(support, perm, inv, residual, cur, gone[0]):
+            free = gone[:0]
+            continue
         support[gone, perm[gone]] = False
         inv[perm[gone]] = -1
         perm[gone] = -1
-        going = mass > d * floor
+        free = gone
     return BirkhoffDecomposition(weights=np.array(weights), permutations=np.array(perms))
 
 

@@ -469,6 +469,21 @@ class TestExitCodeContract:
         assert err == ""
         assert json.loads(out)["error"] == "MatchingFailed"
 
+    def test_mass_left_below_the_floor_is_a_matching_failure(self, tmp_path, capsys):
+        # the entries below the floor tol / (100 d) hold far more than the weights' sum
+        # tolerance: the report names that row mass instead of a weight sum of 0.999
+        pair, q = tmp_path / "pair.json", tmp_path / "q.json"
+        assert run(capsys, "gen", "pair", "--d", "32", "--seed", "1", "--out", str(pair))[0] == 0
+        bundle = json.loads(pair.read_text())
+        save_json(chain_to_doubly_stochastic(find_transfer_chain(
+            prob_vector_from_json(bundle["a"]), prob_vector_from_json(bundle["b"]))), q)
+        rc, out, err = run(capsys, "birkhoff", "--in", str(q), "--tol", "0.1")
+        assert rc == 1
+        assert err == ""
+        report = json.loads(out)
+        assert report["error"] == "MatchingFailed"
+        assert "undecomposed at tol=0.1" in report["message"]
+
     def test_complex_matrix_to_birkhoff_exit_two(self, tmp_path, capsys):
         p = tmp_path / "complex.json"
         p.write_text('{"d_rows":2,"d_cols":2,"rows":[[[0.5,0],[0.5,0]],[[0.5,0],[0.5,0.1]]]}')

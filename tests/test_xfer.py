@@ -1,8 +1,11 @@
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entmaj import xfer
 from entmaj.densop import random_density
 from entmaj.errors import (InvalidValue, MajorizationFailed, MatchingFailed, NotDoublyStochastic,
                            NotOrthogonal)
@@ -123,6 +126,15 @@ class TestChainToDoublyStochastic:
             assert is_majorized(q.entries @ v, v, 1e-9).holds
 
 
+def cyclic_mixture(d, k, scrambled):
+    """(I + C + ... + C^(k-1)) / k for the cyclic shift C; scrambled relabels rows and columns."""
+    q = sum(np.roll(np.eye(d), j, axis=1) for j in range(k)) / k
+    if scrambled:
+        rng = np.random.default_rng(5)
+        q = q[rng.permutation(d)][:, rng.permutation(d)]
+    return q
+
+
 class TestBirkhoffDecompose:
     def test_even_two_by_two(self):
         dec = birkhoff_decompose(np.array([[0.5, 0.5], [0.5, 0.5]]))
@@ -160,13 +172,8 @@ class TestBirkhoffDecompose:
     @pytest.mark.parametrize("scrambled", [False, True])
     @pytest.mark.parametrize("k", [2, 3])
     def test_cyclic_mixture_splits_into_k_terms(self, k, scrambled):
-        # (I + C + ... + C^(k-1)) / k for the cyclic shift C; relabelling rows and
-        # columns makes the repairs follow long augmenting paths
-        d = 50
-        q = sum(np.roll(np.eye(d), j, axis=1) for j in range(k)) / k
-        if scrambled:
-            rng = np.random.default_rng(5)
-            q = q[rng.permutation(d)][:, rng.permutation(d)]
+        # relabelling rows and columns makes the repairs follow long augmenting paths
+        q = cyclic_mixture(50, k, scrambled)
         dec = birkhoff_decompose(q)
         assert len(dec.weights) == k
         assert np.array_equal(dec.matrix(), q)
@@ -186,6 +193,22 @@ class TestBirkhoffDecompose:
         with pytest.raises(MatchingFailed, match="no perfect matching"):
             birkhoff_decompose([[1.0, 0.0], [5e-10, 1.0 - 5e-10]], tol=1e-12)
 
+    def test_mass_left_below_the_floor_is_a_matching_failure(self):
+        # at tol 0.1 the floor is 0.1 / 3200, and the entries below it hold far more than
+        # NORMALIZED_TOL of row mass: weights summing to 0.9992 would fail the type
+        a, b = random_majorized_pair(32, np.random.default_rng(1))
+        q = chain_to_doubly_stochastic(find_transfer_chain(a, b))
+        with pytest.raises(MatchingFailed, match=r"row mass \S+ undecomposed at tol=0\.1$"):
+            birkhoff_decompose(q, tol=0.1)
+
+    def test_large_tol_still_decomposes_the_whole_mass(self):
+        # stopping once the row mass fell to tol / 100 left 0.0016 of it undecomposed here
+        a, b = random_majorized_pair(4, np.random.default_rng(1))
+        q = chain_to_doubly_stochastic(find_transfer_chain(a, b))
+        dec = birkhoff_decompose(q, tol=0.5)
+        assert abs(dec.weights.sum() - 1.0) <= NORMALIZED_TOL
+        assert np.abs(dec.matrix() - q.entries).max() <= NORMALIZED_TOL
+
     def test_term_bound_enforced_by_type(self):
         with pytest.raises(ValueError):
             BirkhoffDecomposition(
@@ -193,8 +216,10 @@ class TestBirkhoffDecompose:
                 permutations=tuple(np.array([0, 1]) for _ in range(3)))
 
     @pytest.mark.parametrize("perms", [([0, 1], [0, 1, 2]), ([0, 1], [1, 1]), ([0, 2], [1, 0]),
-                                       [0, 1], [[[0, 1]], [[1, 0]]], [[], []]],
-                             ids=["ragged", "repeat", "out-of-range", "flat", "3-d", "empty"])
+                                       [0, 1], [[[0, 1]], [[1, 0]]], [[], []],
+                                       ([0.0, 1.9], [1.0, 0.0]), ([True, False], [False, True])],
+                             ids=["ragged", "repeat", "out-of-range", "flat", "3-d", "empty",
+                                  "float", "bool"])
     def test_rows_must_form_a_stack_of_permutations(self, perms):
         with pytest.raises(InvalidValue):
             BirkhoffDecomposition(weights=[0.5, 0.5], permutations=perms)
@@ -213,6 +238,110 @@ class TestBirkhoffDecompose:
         for w, p in zip(dec.weights, dec.permutations):
             expected[np.arange(32), p] += w
         assert np.array_equal(dec.matrix(), expected)
+
+
+def _bfs_augment(support, perm, inv, root):
+    """Reference augmenting path: breadth first from root, lowest columns first."""
+    seen = np.zeros(inv.size, dtype=bool)
+    via = np.empty(inv.size, dtype=int)
+    frontier = np.array([root])
+    while frontier.size:
+        hit = support[frontier] & ~seen
+        cols = np.flatnonzero(hit.any(axis=0))
+        seen[cols] = True
+        via[cols] = frontier[hit[:, cols].argmax(axis=0)]
+        free = cols[inv[cols] < 0]
+        if free.size:
+            c = free[0]
+            while c >= 0:
+                r = via[c]
+                perm[r], inv[c], c = c, r, perm[r]
+            return True
+        frontier = inv[cols]
+    return False
+
+
+def bfs_only_birkhoff(q, tol):
+    """Reference Birkhoff loop: every freed row re-matched by `_bfs_augment`, and the
+    matched entries gathered from and scattered to the full residual every round.
+    Valid for tol <= 100 NORMALIZED_TOL, where birkhoff_decompose stops at tol / 100."""
+    residual = np.array(q, dtype=float)
+    residual[residual < 0] = 0.0
+    d = residual.shape[0]
+    rows = np.arange(d)
+    floor = tol / (100.0 * d)
+    support = residual > floor
+    perm = np.full(d, -1)
+    inv = np.full(d, -1)
+    mass = residual.sum(axis=1).max()
+    weights, perms = [], []
+    going = residual.max() >= tol
+    while going:
+        assert all(_bfs_augment(support, perm, inv, r) for r in np.flatnonzero(perm < 0))
+        w = float(residual[rows, perm].min())
+        weights.append(w)
+        perms.append(perm.copy())
+        residual[rows, perm] -= w
+        mass -= w
+        gone = np.flatnonzero(residual[rows, perm] <= floor)
+        support[gone, perm[gone]] = False
+        inv[perm[gone]] = -1
+        perm[gone] = -1
+        going = mass > d * floor
+    return np.array(weights), np.array(perms)
+
+
+@pytest.fixture
+def repairs(monkeypatch):
+    """Count birkhoff_decompose's BFS repairs and its swap repairs, by outcome."""
+    counts = collections.Counter()
+    augment, swap = xfer._augment, xfer._swap
+
+    def counted_augment(*args):
+        counts["bfs"] += 1
+        return augment(*args)
+
+    def counted_swap(*args):
+        ok = swap(*args)
+        counts["swap" if ok else "swap_failed"] += 1
+        return ok
+
+    monkeypatch.setattr(xfer, "_augment", counted_augment)
+    monkeypatch.setattr(xfer, "_swap", counted_swap)
+    return counts
+
+
+class TestBirkhoffMatchesTheBfsOnlyLoop:
+    """The swap repair and the carried matched entries change no weight and no permutation."""
+
+    def assert_same_terms(self, q, tol):
+        dec = birkhoff_decompose(q, tol=tol)
+        weights, perms = bfs_only_birkhoff(q, tol)
+        assert np.array_equal(dec.weights, weights)
+        assert np.array_equal(dec.permutations, perms)
+        return dec
+
+    @pytest.mark.parametrize("tol", [SUPPORT_TOL, MIXTURE_SUPPORT_TOL])
+    @pytest.mark.parametrize("d", [1, 2, 8, 32, 64, 128])
+    def test_chain_matrices(self, repairs, d, tol):
+        a, b = random_majorized_pair(d, np.random.default_rng(1000 + d))
+        dec = self.assert_same_terms(chain_to_doubly_stochastic(find_transfer_chain(a, b)).entries,
+                                   tol)
+        assert repairs["bfs"] >= d
+        if d >= 32:  # every repair runs: swaps, swaps that find no path, and BFS after round one
+            assert repairs["swap"] > 0 and repairs["swap_failed"] > 0 and repairs["bfs"] > d
+            assert repairs["swap"] + repairs["swap_failed"] < len(dec.weights) - 1
+
+    @pytest.mark.parametrize("tol", [SUPPORT_TOL, MIXTURE_SUPPORT_TOL])
+    @pytest.mark.parametrize("q", [np.full((d, d), 1 / d) for d in (2, 5, 16, 40)]
+                             + [cyclic_mixture(50, k, s) for k in (2, 3, 5) for s in (False, True)],
+                             ids=[f"flat-{d}" for d in (2, 5, 16, 40)]
+                             + [f"cyclic-{k}{'-scrambled' * s}" for k in (2, 3, 5)
+                                for s in (False, True)])
+    def test_ties_free_several_rows_per_round(self, repairs, q, tol):
+        self.assert_same_terms(q, tol)
+        assert repairs["bfs"] > len(q)
+        assert repairs["swap"] == 0
 
 
 def mixture_point(decomp, b):
