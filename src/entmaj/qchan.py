@@ -32,21 +32,14 @@ from .errors import (
     NotUnitary,
     require,
 )
-from .seqmaj import MAJORIZATION_TOL, convex_weights, is_majorized, shannon_entropies
-from .xfer import (
-    birkhoff_decompose,
-    caratheodory_reduce,
-    chain_to_doubly_stochastic,
-    find_transfer_chain,
-    schur_horn_orthogonal,
-)
+from .seqmaj import MAJORIZATION_TOL, convex_weights, shannon_entropies
+from .xfer import chain_to_orthogonal, find_transfer_chain
 
 COMPLETENESS_TOL = 1e-8
 UNITARY_TOL = 1e-9
 MIXTURE_UNITARY_TOL = 1e-8  # unitarity of the terms of a mixed-unitary channel
 CP_FLOOR = -1e-8  # smallest Choi eigenvalue still read as completely positive
 ISOMETRY_TOL = 1e-7  # default tolerance of the isometric-conjugation detector
-MIXTURE_SUPPORT_TOL = 1e-10  # birkhoff_decompose's tol inside mixed_unitary_uhlmann
 # most complex entries in any stack entropy_probe builds for one chunk of trials
 PROBE_CHUNK_ENTRIES = 2**14
 
@@ -329,18 +322,26 @@ def pinch_convergence_experiment(rho2: DensityMatrix, basis) -> list[PinchRow]:
     return rows
 
 
-def _spectral_preamble(rho1: DensityMatrix, rho2: DensityMatrix, tol: float):
-    """Spectra and eigenbases of both states, each decomposed once; rho1 must be
-    majorized by rho2."""
+def _uhlmann_frame(rho1: DensityMatrix, rho2: DensityMatrix, tol: float):
+    """F, E and the transfer chain behind both Uhlmann constructions, each state
+    decomposed once; rho1 must be majorized by rho2, or MajorizationFailed carries
+    the verdict.
+
+    F is the eigenbasis of rho1 and E = Y U^T, with Y the eigenbasis of rho2 and
+    U the chain's Schur-Horn rotation, so E^* rho2 E = U diag(b) U^T has rho1's
+    spectrum a on its diagonal.  U only mixes coordinates that the chain's steps
+    connect, so that matrix is block-diagonal in the chain's blocks.
+    """
     if rho1.d != rho2.d:
         raise DimensionMismatch(f"dimensions {rho1.d} vs {rho2.d}")
     e1, e2 = eig_hermitian(rho1), eig_hermitian(rho2)
-    a, b = spectrum(e1), spectrum(e2)
-    verdict = is_majorized(a, b, tol)
-    if not verdict.holds:
+    try:
+        chain = find_transfer_chain(spectrum(e1), spectrum(e2), tol)
+    except MajorizationFailed as exc:
         raise MajorizationFailed("spectrum(rho1) is not majorized by spectrum(rho2)",
-                                 verdict=verdict)
-    return a, b, e1.eigenvectors, e2.eigenvectors
+                                 verdict=exc.verdict) from None
+    e = e2.eigenvectors @ chain_to_orthogonal(chain).entries.T
+    return e1.eigenvectors, e, chain
 
 
 def uhlmann_channel(rho1: DensityMatrix, rho2: DensityMatrix,
@@ -348,14 +349,12 @@ def uhlmann_channel(rho1: DensityMatrix, rho2: DensityMatrix,
     """Bistochastic channel carrying rho2 onto rho1 when rho1 is spectrally flatter.
 
     Rank-one construction: rotate the eigenbasis of rho2 by the orthogonal
-    matrix that realizes the spectral transfer, so the rotated basis sees
+    matrix that realizes the spectral transfer, so the rotated basis E sees
     rho1's eigenvalues on the diagonal, then relabel those directions onto
-    the eigenbasis of rho1.  The result pinches and relabels in one step and
-    is exactly bistochastic.
+    the eigenbasis F of rho1.  The Kraus operators |f_i><e_i| pinch and
+    relabel in one step, and the channel is exactly bistochastic.
     """
-    a, b, f, y = _spectral_preamble(rho1, rho2, tol)
-    u = schur_horn_orthogonal(a, b, tol).entries
-    e = y @ u.T  # column i satisfies <rho2 e_i, e_i> = a_i
+    f, e, _ = _uhlmann_frame(rho1, rho2, tol)
     ops = f.T[:, :, None] * e.T.conj()[:, None, :]  # |f_i><e_i| per column
     return KrausChannel(d_in=rho1.d, d_out=rho1.d, kraus=ops,
                         trace_preserving=True, unital=True)
@@ -363,21 +362,26 @@ def uhlmann_channel(rho1: DensityMatrix, rho2: DensityMatrix,
 
 def mixed_unitary_uhlmann(rho1: DensityMatrix, rho2: DensityMatrix,
                           tol: float = MAJORIZATION_TOL) -> MixedUnitaryTransfer:
-    """Mixture of unitaries with sum_i t_i U_i rho2 U_i^* = rho1.
+    """Uniform mixture of n <= d unitaries with (1/n) sum_k U_k rho2 U_k^* = rho1.
 
-    The transfer chain's doubly stochastic matrix is split into permutations,
-    and those are cut to at most d that rearrange rho2's spectrum into the
-    same mixture; each one becomes a unitary that relabels rho2's eigenbasis
-    onto rho1's through that permutation.
+    The pinching in the frame E of `uhlmann_channel`, followed by its
+    relabelling onto F, written with unitaries.  E^* rho2 E is block-diagonal in
+    the transfer chain's blocks (coordinates its steps connect), so a phase
+    that takes distinct values within each block pinches it: numbering each
+    coordinate by its position pos in its block, with n the largest block, the
+    average of D^k (.) D^-k over k < n, D = diag(omega^pos) and
+    omega = exp(2 pi i / n), keeps the diagonal alone.  U_k = F D^k E^*.
     """
-    a, b, f, y = _spectral_preamble(rho1, rho2, tol)
-    chain = find_transfer_chain(a, b, tol)
-    q = chain_to_doubly_stochastic(chain)
-    decomp = caratheodory_reduce(birkhoff_decompose(q, tol=MIXTURE_SUPPORT_TOL), b.entries)
-    # P = eye[p] has P[i, p[i]] = 1, so it rearranges rho2's sorted eigenvalues
-    # by p; f @ P is f with its columns permuted by the inverse of p
-    unitaries = f[:, np.argsort(decomp.permutations, axis=1)].transpose(1, 0, 2) @ y.conj().T
-    return MixedUnitaryTransfer(weights=decomp.weights, unitaries=tuple(unitaries))
+    f, e, chain = _uhlmann_frame(rho1, rho2, tol)
+    block = np.arange(chain.d)
+    for s in chain.steps:
+        block[block == block[s.j]] = block[s.i]
+    pos = np.tril(block[:, None] == block[None, :], -1).sum(axis=1)
+    n = int(pos.max()) + 1
+    phases = np.exp(2j * np.pi / n * (np.arange(n)[:, None] * pos % n))  # row k: diag of D^k
+    e_star = e.conj().T
+    unitaries = tuple((f * p) @ e_star for p in phases)  # one d x d temporary at a time
+    return MixedUnitaryTransfer(weights=np.full(n, 1.0 / n), unitaries=unitaries)
 
 
 def detect_isometry(phi: KrausChannel, tol: float = ISOMETRY_TOL) -> IsometryReport:

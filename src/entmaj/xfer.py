@@ -2,9 +2,9 @@
 
 Four interoperating witnesses: chains of elementary two-coordinate transfers,
 the doubly stochastic matrix a chain multiplies out to, its decomposition into
-a convex mixture of permutations (which `caratheodory_reduce` cuts to at most d
-that carry the source vector to the same point), and a real orthogonal matrix
-whose squared entries carry the sorted source spectrum onto the sorted target.
+a convex mixture of permutations, and the real orthogonal matrix a chain
+multiplies out to, one plane rotation per step, whose squared entries carry the
+sorted source spectrum onto the sorted target.
 """
 
 from __future__ import annotations
@@ -202,15 +202,13 @@ def chain_to_doubly_stochastic(chain: TransferChain) -> DoublyStochasticMatrix:
     return DoublyStochasticMatrix(q)
 
 
-def schur_horn_orthogonal(a, b, tol: float = MAJORIZATION_TOL) -> OrthogonalMatrix:
-    """Real orthogonal U with diag(U diag(b_sorted) U^T) = a_sorted.
+def chain_to_orthogonal(chain: TransferChain) -> OrthogonalMatrix:
+    """Multiply out one plane rotation per step, last step leftmost, cos^2(theta) = t.
 
-    One plane rotation per transfer step, with cos^2(theta) equal to the
-    step's mixing weight.  Each step's coordinate pair is off-diagonal-free
-    at the time it is rotated, so the diagonal evolves exactly like the
+    Each step's coordinate pair is off-diagonal-free at the time it is
+    rotated, so the diagonal of U diag(b_sorted) U^T evolves exactly like the
     transfer chain.
     """
-    chain = find_transfer_chain(a, b, tol)
     u = np.eye(chain.d)
     for s in chain.steps:
         c = np.sqrt(s.t)
@@ -218,6 +216,12 @@ def schur_horn_orthogonal(a, b, tol: float = MAJORIZATION_TOL) -> OrthogonalMatr
         rows = u[[s.i, s.j], :]
         u[[s.i, s.j], :] = np.array([[c, -sn], [sn, c]]) @ rows
     return OrthogonalMatrix(u)
+
+
+def schur_horn_orthogonal(a, b, tol: float = MAJORIZATION_TOL) -> OrthogonalMatrix:
+    """Real orthogonal U with diag(U diag(b_sorted) U^T) = a_sorted: the transfer
+    chain from b to a, multiplied out by `chain_to_orthogonal`."""
+    return chain_to_orthogonal(find_transfer_chain(a, b, tol))
 
 
 def orthostochastic_of(u) -> DoublyStochasticMatrix:
@@ -360,48 +364,3 @@ def birkhoff_decompose(q, tol: float = SUPPORT_TOL) -> BirkhoffDecomposition:
         free = gone
     return BirkhoffDecomposition(weights=np.array(weights), permutations=np.array(perms))
 
-
-def caratheodory_reduce(decomp: BirkhoffDecomposition, b) -> BirkhoffDecomposition:
-    """At most d of decomp's permutations, reweighted to keep sum_i t_i b[p_i] and sum_i t_i.
-
-    The points b[p_i] lie in the (d-1)-dimensional permutohedron of b, so by
-    Carathéodory's theorem d of them carry the same convex combination.  They
-    are taken d at a time, added to the points kept so far; every null vector
-    of the kept points' constraints drops one of them by a ratio test, and one
-    null vector is spent to make the others zero at the dropped point.  A
-    least-squares solve on the kept points then removes the rounding drift of
-    those steps.
-    """
-    perms = decomp.permutations
-    m, d = perms.shape
-    if np.shape(b) != (d,):
-        raise InvalidValue(f"b has shape {np.shape(b)}, expected ({d},)")
-    points = np.asarray(b, dtype=float)[perms]  # row i is b[p_i]
-    # every point sums to sum(b): the weights' total fixes the last coordinate
-    constraints = np.vstack([points[:, :-1].T, np.ones(m)])
-    t = decomp.weights.copy()
-    kept = np.arange(0)
-    for start in range(0, m, d):
-        rows = np.concatenate([kept, np.arange(start, min(start + d, m))])
-        _, s, vt = np.linalg.svd(constraints[:, rows])
-        null = vt[int((s > s[0] * rows.size * np.finfo(float).eps).sum()):].T
-        alive = np.ones(rows.size, dtype=bool)
-        while null.shape[1]:
-            z = null[:, 0]  # sums to 0 (the last constraint), so it has positive entries
-            pos = np.nonzero(z > 0)[0]
-            r = pos[np.argmin(t[rows[pos]] / z[pos])]
-            t[rows] = np.maximum(t[rows] - t[rows[r]] / z[r] * z, 0.0)
-            t[rows[r]] = 0.0
-            alive[r] = False
-            # eliminate row r on the null vector largest there, so no multiplier exceeds 1
-            c = np.argmax(np.abs(null[r]))
-            null = np.delete(null - np.outer(null[:, c], null[r] / null[r, c]), c, axis=1)
-            null[r] = 0.0
-        kept = rows[alive & (t[rows] > 0)]
-    lhs = np.vstack([points.T, np.ones(m)])
-    rhs = lhs @ decomp.weights
-    while True:
-        weights = np.linalg.lstsq(lhs[:, kept], rhs, rcond=None)[0]
-        if weights.min() > 0:
-            return BirkhoffDecomposition(weights=weights, permutations=perms[kept])
-        kept = kept[weights > 0]

@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from entmaj.densop import (
     von_neumann_entropy,
 )
 from entmaj.errors import DimensionMismatch, MajorizationFailed, NotTracePreserving, NotUnitary
-from entmaj import qchan
+from entmaj import qchan, xfer
 from entmaj.qchan import (
     PROBE_CHUNK_ENTRIES,
     KrausChannel,
@@ -38,7 +40,7 @@ from entmaj.qchan import (
     structure_checks,
     uhlmann_channel,
 )
-from entmaj.seqmaj import is_majorized, random_majorized_pair
+from entmaj.seqmaj import is_majorized, random_majorized_pair, sort_desc
 
 
 def dephasing_channel():
@@ -256,8 +258,10 @@ class TestUhlmannChannel:
         rng = np.random.default_rng(14)
         rho1 = pure_state(np.array([1.0, 0.0]))
         rho2 = random_density(2, rng, spec=[0.6, 0.4])
-        with pytest.raises(MajorizationFailed):
-            uhlmann_channel(rho1, rho2)
+        for construct in (uhlmann_channel, mixed_unitary_uhlmann):
+            with pytest.raises(MajorizationFailed, match=r"spectrum\(rho1\)") as info:
+                construct(rho1, rho2)
+            assert not info.value.verdict.holds
 
 
 class TestMixedUnitaryUhlmann:
@@ -285,6 +289,34 @@ class TestMixedUnitaryUhlmann:
             assert len(mix.unitaries) == d
             np.testing.assert_allclose(mix.weights, 1.0 / d, atol=1e-12)
             assert trace_distance(mixture_output(mix, rho2), rho1) <= 1e-9
+
+    def test_dimension_one_is_one_unitary_of_weight_one(self):
+        rho = DensityMatrix(np.ones((1, 1), dtype=complex))
+        mix = mixed_unitary_uhlmann(rho, rho)
+        assert len(mix.unitaries) == 1
+        assert mix.weights[0] == 1.0
+        assert trace_distance(mixture_output(mix, rho), rho) <= 1e-12
+
+    def test_two_blocks_need_only_the_larger_block_size(self):
+        # the chain pairs coordinates (2, 3) and then (0, 1): two blocks of two
+        rng = np.random.default_rng(21)
+        rho1 = random_density(4, rng, spec=[0.35, 0.35, 0.15, 0.15])
+        rho2 = random_density(4, rng, spec=[0.4, 0.3, 0.2, 0.1])
+        mix = mixed_unitary_uhlmann(rho1, rho2)
+        assert len(mix.unitaries) == 2
+        assert list(mix.weights) == [0.5, 0.5]
+        assert trace_distance(mixture_output(mix, rho2), rho1) <= 1e-12
+
+    def test_reaches_the_source_spectra_at_d64(self):
+        rng = np.random.default_rng(64)
+        for _ in range(10):
+            a, b = random_majorized_pair(64, rng)
+            rho2 = random_density(64, rng, spec=b)
+            mix = mixed_unitary_uhlmann(random_density(64, rng, spec=a), rho2)
+            out = sum(t * u @ rho2.matrix @ u.conj().T
+                      for t, u in zip(mix.weights, mix.unitaries))
+            point = np.linalg.eigvalsh(out)[::-1]
+            assert np.abs(point - sort_desc(a).entries).max() <= 1e-12
 
     def test_random_pairs_majorization_both_ways(self):
         rng = np.random.default_rng(16)
@@ -624,14 +656,24 @@ class TestSpectralPreamble:
         a, b = random_majorized_pair(5, rng)
         rho1 = random_density(5, rng, spec=a)
         rho2 = random_density(5, rng, spec=b)
-        calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(1) or eigh(m))
-        uhlmann_channel(rho1, rho2)
-        assert len(calls) == 2
-        calls.clear()
-        mixed_unitary_uhlmann(rho1, rho2)
-        assert len(calls) == 2
+        calls = collections.Counter()
+        eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+        chain = xfer.find_transfer_chain
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.update(["eigh"]) or eigh(m))
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda m: calls.update(["eigvalsh"]) or eigvalsh(m))
+
+        def counted_chain(*args):
+            calls["chain"] += 1
+            return chain(*args)
+
+        # both names, so a second chain built through schur_horn_orthogonal is counted too
+        monkeypatch.setattr(xfer, "find_transfer_chain", counted_chain)
+        monkeypatch.setattr(qchan, "find_transfer_chain", counted_chain)
+        for construct in (uhlmann_channel, mixed_unitary_uhlmann):
+            calls.clear()
+            construct(rho1, rho2)
+            assert calls == {"eigh": 2, "chain": 1}
 
 
 def test_entropy_probe_needs_a_trial():

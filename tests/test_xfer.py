@@ -7,20 +7,21 @@ from hypothesis import strategies as st
 
 from entmaj import xfer
 from entmaj.densop import random_density
-from entmaj.errors import (InvalidValue, MajorizationFailed, MatchingFailed, NotDoublyStochastic,
-                           NotOrthogonal)
-from entmaj.qchan import MIXTURE_SUPPORT_TOL, mixed_unitary_uhlmann
+from entmaj.errors import (DimensionMismatch, InvalidValue, MajorizationFailed, MatchingFailed,
+                           NotDoublyStochastic, NotOrthogonal)
+from entmaj.qchan import mixed_unitary_uhlmann
 from entmaj.seqmaj import (NORMALIZED_TOL, ProbVector, is_majorized, random_majorized_pair,
                            sort_desc)
 from entmaj.xfer import (
     SUPPORT_TOL,
     BirkhoffDecomposition,
     DoublyStochasticMatrix,
+    TransferChain,
     TTransform,
     apply_t_transform,
     birkhoff_decompose,
-    caratheodory_reduce,
     chain_to_doubly_stochastic,
+    chain_to_orthogonal,
     find_transfer_chain,
     orthostochastic_of,
     schur_horn_orthogonal,
@@ -96,7 +97,6 @@ class TestChainToDoublyStochastic:
         np.testing.assert_allclose(q.entries, [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
 
     def test_empty_chain_is_identity(self):
-        from entmaj.xfer import TransferChain
         q = chain_to_doubly_stochastic(TransferChain(d=3, steps=()))
         np.testing.assert_array_equal(q.entries, np.eye(3))
 
@@ -321,7 +321,7 @@ class TestBirkhoffMatchesTheBfsOnlyLoop:
         assert np.array_equal(dec.permutations, perms)
         return dec
 
-    @pytest.mark.parametrize("tol", [SUPPORT_TOL, MIXTURE_SUPPORT_TOL])
+    @pytest.mark.parametrize("tol", [SUPPORT_TOL, 1e-10])
     @pytest.mark.parametrize("d", [1, 2, 8, 32, 64, 128])
     def test_chain_matrices(self, repairs, d, tol):
         a, b = random_majorized_pair(d, np.random.default_rng(1000 + d))
@@ -332,7 +332,7 @@ class TestBirkhoffMatchesTheBfsOnlyLoop:
             assert repairs["swap"] > 0 and repairs["swap_failed"] > 0 and repairs["bfs"] > d
             assert repairs["swap"] + repairs["swap_failed"] < len(dec.weights) - 1
 
-    @pytest.mark.parametrize("tol", [SUPPORT_TOL, MIXTURE_SUPPORT_TOL])
+    @pytest.mark.parametrize("tol", [SUPPORT_TOL, 1e-10])
     @pytest.mark.parametrize("q", [np.full((d, d), 1 / d) for d in (2, 5, 16, 40)]
                              + [cyclic_mixture(50, k, s) for k in (2, 3, 5) for s in (False, True)],
                              ids=[f"flat-{d}" for d in (2, 5, 16, 40)]
@@ -344,57 +344,55 @@ class TestBirkhoffMatchesTheBfsOnlyLoop:
         assert repairs["swap"] == 0
 
 
-def mixture_point(decomp, b):
-    """sum_i t_i b[p_i]."""
-    return decomp.weights @ np.asarray(b)[np.array(decomp.permutations)]
-
-
 class TestCaratheodoryReduce:
-    def reduce_chain(self, a, b):
-        """The chain's Birkhoff terms as qchan.mixed_unitary_uhlmann splits them, and their cut."""
-        q = chain_to_doubly_stochastic(find_transfer_chain(a, b))
-        decomp = birkhoff_decompose(q, tol=MIXTURE_SUPPORT_TOL)
-        return decomp, caratheodory_reduce(decomp, sort_desc(ProbVector(b)).entries)
+    """Carathéodory's bound on the Uhlmann mixture, met without a reduction pass:
+    at most d unitaries of equal positive weight, carrying rho2 onto rho1."""
 
-    def assert_reduced(self, decomp, reduced, a, b):
+    def reduce_pair(self, a, b, rng):
+        """rho1 and rho2 with spectra a and b in Haar-random bases, and their mixture."""
         d = len(b)
-        bs = sort_desc(ProbVector(b)).entries
-        assert len(reduced.permutations) <= d
-        assert reduced.weights.min() > 0
-        assert abs(reduced.weights.sum() - 1.0) <= NORMALIZED_TOL
-        assert reduced.weights.sum() == pytest.approx(decomp.weights.sum(), abs=1e-12)
-        assert np.abs(mixture_point(reduced, bs) - sort_desc(ProbVector(a)).entries).max() <= 1e-12
-        assert np.abs(mixture_point(reduced, bs) - mixture_point(decomp, bs)).max() <= 1e-12
-        given = {tuple(p) for p in decomp.permutations}
-        assert all(tuple(p) in given for p in reduced.permutations)
+        rho1 = random_density(d, rng, spec=np.asarray(a, dtype=float))
+        rho2 = random_density(d, rng, spec=np.asarray(b, dtype=float))
+        return rho1, rho2, mixed_unitary_uhlmann(rho1, rho2)
+
+    def assert_reduced(self, rho1, rho2, mix, a):
+        n = len(mix.unitaries)
+        assert 1 <= n <= rho1.d
+        assert np.all(mix.weights == 1.0 / n)
+        assert abs(mix.weights.sum() - 1.0) <= NORMALIZED_TOL
+        out = sum(t * u @ rho2.matrix @ u.conj().T for t, u in zip(mix.weights, mix.unitaries))
+        point = np.linalg.eigvalsh(out)[::-1]
+        assert np.abs(point - sort_desc(ProbVector(a)).entries).max() <= 1e-12
+        assert np.abs(out - rho1.matrix).max() <= 1e-12
 
     def test_random_pairs_keep_at_most_d_terms(self):
         rng = np.random.default_rng(20)
         for d in range(1, 41):
             a, b = random_majorized_pair(d, rng)
-            decomp, reduced = self.reduce_chain(a.entries, b.entries)
-            self.assert_reduced(decomp, reduced, a.entries, b.entries)
+            self.assert_reduced(*self.reduce_pair(a.entries, b.entries, rng), a.entries)
 
     def test_equal_vectors_give_one_term(self):
         rng = np.random.default_rng(21)
         b = rng.dirichlet(np.ones(7))
-        decomp, reduced = self.reduce_chain(b, b)
-        assert len(reduced.permutations) == 1
-        self.assert_reduced(decomp, reduced, b, b)
+        rho1, rho2, mix = self.reduce_pair(b, b, rng)
+        assert len(mix.unitaries) == 1 and mix.weights[0] == 1.0
+        self.assert_reduced(rho1, rho2, mix, b)
 
     def test_many_terms_of_the_flat_vector_give_one_term(self):
-        decomp = birkhoff_decompose(np.full((5, 5), 0.2))
-        assert len(decomp.permutations) > 1
-        reduced = caratheodory_reduce(decomp, np.full(5, 0.2))
-        assert len(reduced.permutations) == 1
-        assert reduced.weights[0] == pytest.approx(1.0, abs=1e-12)
+        # Birkhoff splits J / 5 into several permutations; the pinching needs one unitary
+        assert len(birkhoff_decompose(np.full((5, 5), 0.2)).permutations) > 1
+        flat = np.full(5, 0.2)
+        rho1, rho2, mix = self.reduce_pair(flat, flat, np.random.default_rng(23))
+        assert len(mix.unitaries) == 1 and mix.weights[0] == 1.0
+        self.assert_reduced(rho1, rho2, mix, flat)
 
     def test_pure_to_flat_needs_exactly_d_terms(self):
+        rng = np.random.default_rng(24)
         for d in (2, 5, 12):
             a, b = np.full(d, 1.0 / d), np.eye(d)[0]
-            decomp, reduced = self.reduce_chain(a, b)
-            assert len(reduced.permutations) == d
-            self.assert_reduced(decomp, reduced, a, b)
+            rho1, rho2, mix = self.reduce_pair(a, b, rng)
+            assert len(mix.unitaries) == d
+            self.assert_reduced(rho1, rho2, mix, a)
 
     @pytest.mark.parametrize("a,b", [
         ([0.25, 0.25, 0.25, 0.25], [0.4, 0.4, 0.1, 0.1]),
@@ -402,44 +400,32 @@ class TestCaratheodoryReduce:
         ([0.2, 0.2, 0.2, 0.2, 0.1, 0.1], [0.3, 0.3, 0.3, 0.05, 0.05, 0.0]),
     ])
     def test_ties_on_both_sides(self, a, b):
-        decomp, reduced = self.reduce_chain(a, b)
-        self.assert_reduced(decomp, reduced, a, b)
+        self.assert_reduced(*self.reduce_pair(a, b, np.random.default_rng(25)), a)
 
     def test_many_tied_points(self):
-        # b takes a few values, so many permutations give the same point b[p]
+        # b takes a few values, so both spectra carry long runs of ties
         rng = np.random.default_rng(22)
         for _ in range(30):
             d = int(rng.integers(20, 49))
             b = rng.integers(0, 4, size=d) + (np.arange(d) == 0)
             b = b / b.sum()
             a = sum(w * b[rng.permutation(d)] for w in rng.dirichlet(np.ones(3)))
-            decomp, reduced = self.reduce_chain(a, b)
-            self.assert_reduced(decomp, reduced, a, b)
-
-    def test_mixed_unitary_uhlmann_reaches_the_source_spectra_at_d64(self):
-        # stopping at the first residual below MIXTURE_SUPPORT_TOL could leave up to
-        # a permutation's worth of mass, about 1e-10 per row, out of the mixture
-        rng = np.random.default_rng(64)
-        for _ in range(10):
-            a, b = random_majorized_pair(64, rng)
-            rho2 = random_density(64, rng, spec=b)
-            mix = mixed_unitary_uhlmann(random_density(64, rng, spec=a), rho2)
-            out = sum(t * u @ rho2.matrix @ u.conj().T
-                      for t, u in zip(mix.weights, mix.unitaries))
-            point = np.linalg.eigvalsh(out)[::-1]
-            assert np.abs(point - sort_desc(a).entries).max() <= 1e-12
+            self.assert_reduced(*self.reduce_pair(a, b, rng), a)
 
     def test_dimension_one(self):
+        chain = find_transfer_chain(ProbVector([1.0]), ProbVector([1.0]))
+        assert chain.d == 1 and chain.steps == ()
+        np.testing.assert_array_equal(chain_to_orthogonal(chain).entries, [[1.0]])
+        np.testing.assert_array_equal(chain_to_doubly_stochastic(chain).entries, [[1.0]])
         decomp = birkhoff_decompose(np.eye(1))
-        reduced = caratheodory_reduce(decomp, [1.0])
-        assert len(reduced.permutations) == 1
-        assert reduced.weights[0] == pytest.approx(1.0, abs=1e-12)
-        assert tuple(reduced.permutations[0]) == (0,)
+        assert len(decomp.permutations) == 1
+        assert decomp.weights[0] == pytest.approx(1.0, abs=1e-12)
+        assert tuple(decomp.permutations[0]) == (0,)
 
     def test_rejects_b_of_another_length(self):
-        decomp = birkhoff_decompose(np.full((3, 3), 1 / 3))
-        with pytest.raises(ValueError):
-            caratheodory_reduce(decomp, [0.5, 0.3, 0.1, 0.1])
+        rng = np.random.default_rng(26)
+        with pytest.raises(DimensionMismatch):
+            mixed_unitary_uhlmann(random_density(3, rng), random_density(4, rng))
 
 
 class TestSchurHorn:
@@ -465,6 +451,15 @@ class TestSchurHorn:
             u = schur_horn_orthogonal(a, b)
             diag = np.diag(u.entries @ np.diag(sort_desc(b).entries) @ u.entries.T)
             assert np.abs(diag - sort_desc(a).entries).max() <= 1e-9
+
+    def test_chain_to_orthogonal_keeps_the_chain_blocks_apart(self):
+        chain = find_transfer_chain(ProbVector([0.35, 0.35, 0.15, 0.15]),
+                                    ProbVector([0.4, 0.3, 0.2, 0.1]))
+        assert [(s.i, s.j) for s in chain.steps] == [(2, 3), (0, 1)]
+        u = chain_to_orthogonal(chain).entries
+        assert not u[:2, 2:].any() and not u[2:, :2].any()
+        empty = chain_to_orthogonal(TransferChain(d=3, steps=()))
+        np.testing.assert_array_equal(empty.entries, np.eye(3))
 
     def test_orthostochastic_consistency(self):
         rng = np.random.default_rng(29)
