@@ -12,8 +12,8 @@ import time
 
 import numpy as np
 
-from entmaj.densop import random_density
-from entmaj.qchan import apply_channel, mixed_unitary_uhlmann, trace_distance
+from entmaj.densop import random_density, trace_distance
+from entmaj.qchan import apply_channel, mixed_unitary_uhlmann
 from entmaj.seqmaj import random_majorized_pair
 
 

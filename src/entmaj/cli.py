@@ -15,7 +15,7 @@ from functools import cache, partial
 import numpy as np
 
 from . import __version__
-from .densop import isometry_defect, random_density, von_neumann_entropy
+from .densop import isometry_defect, random_density, trace_distance, von_neumann_entropy
 from .errors import DomainError, SchemaError
 from .qchan import (
     ISOMETRY_TOL,
@@ -25,7 +25,6 @@ from .qchan import (
     mixed_unitary_uhlmann,
     pinch_convergence_experiment,
     random_bistochastic_channel,
-    trace_distance,
     uhlmann_channel,
 )
 from .seqmaj import (MAJORIZATION_TOL, ProbVector, is_majorized, random_majorized_pair,

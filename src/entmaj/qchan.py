@@ -22,7 +22,6 @@ from .densop import (
     random_density_stack,
     spectra,
     spectrum,
-    trace_distance,
 )
 from .errors import (
     DimensionMismatch,
@@ -40,55 +39,45 @@ UNITARY_TOL = 1e-9
 MIXTURE_UNITARY_TOL = 1e-8  # unitarity of the terms of a mixed-unitary channel
 CP_FLOOR = -1e-8  # smallest Choi eigenvalue still read as completely positive
 ISOMETRY_TOL = 1e-7  # default tolerance of the isometric-conjugation detector
-# most complex entries in any stack entropy_probe builds for one chunk of trials
+# most complex entries in one chunk of an entropy_probe or pinch_convergence_experiment stack
 PROBE_CHUNK_ENTRIES = 2**14
 
 
 def _as_stack(ops) -> np.ndarray:
-    """Operators as one non-empty complex array, stacked along the first axis."""
+    """Operators as one non-empty complex (k, rows, cols) array."""
     try:
         stack = np.array(ops, dtype=complex)
     except ValueError as exc:  # ragged: the operators differ in shape
         raise DimensionMismatch(str(exc)) from exc
     if not stack.size:
         raise InvalidValue("need at least one operator")
+    if stack.ndim != 3:
+        raise DimensionMismatch(f"operators stack to shape {stack.shape}, not (k, rows, cols)")
     return stack
 
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """Kraus operators A_i held as one read-only (k, d_out, d_in) stack.
+    """Kraus operators A_i held as one read-only, non-empty, finite (k, d_out, d_in) stack.
 
-    Both defects, max |sum_i A_i^* A_i - I| and max |sum_i A_i A_i^* - I|, are
-    computed once at construction and stored.  A channel flagged
-    trace_preserving (unital) must have the first (second) within
-    COMPLETENESS_TOL; every entry must be finite.
+    Both defects, max |sum_i A_i^* A_i - I| and max |sum_i A_i A_i^* - I|, are computed
+    once at construction and stored.  The channel is trace preserving (unital) when the
+    first (second) is within COMPLETENESS_TOL; operations that need it trace preserving
+    raise NotTracePreserving.
     """
 
-    d_in: int
-    d_out: int
     kraus: np.ndarray
-    trace_preserving: bool = True
-    unital: bool = False
     completeness_defect: float = field(init=False)
     unitality_defect: float = field(init=False)
 
     def __post_init__(self):
         stack = _as_stack(self.kraus)
-        if stack.shape[1:] != (self.d_out, self.d_in):
-            raise DimensionMismatch(f"Kraus stack has shape {stack.shape}, expected "
-                                    f"(k, {self.d_out}, {self.d_in})")
         if not np.isfinite(stack).all():
             raise InvalidValue("Kraus entries must be finite")
         stack.setflags(write=False)
         object.__setattr__(self, "kraus", stack)
         object.__setattr__(self, "completeness_defect", self.completeness_defect_of(stack))
         object.__setattr__(self, "unitality_defect", self.unitality_defect_of(stack))
-        if self.trace_preserving:
-            _require_trace_preserving(self)
-        if self.unital:
-            require(self.unitality_defect, COMPLETENESS_TOL, InvalidValue,
-                    "flagged unital but sum AA* deviates from I by {}", self.unitality_defect)
 
     @staticmethod
     def completeness_defect_of(kraus: np.ndarray) -> float:
@@ -104,6 +93,22 @@ class KrausChannel:
     @property
     def num_kraus(self) -> int:
         return self.kraus.shape[0]
+
+    @property
+    def d_out(self) -> int:
+        return self.kraus.shape[1]
+
+    @property
+    def d_in(self) -> int:
+        return self.kraus.shape[2]
+
+    @property
+    def trace_preserving(self) -> bool:
+        return self.completeness_defect <= COMPLETENESS_TOL
+
+    @property
+    def unital(self) -> bool:
+        return self.unitality_defect <= COMPLETENESS_TOL
 
 
 @dataclass(frozen=True)
@@ -232,8 +237,8 @@ def structure_checks(phi: KrausChannel) -> StructureReport:
     """Report trace preservation, unitality, and complete positivity defects."""
     min_eig = float(np.linalg.eigvalsh(choi_matrix(phi)).min())
     return StructureReport(
-        trace_preserving=phi.completeness_defect <= COMPLETENESS_TOL,
-        unital=phi.unitality_defect <= COMPLETENESS_TOL,
+        trace_preserving=phi.trace_preserving,
+        unital=phi.unital,
         completely_positive=min_eig >= CP_FLOOR,
         trace_preserving_defect=phi.completeness_defect,
         unitality_defect=phi.unitality_defect,
@@ -242,21 +247,18 @@ def structure_checks(phi: KrausChannel) -> StructureReport:
 
 
 def identity_channel(d: int) -> KrausChannel:
-    return KrausChannel(d_in=d, d_out=d, kraus=np.eye(d, dtype=complex)[None],
-                        trace_preserving=True, unital=True)
+    return KrausChannel(np.eye(d, dtype=complex)[None])
 
 
 def mixed_unitary_channel(weights, unitaries) -> KrausChannel:
     """Bistochastic channel sum_i t_i U_i X U_i^* from weights and unitaries."""
     w = convex_weights(weights, len(unitaries))
     us = _as_stack(unitaries)
-    d = us.shape[-1]
-    if us.shape[1:] != (d, d):
+    if us.shape[1] != us.shape[2]:
         raise DimensionMismatch("unitaries must share one square shape")
     require(isometry_defect(us).max(), MIXTURE_UNITARY_TOL, NotUnitary,
             "matrix is not unitary within {}", MIXTURE_UNITARY_TOL)
-    return KrausChannel(d_in=d, d_out=d, kraus=np.sqrt(w)[:, None, None] * us,
-                        trace_preserving=True, unital=True)
+    return KrausChannel(np.sqrt(w)[:, None, None] * us)
 
 
 def _unitary_basis(basis) -> np.ndarray:
@@ -274,8 +276,7 @@ def pinching_channel(basis) -> KrausChannel:
     """
     b = _unitary_basis(basis)
     projections = b.T[:, :, None] * b.T.conj()[:, None, :]  # |b_i><b_i| per column
-    return KrausChannel(d_in=b.shape[0], d_out=b.shape[0], kraus=projections,
-                        trace_preserving=True, unital=True)
+    return KrausChannel(projections)
 
 
 def phase_averaging_channel(n: int, d: int) -> KrausChannel:
@@ -291,8 +292,7 @@ def phase_averaging_channel(n: int, d: int) -> KrausChannel:
     omega = np.exp(2j * np.pi / n)
     diag = np.concatenate([omega ** np.arange(1, n + 1), np.ones(d - n)])
     powers = diag[None, :] ** np.arange(1, n + 1)[:, None]
-    return KrausChannel(d_in=d, d_out=d, kraus=powers[:, :, None] * np.eye(d) / np.sqrt(n),
-                        trace_preserving=True, unital=True)
+    return KrausChannel(powers[:, :, None] * np.eye(d) / np.sqrt(n))
 
 
 def pinch_convergence_experiment(rho2: DensityMatrix, basis) -> list[PinchRow]:
@@ -308,18 +308,17 @@ def pinch_convergence_experiment(rho2: DensityMatrix, basis) -> list[PinchRow]:
     if b.shape != (d, d):
         raise NotUnitary(f"basis must be unitary within {UNITARY_TOL}")
     rot = b.conj().T @ rho2.matrix @ b  # rho2 expressed in the pinching basis
-    rot = DensityMatrix((rot + rot.conj().T) / 2.0)
-    pinched = DensityMatrix(np.diag(np.diag(rot.matrix).real.astype(complex)))
-    tail = np.diag(rot.matrix).real
-    rows = []
-    for n in range(1, d + 1):
-        # phase_averaging_channel(n, d) keeps entry (i, j) iff i == j or i, j >= n - 1
-        kept = np.arange(d) >= n - 1
-        avg = DensityMatrix(rot.matrix * (np.eye(d, dtype=bool) | np.outer(kept, kept)))
-        dist = trace_distance(avg, pinched)
-        bound = 2.0 * float(tail[n - 1:].sum())
-        rows.append(PinchRow(n=n, trace_distance=dist, bound=bound))
-    return rows
+    rot = (rot + rot.conj().T) / 2.0
+    tail = np.diag(rot).real
+    # row n - 1 is the n-power average minus the pinching: rot off-diagonal at i, j >= n - 1
+    step = max(1, PROBE_CHUNK_ENTRIES // d**2)
+    dists = np.empty(d)
+    for m in range(0, d, step):
+        kept = np.arange(d) >= np.arange(m, min(m + step, d))[:, None]
+        diffs = rot * (kept[:, :, None] & kept[:, None, :] & ~np.eye(d, dtype=bool))
+        dists[m:m + step] = np.abs(np.linalg.eigvalsh(diffs)).sum(axis=1)
+    return [PinchRow(n=n, trace_distance=float(dists[n - 1]),
+                     bound=2.0 * float(tail[n - 1:].sum())) for n in range(1, d + 1)]
 
 
 def _uhlmann_frame(rho1: DensityMatrix, rho2: DensityMatrix, tol: float):
@@ -356,8 +355,7 @@ def uhlmann_channel(rho1: DensityMatrix, rho2: DensityMatrix,
     """
     f, e, _ = _uhlmann_frame(rho1, rho2, tol)
     ops = f.T[:, :, None] * e.T.conj()[:, None, :]  # |f_i><e_i| per column
-    return KrausChannel(d_in=rho1.d, d_out=rho1.d, kraus=ops,
-                        trace_preserving=True, unital=True)
+    return KrausChannel(ops)
 
 
 def mixed_unitary_uhlmann(rho1: DensityMatrix, rho2: DensityMatrix,
@@ -481,10 +479,7 @@ def compose_channels(outer: KrausChannel, inner: KrausChannel) -> KrausChannel:
         raise DimensionMismatch(
             f"inner output {inner.d_out} != outer input {outer.d_in}")
     ops = outer.kraus[:, None] @ inner.kraus[None, :]  # outer index varies slowest
-    return KrausChannel(d_in=inner.d_in, d_out=outer.d_out,
-                        kraus=ops.reshape(-1, outer.d_out, inner.d_in),
-                        trace_preserving=inner.trace_preserving and outer.trace_preserving,
-                        unital=inner.unital and outer.unital)
+    return KrausChannel(ops.reshape(-1, outer.d_out, inner.d_in))
 
 
 def depolarizing_channel(d: int, p: float) -> KrausChannel:
@@ -523,9 +518,7 @@ def random_isometric_conjugation_channel(d_in: int, d_out: int,
     weights = rng.dirichlet(np.ones(num_terms))
     phases = np.exp(2j * np.pi * rng.random(num_terms))
     ops = (np.sqrt(weights) * phases)[:, None, None] * v
-    chan = KrausChannel(d_in=d_in, d_out=d_out, kraus=ops,
-                        trace_preserving=True, unital=(d_in == d_out))
-    return chan, v
+    return KrausChannel(ops), v
 
 
 def detector_corpus(rng: np.random.Generator, n_pos: int, n_neg: int):

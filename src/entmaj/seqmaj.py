@@ -58,13 +58,12 @@ class PrefixViolation:
 
 @dataclass(frozen=True)
 class MajorizationVerdict:
-    holds: bool
     sums_equal: bool
     first_violation: Optional[PrefixViolation] = None
 
-    def __post_init__(self):
-        if self.holds and (self.first_violation is not None or not self.sums_equal):
-            raise ValueError("holds requires sums_equal and no violation")
+    @property
+    def holds(self) -> bool:
+        return self.sums_equal and self.first_violation is None
 
 
 def _require_probabilities(arr: np.ndarray, normalized: bool):
@@ -120,9 +119,8 @@ def is_majorized(a, b, tol: float = MAJORIZATION_TOL) -> MajorizationVerdict:
     if bad.size:
         k = int(bad[0])
         violation = PrefixViolation(k=k + 1, lhs=float(pa[k]), rhs=float(pb[k]))
-        return MajorizationVerdict(holds=False, sums_equal=sums_equal,
-                                   first_violation=violation)
-    return MajorizationVerdict(holds=sums_equal, sums_equal=sums_equal)
+        return MajorizationVerdict(sums_equal, violation)
+    return MajorizationVerdict(sums_equal)
 
 
 def convex_weights(weights, count: int) -> np.ndarray:

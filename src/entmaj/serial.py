@@ -157,15 +157,25 @@ def channel_to_json(phi: KrausChannel) -> dict:
 
 
 def channel_from_json(obj, where: str = "channel") -> KrausChannel:
+    """The channel of the operators, which must match the declared d_in and d_out and meet
+    the claimed "flags": trace_preserving (true unless given) and unital (false unless given)."""
     d_in = _dimension(obj, "d_in", where)
     d_out = _dimension(obj, "d_out", where)
     kraus_list = _expect(obj, "kraus", list, where)
     flags = _expect(obj, "flags", dict, where) if "flags" in obj else {}
     ops = [complex_matrix_from_json(k, where=f"{where}.kraus[{i}]")
            for i, k in enumerate(kraus_list)]
-    return _construct(where, KrausChannel, d_in=d_in, d_out=d_out, kraus=tuple(ops),
-                      trace_preserving=bool(flags.get("trace_preserving", True)),
-                      unital=bool(flags.get("unital", False)))
+    phi = _construct(where, KrausChannel, tuple(ops))
+    for key, declared, actual in (("d_in", d_in, phi.d_in), ("d_out", d_out, phi.d_out)):
+        if declared != actual:
+            raise SchemaError(f"{declared} != {actual} of the Kraus operators",
+                              field=f"{where}.{key}")
+    if flags.get("trace_preserving", True) and not phi.trace_preserving:
+        raise SchemaError(f"sum A*A deviates from I by {phi.completeness_defect}", field=where)
+    if flags.get("unital", False) and not phi.unital:
+        raise SchemaError(f"flagged unital but sum AA* deviates from I by "
+                          f"{phi.unitality_defect}", field=where)
+    return phi
 
 
 def chain_to_json(chain: TransferChain) -> dict:

@@ -14,6 +14,7 @@ from entmaj.densop import (
     pure_state,
     random_density,
     spectrum,
+    trace_distance,
     von_neumann_entropy,
 )
 from entmaj.qchan import (
@@ -28,7 +29,6 @@ from entmaj.qchan import (
     pinch_convergence_experiment,
     pinching_channel,
     random_bistochastic_channel,
-    trace_distance,
     uhlmann_channel,
 )
 from entmaj.seqmaj import ProbVector, is_majorized, random_majorized_pair, shannon_entropy, sort_desc

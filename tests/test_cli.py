@@ -214,8 +214,7 @@ class TestDetectorCli:
 
     def test_negative_with_expectation_exits_one(self, tmp_path, capsys):
         z = np.diag([1.0, -1.0]).astype(complex)
-        chan = KrausChannel(2, 2, (np.eye(2, dtype=complex) / np.sqrt(2), z / np.sqrt(2)),
-                            trace_preserving=True, unital=True)
+        chan = KrausChannel((np.eye(2, dtype=complex) / np.sqrt(2), z / np.sqrt(2)))
         p = tmp_path / "chan.json"
         save_json(chan, p)
         rc, out, _ = run(capsys, "detect-isometry", "--in", str(p))
@@ -229,8 +228,7 @@ class TestDetectorCli:
     def test_loose_tolerance_gives_a_verdict_not_an_error(self, tmp_path, capsys):
         # both dephasing operators weigh 0.5 < tol; the Gram gap is 0.5 <= 0.6
         z = np.diag([1.0, -1.0]).astype(complex)
-        chan = KrausChannel(2, 2, (np.eye(2, dtype=complex) / np.sqrt(2), z / np.sqrt(2)),
-                            trace_preserving=True, unital=True)
+        chan = KrausChannel((np.eye(2, dtype=complex) / np.sqrt(2), z / np.sqrt(2)))
         p = tmp_path / "chan.json"
         save_json(chan, p)
         rc, out, _ = run(capsys, "detect-isometry", "--in", str(p), "--tol", "0.6")
@@ -242,8 +240,7 @@ class TestDetectorCli:
 
     def test_probe_entropy(self, tmp_path, capsys):
         z = np.diag([1.0, -1.0]).astype(complex)
-        chan = KrausChannel(2, 2, (np.eye(2, dtype=complex) / np.sqrt(2), z / np.sqrt(2)),
-                            trace_preserving=True, unital=True)
+        chan = KrausChannel((np.eye(2, dtype=complex) / np.sqrt(2), z / np.sqrt(2)))
         p = tmp_path / "chan.json"
         save_json(chan, p)
         rc, out, _ = run(capsys, "probe-entropy", "--in", str(p), "--trials", "200",
@@ -308,6 +305,23 @@ class TestInputRejection:
                                  "kraus": [{"d_rows": 2, "d_cols": 2,
                                             "rows": [nan_row, nan_row]}],
                                  "flags": {"trace_preserving": True, "unital": False}}))
+        for argv in (("detect-isometry", "--in", str(p)),
+                     ("probe-entropy", "--in", str(p), "--trials", "3")):
+            rc, _, err = run(capsys, *argv)
+            self.assert_clean_exit_two(rc, err)
+
+    def test_channel_flagged_not_trace_preserving_exits_one(self, tmp_path, capsys):
+        p = tmp_path / "half.json"
+        save_json(KrausChannel((np.eye(2, dtype=complex) / np.sqrt(2),)), p)
+        assert json.loads(p.read_text())["flags"]["trace_preserving"] is False
+        for argv in (("detect-isometry", "--in", str(p)),
+                     ("probe-entropy", "--in", str(p), "--trials", "3")):
+            rc, out, err = run(capsys, *argv)
+            assert rc == 1 and err == ""
+            assert json.loads(out)["error"] == "NotTracePreserving"
+        unflagged = json.loads(p.read_text())
+        del unflagged["flags"]
+        write_json(p, unflagged)
         for argv in (("detect-isometry", "--in", str(p)),
                      ("probe-entropy", "--in", str(p), "--trials", "3")):
             rc, _, err = run(capsys, *argv)

@@ -16,6 +16,7 @@ from entmaj.densop import (
 from entmaj.errors import DimensionMismatch, MajorizationFailed, NotTracePreserving, NotUnitary
 from entmaj import qchan, xfer
 from entmaj.qchan import (
+    COMPLETENESS_TOL,
     PROBE_CHUNK_ENTRIES,
     KrausChannel,
     adjoint_apply,
@@ -41,12 +42,12 @@ from entmaj.qchan import (
     uhlmann_channel,
 )
 from entmaj.seqmaj import is_majorized, random_majorized_pair, sort_desc
+from entmaj.serial import channel_to_json
 
 
 def dephasing_channel():
     z = np.diag([1.0, -1.0]).astype(complex)
-    return KrausChannel(2, 2, (np.eye(2, dtype=complex) / np.sqrt(2), z / np.sqrt(2)),
-                        trace_preserving=True, unital=True)
+    return KrausChannel((np.eye(2, dtype=complex) / np.sqrt(2), z / np.sqrt(2)))
 
 
 def phase_matched_max_error(recovered, truth):
@@ -86,8 +87,7 @@ class TestApply:
                           DensityMatrix(np.eye(2, dtype=complex) / 2))
 
     def test_not_trace_preserving_rejected(self):
-        half = KrausChannel(2, 2, (np.eye(2, dtype=complex) / np.sqrt(2),),
-                            trace_preserving=False)
+        half = KrausChannel((np.eye(2, dtype=complex) / np.sqrt(2),))
         with pytest.raises(NotTracePreserving):
             apply_channel(half, DensityMatrix(np.eye(2, dtype=complex) / 2))
 
@@ -227,6 +227,14 @@ class TestPinchConvergence:
             for r in rows:
                 avg = apply_channel(phase_averaging_channel(r.n, d), rot)
                 assert abs(r.trace_distance - trace_distance(avg, pinched)) <= 1e-12
+
+    @pytest.mark.parametrize("entries", [1, 2 * 49, 3 * 49])
+    def test_chunked_rows_equal_one_stack(self, monkeypatch, entries):
+        rng = np.random.default_rng(13)
+        rho, basis = random_density(7, rng), haar_unitary(7, rng)
+        whole = pinch_convergence_experiment(rho, basis)
+        monkeypatch.setattr(qchan, "PROBE_CHUNK_ENTRIES", entries)
+        assert pinch_convergence_experiment(rho, basis) == whole
 
 
 class TestUhlmannChannel:
@@ -374,7 +382,7 @@ class TestKrausNonUniqueness:
         remixed_ops = tuple(
             sum(w[i, j] * phi.kraus[j] for j in range(phi.num_kraus))
             for i in range(phi.num_kraus))
-        psi = KrausChannel(4, 4, remixed_ops, trace_preserving=True, unital=True)
+        psi = KrausChannel(remixed_ops)
         for _ in range(5):
             rho = random_density(4, rng)
             a = apply_channel(phi, rho)
@@ -386,8 +394,7 @@ class TestDetectIsometry:
     def test_single_unitary(self):
         rng = np.random.default_rng(21)
         u = haar_unitary(4, rng)
-        rep = detect_isometry(KrausChannel(4, 4, (u,), trace_preserving=True,
-                                           unital=True))
+        rep = detect_isometry(KrausChannel((u,)))
         assert rep.is_isometric_conjugation
         assert phase_matched_max_error(rep.isometry, u) <= 1e-9
 
@@ -430,15 +437,14 @@ class TestDetectIsometry:
     def test_zero_kraus_operator_keeps_verdict_and_isometry(self):
         chan, _ = random_isometric_conjugation_channel(3, 4, np.random.default_rng(28),
                                                        num_terms=2)
-        padded = KrausChannel(3, 4, np.concatenate([chan.kraus, np.zeros((1, 4, 3))]),
-                              trace_preserving=True)
+        padded = KrausChannel(np.concatenate([chan.kraus, np.zeros((1, 4, 3))]))
         rep, rep0 = detect_isometry(padded), detect_isometry(chan)
         assert rep.is_isometric_conjugation and rep0.is_isometric_conjugation
         assert np.abs(rep.isometry - rep0.isometry).max() <= 1e-12
 
     def test_one_dimensional_input_split_is_rejected(self):
         e = np.eye(2, dtype=complex)
-        chan = KrausChannel(1, 2, (e[:, :1] / np.sqrt(2), e[:, 1:] / np.sqrt(2)))
+        chan = KrausChannel((e[:, :1] / np.sqrt(2), e[:, 1:] / np.sqrt(2)))
         rep = detect_isometry(chan)
         assert not rep.is_isometric_conjugation
         pair, gap = rep.failure_witness
@@ -448,7 +454,7 @@ class TestDetectIsometry:
     def test_one_dimensional_input_phases_of_one_vector_are_accepted(self):
         w = np.array([[1.0], [2.0j], [-2.0]]) / 3.0
         c = np.array([0.6, 0.8j * np.exp(0.3j)])
-        chan = KrausChannel(1, 3, c[:, None, None] * w)
+        chan = KrausChannel(c[:, None, None] * w)
         rep = detect_isometry(chan)
         assert rep.is_isometric_conjugation
         assert phase_matched_max_error(rep.isometry, w) <= 1e-12
@@ -469,7 +475,7 @@ class TestDetectIsometry:
     def test_gap_within_tol_but_no_isometry_has_a_diagonal_witness(self):
         # amplitude damping at c = 0.6: Gram gap 0.32, isometry defect of V 8/17
         ops = np.array([np.diag([1.0, 0.6]), [[0.0, 0.8], [0.0, 0.0]]], dtype=complex)
-        rep = detect_isometry(KrausChannel(2, 2, ops), tol=0.4)
+        rep = detect_isometry(KrausChannel(ops), tol=0.4)
         assert not rep.is_isometric_conjugation and rep.gram is None
         pair, dev = rep.failure_witness
         assert pair == (0, 0)
@@ -571,15 +577,57 @@ class TestCompose:
 
 
 class TestKrausChannelType:
-    def test_flags_validated(self):
-        with pytest.raises(NotTracePreserving):
-            KrausChannel(2, 2, (np.eye(2, dtype=complex) * 0.5,),
-                         trace_preserving=True)
-
-    def test_isometry_shape_validated(self):
+    def test_dimensions_are_read_from_the_stack(self):
         v = random_isometry(2, 4, np.random.default_rng(31))
+        phi = KrausChannel((v, v))
+        assert (phi.num_kraus, phi.d_out, phi.d_in) == (2, 4, 2)
+
+    def test_a_matrix_is_not_a_stack(self):
         with pytest.raises(DimensionMismatch):
-            KrausChannel(4, 2, (v,), trace_preserving=False)
+            KrausChannel(np.eye(2, dtype=complex))
+
+    @pytest.mark.parametrize("ops,trace_preserving,unital", [
+        ((np.eye(2) * np.sqrt(1 + 5e-9),), True, True),
+        ((np.eye(2) * np.sqrt(1 + 2e-8),), False, False),
+        ((np.eye(2) * 0.5,), False, False),
+        ((random_isometry(2, 3, np.random.default_rng(32)),), True, False),
+        ((np.eye(3)[:2] / np.sqrt(2), np.eye(3)[1:] / np.sqrt(2)), False, True),
+    ], ids=["within-tol", "beyond-tol", "half", "tall-isometry", "wide-split"])
+    def test_flags_follow_the_stored_defects(self, ops, trace_preserving, unital):
+        phi = KrausChannel(ops)
+        assert phi.trace_preserving is trace_preserving
+        assert phi.unital is unital
+        assert phi.trace_preserving is (phi.completeness_defect <= COMPLETENESS_TOL)
+        assert phi.unital is (phi.unitality_defect <= COMPLETENESS_TOL)
+
+
+def _uhlmann(rng):
+    a, b = random_majorized_pair(4, rng)
+    return uhlmann_channel(random_density(4, rng, spec=a), random_density(4, rng, spec=b))
+
+
+CONSTRUCTIONS = {
+    "identity": lambda rng: identity_channel(3),
+    "mixed-unitary": lambda rng: mixed_unitary_channel(
+        [0.3, 0.7], [haar_unitary(3, rng) for _ in range(2)]),
+    "pinching": lambda rng: pinching_channel(haar_unitary(4, rng)),
+    "phase-averaging": lambda rng: phase_averaging_channel(3, 5),
+    "uhlmann": _uhlmann,
+    "composition": lambda rng: compose_channels(pinching_channel(haar_unitary(3, rng)),
+                                                depolarizing_channel(3, 0.4)),
+    "depolarizing": lambda rng: depolarizing_channel(4, 0.5),
+    "isometric-square": lambda rng: random_isometric_conjugation_channel(3, 3, rng, 2)[0],
+    "isometric-tall": lambda rng: random_isometric_conjugation_channel(2, 5, rng, 3)[0],
+}
+
+
+@pytest.mark.parametrize("name", CONSTRUCTIONS)
+def test_constructions_are_trace_preserving_and_unital_unless_tall(name):
+    phi = CONSTRUCTIONS[name](np.random.default_rng(33))
+    unital = name != "isometric-tall"
+    assert phi.trace_preserving
+    assert phi.unital is unital
+    assert channel_to_json(phi)["flags"] == {"trace_preserving": True, "unital": unital}
 
 
 def loop_reference(phi):
@@ -603,7 +651,7 @@ class TestKrausStack:
         rng = np.random.default_rng(44 + d_out)
         g = rng.standard_normal((terms, d_out, d_in)) + 1j * rng.standard_normal(
             (terms, d_out, d_in))
-        phi = KrausChannel(d_in, d_out, g, trace_preserving=False)
+        phi = KrausChannel(g)
         ref = loop_reference(phi)
         x = rng.standard_normal((d_in, d_in)) + 1j * rng.standard_normal((d_in, d_in))
         y = rng.standard_normal((d_out, d_out)) + 1j * rng.standard_normal((d_out, d_out))
@@ -631,8 +679,7 @@ class TestKrausStack:
         np.testing.assert_allclose(comp.kraus, expected, atol=1e-14)
 
     def test_defects_are_stored_at_construction(self):
-        half = KrausChannel(2, 2, (np.eye(2, dtype=complex) / np.sqrt(2),),
-                            trace_preserving=False)
+        half = KrausChannel((np.eye(2, dtype=complex) / np.sqrt(2),))
         assert half.completeness_defect == pytest.approx(0.5)
         assert half.unitality_defect == pytest.approx(0.5)
         assert not structure_checks(half).trace_preserving
@@ -641,13 +688,18 @@ class TestKrausStack:
     def test_non_finite_entries_rejected(self, bad):
         a = np.eye(2, dtype=complex)
         a[0, 1] = bad
-        for flagged in (True, False):
-            with pytest.raises(ValueError, match="finite"):
-                KrausChannel(2, 2, (a,), trace_preserving=flagged)
+        with pytest.raises(ValueError, match="finite"):
+            KrausChannel((a,))
 
     def test_ragged_family_rejected(self):
         with pytest.raises(DimensionMismatch):
-            KrausChannel(2, 2, (np.eye(2), np.eye(3)), trace_preserving=False)
+            KrausChannel((np.eye(2), np.eye(3)))
+
+    @pytest.mark.parametrize("unitaries", [np.eye(2), [np.eye(3)[:, :2]]],
+                             ids=["matrix", "isometry"])
+    def test_mixed_unitary_needs_a_square_stack(self, unitaries):
+        with pytest.raises(DimensionMismatch):
+            mixed_unitary_channel(np.full(len(unitaries), 1 / len(unitaries)), unitaries)
 
 
 class TestSpectralPreamble:

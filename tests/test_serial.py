@@ -5,7 +5,8 @@ import pytest
 
 from entmaj.densop import DensityMatrix, random_density
 from entmaj.errors import SchemaError
-from entmaj.qchan import random_bistochastic_channel, random_isometric_conjugation_channel
+from entmaj.qchan import (KrausChannel, random_bistochastic_channel,
+                          random_isometric_conjugation_channel)
 from entmaj.seqmaj import ProbVector, random_majorized_pair
 from entmaj.serial import (
     birkhoff_from_json,
@@ -124,6 +125,50 @@ class TestSchemaErrors:
     def test_unrecognized_schema(self):
         with pytest.raises(SchemaError):
             from_json_value({"mystery": 1})
+
+
+class TestChannelClaims:
+    """channel_from_json checks the declared dimensions and the flags it is given."""
+
+    @pytest.mark.parametrize("key", ["d_in", "d_out"])
+    def test_declared_dimension_must_match_the_operators(self, key):
+        chan, _ = random_isometric_conjugation_channel(2, 3, np.random.default_rng(7))
+        obj = channel_to_json(chan)
+        obj[key] = 4
+        with pytest.raises(SchemaError) as err:
+            channel_from_json(obj)
+        assert err.value.field == f"channel.{key}"
+
+    def test_unflagged_channel_must_be_trace_preserving(self):
+        obj = channel_to_json(KrausChannel((np.eye(2, dtype=complex) / np.sqrt(2),)))
+        del obj["flags"]
+        with pytest.raises(SchemaError, match=r"sum A\*A deviates from I by 0.5") as err:
+            channel_from_json(obj)
+        assert err.value.field == "channel"
+
+    def test_unflagged_channel_need_not_be_unital(self):
+        chan, _ = random_isometric_conjugation_channel(2, 3, np.random.default_rng(8))
+        obj = channel_to_json(chan)
+        del obj["flags"]
+        assert not channel_from_json(obj).unital
+
+    def test_claimed_unital_must_hold(self):
+        chan, _ = random_isometric_conjugation_channel(2, 3, np.random.default_rng(8))
+        obj = channel_to_json(chan)
+        obj["flags"]["unital"] = True
+        with pytest.raises(SchemaError, match="flagged unital but sum AA. deviates") as err:
+            channel_from_json(obj)
+        assert err.value.field == "channel"
+
+    def test_flags_are_written_as_measured(self):
+        half = KrausChannel((np.eye(2, dtype=complex) / np.sqrt(2),))
+        obj = channel_to_json(half)
+        assert obj["flags"] == {"trace_preserving": False, "unital": False}
+        assert not channel_from_json(obj).trace_preserving
+        # an unclaimed flag does not hide what the operators measure
+        obj = channel_to_json(random_bistochastic_channel(3, np.random.default_rng(9)))
+        obj["flags"] = {"unital": False}
+        assert channel_from_json(obj).unital
 
 
 class TestWriter:

@@ -35,7 +35,7 @@ BUILDERS = {
     "BirkhoffDecomposition": (
         lambda w: BirkhoffDecomposition(weights=w, permutations=([0, 1], [1, 0])),
         np.array([0.5, 0.5])),
-    "KrausChannel": (lambda k: KrausChannel(2, 2, k), np.eye(2, dtype=complex)[None]),
+    "KrausChannel": (KrausChannel, np.eye(2, dtype=complex)[None]),
     "mixed_unitary_channel": (lambda w: mixed_unitary_channel(w, [np.eye(2), np.eye(2)]),
                               np.array([0.5, 0.5])),
     "random_density spec": (lambda s: random_density(2, np.random.default_rng(0), spec=s),
@@ -116,7 +116,7 @@ class TestOneCheckPerInvariant:
         assert not w.flags.writeable
 
     def test_probe_of_unflagged_channel_is_refused_by_apply(self):
-        phi = KrausChannel(2, 2, 2 * np.eye(2, dtype=complex)[None], trace_preserving=False)
+        phi = KrausChannel(2 * np.eye(2, dtype=complex)[None])
         with pytest.raises(NotTracePreserving):
             entropy_probe(phi, 1, np.random.default_rng(0))
 
