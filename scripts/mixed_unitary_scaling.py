@@ -4,7 +4,8 @@
 For each d, draws a state pair the way `entmaj gen state-pair` does, builds
 the unitary mixture carrying rho2 onto rho1, and prints the construction
 time, the number of unitaries (at most d) and the trace distance between the
-mixture's output and rho1.
+mixture's output and rho1.  The output is computed from the mixture's frame
+(`MixedUnitaryTransfer.apply`), so no unitary and no d^3 Kraus stack is built.
 """
 
 import argparse
@@ -13,7 +14,7 @@ import time
 import numpy as np
 
 from entmaj.densop import random_density, trace_distance
-from entmaj.qchan import apply_channel, mixed_unitary_uhlmann
+from entmaj.qchan import mixed_unitary_uhlmann
 from entmaj.seqmaj import random_majorized_pair
 
 
@@ -32,8 +33,8 @@ def main(argv=None):
         start = time.perf_counter()
         mix = mixed_unitary_uhlmann(rho1, rho2)
         seconds = time.perf_counter() - start
-        error = trace_distance(apply_channel(mix.to_channel(), rho2), rho1)
-        print(f"{d},{seconds:.3f},{len(mix.unitaries)},{error:.2e}", flush=True)
+        error = trace_distance(mix.apply(rho2), rho1)
+        print(f"{d},{seconds:.3f},{mix.num_terms},{error:.2e}", flush=True)
 
 
 if __name__ == "__main__":

@@ -18,14 +18,15 @@ from . import __version__
 from .densop import isometry_defect, random_density, trace_distance, von_neumann_entropy
 from .errors import DomainError, SchemaError
 from .qchan import (
+    COMPLETENESS_TOL,
     ISOMETRY_TOL,
-    apply_channel,
+    MIXTURE_UNITARY_TOL,
     detect_isometry,
     entropy_probe,
     mixed_unitary_uhlmann,
     pinch_convergence_experiment,
     random_bistochastic_channel,
-    uhlmann_channel,
+    uhlmann_frame,
 )
 from .seqmaj import (MAJORIZATION_TOL, ProbVector, is_majorized, random_majorized_pair,
                      shannon_entropy, sort_desc)
@@ -37,6 +38,7 @@ from .serial import (
     density_from_json,
     density_to_json,
     dumps_report,
+    frame_to_json,
     isometry_report_to_json,
     mixed_unitary_to_json,
     prob_vector_from_json,
@@ -261,29 +263,35 @@ def _run_schur_horn(args) -> int:
 
 def _run_uhlmann(args) -> int:
     rho1, rho2 = args.load(args.inputs)
-    psi = uhlmann_channel(rho1, rho2, args.tol)
-    td = trace_distance(apply_channel(psi, rho2), rho1)
-    body = dict(to_json_value(psi))
+    frame = uhlmann_frame(rho1, rho2, args.tol)
+    td = trace_distance(frame.apply(rho2, rank_one=True), rho1)
+    # for |f_i><e_i|: sum A*A = E E^* and sum AA* = F F^*, each the identity for unitary E, F
+    completeness, unitality = isometry_defect(frame.e), isometry_defect(frame.f)
+    body = frame_to_json(frame)
     body["verified"] = {
         "trace_distance": td, "ok_trace_distance": td <= TRACE_DISTANCE_TOL,
-        "completeness_defect": psi.completeness_defect,
-        "unitality_defect": psi.unitality_defect,
+        "completeness_defect": completeness, "ok_completeness": completeness <= COMPLETENESS_TOL,
+        "unitality_defect": unitality, "ok_unitality": unitality <= COMPLETENESS_TOL,
     }
-    tols = {"majorization_abs": args.tol, "trace_distance_max": TRACE_DISTANCE_TOL}
+    tols = {"majorization_abs": args.tol, "trace_distance_max": TRACE_DISTANCE_TOL,
+            "completeness_max": COMPLETENESS_TOL}
     return _finish(args, tols, body)
 
 
 def _run_mixed_unitary(args) -> int:
     rho1, rho2 = args.load(args.inputs)
     mix = mixed_unitary_uhlmann(rho1, rho2, args.tol)
-    td = trace_distance(apply_channel(mix.to_channel(), rho2), rho1)
-    count, bound = len(mix.unitaries), (rho1.d - 1) ** 2 + 1
-    body = dict(mixed_unitary_to_json(mix))
+    td = trace_distance(mix.apply(rho2), rho1)
+    count, bound = mix.num_terms, (rho1.d - 1) ** 2 + 1
+    unitary = max(isometry_defect(mix.f), isometry_defect(mix.e))  # the factors of each U_k
+    body = mixed_unitary_to_json(mix)
     body["verified"] = {"trace_distance": td, "ok_trace_distance": td <= TRACE_DISTANCE_TOL,
                         "term_count": count, "term_bound": bound, "ok_term_bound": count <= bound,
                         "caratheodory_bound": rho1.d, "ok_caratheodory_bound": count <= rho1.d,
-                        "weight_sum": float(mix.weights.sum())}
-    tols = {"majorization_abs": args.tol, "trace_distance_max": TRACE_DISTANCE_TOL}
+                        "weight_sum": float(mix.weights.sum()),
+                        "unitary_defect": unitary, "ok_unitary": unitary <= MIXTURE_UNITARY_TOL}
+    tols = {"majorization_abs": args.tol, "trace_distance_max": TRACE_DISTANCE_TOL,
+            "unitary_max": MIXTURE_UNITARY_TOL}
     return _finish(args, tols, body)
 
 

@@ -214,6 +214,14 @@ def _with_spectra(vals: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (rho + _dagger(rho)) / 2.0
 
 
+def _flat_spectrum(d: int, rng: np.random.Generator) -> np.ndarray:
+    """rng.dirichlet(np.ones(d)) bit for bit, leaving rng in the same state, without its
+    per-call argument checks: for alpha = 1 it draws d standard exponentials and scales
+    them by 1 over their sequential sum."""
+    x = rng.standard_exponential(d)
+    return x * (1 / np.cumsum(x)[-1])
+
+
 def random_density(d: int, rng: np.random.Generator,
                    spec=None) -> DensityMatrix:
     """Random state with the requested spectrum (default: flat simplex sample).
@@ -225,7 +233,7 @@ def random_density(d: int, rng: np.random.Generator,
     if d < 1:
         raise ValueError("d must be >= 1")
     if spec is None:
-        vals = rng.dirichlet(np.ones(d))
+        vals = _flat_spectrum(d, rng)
     else:
         vals = ProbVector(spec.entries if isinstance(spec, ProbVector) else spec,
                           normalized=True).entries
@@ -240,16 +248,15 @@ def random_density_stack(d: int, seeds) -> np.ndarray:
     unvalidated (n, d, d) stack; `spectra` checks them.
 
     Each seed's generator draws what random_density draws, in its order: the
-    Dirichlet spectrum, then the real and the imaginary Gaussian block of the
+    flat Dirichlet spectrum, then the real and the imaginary Gaussian block of the
     Haar unitary.  So every state replays alone from its seed.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    ones = np.ones(d)
     vals = np.empty((len(seeds), d))
     gauss = np.empty((len(seeds), 2, d, d))
     for s, row, block in zip(seeds, vals, gauss):
         rng = np.random.default_rng(int(s))
-        row[:] = rng.dirichlet(ones)
+        row[:] = _flat_spectrum(d, rng)
         rng.standard_normal(out=block)
     return _with_spectra(vals, _haar(gauss[:, 0], gauss[:, 1]))

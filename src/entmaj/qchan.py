@@ -10,6 +10,7 @@ an isometry, which is exactly the entropy-preserving case.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -143,13 +144,52 @@ class StructureReport:
 
 @dataclass(frozen=True)
 class MixedUnitaryTransfer:
-    """Convex mixture of unitaries carrying one state onto another."""
+    """The Uhlmann frame of a state pair (see uhlmann_frame), read as the uniform mixture
+    of the n = max(pos) + 1 unitaries U_k = F D^k E^*, D = diag(omega^pos) and
+    omega = exp(2 pi i / n).
 
-    weights: np.ndarray
-    unitaries: tuple[np.ndarray, ...]
+    F and E are unitary and pos numbers each coordinate by its position in its block.
+    `weights` and `unitaries` are built on first use and cached; `apply` needs neither.
+    """
+
+    f: np.ndarray
+    e: np.ndarray
+    pos: np.ndarray
+
+    @property
+    def num_terms(self) -> int:
+        return int(self.pos.max()) + 1
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        w = np.full(self.num_terms, 1.0 / self.num_terms)
+        w.setflags(write=False)
+        return w
+
+    @cached_property
+    def unitaries(self) -> tuple[np.ndarray, ...]:
+        n = self.num_terms
+        phases = np.exp(2j * np.pi / n * (np.arange(n)[:, None] * self.pos % n))  # D^k per row
+        e_star = self.e.conj().T
+        return tuple((self.f * p) @ e_star for p in phases)  # one d x d temporary at a time
 
     def to_channel(self) -> KrausChannel:
         return mixed_unitary_channel(self.weights, self.unitaries)
+
+    def apply(self, rho: DensityMatrix, rank_one: bool = False) -> DensityMatrix:
+        """F (M o mask) F^* with M = E^* rho E, as a validated state, in O(d^3).
+
+        With mask_ij = [pos_i = pos_j] this is the mixture's output: averaging
+        D^k M D^-k over k < n keeps exactly the entries of equal pos.  With rank_one
+        the mask is I, and this is the output of uhlmann_channel's |f_i><e_i|.
+        """
+        d = self.f.shape[0]
+        if rho.d != d:
+            raise DimensionMismatch(f"state dimension {rho.d} != frame dimension {d}")
+        m = self.e.conj().T @ rho.matrix @ self.e
+        mask = np.eye(d, dtype=bool) if rank_one else self.pos[:, None] == self.pos
+        out = self.f @ (m * mask) @ self.f.conj().T
+        return DensityMatrix((out + out.conj().T) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -321,15 +361,16 @@ def pinch_convergence_experiment(rho2: DensityMatrix, basis) -> list[PinchRow]:
                      bound=2.0 * float(tail[n - 1:].sum())) for n in range(1, d + 1)]
 
 
-def _uhlmann_frame(rho1: DensityMatrix, rho2: DensityMatrix, tol: float):
-    """F, E and the transfer chain behind both Uhlmann constructions, each state
-    decomposed once; rho1 must be majorized by rho2, or MajorizationFailed carries
-    the verdict.
+def uhlmann_frame(rho1: DensityMatrix, rho2: DensityMatrix,
+                  tol: float = MAJORIZATION_TOL) -> MixedUnitaryTransfer:
+    """F, E and pos behind both Uhlmann constructions, each state decomposed once;
+    rho1 must be majorized by rho2, or MajorizationFailed carries the verdict.
 
     F is the eigenbasis of rho1 and E = Y U^T, with Y the eigenbasis of rho2 and
     U the chain's Schur-Horn rotation, so E^* rho2 E = U diag(b) U^T has rho1's
     spectrum a on its diagonal.  U only mixes coordinates that the chain's steps
-    connect, so that matrix is block-diagonal in the chain's blocks.
+    connect (a block), so that matrix is block-diagonal in the chain's blocks, and
+    pos numbers each coordinate by its position in its block.
     """
     if rho1.d != rho2.d:
         raise DimensionMismatch(f"dimensions {rho1.d} vs {rho2.d}")
@@ -340,7 +381,13 @@ def _uhlmann_frame(rho1: DensityMatrix, rho2: DensityMatrix, tol: float):
         raise MajorizationFailed("spectrum(rho1) is not majorized by spectrum(rho2)",
                                  verdict=exc.verdict) from None
     e = e2.eigenvectors @ chain_to_orthogonal(chain).entries.T
-    return e1.eigenvectors, e, chain
+    block = np.arange(chain.d)
+    for s in chain.steps:
+        block[block == block[s.j]] = block[s.i]
+    pos = np.tril(block[:, None] == block[None, :], -1).sum(axis=1)
+    e.setflags(write=False)
+    pos.setflags(write=False)
+    return MixedUnitaryTransfer(f=e1.eigenvectors, e=e, pos=pos)
 
 
 def uhlmann_channel(rho1: DensityMatrix, rho2: DensityMatrix,
@@ -352,9 +399,10 @@ def uhlmann_channel(rho1: DensityMatrix, rho2: DensityMatrix,
     rho1's eigenvalues on the diagonal, then relabel those directions onto
     the eigenbasis F of rho1.  The Kraus operators |f_i><e_i| pinch and
     relabel in one step, and the channel is exactly bistochastic.
+    `uhlmann_frame(...).apply(rho, rank_one=True)` is its output without the stack.
     """
-    f, e, _ = _uhlmann_frame(rho1, rho2, tol)
-    ops = f.T[:, :, None] * e.T.conj()[:, None, :]  # |f_i><e_i| per column
+    frame = uhlmann_frame(rho1, rho2, tol)
+    ops = frame.f.T[:, :, None] * frame.e.T.conj()[:, None, :]  # |f_i><e_i| per column
     return KrausChannel(ops)
 
 
@@ -369,17 +417,9 @@ def mixed_unitary_uhlmann(rho1: DensityMatrix, rho2: DensityMatrix,
     coordinate by its position pos in its block, with n the largest block, the
     average of D^k (.) D^-k over k < n, D = diag(omega^pos) and
     omega = exp(2 pi i / n), keeps the diagonal alone.  U_k = F D^k E^*.
+    The result is the frame itself, so no unitary is built until one is asked for.
     """
-    f, e, chain = _uhlmann_frame(rho1, rho2, tol)
-    block = np.arange(chain.d)
-    for s in chain.steps:
-        block[block == block[s.j]] = block[s.i]
-    pos = np.tril(block[:, None] == block[None, :], -1).sum(axis=1)
-    n = int(pos.max()) + 1
-    phases = np.exp(2j * np.pi / n * (np.arange(n)[:, None] * pos % n))  # row k: diag of D^k
-    e_star = e.conj().T
-    unitaries = tuple((f * p) @ e_star for p in phases)  # one d x d temporary at a time
-    return MixedUnitaryTransfer(weights=np.full(n, 1.0 / n), unitaries=unitaries)
+    return uhlmann_frame(rho1, rho2, tol)
 
 
 def detect_isometry(phi: KrausChannel, tol: float = ISOMETRY_TOL) -> IsometryReport:

@@ -10,6 +10,9 @@ Schemas:
   transfer chain       {"d": n, "steps": [{"i": i, "j": j, "t": t}, ...]}
   Birkhoff mixture     {"terms": [{"weight": t, "perm": [...]}, ...]}
                        (perm maps row index -> column index)
+  Uhlmann frame        {"f": <complex matrix>, "e": <complex matrix>}    (written only)
+  mixed-unitary frame  Uhlmann frame plus "pos": [p1, ...], "weight": 1/n (written only)
+                       (U_k = F diag(omega^(k pos)) E^*, omega = exp(2 pi i / n), k < n)
 
 Every report and every `save_json` file is one line of JSON with sorted keys
 and the json module's default separators (pipe it through `python -m json.tool`
@@ -158,11 +161,15 @@ def channel_to_json(phi: KrausChannel) -> dict:
 
 def channel_from_json(obj, where: str = "channel") -> KrausChannel:
     """The channel of the operators, which must match the declared d_in and d_out and meet
-    the claimed "flags": trace_preserving (true unless given) and unital (false unless given)."""
+    the claimed "flags", each a bool: trace_preserving (true unless given) and unital
+    (false unless given)."""
     d_in = _dimension(obj, "d_in", where)
     d_out = _dimension(obj, "d_out", where)
     kraus_list = _expect(obj, "kraus", list, where)
     flags = _expect(obj, "flags", dict, where) if "flags" in obj else {}
+    claims_tp, claims_unital = (_expect(flags, key, bool, f"{where}.flags") if key in flags
+                                else default
+                                for key, default in (("trace_preserving", True), ("unital", False)))
     ops = [complex_matrix_from_json(k, where=f"{where}.kraus[{i}]")
            for i, k in enumerate(kraus_list)]
     phi = _construct(where, KrausChannel, tuple(ops))
@@ -170,9 +177,9 @@ def channel_from_json(obj, where: str = "channel") -> KrausChannel:
         if declared != actual:
             raise SchemaError(f"{declared} != {actual} of the Kraus operators",
                               field=f"{where}.{key}")
-    if flags.get("trace_preserving", True) and not phi.trace_preserving:
+    if claims_tp and not phi.trace_preserving:
         raise SchemaError(f"sum A*A deviates from I by {phi.completeness_defect}", field=where)
-    if flags.get("unital", False) and not phi.unital:
+    if claims_unital and not phi.unital:
         raise SchemaError(f"flagged unital but sum AA* deviates from I by "
                           f"{phi.unitality_defect}", field=where)
     return phi
@@ -213,9 +220,12 @@ def birkhoff_from_json(obj, where: str = "birkhoff") -> BirkhoffDecomposition:
                       permutations=tuple(perms))
 
 
+def frame_to_json(frame: MixedUnitaryTransfer) -> dict:
+    return {"f": complex_matrix_to_json(frame.f), "e": complex_matrix_to_json(frame.e)}
+
+
 def mixed_unitary_to_json(mix: MixedUnitaryTransfer) -> dict:
-    return {"terms": [{"weight": float(w), "unitary": complex_matrix_to_json(u)}
-                      for w, u in zip(mix.weights, mix.unitaries)]}
+    return {**frame_to_json(mix), "pos": mix.pos.tolist(), "weight": 1.0 / mix.num_terms}
 
 
 def isometry_report_to_json(report: IsometryReport) -> dict:

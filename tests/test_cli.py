@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -13,12 +14,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entmaj
+from entmaj import cli
 from entmaj.cli import main
 from entmaj.densop import DensityMatrix, random_density
 from entmaj.serial import (complex_matrix_to_json, density_to_json, load_json,
                            prob_vector_from_json, real_matrix_to_json, save_json)
 from entmaj.qchan import KrausChannel, random_isometric_conjugation_channel
 from entmaj.xfer import chain_to_doubly_stochastic, find_transfer_chain
+
+
+def _complex_entries(obj) -> int:
+    """Number of [re, im] entries held by the complex matrices anywhere in a report."""
+    if isinstance(obj, dict):
+        own = obj["d_rows"] * obj["d_cols"] if "d_rows" in obj else 0
+        return own + sum(_complex_entries(v) for k, v in obj.items() if k != "rows")
+    if isinstance(obj, list):
+        return sum(_complex_entries(v) for v in obj)
+    return 0
 
 
 def run(capsys, *argv):
@@ -170,7 +182,45 @@ class TestStatePipelines:
         assert verified["ok_caratheodory_bound"] is True
         assert verified["ok_term_bound"] is True
         assert verified["ok_trace_distance"] is True
-        assert len(json.loads(out)["terms"]) == verified["term_count"]
+        assert max(json.loads(out)["pos"]) + 1 == verified["term_count"]
+
+    @pytest.mark.parametrize("sub,extra", [("uhlmann", set()), ("mixed-unitary", {"pos", "weight"})])
+    def test_report_holds_the_frame_alone(self, tmp_path, capsys, sub, extra):
+        d = 20
+        bundle = tmp_path / "pair.json"
+        run(capsys, "gen", "state-pair", "--d", str(d), "--seed", "20", "--out", str(bundle))
+        rc, out, _ = run(capsys, sub, "--in", str(bundle))
+        assert rc == 0
+        report = json.loads(out)
+        assert set(report) == {"subcommand", "version", "tolerances", "verified", "f", "e"} | extra
+        assert _complex_entries(report) == 2 * d**2
+        assert np.array(report["f"]["rows"]).shape == np.array(report["e"]["rows"]).shape == (d, d, 2)
+        assert all(v for k, v in report["verified"].items() if k.startswith("ok_"))
+
+    @pytest.mark.parametrize("factor", ["e", "f"])
+    @pytest.mark.parametrize("sub,construct,flag", [
+        ("uhlmann", "uhlmann_frame", {"e": "ok_completeness", "f": "ok_unitality"}),
+        ("mixed-unitary", "mixed_unitary_uhlmann", {"e": "ok_unitary", "f": "ok_unitary"})])
+    def test_frame_defect_over_its_guard_exits_one(self, tmp_path, capsys, monkeypatch,
+                                                   sub, construct, flag, factor):
+        # columns scaled by 1 +- 2e-8: a defect of 4e-8 > 1e-8, while the output of the
+        # maximally mixed target keeps its trace within 1e-15 and lies 4e-8 < 1e-7 from it
+        r1, r2 = tmp_path / "rho1.json", tmp_path / "rho2.json"
+        write_json(r1, density_to_json(DensityMatrix(np.eye(2, dtype=complex) / 2)))
+        write_json(r2, density_to_json(DensityMatrix(np.diag([1.0, 0.0]).astype(complex))))
+        exact = getattr(cli, construct)
+        skew = np.array([1 + 2e-8, 1 - 2e-8])
+
+        def perturbed(*args):
+            frame = exact(*args)
+            return dataclasses.replace(frame, **{factor: getattr(frame, factor) * skew})
+
+        monkeypatch.setattr(cli, construct, perturbed)
+        rc, out, _ = run(capsys, sub, "--in", str(r1), "--in", str(r2))
+        verified = json.loads(out)["verified"]
+        assert rc == 1
+        assert verified["ok_trace_distance"] is True
+        assert [k for k, v in verified.items() if k.startswith("ok_") and not v] == [flag[factor]]
 
     def test_pinch_converge_csv(self, tmp_path, capsys):
         rho = tmp_path / "rho.json"
@@ -326,6 +376,17 @@ class TestInputRejection:
                      ("probe-entropy", "--in", str(p), "--trials", "3")):
             rc, _, err = run(capsys, *argv)
             self.assert_clean_exit_two(rc, err)
+
+    @pytest.mark.parametrize("value", ["false", [], 0, None], ids=["string", "list", "zero", "null"])
+    def test_non_bool_flag_exits_two(self, tmp_path, capsys, value):
+        p = tmp_path / "half.json"
+        write_json(p, {"d_in": 2, "d_out": 2, "kraus": [complex_matrix_to_json(np.eye(2) / 2**0.5)],
+                       "flags": {"trace_preserving": value}})
+        for argv in (("detect-isometry", "--in", str(p)),
+                     ("probe-entropy", "--in", str(p), "--trials", "3")):
+            rc, _, err = run(capsys, *argv)
+            self.assert_clean_exit_two(rc, err)
+            assert f"{p}.flags.trace_preserving: expected bool" in err
 
     @pytest.mark.parametrize("sub,kind", [("majorize", "pair"), ("uhlmann", "state-pair")])
     def test_truncated_bundle_exit_two(self, tmp_path, capsys, sub, kind):

@@ -3,6 +3,7 @@ import pytest
 
 from entmaj.densop import (
     DensityMatrix,
+    _flat_spectrum,
     eig_hermitian,
     haar_unitary,
     isometry_defect,
@@ -391,3 +392,29 @@ class TestStackedStateCheck:
     def test_refuses_what_is_not_a_stack_of_square_matrices(self, bad):
         with pytest.raises(InvalidValue):
             spectra(bad)
+
+
+class TestFlatSpectrumDraw:
+    """The probe's spectrum draw is Generator.dirichlet(ones(d)) without its argument checks;
+    a numpy release that changes either side shows up here."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 12, 16, 33, 64])
+    def test_bit_equal_to_dirichlet_and_same_next_draw(self, d):
+        ones = np.ones(d)
+        for seed in range(500):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            np.testing.assert_array_equal(_flat_spectrum(d, ours), theirs.dirichlet(ones))
+            assert ours.standard_normal() == theirs.standard_normal()
+
+    @pytest.mark.parametrize("d", [1, 4, 9])
+    def test_random_density_keeps_the_dirichlet_stream(self, d):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            vals = np.sort(rng.dirichlet(np.ones(d)))[::-1]
+            u = haar_unitary(d, rng)
+            expected = (u * vals) @ u.conj().T
+            expected = (expected + expected.conj().T) / 2.0
+            ours = np.random.default_rng(seed)
+            np.testing.assert_array_equal(random_density(d, ours).matrix, expected)
+            np.testing.assert_array_equal(random_density_stack(d, [seed])[0], expected)
+            assert ours.standard_normal() == rng.standard_normal()

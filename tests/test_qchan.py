@@ -40,6 +40,7 @@ from entmaj.qchan import (
     random_isometry,
     structure_checks,
     uhlmann_channel,
+    uhlmann_frame,
 )
 from entmaj.seqmaj import is_majorized, random_majorized_pair, sort_desc
 from entmaj.serial import channel_to_json
@@ -702,6 +703,74 @@ class TestKrausStack:
             mixed_unitary_channel(np.full(len(unitaries), 1 / len(unitaries)), unitaries)
 
 
+def _seeded_pairs():
+    """(id, rho1, rho2): seeded pairs at several d, and a pair whose chain has two blocks."""
+    for d in (1, 2, 5, 16, 32):
+        rng = np.random.default_rng(100 + d)
+        a, b = random_majorized_pair(d, rng)
+        rho2 = random_density(d, rng, spec=b)
+        yield f"d{d}", random_density(d, rng, spec=a), rho2
+    rng = np.random.default_rng(21)
+    rho1 = random_density(4, rng, spec=[0.35, 0.35, 0.15, 0.15])
+    yield "two-blocks", rho1, random_density(4, rng, spec=[0.4, 0.3, 0.2, 0.1])
+
+
+PAIRS = list(_seeded_pairs())
+
+
+class TestFactoredFrame:
+    """MixedUnitaryTransfer.apply against the Kraus channels built from the same frame."""
+
+    @pytest.mark.parametrize("pair", PAIRS, ids=[p[0] for p in PAIRS])
+    def test_mixture_output_matches_its_channel(self, pair):
+        _, rho1, rho2 = pair
+        mix = mixed_unitary_uhlmann(rho1, rho2)
+        out = mix.apply(rho2)
+        assert trace_distance(out, apply_channel(mix.to_channel(), rho2)) <= 1e-12
+        assert trace_distance(out, rho1) <= 1e-12
+
+    @pytest.mark.parametrize("pair", PAIRS, ids=[p[0] for p in PAIRS])
+    def test_rank_one_output_matches_uhlmann_channel(self, pair):
+        _, rho1, rho2 = pair
+        out = uhlmann_frame(rho1, rho2).apply(rho2, rank_one=True)
+        assert trace_distance(out, apply_channel(uhlmann_channel(rho1, rho2), rho2)) <= 1e-12
+        assert trace_distance(out, rho1) <= 1e-12
+
+    def test_two_blocks_share_positions(self):
+        # the mask [pos_i = pos_j] also keeps entries of equal position in different blocks
+        _, rho1, rho2 = PAIRS[-1]
+        mix = mixed_unitary_uhlmann(rho1, rho2)
+        assert sorted(mix.pos.tolist()) == [0, 0, 1, 1]
+        assert mix.num_terms == 2 == len(mix.unitaries)
+
+    def test_uhlmann_channel_is_the_frame_written_as_kraus_operators(self):
+        _, rho1, rho2 = PAIRS[2]
+        frame = uhlmann_frame(rho1, rho2)
+        kraus = uhlmann_channel(rho1, rho2).kraus
+        for i, a in enumerate(kraus):
+            np.testing.assert_array_equal(a, np.outer(frame.f[:, i], frame.e[:, i].conj()))
+
+    def test_unitaries_and_weights_are_built_once_and_read_only(self):
+        _, rho1, rho2 = PAIRS[2]
+        mix = mixed_unitary_uhlmann(rho1, rho2)
+        assert "unitaries" not in vars(mix) and "weights" not in vars(mix)
+        assert mix.unitaries is mix.unitaries and mix.weights is mix.weights
+        n = mix.num_terms
+        for k, u in enumerate(mix.unitaries):
+            d_k = np.exp(2j * np.pi / n * (k * mix.pos % n))
+            np.testing.assert_allclose(u, mix.f @ np.diag(d_k) @ mix.e.conj().T, atol=1e-14)
+        for attr in ("f", "e", "pos", "weights", "unitaries"):
+            with pytest.raises(AttributeError):
+                setattr(mix, attr, None)
+        for arr in (mix.f, mix.e, mix.pos, mix.weights):
+            assert not arr.flags.writeable
+
+    def test_apply_checks_the_dimension(self):
+        _, rho1, rho2 = PAIRS[2]
+        with pytest.raises(DimensionMismatch):
+            uhlmann_frame(rho1, rho2).apply(random_density(4, np.random.default_rng(0)))
+
+
 class TestSpectralPreamble:
     def test_uhlmann_constructions_decompose_each_state_once(self, monkeypatch):
         rng = np.random.default_rng(47)
@@ -722,7 +791,7 @@ class TestSpectralPreamble:
         # both names, so a second chain built through schur_horn_orthogonal is counted too
         monkeypatch.setattr(xfer, "find_transfer_chain", counted_chain)
         monkeypatch.setattr(qchan, "find_transfer_chain", counted_chain)
-        for construct in (uhlmann_channel, mixed_unitary_uhlmann):
+        for construct in (uhlmann_frame, uhlmann_channel, mixed_unitary_uhlmann):
             calls.clear()
             construct(rho1, rho2)
             assert calls == {"eigh": 2, "chain": 1}

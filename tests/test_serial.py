@@ -160,6 +160,15 @@ class TestChannelClaims:
             channel_from_json(obj)
         assert err.value.field == "channel"
 
+    @pytest.mark.parametrize("value", ["false", [], 0, None], ids=["string", "list", "zero", "null"])
+    @pytest.mark.parametrize("key", ["trace_preserving", "unital"])
+    def test_flag_must_be_a_bool(self, key, value):
+        obj = channel_to_json(random_bistochastic_channel(3, np.random.default_rng(9)))
+        obj["flags"][key] = value
+        with pytest.raises(SchemaError, match="expected bool") as err:
+            channel_from_json(obj)
+        assert err.value.field == f"channel.flags.{key}"
+
     def test_flags_are_written_as_measured(self):
         half = KrausChannel((np.eye(2, dtype=complex) / np.sqrt(2),))
         obj = channel_to_json(half)
