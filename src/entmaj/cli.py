@@ -20,7 +20,6 @@ from .errors import DomainError, SchemaError
 from .qchan import (
     COMPLETENESS_TOL,
     ISOMETRY_TOL,
-    MIXTURE_UNITARY_TOL,
     detect_isometry,
     entropy_probe,
     mixed_unitary_uhlmann,
@@ -34,6 +33,7 @@ from .serial import (
     birkhoff_to_json,
     chain_to_json,
     channel_from_json,
+    channel_to_json,
     complex_matrix_from_json,
     density_from_json,
     density_to_json,
@@ -46,13 +46,14 @@ from .serial import (
     read_json,
     real_matrix_from_json,
     real_matrix_to_json,
-    to_json_value,
+    vector_or_state_from_json,
+    verdict_to_json,
 )
 from .xfer import (
     SUPPORT_TOL,
     DoublyStochasticMatrix,
-    apply_t_transform,
     birkhoff_decompose,
+    chain_to_doubly_stochastic,
     find_transfer_chain,
     schur_horn_orthogonal,
 )
@@ -109,7 +110,7 @@ def _parser() -> argparse.ArgumentParser:
     states = partial(_load_pair, keys=("rho1", "rho2"), from_json=density_from_json)
     channel = partial(_load_one, from_json=channel_from_json)
     add("entropy", _run_entropy, "Shannon/von Neumann entropy of a vector or state",
-        partial(_load_one, from_json=_vector_or_state))
+        partial(_load_one, from_json=vector_or_state_from_json))
     add("majorize", _run_majorize, "decide whether the first vector is majorized by the second",
         vectors, MAJORIZATION_TOL, ("--require",))
     add("transfer", _run_transfer, "elementary transfer chain certifying majorization",
@@ -161,13 +162,6 @@ def _load_pair(paths, keys, from_json):
     return tuple(from_json(read_json(p), str(p)) for p in paths)
 
 
-def _vector_or_state(obj, where):
-    """A probability vector if `obj` has "entries"; otherwise a state, "kind" optional."""
-    if isinstance(obj, dict) and "entries" in obj:
-        return prob_vector_from_json(obj, where)
-    return density_from_json(obj, where)
-
-
 def _load_state_and_basis(paths):
     """The state of the first --in file and the pinching basis of an optional second."""
     if len(paths) not in (1, 2):
@@ -205,11 +199,7 @@ def _run_entropy(args) -> int:
 def _run_majorize(args) -> int:
     a, b = args.load(args.inputs)
     verdict = is_majorized(a, b, args.tol)
-    body = {"holds": verdict.holds, "sums_equal": verdict.sums_equal,
-            "first_violation": None, "verified": {"prefix_pairs_checked": max(a.d, b.d)}}
-    if verdict.first_violation is not None:
-        fv = verdict.first_violation
-        body["first_violation"] = {"k": fv.k, "lhs": fv.lhs, "rhs": fv.rhs}
+    body = {**verdict_to_json(verdict), "verified": {"prefix_pairs_checked": max(a.d, b.d)}}
     rc = _finish(args, {"majorization_abs": args.tol}, body)
     if args.require and not verdict.holds:
         return 1
@@ -219,13 +209,9 @@ def _run_majorize(args) -> int:
 def _run_transfer(args) -> int:
     a, b = args.load(args.inputs)
     chain = find_transfer_chain(a, b, args.tol)
-    replay = sort_desc(b)
     target = np.pad(sort_desc(a).entries, (0, chain.d - a.d))
-    replay = np.pad(replay.entries, (0, chain.d - b.d))
-    cur = ProbVector(replay)
-    for step in chain.steps:
-        cur = apply_t_transform(step, cur)
-    err = float(np.abs(cur.entries - target).max())
+    source = np.pad(sort_desc(b).entries, (0, chain.d - b.d))
+    err = float(np.abs(chain_to_doubly_stochastic(chain).entries @ source - target).max())
     body = {"chain": chain_to_json(chain),
             "verified": {"replay_max_abs_error": err, "ok_replay": err <= REPLAY_TOL,
                          "steps": len(chain.steps), "step_bound": chain.d - 1,
@@ -289,9 +275,9 @@ def _run_mixed_unitary(args) -> int:
                         "term_count": count, "term_bound": bound, "ok_term_bound": count <= bound,
                         "caratheodory_bound": rho1.d, "ok_caratheodory_bound": count <= rho1.d,
                         "weight_sum": float(mix.weights.sum()),
-                        "unitary_defect": unitary, "ok_unitary": unitary <= MIXTURE_UNITARY_TOL}
+                        "unitary_defect": unitary, "ok_unitary": unitary <= COMPLETENESS_TOL}
     tols = {"majorization_abs": args.tol, "trace_distance_max": TRACE_DISTANCE_TOL,
-            "unitary_max": MIXTURE_UNITARY_TOL}
+            "unitary_max": COMPLETENESS_TOL}
     return _finish(args, tols, body)
 
 
@@ -341,7 +327,7 @@ def _run_gen(args) -> int:
         rho1 = random_density(args.d, rng, spec=a)
         obj = {"rho1": density_to_json(rho1), "rho2": density_to_json(rho2)}
     else:
-        obj = to_json_value(random_bistochastic_channel(args.d, rng))
+        obj = channel_to_json(random_bistochastic_channel(args.d, rng))
     _emit(dumps_report(obj), args.out)
     return 0
 
@@ -358,11 +344,7 @@ def main(argv=None) -> int:
                   "error": type(exc).__name__, "message": str(exc)}
         verdict = getattr(exc, "verdict", None)
         if verdict is not None:
-            report["verdict"] = {"holds": verdict.holds, "sums_equal": verdict.sums_equal}
-            if verdict.first_violation is not None:
-                fv = verdict.first_violation
-                report["verdict"]["first_violation"] = {"k": fv.k, "lhs": fv.lhs,
-                                                        "rhs": fv.rhs}
+            report["verdict"] = verdict_to_json(verdict)
         _emit(dumps_report(report), args.out)
         return 1
 

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidValue, NotHermitian, NotUnitVector, require
-from .seqmaj import MajorizationVerdict, ProbVector, is_majorized, shannon_entropy
+from .seqmaj import (MajorizationVerdict, ProbVector, _flat_spectrum, is_majorized,
+                     shannon_entropy)
 
 HERMITIAN_TOL = 1e-9
 TRACE_TOL = 1e-9
@@ -212,14 +213,6 @@ def _with_spectra(vals: np.ndarray, v: np.ndarray) -> np.ndarray:
     vals = -np.sort(-vals, axis=-1)
     rho = (v * vals[..., None, :]) @ _dagger(v)
     return (rho + _dagger(rho)) / 2.0
-
-
-def _flat_spectrum(d: int, rng: np.random.Generator) -> np.ndarray:
-    """rng.dirichlet(np.ones(d)) bit for bit, leaving rng in the same state, without its
-    per-call argument checks: for alpha = 1 it draws d standard exponentials and scales
-    them by 1 over their sequential sum."""
-    x = rng.standard_exponential(d)
-    return x * (1 / np.cumsum(x)[-1])
 
 
 def random_density(d: int, rng: np.random.Generator,

@@ -32,12 +32,11 @@ from .errors import (
     NotUnitary,
     require,
 )
-from .seqmaj import MAJORIZATION_TOL, convex_weights, shannon_entropies
+from .seqmaj import MAJORIZATION_TOL, _flat_spectrum, convex_weights, shannon_entropies
 from .xfer import chain_to_orthogonal, find_transfer_chain
 
-COMPLETENESS_TOL = 1e-8
+COMPLETENESS_TOL = 1e-8  # channel completeness and unitality; unitarity of mixed-unitary terms
 UNITARY_TOL = 1e-9
-MIXTURE_UNITARY_TOL = 1e-8  # unitarity of the terms of a mixed-unitary channel
 CP_FLOOR = -1e-8  # smallest Choi eigenvalue still read as completely positive
 ISOMETRY_TOL = 1e-7  # default tolerance of the isometric-conjugation detector
 # most complex entries in one chunk of an entropy_probe or pinch_convergence_experiment stack
@@ -296,8 +295,8 @@ def mixed_unitary_channel(weights, unitaries) -> KrausChannel:
     us = _as_stack(unitaries)
     if us.shape[1] != us.shape[2]:
         raise DimensionMismatch("unitaries must share one square shape")
-    require(isometry_defect(us).max(), MIXTURE_UNITARY_TOL, NotUnitary,
-            "matrix is not unitary within {}", MIXTURE_UNITARY_TOL)
+    require(isometry_defect(us).max(), COMPLETENESS_TOL, NotUnitary,
+            "matrix is not unitary within {}", COMPLETENESS_TOL)
     return KrausChannel(np.sqrt(w)[:, None, None] * us)
 
 
@@ -555,7 +554,7 @@ def random_isometric_conjugation_channel(d_in: int, d_out: int,
     Returns the channel and the ground-truth isometry V.
     """
     v = random_isometry(d_in, d_out, rng)
-    weights = rng.dirichlet(np.ones(num_terms))
+    weights = _flat_spectrum(num_terms, rng)
     phases = np.exp(2j * np.pi * rng.random(num_terms))
     ops = (np.sqrt(weights) * phases)[:, None, None] * v
     return KrausChannel(ops), v
@@ -579,7 +578,7 @@ def detector_corpus(rng: np.random.Generator, n_pos: int, n_neg: int):
             negatives.append(depolarizing_channel(d, p=float(rng.uniform(0.2, 1.0))))
         else:
             m = int(rng.integers(2, 4))
-            w = rng.dirichlet(np.ones(m)) * 0.8 + 0.2 / m
+            w = _flat_spectrum(m, rng) * 0.8 + 0.2 / m
             negatives.append(mixed_unitary_channel(w, [haar_unitary(d, rng) for _ in range(m)]))
     return positives, negatives
 
@@ -591,12 +590,12 @@ def random_bistochastic_channel(d: int, rng: np.random.Generator,
         kind = ["mixed_unitary", "pinching", "composition"][int(rng.integers(3))]
     if kind == "mixed_unitary":
         m = int(rng.integers(2, 5))
-        weights = rng.dirichlet(np.ones(m))
+        weights = _flat_spectrum(m, rng)
         return mixed_unitary_channel(weights, [haar_unitary(d, rng) for _ in range(m)])
     if kind == "pinching":
         return pinching_channel(haar_unitary(d, rng))
     if kind == "composition":
-        weights = rng.dirichlet(np.ones(2))
+        weights = _flat_spectrum(2, rng)
         mixed = mixed_unitary_channel(weights, [haar_unitary(d, rng) for _ in range(2)])
         return compose_channels(pinching_channel(haar_unitary(d, rng)), mixed)
     raise ValueError(f"unknown channel kind {kind!r}")

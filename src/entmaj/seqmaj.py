@@ -180,18 +180,25 @@ def tail_group(c: ProbVector, n: int) -> ProbVector:
     return ProbVector(grouped, normalized=getattr(c, "normalized", False))
 
 
-def random_majorized_pair(d: int, rng: np.random.Generator,
-                          num_perms: int = 4) -> tuple[ProbVector, ProbVector]:
+def _flat_spectrum(d: int, rng: np.random.Generator) -> np.ndarray:
+    """rng.dirichlet(np.ones(d)) bit for bit, leaving rng in the same state, without its
+    per-call argument checks: for alpha = 1 it draws d standard exponentials and scales
+    them by 1 over their sequential sum."""
+    x = rng.standard_exponential(d)
+    return x * (1 / np.cumsum(x)[-1])
+
+
+def random_majorized_pair(d: int, rng: np.random.Generator) -> tuple[ProbVector, ProbVector]:
     """Sample (a, b) with a majorized by b, b flat on the simplex.
 
-    a is a convex mixture of coordinate permutations of b, so the relation
-    holds by construction.  Deterministic for a fixed generator state.
+    a is a convex mixture of four coordinate permutations of b, with flat
+    weights, so the relation holds by construction.  Deterministic for a fixed
+    generator state.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    b = rng.dirichlet(np.ones(d))
-    weights = rng.dirichlet(np.ones(num_perms))
+    b = _flat_spectrum(d, rng)
     a = np.zeros(d)
-    for w in weights:
+    for w in _flat_spectrum(4, rng):
         a += w * b[rng.permutation(d)]
     return ProbVector(a, normalized=True), ProbVector(b, normalized=True)

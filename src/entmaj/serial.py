@@ -10,9 +10,14 @@ Schemas:
   transfer chain       {"d": n, "steps": [{"i": i, "j": j, "t": t}, ...]}
   Birkhoff mixture     {"terms": [{"weight": t, "perm": [...]}, ...]}
                        (perm maps row index -> column index)
+  majorization verdict {"holds": b, "sums_equal": b,
+                        "first_violation": null | {"k": k, "lhs": x, "rhs": y}} (written only)
   Uhlmann frame        {"f": <complex matrix>, "e": <complex matrix>}    (written only)
   mixed-unitary frame  Uhlmann frame plus "pos": [p1, ...], "weight": 1/n (written only)
                        (U_k = F diag(omega^(k pos)) E^*, omega = exp(2 pi i / n), k < n)
+
+Each reader reads the one schema its caller names; none guesses a schema from
+the keys it finds, and `vector_or_state_from_json` is the only one that takes two.
 
 Every report and every `save_json` file is one line of JSON with sorted keys
 and the json module's default separators (pipe it through `python -m json.tool`
@@ -33,7 +38,7 @@ import numpy as np
 from .errors import DomainError, SchemaError
 from .qchan import IsometryReport, KrausChannel, MixedUnitaryTransfer
 from .densop import DensityMatrix
-from .seqmaj import ProbVector
+from .seqmaj import MajorizationVerdict, ProbVector
 from .xfer import (
     BirkhoffDecomposition,
     DoublyStochasticMatrix,
@@ -150,6 +155,13 @@ def density_from_json(obj, where: str = "density") -> DensityMatrix:
     return _construct(where, DensityMatrix, arr)
 
 
+def vector_or_state_from_json(obj, where: str = "value") -> ProbVector | DensityMatrix:
+    """A probability vector if `obj` has "entries"; otherwise a state, "kind" optional."""
+    if isinstance(obj, dict) and "entries" in obj:
+        return prob_vector_from_json(obj, where)
+    return density_from_json(obj, where)
+
+
 def channel_to_json(phi: KrausChannel) -> dict:
     return {
         "d_in": phi.d_in,
@@ -220,6 +232,12 @@ def birkhoff_from_json(obj, where: str = "birkhoff") -> BirkhoffDecomposition:
                       permutations=tuple(perms))
 
 
+def verdict_to_json(verdict: MajorizationVerdict) -> dict:
+    fv = verdict.first_violation
+    return {"holds": verdict.holds, "sums_equal": verdict.sums_equal,
+            "first_violation": None if fv is None else {"k": fv.k, "lhs": fv.lhs, "rhs": fv.rhs}}
+
+
 def frame_to_json(frame: MixedUnitaryTransfer) -> dict:
     return {"f": complex_matrix_to_json(frame.f), "e": complex_matrix_to_json(frame.e)}
 
@@ -242,7 +260,7 @@ def isometry_report_to_json(report: IsometryReport) -> dict:
 
 
 def to_json_value(value) -> dict:
-    """Serialize any supported value to its schema."""
+    """The schema of a value that `save_json` writes."""
     if isinstance(value, ProbVector):
         return prob_vector_to_json(value)
     if isinstance(value, DensityMatrix):
@@ -251,43 +269,13 @@ def to_json_value(value) -> dict:
         return real_matrix_to_json(value)
     if isinstance(value, KrausChannel):
         return channel_to_json(value)
-    if isinstance(value, TransferChain):
-        return chain_to_json(value)
     if isinstance(value, BirkhoffDecomposition):
         return birkhoff_to_json(value)
-    if isinstance(value, MixedUnitaryTransfer):
-        return mixed_unitary_to_json(value)
-    if isinstance(value, IsometryReport):
-        return isometry_report_to_json(value)
     if isinstance(value, np.ndarray):
         if np.iscomplexobj(value):
             return complex_matrix_to_json(value)
         return real_matrix_to_json(value)
     raise TypeError(f"no JSON schema for {type(value).__name__}")
-
-
-def from_json_value(obj, where: str = "$"):
-    """Detect the schema of a parsed JSON object and build the typed value."""
-    if not isinstance(obj, dict):
-        raise SchemaError("expected a JSON object", field=where)
-    if "entries" in obj:
-        return prob_vector_from_json(obj, where)
-    if obj.get("kind") == "density":
-        return density_from_json(obj, where)
-    if "kraus" in obj:
-        return channel_from_json(obj, where)
-    if "steps" in obj:
-        return chain_from_json(obj, where)
-    if "terms" in obj:
-        terms = obj["terms"]
-        if isinstance(terms, list) and terms and isinstance(terms[0], dict) and "perm" in terms[0]:
-            return birkhoff_from_json(obj, where)
-        raise SchemaError("unsupported terms schema", field=f"{where}.terms")
-    if "d_rows" in obj:
-        return complex_matrix_from_json(obj, where)
-    if "rows" in obj and "d" in obj:
-        return real_matrix_from_json(obj, where)
-    raise SchemaError("unrecognized schema", field=where)
 
 
 def _non_finite(token):
@@ -305,11 +293,6 @@ def read_json(path):
                           f"{exc.msg}", field=str(path)) from exc
     except (ValueError, RecursionError) as exc:  # NaN, Infinity, not UTF-8, or too deep
         raise SchemaError(f"malformed JSON: {exc}", field=str(path)) from exc
-
-
-def load_json(path):
-    """Load a typed value from a JSON file; schema errors name the field."""
-    return from_json_value(read_json(path), where=str(path))
 
 
 def save_json(value, path):

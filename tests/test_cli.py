@@ -17,8 +17,8 @@ import entmaj
 from entmaj import cli
 from entmaj.cli import main
 from entmaj.densop import DensityMatrix, random_density
-from entmaj.serial import (complex_matrix_to_json, density_to_json, load_json,
-                           prob_vector_from_json, real_matrix_to_json, save_json)
+from entmaj.serial import (channel_from_json, complex_matrix_to_json, density_to_json,
+                           prob_vector_from_json, read_json, real_matrix_to_json, save_json)
 from entmaj.qchan import KrausChannel, random_isometric_conjugation_channel
 from entmaj.xfer import chain_to_doubly_stochastic, find_transfer_chain
 
@@ -112,6 +112,17 @@ class TestTransferAndFriends:
         report = json.loads(out)
         assert report["error"] == "MajorizationFailed"
         assert report["verdict"]["first_violation"]["k"] == 1
+
+    def test_sum_mismatch_error_verdict_has_a_null_violation(self, tmp_path, capsys):
+        pair = tmp_path / "pair.json"
+        write_json(pair, {"a": {"entries": [0.3, 0.3]}, "b": {"entries": [0.5, 0.5]}})
+        for sub in ("transfer", "schur-horn"):
+            rc, out, _ = run(capsys, sub, "--in", str(pair))
+            assert rc == 1
+            report = json.loads(out)
+            assert report["error"] == "MajorizationFailed"
+            assert report["verdict"] == {"holds": False, "sums_equal": False,
+                                         "first_violation": None}
 
     def test_birkhoff_roundtrip(self, tmp_path, capsys):
         q = tmp_path / "q.json"
@@ -312,7 +323,7 @@ class TestGenAndErrors:
     def test_gen_outputs_are_loadable(self, tmp_path, capsys):
         p = tmp_path / "chan.json"
         run(capsys, "gen", "channel", "--d", "3", "--seed", "1", "--out", str(p))
-        chan = load_json(p)
+        chan = channel_from_json(read_json(p))
         assert isinstance(chan, KrausChannel)
 
     def test_malformed_input_exit_two(self, tmp_path, capsys):

@@ -3,7 +3,6 @@ import pytest
 
 from entmaj.densop import (
     DensityMatrix,
-    _flat_spectrum,
     eig_hermitian,
     haar_unitary,
     isometry_defect,
@@ -19,7 +18,7 @@ from entmaj.densop import (
     von_neumann_entropy,
 )
 from entmaj.errors import DimensionMismatch, InvalidValue, NotHermitian, NotUnitVector
-from entmaj.seqmaj import shannon_entropies, shannon_entropy
+from entmaj.seqmaj import _flat_spectrum, shannon_entropies, shannon_entropy
 
 
 def two_level_entropy(lam):
@@ -395,10 +394,11 @@ class TestStackedStateCheck:
 
 
 class TestFlatSpectrumDraw:
-    """The probe's spectrum draw is Generator.dirichlet(ones(d)) without its argument checks;
-    a numpy release that changes either side shows up here."""
+    """The flat-simplex draw of states, pairs and channel weights is
+    Generator.dirichlet(ones(d)) without its argument checks; a numpy release that
+    changes either side shows up here."""
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 12, 16, 33, 64])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 7, 8, 9, 12, 16, 33, 64])
     def test_bit_equal_to_dirichlet_and_same_next_draw(self, d):
         ones = np.ones(d)
         for seed in range(500):

@@ -894,3 +894,44 @@ class TestBatchedProbeMatchesPerTrial:
         phi, _ = random_isometric_conjugation_channel(3, 7, np.random.default_rng(71), 1)
         entropy_probe(phi, 40, np.random.default_rng(72))
         assert calls == [(40, 3, 3), (40, 7, 7)]
+
+
+class TestRandomChannelsKeepTheDirichletStream:
+    """The random channels draw their weights with `seqmaj._flat_spectrum`, bit-identical to
+    the rng.dirichlet(np.ones(k)) draws they were built with, so `gen channel` and the
+    detector corpus keep their bytes."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_isometric_conjugation(self, seed):
+        phi, v = random_isometric_conjugation_channel(2, 3, np.random.default_rng(seed), 4)
+        rng = np.random.default_rng(seed)
+        np.testing.assert_array_equal(v, random_isometry(2, 3, rng))
+        w = rng.dirichlet(np.ones(4))
+        phases = np.exp(2j * np.pi * rng.random(4))
+        np.testing.assert_array_equal(phi.kraus, (np.sqrt(w) * phases)[:, None, None] * v)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_mixed_unitary_and_composition(self, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 5))
+        w = rng.dirichlet(np.ones(m))
+        expected = mixed_unitary_channel(w, [haar_unitary(3, rng) for _ in range(m)])
+        ours = random_bistochastic_channel(3, np.random.default_rng(seed), kind="mixed_unitary")
+        np.testing.assert_array_equal(ours.kraus, expected.kraus)
+        rng = np.random.default_rng(seed)
+        w = rng.dirichlet(np.ones(2))
+        mixed = mixed_unitary_channel(w, [haar_unitary(3, rng) for _ in range(2)])
+        expected = compose_channels(pinching_channel(haar_unitary(3, rng)), mixed)
+        ours = random_bistochastic_channel(3, np.random.default_rng(seed), kind="composition")
+        np.testing.assert_array_equal(ours.kraus, expected.kraus)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_corpus_mixed_unitary_negative(self, seed):
+        _, negatives = qchan.detector_corpus(np.random.default_rng(seed), 0, 3)
+        rng = np.random.default_rng(seed)
+        haar_unitary(int(rng.integers(2, 9)), rng)  # the pinching's basis
+        rng.integers(2, 9), rng.uniform(0.2, 1.0)  # the depolarizing channel's d and p
+        d, m = int(rng.integers(2, 9)), int(rng.integers(2, 4))
+        w = rng.dirichlet(np.ones(m)) * 0.8 + 0.2 / m
+        expected = mixed_unitary_channel(w, [haar_unitary(d, rng) for _ in range(m)])
+        np.testing.assert_array_equal(negatives[2].kraus, expected.kraus)

@@ -196,6 +196,18 @@ class TestRandomMajorizedPair:
         np.testing.assert_array_equal(a1.entries, a2.entries)
         np.testing.assert_array_equal(b1.entries, b2.entries)
 
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    def test_bit_equal_to_the_dirichlet_draw(self, d):
+        for seed in range(500):
+            rng = np.random.default_rng(seed)
+            b = rng.dirichlet(np.ones(d))
+            a = np.zeros(d)
+            for w in rng.dirichlet(np.ones(4)):
+                a += w * b[rng.permutation(d)]
+            ours, ref = random_majorized_pair(d, np.random.default_rng(seed)), (a, b)
+            for got, want in zip(ours, ref):
+                np.testing.assert_array_equal(got.entries, want)
+
 
 class TestMajorizationEntropyLink:
     def test_schur_concavity_sample(self):

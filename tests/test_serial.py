@@ -19,13 +19,13 @@ from entmaj.serial import (
     complex_matrix_to_json,
     density_from_json,
     dumps_report,
-    from_json_value,
-    load_json,
     prob_vector_from_json,
     prob_vector_to_json,
+    read_json,
     real_matrix_from_json,
     real_matrix_to_json,
     save_json,
+    vector_or_state_from_json,
 )
 from entmaj.xfer import (BirkhoffDecomposition, birkhoff_decompose, chain_to_doubly_stochastic,
                          find_transfer_chain)
@@ -42,7 +42,7 @@ class TestRoundTrips:
         rho = random_density(4, np.random.default_rng(0))
         path = tmp_path / "rho.json"
         save_json(rho, path)
-        back = load_json(path)
+        back = density_from_json(read_json(path))
         assert isinstance(back, DensityMatrix)
         np.testing.assert_array_equal(back.matrix, rho.matrix)
 
@@ -92,7 +92,7 @@ class TestSchemaErrors:
         path = tmp_path / "bad.json"
         path.write_text('{"entries": [0.5,')
         with pytest.raises(SchemaError) as err:
-            load_json(path)
+            read_json(path)
         assert "line" in str(err.value)
 
     def test_missing_field_named(self):
@@ -122,9 +122,27 @@ class TestSchemaErrors:
             complex_matrix_from_json({"d_rows": 1, "d_cols": 1, "rows": [[[1.0]]]})
         assert "rows[0][0]" in str(err.value)
 
-    def test_unrecognized_schema(self):
-        with pytest.raises(SchemaError):
-            from_json_value({"mystery": 1})
+
+class TestVectorOrState:
+    """The one reader that takes two schemas: "entries" picks the vector, and anything
+    else is read as a state, with "kind" optional."""
+
+    def test_entries_give_a_vector(self):
+        value = vector_or_state_from_json({"entries": [0.25, 0.75], "normalized": True})
+        assert isinstance(value, ProbVector)
+        np.testing.assert_array_equal(value.entries, [0.25, 0.75])
+
+    def test_complex_matrix_without_kind_gives_a_state(self):
+        rho = random_density(3, np.random.default_rng(10))
+        obj = complex_matrix_to_json(rho.matrix)
+        assert "kind" not in obj
+        value = vector_or_state_from_json(obj)
+        assert isinstance(value, DensityMatrix)
+        np.testing.assert_array_equal(value.matrix, rho.matrix)
+
+    def test_a_matrix_that_is_no_state_is_refused_as_a_state(self):
+        with pytest.raises(SchemaError, match="d_rows"):
+            vector_or_state_from_json({"d": 2, "rows": [[0.5, 0.5], [0.5, 0.5]]})
 
 
 class TestChannelClaims:
