@@ -3,7 +3,8 @@
 One subcommand per construction; JSON in, JSON out (CSV for the pinch
 convergence table).  Exit codes: 0 success, 1 domain failure (violated
 precondition, a value failing its type's check, failed verification, or a negative
-verdict under --require / --expect-isometry), 2 I/O, schema or flag errors.
+verdict under --require / --expect-isometry), 2 I/O, schema or flag errors, or an
+allocation that fails.
 """
 
 from __future__ import annotations
@@ -338,6 +339,9 @@ def main(argv=None) -> int:
         return args.run(args)
     except (SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # e.g. a --d or --trials too large to allocate
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return 2
     except DomainError as exc:
         report = {"subcommand": args.subcommand, "version": __version__,

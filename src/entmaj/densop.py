@@ -1,4 +1,4 @@
-"""Density matrices: spectra, von Neumann entropy, trace distance, Ky Fan sums.
+"""Density matrices: spectra, von Neumann entropy, spectral majorization, trace distance.
 
 All operators are finite complex matrices.  Spectral statements are
 basis-independent; eigenvectors inside a degenerate cluster are whatever
@@ -109,10 +109,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
 
 def eig_hermitian(h) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian matrix, eigenvalues descending."""
@@ -159,31 +155,6 @@ def trace_distance(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     if a.shape != b.shape:
         raise DimensionMismatch(f"shapes {a.shape} vs {b.shape}")
     return float(np.abs(np.linalg.eigvalsh(a - b)).sum())
-
-
-def ky_fan_sum(a, k: int) -> float:
-    """Sum of the k largest eigenvalues of a Hermitian matrix.
-
-    This equals the maximum of tr(A P) over rank-k orthogonal projections P.
-    """
-    arr = _hermitian(a)
-    if not 1 <= k <= arr.shape[0]:
-        raise ValueError(f"k={k} out of range 1..{arr.shape[0]}")
-    vals = np.linalg.eigvalsh((arr + arr.conj().T) / 2.0)
-    return float(vals[-k:].sum())
-
-
-def l1_equivalent(rho1: DensityMatrix, rho2: DensityMatrix,
-                  tol: float = 1e-9) -> bool:
-    """True when the nonzero spectra agree as sorted multisets within tol."""
-    s1 = spectrum(rho1).entries
-    s2 = spectrum(rho2).entries
-    s1 = s1[s1 > tol]
-    s2 = s2[s2 > tol]
-    d = max(s1.size, s2.size, 1)
-    s1 = np.pad(s1, (0, d - s1.size))
-    s2 = np.pad(s2, (0, d - s2.size))
-    return bool(np.abs(s1 - s2).max() <= tol)
 
 
 def pure_state(x) -> DensityMatrix:

@@ -1,9 +1,9 @@
 """Quantum channels in Kraus form.
 
-Covers structural checks (trace preservation, unitality, complete
-positivity), the constructive channels used to realize majorization between
-states (pinching, phase averaging, rank-one transfer, mixed-unitary
-transfer), and the detector that decides whether a channel is conjugation by
+Covers the Kraus stack with its completeness and unitality defects, the
+constructive channels used to realize majorization between states (pinching,
+rank-one transfer, mixed-unitary transfer), the distance of phase averaging to
+the pinching, and the detector that decides whether a channel is conjugation by
 an isometry, which is exactly the entropy-preserving case.
 """
 
@@ -37,7 +37,6 @@ from .xfer import chain_to_orthogonal, find_transfer_chain
 
 COMPLETENESS_TOL = 1e-8  # channel completeness and unitality; unitarity of mixed-unitary terms
 UNITARY_TOL = 1e-9
-CP_FLOOR = -1e-8  # smallest Choi eigenvalue still read as completely positive
 ISOMETRY_TOL = 1e-7  # default tolerance of the isometric-conjugation detector
 # most complex entries in one chunk of an entropy_probe or pinch_convergence_experiment stack
 PROBE_CHUNK_ENTRIES = 2**14
@@ -132,16 +131,6 @@ class IsometryReport:
 
 
 @dataclass(frozen=True)
-class StructureReport:
-    trace_preserving: bool
-    unital: bool
-    completely_positive: bool
-    trace_preserving_defect: float
-    unitality_defect: float
-    min_choi_eigenvalue: float
-
-
-@dataclass(frozen=True)
 class MixedUnitaryTransfer:
     """The Uhlmann frame of a state pair (see uhlmann_frame), read as the uniform mixture
     of the n = max(pos) + 1 unitaries U_k = F D^k E^*, D = diag(omega^pos) and
@@ -171,9 +160,6 @@ class MixedUnitaryTransfer:
         phases = np.exp(2j * np.pi / n * (np.arange(n)[:, None] * self.pos % n))  # D^k per row
         e_star = self.e.conj().T
         return tuple((self.f * p) @ e_star for p in phases)  # one d x d temporary at a time
-
-    def to_channel(self) -> KrausChannel:
-        return mixed_unitary_channel(self.weights, self.unitaries)
 
     def apply(self, rho: DensityMatrix, rank_one: bool = False) -> DensityMatrix:
         """F (M o mask) F^* with M = E^* rho E, as a validated state, in O(d^3).
@@ -244,14 +230,6 @@ def apply_raw(phi: KrausChannel, x: np.ndarray) -> np.ndarray:
     return _sandwich(phi.kraus, x)
 
 
-def adjoint_apply(phi: KrausChannel, x: np.ndarray) -> np.ndarray:
-    """Dual action sum_i A_i^* X A_i; satisfies tr(dual(X) Y) = tr(X phi(Y))."""
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (phi.d_out, phi.d_out):
-        raise DimensionMismatch(f"matrix shape {x.shape} != ({phi.d_out}, {phi.d_out})")
-    return _sandwich(phi.kraus.conj().transpose(0, 2, 1), x)
-
-
 def choi_of_linear_map(fn, d_in: int, d_out: int) -> np.ndarray:
     """Choi matrix sum_ij e_ij (x) fn(e_ij), trace-normalized by d_in.
 
@@ -270,23 +248,6 @@ def choi_matrix(phi: KrausChannel) -> np.ndarray:
     # row i of cols is A_i with its columns stacked: sum_j e_j (x) A_i e_j
     cols = phi.kraus.transpose(0, 2, 1).reshape(phi.num_kraus, -1)
     return (cols.T @ cols.conj()) / phi.d_in
-
-
-def structure_checks(phi: KrausChannel) -> StructureReport:
-    """Report trace preservation, unitality, and complete positivity defects."""
-    min_eig = float(np.linalg.eigvalsh(choi_matrix(phi)).min())
-    return StructureReport(
-        trace_preserving=phi.trace_preserving,
-        unital=phi.unital,
-        completely_positive=min_eig >= CP_FLOOR,
-        trace_preserving_defect=phi.completeness_defect,
-        unitality_defect=phi.unitality_defect,
-        min_choi_eigenvalue=min_eig,
-    )
-
-
-def identity_channel(d: int) -> KrausChannel:
-    return KrausChannel(np.eye(d, dtype=complex)[None])
 
 
 def mixed_unitary_channel(weights, unitaries) -> KrausChannel:
@@ -316,22 +277,6 @@ def pinching_channel(basis) -> KrausChannel:
     b = _unitary_basis(basis)
     projections = b.T[:, :, None] * b.T.conj()[:, None, :]  # |b_i><b_i| per column
     return KrausChannel(projections)
-
-
-def phase_averaging_channel(n: int, d: int) -> KrausChannel:
-    """Uniform mixture of conjugations by powers of a diagonal phase unitary.
-
-    The unitary carries the first n coordinates through the n-th roots of
-    unity and fixes the rest; averaging its first n powers kills every
-    off-diagonal entry that touches the first n-1 coordinates and converges
-    to the full pinching as n grows.
-    """
-    if not 1 <= n <= d:
-        raise ValueError(f"n={n} out of range 1..{d}")
-    omega = np.exp(2j * np.pi / n)
-    diag = np.concatenate([omega ** np.arange(1, n + 1), np.ones(d - n)])
-    powers = diag[None, :] ** np.arange(1, n + 1)[:, None]
-    return KrausChannel(powers[:, :, None] * np.eye(d) / np.sqrt(n))
 
 
 def pinch_convergence_experiment(rho2: DensityMatrix, basis) -> list[PinchRow]:

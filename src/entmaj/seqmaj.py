@@ -168,18 +168,6 @@ def _bits(pos: np.ndarray) -> np.ndarray:
     return bits
 
 
-def tail_group(c: ProbVector, n: int) -> ProbVector:
-    """Replace the tail after position n by its sum: (c_1..c_n, sum_{i>n} c_i).
-
-    Grouping can only lose entropy, so H(tail_group(c, n)) <= H(c).
-    """
-    arr = _as_array(c)
-    if not 1 <= n <= arr.size:
-        raise ValueError(f"n={n} out of range 1..{arr.size}")
-    grouped = np.append(arr[:n], arr[n:].sum())
-    return ProbVector(grouped, normalized=getattr(c, "normalized", False))
-
-
 def _flat_spectrum(d: int, rng: np.random.Generator) -> np.ndarray:
     """rng.dirichlet(np.ones(d)) bit for bit, leaving rng in the same state, without its
     per-call argument checks: for alpha = 1 it draws d standard exponentials and scales

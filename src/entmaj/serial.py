@@ -7,7 +7,7 @@ Schemas:
   density matrix       complex matrix plus "kind": "density"        (validated on load)
   Kraus channel        {"d_in": n, "d_out": m, "kraus": [<complex matrix>, ...],
                         "flags": {"trace_preserving": b, "unital": b}}
-  transfer chain       {"d": n, "steps": [{"i": i, "j": j, "t": t}, ...]}
+  transfer chain       {"d": n, "steps": [{"i": i, "j": j, "t": t}, ...]}   (written only)
   Birkhoff mixture     {"terms": [{"weight": t, "perm": [...]}, ...]}
                        (perm maps row index -> column index)
   majorization verdict {"holds": b, "sums_equal": b,
@@ -44,7 +44,6 @@ from .xfer import (
     DoublyStochasticMatrix,
     OrthogonalMatrix,
     TransferChain,
-    TTransform,
 )
 
 
@@ -200,17 +199,6 @@ def channel_from_json(obj, where: str = "channel") -> KrausChannel:
 def chain_to_json(chain: TransferChain) -> dict:
     return {"d": chain.d,
             "steps": [{"i": s.i, "j": s.j, "t": float(s.t)} for s in chain.steps]}
-
-
-def chain_from_json(obj, where: str = "chain") -> TransferChain:
-    d = _dimension(obj, "d", where)
-    steps = _expect(obj, "steps", list, where)
-    out = []
-    for k, s in enumerate(steps):
-        field = f"{where}.steps[{k}]"
-        out.append(_construct(field, TTransform, i=_expect(s, "i", int, field),
-                              j=_expect(s, "j", int, field), t=_expect(s, "t", float, field)))
-    return _construct(f"{where}.steps", TransferChain, d=d, steps=tuple(out))
 
 
 def birkhoff_to_json(decomp: BirkhoffDecomposition) -> dict:

@@ -141,18 +141,6 @@ class BirkhoffDecomposition:
                            minlength=d * d).reshape(d, d)
 
 
-def apply_t_transform(step: TTransform, v) -> ProbVector:
-    """Apply one elementary transfer; the total is preserved."""
-    p = v if isinstance(v, ProbVector) else ProbVector(v)
-    arr = np.array(p.entries)
-    if step.i >= arr.size or step.j >= arr.size:
-        raise InvalidValue(f"indices ({step.i},{step.j}) out of range for d={arr.size}")
-    vi, vj = arr[step.i], arr[step.j]
-    arr[step.i] = step.t * vi + (1.0 - step.t) * vj
-    arr[step.j] = (1.0 - step.t) * vi + step.t * vj
-    return ProbVector(arr, normalized=p.normalized)
-
-
 def find_transfer_chain(a, b, tol: float = MAJORIZATION_TOL) -> TransferChain:
     """Build at most d-1 elementary transfers carrying b's sorted vector to a's.
 
@@ -192,14 +180,27 @@ def find_transfer_chain(a, b, tol: float = MAJORIZATION_TOL) -> TransferChain:
     return TransferChain(d=d, steps=tuple(steps))
 
 
+def _multiply_out(chain: TransferChain, coeffs) -> np.ndarray:
+    """The product of one 2 x 2 block per step, last step leftmost.
+
+    coeffs holds four per-step arrays (a, b, c, e): step k maps rows i and j of the
+    running product to a_k row_i + b_k row_j and c_k row_i + e_k row_j.  Both rows are
+    updated through views, the new row i built before row j is overwritten.
+    """
+    q = np.eye(chain.d)
+    for s, a, b, c, e in zip(chain.steps, *coeffs):
+        ri, rj = q[s.i], q[s.j]
+        new_i = a * ri + b * rj
+        rj *= e
+        rj += c * ri
+        ri[:] = new_i
+    return q
+
+
 def chain_to_doubly_stochastic(chain: TransferChain) -> DoublyStochasticMatrix:
     """Multiply out the chain's elementary matrices, last step leftmost."""
-    q = np.eye(chain.d)
-    for s in chain.steps:
-        rows = q[[s.i, s.j], :]
-        mix = np.array([[s.t, 1.0 - s.t], [1.0 - s.t, s.t]])
-        q[[s.i, s.j], :] = mix @ rows
-    return DoublyStochasticMatrix(q)
+    t = np.array([s.t for s in chain.steps])
+    return DoublyStochasticMatrix(_multiply_out(chain, (t, 1.0 - t, 1.0 - t, t)))
 
 
 def chain_to_orthogonal(chain: TransferChain) -> OrthogonalMatrix:
@@ -209,26 +210,15 @@ def chain_to_orthogonal(chain: TransferChain) -> OrthogonalMatrix:
     rotated, so the diagonal of U diag(b_sorted) U^T evolves exactly like the
     transfer chain.
     """
-    u = np.eye(chain.d)
-    for s in chain.steps:
-        c = np.sqrt(s.t)
-        sn = np.sqrt(1.0 - s.t)
-        rows = u[[s.i, s.j], :]
-        u[[s.i, s.j], :] = np.array([[c, -sn], [sn, c]]) @ rows
-    return OrthogonalMatrix(u)
+    t = np.array([s.t for s in chain.steps])
+    c, s = np.sqrt(t), np.sqrt(1.0 - t)
+    return OrthogonalMatrix(_multiply_out(chain, (c, -s, s, c)))
 
 
 def schur_horn_orthogonal(a, b, tol: float = MAJORIZATION_TOL) -> OrthogonalMatrix:
     """Real orthogonal U with diag(U diag(b_sorted) U^T) = a_sorted: the transfer
     chain from b to a, multiplied out by `chain_to_orthogonal`."""
     return chain_to_orthogonal(find_transfer_chain(a, b, tol))
-
-
-def orthostochastic_of(u) -> DoublyStochasticMatrix:
-    """Squared entries of an orthogonal matrix; doubly stochastic by the norm identity."""
-    if not isinstance(u, OrthogonalMatrix):
-        u = OrthogonalMatrix(u)
-    return DoublyStochasticMatrix(u.entries ** 2)
 
 
 def _augment(support: np.ndarray, perm: np.ndarray, inv: np.ndarray, root: int) -> bool:

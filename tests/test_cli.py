@@ -593,6 +593,20 @@ class TestExitCodeContract:
         assert err == ""
         assert json.loads(out, parse_constant=_refuse_constant)["error"] == "InvalidValue"
 
+    @pytest.mark.parametrize("message", ["", "Unable to allocate 7.28 TiB"],
+                             ids=["bare", "with-message"])
+    def test_allocation_failure_exit_two(self, tmp_path, capsys, monkeypatch, message):
+        def refuse(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "entropy_probe", refuse)  # never allocates for real
+        p = tmp_path / "chan.json"
+        save_json(KrausChannel(np.eye(2, dtype=complex)[None]), p)
+        rc, out, err = run(capsys, "probe-entropy", "--in", str(p),
+                           "--trials", "1000000000000")
+        self.assert_error_line(rc, out, err)
+        assert err.rstrip() == f"error: out of memory{': ' + message if message else ''}"
+
     def test_default_tolerances_reported(self, tmp_path, capsys):
         p = tmp_path / "q.json"
         write_json(p, {"d": 2, "rows": [[0.5, 0.5], [0.5, 0.5]]})

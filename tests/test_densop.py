@@ -6,8 +6,6 @@ from entmaj.densop import (
     eig_hermitian,
     haar_unitary,
     isometry_defect,
-    ky_fan_sum,
-    l1_equivalent,
     pure_state,
     random_density,
     random_density_stack,
@@ -58,7 +56,8 @@ class TestEigHermitian:
         z = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
         h = (z + z.conj().T) / 2
         dec = eig_hermitian(h)
-        assert np.abs(dec.reconstruct() - h).max() <= 1e-8
+        v, lam = dec.eigenvectors, dec.eigenvalues
+        assert np.abs((v * lam) @ v.conj().T - h).max() <= 1e-8
         assert np.all(np.diff(dec.eigenvalues) <= 1e-12)
 
     def test_deterministic(self):
@@ -191,66 +190,6 @@ class TestTraceDistance:
             assert d12 >= 0
             assert d12 == pytest.approx(d21, abs=1e-12)
             assert d12 <= trace_distance(r1, r3) + trace_distance(r3, r2) + 1e-9
-
-
-class TestKyFanSum:
-    def test_full_trace_of_state(self):
-        rng = np.random.default_rng(9)
-        rho = random_density(5, rng)
-        assert ky_fan_sum(rho.matrix, 5) == pytest.approx(1.0, abs=1e-9)
-
-    def test_diagonal(self):
-        a = np.diag([0.5, 0.3, 0.2]).astype(complex)
-        assert ky_fan_sum(a, 2) == pytest.approx(0.8, abs=1e-12)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            ky_fan_sum(np.eye(2, dtype=complex), 3)
-
-    def test_dominates_projection_traces(self):
-        # tr(A P) over rank-k projections is maximized on the top eigenspace
-        rng = np.random.default_rng(10)
-        z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        a = (z + z.conj().T) / 2
-        for k in (1, 2, 4):
-            top = ky_fan_sum(a, k)
-            for _ in range(20):
-                g = rng.standard_normal((6, k)) + 1j * rng.standard_normal((6, k))
-                q, _ = np.linalg.qr(g)
-                p = q @ q.conj().T
-                assert np.trace(a @ p).real <= top + 1e-9
-            dec = eig_hermitian(a)
-            vtop = dec.eigenvectors[:, :k]
-            ptop = vtop @ vtop.conj().T
-            assert np.trace(a @ ptop).real == pytest.approx(top, abs=1e-9)
-
-    def test_concave_increasing_in_k(self):
-        rng = np.random.default_rng(11)
-        rho = random_density(6, rng)
-        sums = [ky_fan_sum(rho.matrix, k) for k in range(1, 7)]
-        assert sums[-1] == pytest.approx(1.0, abs=1e-9)
-        diffs = np.diff([0.0] + sums)
-        assert np.all(diffs >= -1e-12)
-        assert np.all(np.diff(diffs) <= 1e-9)
-
-
-class TestL1Equivalent:
-    def test_unitary_invariance(self):
-        rng = np.random.default_rng(12)
-        rho = random_density(4, rng)
-        u = haar_unitary(4, rng)
-        conj = DensityMatrix(u @ rho.matrix @ u.conj().T)
-        assert l1_equivalent(rho, conj, 1e-8)
-
-    def test_distinct_spectra(self):
-        r1 = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
-        r2 = DensityMatrix(np.diag([0.5, 0.5]).astype(complex))
-        assert not l1_equivalent(r1, r2, 1e-9)
-
-    def test_zero_padding_across_dimensions(self):
-        r1 = DensityMatrix(np.diag([0.5, 0.5]).astype(complex))
-        r2 = DensityMatrix(np.diag([0.5, 0.5, 0.0]).astype(complex))
-        assert l1_equivalent(r1, r2, 1e-9)
 
 
 class TestPureState:

@@ -19,7 +19,6 @@ from entmaj.qchan import (
     COMPLETENESS_TOL,
     PROBE_CHUNK_ENTRIES,
     KrausChannel,
-    adjoint_apply,
     apply_channel,
     apply_raw,
     choi_matrix,
@@ -29,21 +28,35 @@ from entmaj.qchan import (
     detect_isometry,
     entropy_probe,
     fixed_point_commutant_check,
-    identity_channel,
     mixed_unitary_channel,
     mixed_unitary_uhlmann,
-    phase_averaging_channel,
     pinch_convergence_experiment,
     pinching_channel,
     random_bistochastic_channel,
     random_isometric_conjugation_channel,
     random_isometry,
-    structure_checks,
     uhlmann_channel,
     uhlmann_frame,
 )
 from entmaj.seqmaj import is_majorized, random_majorized_pair, sort_desc
 from entmaj.serial import channel_to_json
+
+
+def phase_averaging_channel(n: int, d: int) -> KrausChannel:
+    """Uniform mixture of conjugations by powers of a diagonal phase unitary: the channel
+    whose distance to the pinching pinch_convergence_experiment computes from masks.
+
+    The unitary carries the first n coordinates through the n-th roots of
+    unity and fixes the rest; averaging its first n powers kills every
+    off-diagonal entry that touches the first n-1 coordinates and converges
+    to the full pinching as n grows.
+    """
+    if not 1 <= n <= d:
+        raise ValueError(f"n={n} out of range 1..{d}")
+    omega = np.exp(2j * np.pi / n)
+    diag = np.concatenate([omega ** np.arange(1, n + 1), np.ones(d - n)])
+    powers = diag[None, :] ** np.arange(1, n + 1)[:, None]
+    return KrausChannel(powers[:, :, None] * np.eye(d) / np.sqrt(n))
 
 
 def dephasing_channel():
@@ -67,7 +80,7 @@ def mixture_output(mix, rho):
 class TestApply:
     def test_identity_channel(self):
         rho = random_density(3, np.random.default_rng(0))
-        out = apply_channel(identity_channel(3), rho)
+        out = apply_channel(KrausChannel(np.eye(3, dtype=complex)[None]), rho)
         assert np.abs(out.matrix - rho.matrix).max() <= 1e-12
 
     def test_dephasing_kills_off_diagonals(self):
@@ -84,7 +97,7 @@ class TestApply:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            apply_channel(identity_channel(3),
+            apply_channel(KrausChannel(np.eye(3, dtype=complex)[None]),
                           DensityMatrix(np.eye(2, dtype=complex) / 2))
 
     def test_not_trace_preserving_rejected(self):
@@ -93,39 +106,17 @@ class TestApply:
             apply_channel(half, DensityMatrix(np.eye(2, dtype=complex) / 2))
 
 
-class TestAdjoint:
-    def test_dual_of_identity_matrix_is_identity(self):
-        rng = np.random.default_rng(2)
-        phi = random_bistochastic_channel(4, rng)
-        out = adjoint_apply(phi, np.eye(4, dtype=complex))
-        assert np.abs(out - np.eye(4)).max() <= 1e-8
-
-    def test_identity_channel_fixes_input(self):
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        np.testing.assert_allclose(adjoint_apply(identity_channel(3), x), x)
-
-    def test_trace_duality(self):
-        rng = np.random.default_rng(4)
-        phi = random_bistochastic_channel(8, rng)
-        for _ in range(5):
-            x = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-            y = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-            lhs = np.trace(adjoint_apply(phi, x) @ y)
-            rhs = np.trace(x @ apply_raw(phi, y))
-            assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(rhs))
-
-
 class TestStructureChecks:
     def test_identity(self):
-        rep = structure_checks(identity_channel(3))
-        assert rep.trace_preserving and rep.unital and rep.completely_positive
-        assert rep.trace_preserving_defect <= 1e-12
-        assert rep.min_choi_eigenvalue >= -1e-12
+        phi = KrausChannel(np.eye(3, dtype=complex)[None])
+        assert phi.trace_preserving and phi.unital
+        assert phi.completeness_defect <= 1e-12
+        assert np.linalg.eigvalsh(choi_matrix(phi)).min() >= -1e-12
 
     def test_dephasing(self):
-        rep = structure_checks(dephasing_channel())
-        assert rep.trace_preserving and rep.unital and rep.completely_positive
+        phi = dephasing_channel()
+        assert phi.trace_preserving and phi.unital
+        assert np.linalg.eigvalsh(choi_matrix(phi)).min() >= -1e-12
 
     def test_transpose_map_not_cp(self):
         # encoded as a plain linear map; its Choi matrix is the swap operator
@@ -260,8 +251,7 @@ class TestUhlmannChannel:
             rho1 = random_density(16, rng, spec=a)
             psi = uhlmann_channel(rho1, rho2)
             assert trace_distance(apply_channel(psi, rho2), rho1) <= 1e-7
-            rep = structure_checks(psi)
-            assert rep.trace_preserving and rep.unital
+            assert psi.trace_preserving and psi.unital
 
     def test_rejects_non_majorized(self):
         rng = np.random.default_rng(14)
@@ -340,9 +330,8 @@ class TestMixedUnitaryUhlmann:
             assert len(mix.unitaries) <= d
             # sufficiency: the mixture output is spectrally flatter than rho2
             assert is_majorized(spectrum(out), spectrum(rho2), 1e-8).holds
-            chan = mix.to_channel()
-            rep = structure_checks(chan)
-            assert rep.trace_preserving and rep.unital
+            chan = mixed_unitary_channel(mix.weights, mix.unitaries)
+            assert chan.trace_preserving and chan.unital
 
 
 class TestBistochasticMajorization:
@@ -608,7 +597,7 @@ def _uhlmann(rng):
 
 
 CONSTRUCTIONS = {
-    "identity": lambda rng: identity_channel(3),
+    "identity": lambda rng: KrausChannel(np.eye(3, dtype=complex)[None]),
     "mixed-unitary": lambda rng: mixed_unitary_channel(
         [0.3, 0.7], [haar_unitary(3, rng) for _ in range(2)]),
     "pinching": lambda rng: pinching_channel(haar_unitary(4, rng)),
@@ -636,7 +625,6 @@ def loop_reference(phi):
     ops = list(phi.kraus)
     return {
         "apply": lambda x: sum(a @ x @ a.conj().T for a in ops),
-        "adjoint": lambda x: sum(a.conj().T @ x @ a for a in ops),
         "choi": sum(np.outer(a.T.reshape(-1), a.T.reshape(-1).conj()) for a in ops) / phi.d_in,
         "completeness": np.abs(sum(a.conj().T @ a for a in ops) - np.eye(phi.d_in)).max(),
         "unitality": np.abs(sum(a @ a.conj().T for a in ops) - np.eye(phi.d_out)).max(),
@@ -655,10 +643,8 @@ class TestKrausStack:
         phi = KrausChannel(g)
         ref = loop_reference(phi)
         x = rng.standard_normal((d_in, d_in)) + 1j * rng.standard_normal((d_in, d_in))
-        y = rng.standard_normal((d_out, d_out)) + 1j * rng.standard_normal((d_out, d_out))
         scale = np.abs(g).max() ** 2 * terms * max(d_in, d_out)
         assert np.abs(apply_raw(phi, x) - ref["apply"](x)).max() <= self.TOL * scale * 10
-        assert np.abs(adjoint_apply(phi, y) - ref["adjoint"](y)).max() <= self.TOL * scale * 10
         assert np.abs(choi_matrix(phi) - ref["choi"]).max() <= self.TOL * scale
         assert abs(phi.completeness_defect - ref["completeness"]) <= self.TOL * scale
         assert abs(phi.unitality_defect - ref["unitality"]) <= self.TOL * scale
@@ -683,7 +669,7 @@ class TestKrausStack:
         half = KrausChannel((np.eye(2, dtype=complex) / np.sqrt(2),))
         assert half.completeness_defect == pytest.approx(0.5)
         assert half.unitality_defect == pytest.approx(0.5)
-        assert not structure_checks(half).trace_preserving
+        assert not half.trace_preserving
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entries_rejected(self, bad):
@@ -726,7 +712,8 @@ class TestFactoredFrame:
         _, rho1, rho2 = pair
         mix = mixed_unitary_uhlmann(rho1, rho2)
         out = mix.apply(rho2)
-        assert trace_distance(out, apply_channel(mix.to_channel(), rho2)) <= 1e-12
+        chan = mixed_unitary_channel(mix.weights, mix.unitaries)
+        assert trace_distance(out, apply_channel(chan, rho2)) <= 1e-12
         assert trace_distance(out, rho1) <= 1e-12
 
     @pytest.mark.parametrize("pair", PAIRS, ids=[p[0] for p in PAIRS])
@@ -839,8 +826,9 @@ class TestBatchedProbeMatchesPerTrial:
         assert abs(result.max_deviation - dev) <= 1e-14
 
     def test_one_dimensional_input(self):
-        result = entropy_probe(identity_channel(1), 7, np.random.default_rng(66))
-        dev, seed, _ = per_trial_probe(identity_channel(1), 7, np.random.default_rng(66))
+        identity = KrausChannel(np.eye(1, dtype=complex)[None])
+        result = entropy_probe(identity, 7, np.random.default_rng(66))
+        dev, seed, _ = per_trial_probe(identity, 7, np.random.default_rng(66))
         assert result.max_deviation == dev == 0.0
         assert result.worst_seed == seed  # every deviation is 0: the first seed
         phi, _ = random_isometric_conjugation_channel(1, 3, np.random.default_rng(65), 2)

@@ -11,7 +11,6 @@ from entmaj.seqmaj import (
     shannon_entropies,
     shannon_entropy,
     sort_desc,
-    tail_group,
 )
 
 
@@ -140,42 +139,6 @@ class TestShannonEntropies:
     def test_rejects_one_vector(self):
         with pytest.raises(InvalidValue):
             shannon_entropies([0.5, 0.5])
-
-
-class TestTailGroup:
-    def test_definition(self):
-        out = tail_group(ProbVector([0.5, 0.25, 0.25]), 1)
-        np.testing.assert_allclose(out.entries, [0.5, 0.5])
-
-    def test_empty_tail(self):
-        out = tail_group(ProbVector([0.5, 0.25, 0.25]), 3)
-        np.testing.assert_allclose(out.entries, [0.5, 0.25, 0.25, 0.0])
-
-    def test_entropy_drops(self):
-        c = ProbVector([0.5, 0.25, 0.25])
-        assert shannon_entropy(c) == pytest.approx(1.5, abs=1e-12)
-        assert shannon_entropy(tail_group(c, 1)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            tail_group(ProbVector([1.0]), 2)
-
-    @given(st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_grouping_never_gains_entropy(self, seed):
-        rng = np.random.default_rng(seed)
-        c = ProbVector(rng.dirichlet(np.ones(8)), normalized=True)
-        h = shannon_entropy(c)
-        for n in range(1, 9):
-            assert shannon_entropy(tail_group(c, n)) <= h + 1e-12
-
-    @given(st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_grouping_monotone_in_cut(self, seed):
-        rng = np.random.default_rng(seed)
-        c = ProbVector(rng.dirichlet(np.ones(8)), normalized=True)
-        hs = [shannon_entropy(tail_group(c, n)) for n in range(1, 9)]
-        assert all(h2 >= h1 - 1e-12 for h1, h2 in zip(hs, hs[1:]))
 
 
 class TestRandomMajorizedPair:

@@ -16,19 +16,31 @@ from entmaj.xfer import (
     SUPPORT_TOL,
     BirkhoffDecomposition,
     DoublyStochasticMatrix,
+    OrthogonalMatrix,
     TransferChain,
     TTransform,
-    apply_t_transform,
     birkhoff_decompose,
     chain_to_doubly_stochastic,
     chain_to_orthogonal,
     find_transfer_chain,
-    orthostochastic_of,
     schur_horn_orthogonal,
 )
 
 
+def apply_t_transform(step: TTransform, v) -> ProbVector:
+    """Apply one elementary transfer; the total is preserved."""
+    p = v if isinstance(v, ProbVector) else ProbVector(v)
+    arr = np.array(p.entries)
+    if step.i >= arr.size or step.j >= arr.size:
+        raise InvalidValue(f"indices ({step.i},{step.j}) out of range for d={arr.size}")
+    vi, vj = arr[step.i], arr[step.j]
+    arr[step.i] = step.t * vi + (1.0 - step.t) * vj
+    arr[step.j] = (1.0 - step.t) * vi + step.t * vj
+    return ProbVector(arr, normalized=p.normalized)
+
+
 def replay(chain, b):
+    """The chain applied to sorted b one step at a time: the oracle of its matrices."""
     cur = ProbVector(np.pad(sort_desc(b).entries, (0, chain.d - len(b.entries))))
     for step in chain.steps:
         cur = apply_t_transform(step, cur)
@@ -124,6 +136,33 @@ class TestChainToDoublyStochastic:
             q = chain_to_doubly_stochastic(find_transfer_chain(a, b))
             v = rng.dirichlet(np.ones(d))
             assert is_majorized(q.entries @ v, v, 1e-9).holds
+
+
+def fancy_index_walk(chain, block):
+    """The chain's matrix as one gather, 2 x 2 product and scatter per step, block(t)
+    giving the step's 2 x 2 matrix: the walk that both chain matrices must reproduce."""
+    q = np.eye(chain.d)
+    for s in chain.steps:
+        q[[s.i, s.j], :] = block(s.t) @ q[[s.i, s.j], :]
+    return q
+
+
+def _rotation(t):
+    c, sn = np.sqrt(t), np.sqrt(1.0 - t)
+    return np.array([[c, -sn], [sn, c]])
+
+
+class TestChainWalk:
+    @pytest.mark.parametrize("d", [1, 2, 8, 128])
+    def test_both_matrices_equal_the_fancy_index_walk(self, d):
+        rng = np.random.default_rng(500 + d)
+        chains = [find_transfer_chain(*random_majorized_pair(d, rng)) for _ in range(5)]
+        chains.append(TransferChain(d=d, steps=()))
+        for chain in chains:
+            ds = fancy_index_walk(chain, lambda t: np.array([[t, 1.0 - t], [1.0 - t, t]]))
+            np.testing.assert_array_equal(chain_to_doubly_stochastic(chain).entries, ds)
+            np.testing.assert_array_equal(chain_to_orthogonal(chain).entries,
+                                          fancy_index_walk(chain, _rotation))
 
 
 def cyclic_mixture(d, k, scrambled):
@@ -466,38 +505,21 @@ class TestSchurHorn:
         for _ in range(20):
             d = int(rng.integers(2, 17))
             a, b = random_majorized_pair(d, rng)
-            q = orthostochastic_of(schur_horn_orthogonal(a, b))
+            q = DoublyStochasticMatrix(schur_horn_orthogonal(a, b).entries ** 2)
             err = np.abs(q.entries @ sort_desc(b).entries - sort_desc(a).entries).max()
             assert err <= 1e-8
 
 
 class TestOrthostochastic:
-    def test_identity(self):
-        q = orthostochastic_of(np.eye(3))
-        np.testing.assert_array_equal(q.entries, np.eye(3))
-
-    def test_rotation(self):
-        s = np.sqrt(0.5)
-        q = orthostochastic_of(np.array([[s, -s], [s, s]]))
-        np.testing.assert_allclose(q.entries, [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
-
-    def test_random_orthogonal_rows_and_columns(self):
-        rng = np.random.default_rng(31)
-        m = rng.standard_normal((8, 8))
-        u, _ = np.linalg.qr(m)
-        q = orthostochastic_of(u)
-        np.testing.assert_allclose(q.entries.sum(axis=0), np.ones(8), atol=1e-9)
-        np.testing.assert_allclose(q.entries.sum(axis=1), np.ones(8), atol=1e-9)
-
     def test_rejects_non_orthogonal(self):
         with pytest.raises(NotOrthogonal):
-            orthostochastic_of(np.array([[1.0, 0.1], [0.0, 1.0]]))
+            OrthogonalMatrix(np.array([[1.0, 0.1], [0.0, 1.0]]))
 
     def test_image_majorized(self):
         rng = np.random.default_rng(37)
         for _ in range(20):
-            u, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-            q = orthostochastic_of(u)
+            u = OrthogonalMatrix(np.linalg.qr(rng.standard_normal((6, 6)))[0])
+            q = DoublyStochasticMatrix(u.entries ** 2)
             v = rng.dirichlet(np.ones(6))
             assert is_majorized(q.entries @ v, v, 1e-9).holds
 
