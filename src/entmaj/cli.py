@@ -16,7 +16,8 @@ from functools import cache, partial
 import numpy as np
 
 from . import __version__
-from .densop import isometry_defect, random_density, trace_distance, von_neumann_entropy
+from .densop import (UNITARY_TOL, isometry_defect, random_density, trace_distance,
+                     von_neumann_entropy)
 from .errors import DomainError, SchemaError
 from .qchan import (
     COMPLETENESS_TOL,
@@ -29,7 +30,7 @@ from .qchan import (
     uhlmann_frame,
 )
 from .seqmaj import (MAJORIZATION_TOL, ProbVector, is_majorized, random_majorized_pair,
-                     shannon_entropy, sort_desc)
+                     shannon_entropy, sorted_padded)
 from .serial import (
     birkhoff_to_json,
     chain_to_json,
@@ -210,8 +211,7 @@ def _run_majorize(args) -> int:
 def _run_transfer(args) -> int:
     a, b = args.load(args.inputs)
     chain = find_transfer_chain(a, b, args.tol)
-    target = np.pad(sort_desc(a).entries, (0, chain.d - a.d))
-    source = np.pad(sort_desc(b).entries, (0, chain.d - b.d))
+    source, target = sorted_padded(b, chain.d), sorted_padded(a, chain.d)
     err = float(np.abs(chain_to_doubly_stochastic(chain).entries @ source - target).max())
     body = {"chain": chain_to_json(chain),
             "verified": {"replay_max_abs_error": err, "ok_replay": err <= REPLAY_TOL,
@@ -236,15 +236,12 @@ def _run_birkhoff(args) -> int:
 def _run_schur_horn(args) -> int:
     a, b = args.load(args.inputs)
     u = schur_horn_orthogonal(a, b, args.tol)
-    d = u.d
-    bs = np.pad(sort_desc(b).entries, (0, d - b.d))
-    a_sorted = np.pad(sort_desc(a).entries, (0, d - a.d))
-    diag = np.diag(u.entries @ np.diag(bs) @ u.entries.T)
-    err = float(np.abs(diag - a_sorted).max())
+    diag = np.diag(u.entries @ np.diag(sorted_padded(b, u.d)) @ u.entries.T)
+    err = float(np.abs(diag - sorted_padded(a, u.d)).max())
     defect = isometry_defect(u.entries)
     body = dict(real_matrix_to_json(u))
     body["verified"] = {"diagonal_max_error": err, "ok_diagonal": err <= REPLAY_TOL,
-                        "orthogonality_defect": defect, "ok_orthogonal": defect <= REPLAY_TOL}
+                        "orthogonality_defect": defect, "ok_orthogonal": defect <= UNITARY_TOL}
     return _finish(args, {"majorization_abs": args.tol}, body)
 
 

@@ -12,14 +12,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidValue, NotHermitian, NotUnitVector, require
-from .seqmaj import (MajorizationVerdict, ProbVector, _flat_spectrum, is_majorized,
-                     shannon_entropy)
+from .seqmaj import (MAJORIZATION_TOL, NORMALIZED_TOL, MajorizationVerdict, ProbVector,
+                     _flat_spectrum, is_majorized, shannon_entropy)
 
 HERMITIAN_TOL = 1e-9
-TRACE_TOL = 1e-9
 EIG_FLOOR = -1e-9
 RECONSTRUCTION_TOL = 1e-8
 UNIT_NORM_TOL = 1e-9
+# isometry_defect of a unitary pinching basis and of an orthogonal matrix
+UNITARY_TOL = 1e-9
 
 
 def _hermitian(m, ndim: int = 2) -> np.ndarray:
@@ -45,15 +46,19 @@ def _dagger(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(m, -1, -2).conj()
 
 
-def _require_states(arr: np.ndarray, vals: np.ndarray):
-    """Unit trace within TRACE_TOL and no eigenvalue below EIG_FLOOR, for one Hermitian
-    matrix or a stack of them with its eigenvalues `vals`."""
-    tr = arr.trace(axis1=-2, axis2=-1)
-    if tr.ndim:  # one trace per state: check the one farthest from 1
-        tr = tr[np.abs(tr - 1.0).argmax()]
-    require(abs(tr - 1.0), TRACE_TOL, InvalidValue, "trace {} is not 1", tr)
+def _require_states(vals: np.ndarray) -> np.ndarray:
+    """The spectrum clamped to [0, 1], for the eigenvalues `vals` of one Hermitian matrix
+    or the rows of a stack's: no eigenvalue is below EIG_FLOOR, and the eigenvalues
+    clamped at zero sum to 1 within NORMALIZED_TOL.  That bounds every eigenvalue by
+    1 + NORMALIZED_TOL, so the spectrum clamped to [0, 1] sums to between 1 and that
+    total, as `spectrum` and `shannon_entropies` require."""
+    total = vals.clip(0.0, None).sum(axis=-1)
+    if total.ndim:  # one sum per state: check the one farthest from 1
+        total = total[np.abs(total - 1.0).argmax()]
+    require(abs(total - 1.0), NORMALIZED_TOL, InvalidValue, "spectrum sums to {}, not 1", total)
     lo = vals.min()
     require(-lo, -EIG_FLOOR, InvalidValue, "negative eigenvalue {}", lo)
+    return vals.clip(0.0, 1.0)
 
 
 def _eigh(arr: np.ndarray):
@@ -72,24 +77,24 @@ def spectra(states) -> np.ndarray:
 
     One `eigh` serves the whole stack.  Each state passes the checks that
     DensityMatrix and eig_hermitian make on it alone, with the same tolerances and
-    exception types: finite and Hermitian, unit trace, no eigenvalue below
-    EIG_FLOOR, and a decomposition that reconstructs it.
+    exception types: finite and Hermitian, eigenvalues clamped at zero summing to 1, no
+    eigenvalue below EIG_FLOOR, and a decomposition that reconstructs it.
     """
-    arr = _hermitian(states, ndim=3)
-    vals, _ = _eigh(arr)
-    _require_states(arr, vals)
-    return np.clip(vals[:, ::-1], 0.0, 1.0)
+    vals, _ = _eigh(_hermitian(states, ndim=3))
+    return _require_states(vals)[:, ::-1]
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian positive semidefinite complex matrix with unit trace."""
+    """Hermitian positive semidefinite complex matrix of unit trace, proved on the
+    spectrum of its Hermitian part, the matrix `spectrum` decomposes: no eigenvalue
+    below EIG_FLOOR, and the eigenvalues clamped at zero sum to 1 within NORMALIZED_TOL."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         arr = _hermitian(self.matrix)
-        _require_states(arr, np.linalg.eigvalsh(arr))
+        _require_states(np.linalg.eigvalsh((arr + _dagger(arr)) / 2.0))
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
 
@@ -143,7 +148,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 
 def state_majorized(rho1: DensityMatrix, rho2: DensityMatrix,
-                    tol: float = 1e-9) -> MajorizationVerdict:
+                    tol: float = MAJORIZATION_TOL) -> MajorizationVerdict:
     """Spectral majorization of states; dimensions may differ (zero-padded)."""
     return is_majorized(spectrum(rho1), spectrum(rho2), tol)
 

@@ -13,11 +13,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidValue, require
+from .errors import DimensionMismatch, InvalidValue, require
 
-# Entries in [-CLAMP_TOL, 0) are rounded up to zero on construction.
+# Entries in [-CLAMP_TOL, 0) are rounded up to zero on construction; xfer allows
+# doubly stochastic entries and transfer weights outside [0, 1] by as much.
 CLAMP_TOL = 1e-12
-# |sum - 1| allowed for vectors flagged as normalized.
+# |sum - 1| allowed for every unit sum: normalized vectors, the clamped spectra of
+# states, rows and columns of doubly stochastic matrices.
 NORMALIZED_TOL = 1e-9
 # Positive values below this underflow x*log(x) and are treated as zero.
 LOG_FLOOR = 1e-300
@@ -84,34 +86,35 @@ def _require_probabilities(arr: np.ndarray, normalized: bool):
                 "normalized vector sums to {}, not 1", total)
 
 
-def _as_array(p) -> np.ndarray:
-    if isinstance(p, ProbVector):
-        return p.entries
-    return np.asarray(p, dtype=float)
+def _prob_vector(p) -> ProbVector:
+    """p itself if it is a ProbVector, else p taken in once through ProbVector's checks."""
+    return p if isinstance(p, ProbVector) else ProbVector(p)
 
 
-def sort_desc(p: ProbVector) -> ProbVector:
-    """Non-increasing rearrangement; ties keep their original order."""
-    arr = _as_array(p)
-    order = np.argsort(-arr, kind="stable")
-    return ProbVector(arr[order], normalized=getattr(p, "normalized", False))
+def sorted_padded(p, d: int) -> np.ndarray:
+    """The entries of p in non-increasing order, ties in their original order, then zeros
+    up to length d >= len(p), as a new writable array."""
+    arr = _prob_vector(p).entries
+    if d < arr.size:
+        raise DimensionMismatch(f"cannot pad {arr.size} entries to length {d}")
+    out = np.zeros(d)
+    out[:arr.size] = -np.sort(-arr, kind="stable")
+    return out
 
 
 def is_majorized(a, b, tol: float = MAJORIZATION_TOL) -> MajorizationVerdict:
     """Decide whether a is majorized by b, zero-padding to a common length.
 
     Prefix comparisons use the absolute tolerance `tol`; a total-sum mismatch
-    beyond `tol` is a false verdict with sums_equal=False, not an error.
-    Prefix sums that overflow raise InvalidValue.
+    beyond `tol` is a false verdict with sums_equal=False, not an error.  A raw
+    vector must pass ProbVector's checks, and prefix sums that overflow raise
+    InvalidValue.
     """
-    av = _as_array(a)
-    bv = _as_array(b)
-    d = max(av.size, bv.size)
-    av = np.pad(-np.sort(-av), (0, d - av.size))
-    bv = np.pad(-np.sort(-bv), (0, d - bv.size))
+    a, b = _prob_vector(a), _prob_vector(b)
+    d = max(a.d, b.d)
     with np.errstate(over="ignore"):  # entries near the float maximum overflow the sums
-        pa = np.cumsum(av)
-        pb = np.cumsum(bv)
+        pa = np.cumsum(sorted_padded(a, d))
+        pb = np.cumsum(sorted_padded(b, d))
     if not (np.isfinite(pa[-1]) and np.isfinite(pb[-1])):  # an overflow stays to the end
         raise InvalidValue(f"prefix sums {pa[-1]}, {pb[-1]} are not finite")
     sums_equal = bool(abs(pa[-1] - pb[-1]) <= tol)
@@ -135,9 +138,11 @@ def convex_weights(weights, count: int) -> np.ndarray:
 
 
 def shannon_entropy(p) -> float:
-    """H(p) = -sum p_i log2(p_i) in bits, with 0*log(0) = 0."""
-    arr = _as_array(p)
-    if isinstance(p, ProbVector) and p.normalized and arr.max() > 1.0 + NORMALIZED_TOL:
+    """H(p) = -sum p_i log2(p_i) in bits, with 0*log(0) = 0; a raw p must pass ProbVector's
+    checks."""
+    p = _prob_vector(p)
+    arr = p.entries
+    if p.normalized and arr.max() > 1.0 + NORMALIZED_TOL:
         raise ValueError(f"normalized vector has entry {arr.max()} > 1")
     pos = arr[arr > LOG_FLOOR]
     if pos.size == 0:

@@ -126,19 +126,13 @@ def real_matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
     return _matrix(obj, where, "d", "d", _number)
 
 
-def complex_matrix_to_json(arr: np.ndarray, kind: str | None = None) -> dict:
+def complex_matrix_to_json(arr: np.ndarray) -> dict:
     """Raises ValueError unless the array is 2-D and non-empty, as the schema needs."""
     arr = np.asarray(arr, dtype=complex)
     if arr.ndim != 2 or not arr.size:
         raise ValueError(f"a complex matrix must be 2-D and non-empty, not {arr.shape}")
-    obj: dict[str, Any] = {
-        "d_rows": arr.shape[0],
-        "d_cols": arr.shape[1],
-        "rows": np.stack((arr.real, arr.imag), axis=-1).tolist(),
-    }
-    if kind is not None:
-        obj["kind"] = kind
-    return obj
+    return {"d_rows": arr.shape[0], "d_cols": arr.shape[1],
+            "rows": np.stack((arr.real, arr.imag), axis=-1).tolist()}
 
 
 def complex_matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
@@ -146,7 +140,7 @@ def complex_matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
 
 
 def density_to_json(rho: DensityMatrix) -> dict:
-    return complex_matrix_to_json(rho.matrix, kind="density")
+    return {**complex_matrix_to_json(rho.matrix), "kind": "density"}
 
 
 def density_from_json(obj, where: str = "density") -> DensityMatrix:

@@ -13,14 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densop import isometry_defect
+from .densop import UNITARY_TOL, isometry_defect
 from .errors import (InvalidValue, MajorizationFailed, MatchingFailed, NotDoublyStochastic,
                      NotOrthogonal, require)
-from .seqmaj import (MAJORIZATION_TOL, NORMALIZED_TOL, ProbVector, convex_weights,
-                     is_majorized, sort_desc)
+from .seqmaj import (CLAMP_TOL, MAJORIZATION_TOL, NORMALIZED_TOL, _prob_vector,
+                     convex_weights, is_majorized, sorted_padded)
 
-ENTRY_TOL = 1e-12
-SUM_TOL = 1e-9
 # Two values closer than this are considered already transferred.
 MATCH_TOL = 1e-12
 SUPPORT_TOL = 1e-9  # default tol of birkhoff_decompose
@@ -37,7 +35,7 @@ class TTransform:
     def __post_init__(self):
         if self.i == self.j or self.i < 0 or self.j < 0:
             raise InvalidValue("need two distinct non-negative indices")
-        if not -ENTRY_TOL <= self.t <= 1.0 + ENTRY_TOL:
+        if not -CLAMP_TOL <= self.t <= 1.0 + CLAMP_TOL:
             raise InvalidValue(f"t={self.t} outside [0, 1]")
         object.__setattr__(self, "t", min(max(self.t, 0.0), 1.0))
 
@@ -71,10 +69,11 @@ class DoublyStochasticMatrix:
     def __post_init__(self):
         arr = _square_array(self.entries, "doubly stochastic matrix")
         lo, hi = arr.min(), arr.max()
-        if lo < -ENTRY_TOL or hi > 1.0 + ENTRY_TOL:
+        if lo < -CLAMP_TOL or hi > 1.0 + CLAMP_TOL:
             raise NotDoublyStochastic(f"entry outside [0,1]: {lo}..{hi}")
         worst = max(np.abs(arr.sum(axis=1) - 1).max(), np.abs(arr.sum(axis=0) - 1).max())
-        require(worst, SUM_TOL, NotDoublyStochastic, "row/column sum deviates from 1 by {}", worst)
+        require(worst, NORMALIZED_TOL, NotDoublyStochastic,
+                "row/column sum deviates from 1 by {}", worst)
         object.__setattr__(self, "entries", arr)
 
     @property
@@ -89,7 +88,7 @@ class OrthogonalMatrix:
     def __post_init__(self):
         arr = _square_array(self.entries, "orthogonal matrix")
         defect = isometry_defect(arr)
-        require(defect, SUM_TOL, NotOrthogonal, "U^T U deviates from identity by {}", defect)
+        require(defect, UNITARY_TOL, NotOrthogonal, "U^T U deviates from identity by {}", defect)
         object.__setattr__(self, "entries", arr)
 
     @property
@@ -148,14 +147,13 @@ def find_transfer_chain(a, b, tol: float = MAJORIZATION_TOL) -> TransferChain:
     is moved to the first coordinate that is short of its target, fixing at
     least one coordinate exactly.
     """
+    a, b = _prob_vector(a), _prob_vector(b)
     verdict = is_majorized(a, b, tol)
     if not verdict.holds:
         raise MajorizationFailed("a is not majorized by b", verdict=verdict)
-    av = sort_desc(a if isinstance(a, ProbVector) else ProbVector(a)).entries
-    bv = sort_desc(b if isinstance(b, ProbVector) else ProbVector(b)).entries
-    d = max(av.size, bv.size)
-    av = np.pad(av, (0, d - av.size))
-    cur = np.pad(bv, (0, d - bv.size)).copy()
+    d = max(a.d, b.d)
+    av = sorted_padded(a, d)
+    cur = sorted_padded(b, d)
 
     steps = []
     for _ in range(d):  # terminates in <= d-1 transfers

@@ -31,7 +31,8 @@ from entmaj.qchan import (
     random_bistochastic_channel,
     uhlmann_channel,
 )
-from entmaj.seqmaj import ProbVector, is_majorized, random_majorized_pair, shannon_entropy, sort_desc
+from entmaj.seqmaj import (ProbVector, is_majorized, random_majorized_pair, shannon_entropy,
+                           sorted_padded)
 from entmaj.xfer import (
     birkhoff_decompose,
     chain_to_doubly_stochastic,
@@ -106,8 +107,8 @@ def test_criterion_3_transfer_round_trip():
     for _ in range(1000):
         d = int(rng.integers(2, 65))
         a, b = random_majorized_pair(d, rng)
-        asort = sort_desc(a).entries
-        bsort = sort_desc(b).entries
+        asort = sorted_padded(a, a.d)
+        bsort = sorted_padded(b, b.d)
         chain = find_transfer_chain(a, b)
         q = chain_to_doubly_stochastic(chain)
         if np.abs(q.entries @ bsort - asort).max() > 1e-9:

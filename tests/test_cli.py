@@ -261,6 +261,17 @@ class TestStatePipelines:
         assert rc == 2
         assert err.startswith("error:")
 
+    def test_pinch_converge_basis_of_another_dimension(self, tmp_path, capsys):
+        rho = tmp_path / "rho.json"
+        basis = tmp_path / "basis.json"
+        save_json(random_density(3, np.random.default_rng(3)), rho)
+        write_json(basis, complex_matrix_to_json(np.eye(2)))
+        rc, out, _ = run(capsys, "pinch-converge", "--in", str(rho), "--in", str(basis))
+        assert rc == 1
+        report = json.loads(out)
+        assert report["error"] == "DimensionMismatch"
+        assert report["message"] == "basis dimension 2 != state dimension 3"
+
 
 class TestDetectorCli:
     def test_positive_and_expectation(self, tmp_path, capsys):
@@ -529,6 +540,27 @@ class TestExitCodeContract:
         p = tmp_path / "in.json"
         p.write_text(text)
         self.assert_error_line(*run(capsys, sub, "--in", str(p)))
+
+    @pytest.mark.parametrize("sub", ["entropy", "uhlmann", "pinch-converge"])
+    def test_state_whose_clamped_spectrum_misses_one_exit_two(self, tmp_path, capsys, sub):
+        # trace 1 + 0.95e-9 is within 1e-9, but the clamped spectrum sums to 1 + 1.9e-9
+        edge = {**complex_matrix_to_json(np.diag([0.5 + 1.9e-9, 0.5, -0.95e-9])),
+                "kind": "density"}
+        p = tmp_path / "edge.json"
+        write_json(p, {"rho1": edge, "rho2": edge} if sub == "uhlmann" else edge)
+        rc, out, err = run(capsys, sub, "--in", str(p))
+        self.assert_error_line(rc, out, err)
+        assert "spectrum sums to 1.0000000019" in err
+
+    @pytest.mark.parametrize("sub", ["entropy", "uhlmann", "pinch-converge"])
+    def test_state_with_an_eigenvalue_above_one_exit_two(self, tmp_path, capsys, sub):
+        # clamped to [0, 1] the spectrum [2, 0] sums to 1; its trace is 2
+        bad = {**complex_matrix_to_json(np.diag([2.0, 0.0])), "kind": "density"}
+        p = tmp_path / "bad.json"
+        write_json(p, {"rho1": bad, "rho2": bad} if sub == "uhlmann" else bad)
+        rc, out, err = run(capsys, sub, "--in", str(p))
+        self.assert_error_line(rc, out, err)
+        assert "spectrum sums to 2.0" in err
 
     @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "-inf"])
     def test_tol_outside_open_half_line_exit_two(self, tmp_path, capsys, tol):

@@ -41,6 +41,51 @@ class TestDensityMatrixType:
             DensityMatrix(np.diag([1.2, -0.2]).astype(complex))
 
 
+class TestOneUnitSumCheck:
+    """A state DensityMatrix accepts is never refused later by its spectrum's checks."""
+
+    def test_edge_state_is_refused_at_construction(self):
+        # trace 1 + 0.95e-9 is within 1e-9, but the clamped spectrum sums to 1 + 1.9e-9
+        edge = np.diag([0.5 + 1.9e-9, 0.5, -0.95e-9]).astype(complex)
+        with pytest.raises(InvalidValue, match="spectrum sums to"):
+            DensityMatrix(edge)
+        with pytest.raises(InvalidValue, match="spectrum sums to"):
+            spectra(edge[None])
+
+    @pytest.mark.parametrize("diag", [[2.0, 0.0], [1.0 + 1e-6, 0.0], [5.0, 0.0, 0.0]])
+    def test_eigenvalue_above_one_is_refused(self, diag):
+        # clamped to [0, 1] these spectra sum to 1; clamped at zero only, they do not
+        m = np.diag(diag).astype(complex)
+        with pytest.raises(InvalidValue, match="spectrum sums to"):
+            DensityMatrix(m)
+        with pytest.raises(InvalidValue, match="spectrum sums to"):
+            spectra(m[None])
+
+    def test_hermitian_within_tolerance_is_checked_on_its_hermitian_part(self):
+        # the lower triangle of the block has eigenvalues 0.3e-9 twice (sum 1 + 0.9e-9);
+        # its Hermitian part, which `spectrum` decomposes, has 0.795e-9 and -0.195e-9
+        m = np.zeros((4, 4), dtype=complex)
+        m[0, 0] = m[1, 1] = 0.5 + 0.15e-9
+        m[2:, 2:] = [[0.3e-9, 0.99e-9], [0.0, 0.3e-9]]
+        with pytest.raises(InvalidValue, match="spectrum sums to 1.0000000010"):
+            DensityMatrix(m)
+
+    def test_every_accepted_state_passes_its_spectrum_checks(self):
+        rng = np.random.default_rng(17)
+        accepted = 0
+        for _ in range(2000):
+            u = haar_unitary(3, rng)
+            m = (u * (np.array([0.5, 0.5, 0.0]) + rng.uniform(-2e-9, 2e-9, 3))) @ u.conj().T
+            try:
+                rho = DensityMatrix((m + m.conj().T) / 2)
+            except InvalidValue:
+                continue
+            accepted += 1
+            von_neumann_entropy(rho)
+            shannon_entropies(spectra(rho.matrix[None]))
+        assert 0 < accepted < 2000
+
+
 class TestEigHermitian:
     def test_diagonal_input(self):
         dec = eig_hermitian(np.diag([0.7, 0.3]).astype(complex))

@@ -38,7 +38,7 @@ from entmaj.qchan import (
     uhlmann_channel,
     uhlmann_frame,
 )
-from entmaj.seqmaj import is_majorized, random_majorized_pair, sort_desc
+from entmaj.seqmaj import is_majorized, random_majorized_pair, sorted_padded
 from entmaj.serial import channel_to_json
 
 
@@ -220,6 +220,11 @@ class TestPinchConvergence:
                 avg = apply_channel(phase_averaging_channel(r.n, d), rot)
                 assert abs(r.trace_distance - trace_distance(avg, pinched)) <= 1e-12
 
+    def test_basis_of_another_dimension_is_a_dimension_mismatch(self):
+        rho = random_density(3, np.random.default_rng(14))
+        with pytest.raises(DimensionMismatch, match="basis dimension 2 != state dimension 3"):
+            pinch_convergence_experiment(rho, np.eye(2))
+
     @pytest.mark.parametrize("entries", [1, 2 * 49, 3 * 49])
     def test_chunked_rows_equal_one_stack(self, monkeypatch, entries):
         rng = np.random.default_rng(13)
@@ -315,7 +320,7 @@ class TestMixedUnitaryUhlmann:
             out = sum(t * u @ rho2.matrix @ u.conj().T
                       for t, u in zip(mix.weights, mix.unitaries))
             point = np.linalg.eigvalsh(out)[::-1]
-            assert np.abs(point - sort_desc(a).entries).max() <= 1e-12
+            assert np.abs(point - sorted_padded(a, a.d)).max() <= 1e-12
 
     def test_random_pairs_majorization_both_ways(self):
         rng = np.random.default_rng(16)

@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entmaj.errors import InvalidValue
+from entmaj.errors import DimensionMismatch, InvalidValue
 from entmaj.seqmaj import (
     ProbVector,
     is_majorized,
     random_majorized_pair,
     shannon_entropies,
     shannon_entropy,
-    sort_desc,
+    sorted_padded,
 )
 
 
@@ -46,15 +46,39 @@ class TestProbVector:
             p.entries[0] = 0.9
 
 
-class TestSortDesc:
+class TestSortedPadded:
     def test_basic(self):
-        assert list(sort_desc(ProbVector([0.2, 0.5, 0.3])).entries) == [0.5, 0.3, 0.2]
+        assert list(sorted_padded(ProbVector([0.2, 0.5, 0.3]), 3)) == [0.5, 0.3, 0.2]
 
     def test_tie(self):
-        assert list(sort_desc(ProbVector([0.25, 0.25, 0.5])).entries) == [0.5, 0.25, 0.25]
+        assert list(sorted_padded(ProbVector([0.25, 0.25, 0.5]), 3)) == [0.5, 0.25, 0.25]
 
     def test_singleton(self):
-        assert list(sort_desc(ProbVector([1.0])).entries) == [1.0]
+        assert list(sorted_padded(ProbVector([1.0]), 1)) == [1.0]
+
+    def test_pads_with_zeros_into_a_new_array(self):
+        p = ProbVector([0.25, 0.75])
+        out = sorted_padded(p, 4)
+        assert out.tolist() == [0.75, 0.25, 0.0, 0.0]
+        out[0] = 0.0  # writable, and not a view of the read-only entries
+        assert p.entries.tolist() == [0.25, 0.75]
+
+    def test_length_below_the_vector_is_a_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch, match="3 entries to length 2"):
+            sorted_padded([0.2, 0.5, 0.3], 2)
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 64])
+    def test_bit_equal_to_stable_argsort_then_pad(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(500):
+            arr = rng.integers(0, 4, size=d) * rng.random()  # ties, zeros among them
+            pad = int(rng.integers(0, 3))
+            want = np.pad(arr[np.argsort(-arr, kind="stable")], (0, pad))
+            got = sorted_padded(arr, d + pad)
+            assert got.tobytes() == want.tobytes()
+        signed_zeros = np.array([0.0, -0.0, 0.5, -0.0])
+        want = signed_zeros[np.argsort(-signed_zeros, kind="stable")]
+        assert sorted_padded(signed_zeros, 4).tobytes() == want.tobytes()
 
 
 class TestIsMajorized:
@@ -185,8 +209,8 @@ class TestMajorizationEntropyLink:
     def test_interpolation_stays_between(self, seed):
         rng = np.random.default_rng(seed)
         a, b = random_majorized_pair(6, rng)
-        av = sort_desc(a).entries
-        bv = sort_desc(b).entries
+        av = sorted_padded(a, a.d)
+        bv = sorted_padded(b, b.d)
         for t in (0.0, 0.25, 0.5, 0.75, 1.0):
             c = t * av + (1 - t) * bv
             assert is_majorized(av, c, 1e-9).holds

@@ -107,8 +107,8 @@ class TestSchemaErrors:
         assert "entries[1]" in str(err.value)
 
     def test_non_hermitian_density_names_worst_pair(self):
-        obj = complex_matrix_to_json(np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex),
-                                     kind="density")
+        obj = {**complex_matrix_to_json(np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)),
+               "kind": "density"}
         with pytest.raises(SchemaError) as err:
             density_from_json(obj)
         assert "(0, 1)" in str(err.value)

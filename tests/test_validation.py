@@ -6,13 +6,15 @@ import pytest
 from entmaj.densop import DensityMatrix, eig_hermitian, random_density, trace_distance
 from entmaj.errors import DomainError, InvalidValue, NotHermitian, NotTracePreserving, require
 from entmaj.qchan import KrausChannel, entropy_probe, mixed_unitary_channel
-from entmaj.seqmaj import ProbVector, convex_weights
+from entmaj.seqmaj import (CLAMP_TOL, ProbVector, convex_weights, is_majorized,
+                           shannon_entropy, sorted_padded)
 from entmaj.xfer import (
     BirkhoffDecomposition,
     DoublyStochasticMatrix,
     OrthogonalMatrix,
     TTransform,
     birkhoff_decompose,
+    find_transfer_chain,
 )
 
 NON_FINITE = [np.nan, np.inf, -np.inf]
@@ -125,3 +127,27 @@ class TestOneCheckPerInvariant:
     def test_trace_distance_checks_raw_matrices(self):
         with pytest.raises(NotHermitian):
             trace_distance(np.array([[1.0, 1.0], [0.0, 0.0]]), np.eye(2) / 2)
+
+
+# Each function takes a raw vector in through ProbVector's checks.
+RAW_VECTOR_TAKERS = {
+    "is_majorized a": lambda v: is_majorized(v, [0.5, 0.5]),
+    "is_majorized b": lambda v: is_majorized([0.5, 0.5], v),
+    "shannon_entropy": shannon_entropy,
+    "sorted_padded": lambda v: sorted_padded(v, 3),
+    "find_transfer_chain a": lambda v: find_transfer_chain(v, [1.0, 0.0]),
+    "find_transfer_chain b": lambda v: find_transfer_chain([0.5, 0.5], v),
+}
+
+
+class TestRawVectorsTakenInOnce:
+    @pytest.mark.parametrize("bad", [*NON_FINITE, -2 * CLAMP_TOL],
+                             ids=["nan", "inf", "-inf", "below-clamp"])
+    @pytest.mark.parametrize("name", sorted(RAW_VECTOR_TAKERS))
+    def test_bad_entry_is_refused(self, name, bad):
+        with pytest.raises(InvalidValue):
+            RAW_VECTOR_TAKERS[name]([bad, 0.5])
+
+    @pytest.mark.parametrize("name", sorted(RAW_VECTOR_TAKERS))
+    def test_entry_within_clamp_is_rounded_up(self, name):
+        RAW_VECTOR_TAKERS[name]([-CLAMP_TOL / 2, 0.5, 0.5])

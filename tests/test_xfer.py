@@ -11,7 +11,7 @@ from entmaj.errors import (DimensionMismatch, InvalidValue, MajorizationFailed, 
                            NotDoublyStochastic, NotOrthogonal)
 from entmaj.qchan import mixed_unitary_uhlmann
 from entmaj.seqmaj import (NORMALIZED_TOL, ProbVector, is_majorized, random_majorized_pair,
-                           sort_desc)
+                           sorted_padded)
 from entmaj.xfer import (
     SUPPORT_TOL,
     BirkhoffDecomposition,
@@ -41,7 +41,7 @@ def apply_t_transform(step: TTransform, v) -> ProbVector:
 
 def replay(chain, b):
     """The chain applied to sorted b one step at a time: the oracle of its matrices."""
-    cur = ProbVector(np.pad(sort_desc(b).entries, (0, chain.d - len(b.entries))))
+    cur = ProbVector(sorted_padded(b, chain.d))
     for step in chain.steps:
         cur = apply_t_transform(step, cur)
     return cur.entries
@@ -98,7 +98,7 @@ class TestFindTransferChain:
         a, b = random_majorized_pair(d, rng)
         chain = find_transfer_chain(a, b)
         assert len(chain.steps) <= d - 1 if d > 1 else chain.steps == ()
-        target = sort_desc(a).entries
+        target = sorted_padded(a, a.d)
         assert np.abs(replay(chain, b) - target).max() <= 1e-9
 
 
@@ -116,8 +116,8 @@ class TestChainToDoublyStochastic:
         a = ProbVector([0.5, 0.25, 0.25])
         b = ProbVector([0.5, 0.5, 0.0])
         q = chain_to_doubly_stochastic(find_transfer_chain(a, b))
-        np.testing.assert_allclose(q.entries @ sort_desc(b).entries,
-                                   sort_desc(a).entries, atol=1e-12)
+        np.testing.assert_allclose(q.entries @ sorted_padded(b, b.d),
+                                   sorted_padded(a, a.d), atol=1e-12)
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(11)
@@ -125,7 +125,7 @@ class TestChainToDoublyStochastic:
             d = int(rng.integers(2, 65))
             a, b = random_majorized_pair(d, rng)
             q = chain_to_doubly_stochastic(find_transfer_chain(a, b))
-            err = np.abs(q.entries @ sort_desc(b).entries - sort_desc(a).entries).max()
+            err = np.abs(q.entries @ sorted_padded(b, b.d) - sorted_padded(a, a.d)).max()
             assert err <= 1e-9
 
     def test_image_is_majorized_by_argument(self):
@@ -227,7 +227,7 @@ class TestBirkhoffDecompose:
         assert abs(dec.weights.sum() - 1.0) <= NORMALIZED_TOL
 
     def test_residual_above_tol_without_a_perfect_matching_fails(self):
-        # column 0 sums to 1 + 5e-10, inside SUM_TOL; after the identity term the
+        # column 0 sums to 1 + 5e-10, inside NORMALIZED_TOL; after the identity term the
         # residual 5e-10 sits in column 0 of both rows, where no permutation reaches it
         with pytest.raises(MatchingFailed, match="no perfect matching"):
             birkhoff_decompose([[1.0, 0.0], [5e-10, 1.0 - 5e-10]], tol=1e-12)
@@ -401,7 +401,7 @@ class TestCaratheodoryReduce:
         assert abs(mix.weights.sum() - 1.0) <= NORMALIZED_TOL
         out = sum(t * u @ rho2.matrix @ u.conj().T for t, u in zip(mix.weights, mix.unitaries))
         point = np.linalg.eigvalsh(out)[::-1]
-        assert np.abs(point - sort_desc(ProbVector(a)).entries).max() <= 1e-12
+        assert np.abs(point - sorted_padded(a, rho1.d)).max() <= 1e-12
         assert np.abs(out - rho1.matrix).max() <= 1e-12
 
     def test_random_pairs_keep_at_most_d_terms(self):
@@ -488,8 +488,8 @@ class TestSchurHorn:
         for _ in range(20):
             a, b = random_majorized_pair(6, rng)
             u = schur_horn_orthogonal(a, b)
-            diag = np.diag(u.entries @ np.diag(sort_desc(b).entries) @ u.entries.T)
-            assert np.abs(diag - sort_desc(a).entries).max() <= 1e-9
+            diag = np.diag(u.entries @ np.diag(sorted_padded(b, b.d)) @ u.entries.T)
+            assert np.abs(diag - sorted_padded(a, a.d)).max() <= 1e-9
 
     def test_chain_to_orthogonal_keeps_the_chain_blocks_apart(self):
         chain = find_transfer_chain(ProbVector([0.35, 0.35, 0.15, 0.15]),
@@ -506,7 +506,7 @@ class TestSchurHorn:
             d = int(rng.integers(2, 17))
             a, b = random_majorized_pair(d, rng)
             q = DoublyStochasticMatrix(schur_horn_orthogonal(a, b).entries ** 2)
-            err = np.abs(q.entries @ sort_desc(b).entries - sort_desc(a).entries).max()
+            err = np.abs(q.entries @ sorted_padded(b, b.d) - sorted_padded(a, a.d)).max()
             assert err <= 1e-8
 
 
