@@ -7,7 +7,7 @@ orthonormal basis the solver returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,11 +47,11 @@ def _dagger(m: np.ndarray) -> np.ndarray:
 
 
 def _require_states(vals: np.ndarray) -> np.ndarray:
-    """The spectrum clamped to [0, 1], for the eigenvalues `vals` of one Hermitian matrix
-    or the rows of a stack's: no eigenvalue is below EIG_FLOOR, and the eigenvalues
-    clamped at zero sum to 1 within NORMALIZED_TOL.  That bounds every eigenvalue by
-    1 + NORMALIZED_TOL, so the spectrum clamped to [0, 1] sums to between 1 and that
-    total, as `spectrum` and `shannon_entropies` require."""
+    """The spectrum clamped to [0, 1], for the descending eigenvalues `vals` of one
+    Hermitian matrix or the rows of a stack's: no eigenvalue is below EIG_FLOOR, and the
+    eigenvalues clamped at zero sum to 1 within NORMALIZED_TOL.  Clamping to [0, 1] only
+    moves a sum above 1 toward 1, and ProbVector and shannon_entropies sum the result in
+    the same order over the same contiguous layout, so they accept what passes here."""
     total = vals.clip(0.0, None).sum(axis=-1)
     if total.ndim:  # one sum per state: check the one farthest from 1
         total = total[np.abs(total - 1.0).argmax()]
@@ -62,13 +62,17 @@ def _require_states(vals: np.ndarray) -> np.ndarray:
 
 
 def _eigh(arr: np.ndarray):
-    """(eigenvalues ascending, eigenvectors) of the Hermitian part of one matrix or of
-    each matrix of a stack; the decomposition must reconstruct it within RECONSTRUCTION_TOL."""
+    """(eigenvalues descending, matching eigenvector columns) of the Hermitian part of one
+    matrix or of each matrix of a stack, as read-only contiguous arrays; the decomposition
+    must reconstruct it within RECONSTRUCTION_TOL."""
     sym = (arr + _dagger(arr)) / 2.0
     vals, vecs = np.linalg.eigh(sym)
     recon = (vecs * vals[..., None, :]) @ _dagger(vecs)
     if not np.abs(recon - sym).max() <= RECONSTRUCTION_TOL:
         raise ArithmeticError("eigendecomposition failed to reconstruct input")
+    vals, vecs = vals[..., ::-1].copy(), vecs[..., ::-1].copy()
+    vals.setflags(write=False)
+    vecs.setflags(write=False)
     return vals, vecs
 
 
@@ -76,27 +80,32 @@ def spectra(states) -> np.ndarray:
     """Spectra of an (n, d, d) stack of states as rows, descending and clamped to [0, 1].
 
     One `eigh` serves the whole stack.  Each state passes the checks that
-    DensityMatrix and eig_hermitian make on it alone, with the same tolerances and
-    exception types: finite and Hermitian, eigenvalues clamped at zero summing to 1, no
-    eigenvalue below EIG_FLOOR, and a decomposition that reconstructs it.
+    DensityMatrix makes on it alone, with the same tolerances and exception types:
+    finite and Hermitian, a decomposition that reconstructs it, eigenvalues clamped at
+    zero summing to 1, and no eigenvalue below EIG_FLOOR.
     """
     vals, _ = _eigh(_hermitian(states, ndim=3))
-    return _require_states(vals)[:, ::-1]
+    return _require_states(vals)
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian positive semidefinite complex matrix of unit trace, proved on the
-    spectrum of its Hermitian part, the matrix `spectrum` decomposes: no eigenvalue
-    below EIG_FLOOR, and the eigenvalues clamped at zero sum to 1 within NORMALIZED_TOL."""
+    """Hermitian positive semidefinite complex matrix of unit trace, proved on the one
+    decomposition of its Hermitian part, which the state keeps as `spectrum` (clamped to
+    [0, 1]) and `eigenvectors`: no eigenvalue below EIG_FLOOR, and the eigenvalues clamped
+    at zero sum to 1 within NORMALIZED_TOL."""
 
     matrix: np.ndarray
+    spectrum: ProbVector = field(init=False)
+    eigenvectors: np.ndarray = field(init=False)
 
     def __post_init__(self):
         arr = _hermitian(self.matrix)
-        _require_states(np.linalg.eigvalsh((arr + _dagger(arr)) / 2.0))
+        vals, vecs = _eigh(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
+        object.__setattr__(self, "spectrum", ProbVector(_require_states(vals), normalized=True))
+        object.__setattr__(self, "eigenvectors", vecs)
 
     @property
     def d(self) -> int:
@@ -117,18 +126,12 @@ class SpectralDecomposition:
 
 def eig_hermitian(h) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian matrix, eigenvalues descending."""
-    vals, vecs = _eigh(_hermitian(h))
-    vals = vals[::-1].copy()
-    vecs = vecs[:, ::-1].copy()
-    vals.setflags(write=False)
-    vecs.setflags(write=False)
-    return SpectralDecomposition(eigenvalues=vals, eigenvectors=vecs)
+    return SpectralDecomposition(*_eigh(_hermitian(h)))
 
 
 def spectrum(rho) -> ProbVector:
-    """Eigenvalues of a state or its SpectralDecomposition, clamped to [0, 1], descending."""
-    decomp = rho if isinstance(rho, SpectralDecomposition) else eig_hermitian(rho)
-    return ProbVector(np.clip(decomp.eigenvalues, 0.0, 1.0), normalized=True)
+    """The spectrum a state kept at construction; a raw matrix is read as DensityMatrix(rho)."""
+    return (rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)).spectrum
 
 
 def isometry_defect(m):

@@ -18,12 +18,10 @@ import numpy as np
 from .densop import (
     UNITARY_TOL,
     DensityMatrix,
-    eig_hermitian,
     haar_unitary,
     isometry_defect,
     random_density_stack,
     spectra,
-    spectrum,
 )
 from .errors import (
     DimensionMismatch,
@@ -33,7 +31,7 @@ from .errors import (
     NotUnitary,
     require,
 )
-from .seqmaj import MAJORIZATION_TOL, _flat_spectrum, convex_weights, shannon_entropies
+from .seqmaj import CLAMP_TOL, MAJORIZATION_TOL, _flat_spectrum, convex_weights, shannon_entropies
 from .xfer import chain_to_orthogonal, find_transfer_chain
 
 COMPLETENESS_TOL = 1e-8  # channel completeness and unitality; unitarity of mixed-unitary terms
@@ -307,8 +305,8 @@ def pinch_convergence_experiment(rho2: DensityMatrix, basis) -> list[PinchRow]:
 
 def uhlmann_frame(rho1: DensityMatrix, rho2: DensityMatrix,
                   tol: float = MAJORIZATION_TOL) -> MixedUnitaryTransfer:
-    """F, E and pos behind both Uhlmann constructions, each state decomposed once;
-    rho1 must be majorized by rho2, or MajorizationFailed carries the verdict.
+    """F, E and pos behind both Uhlmann constructions, read from the decompositions the
+    states keep; rho1 must be majorized by rho2, or MajorizationFailed carries the verdict.
 
     F is the eigenbasis of rho1 and E = Y U^T, with Y the eigenbasis of rho2 and
     U the chain's Schur-Horn rotation, so E^* rho2 E = U diag(b) U^T has rho1's
@@ -318,20 +316,19 @@ def uhlmann_frame(rho1: DensityMatrix, rho2: DensityMatrix,
     """
     if rho1.d != rho2.d:
         raise DimensionMismatch(f"dimensions {rho1.d} vs {rho2.d}")
-    e1, e2 = eig_hermitian(rho1), eig_hermitian(rho2)
     try:
-        chain = find_transfer_chain(spectrum(e1), spectrum(e2), tol)
+        chain = find_transfer_chain(rho1.spectrum, rho2.spectrum, tol)
     except MajorizationFailed as exc:
         raise MajorizationFailed("spectrum(rho1) is not majorized by spectrum(rho2)",
                                  verdict=exc.verdict) from None
-    e = e2.eigenvectors @ chain_to_orthogonal(chain).entries.T
+    e = rho2.eigenvectors @ chain_to_orthogonal(chain).entries.T
     block = np.arange(chain.d)
     for s in chain.steps:
         block[block == block[s.j]] = block[s.i]
     pos = np.tril(block[:, None] == block[None, :], -1).sum(axis=1)
     e.setflags(write=False)
     pos.setflags(write=False)
-    return MixedUnitaryTransfer(f=e1.eigenvectors, e=e, pos=pos)
+    return MixedUnitaryTransfer(f=rho1.eigenvectors, e=e, pos=pos)
 
 
 def uhlmann_channel(rho1: DensityMatrix, rho2: DensityMatrix,
@@ -398,7 +395,7 @@ def detect_isometry(phi: KrausChannel, tol: float = ISOMETRY_TOL) -> IsometryRep
         return IsometryReport(is_isometric_conjugation=False, failure_witness=((t, t), dev))
     # fix the global phase: first nonzero column entry becomes real positive
     col = v.T.reshape(-1)
-    lead = col[np.abs(col) > 1e-12][0]
+    lead = col[np.abs(col) > CLAMP_TOL][0]
     v = v * (lead.conjugate() / abs(lead))
     v.setflags(write=False)
     return IsometryReport(is_isometric_conjugation=True, isometry=v, gram=gram)
@@ -418,8 +415,7 @@ def entropy_probe(phi: KrausChannel, trials: int,
     (chunk, k, d_out, d_in) and the output stack hold at most PROBE_CHUNK_ENTRIES
     complex entries each, unless one trial alone is larger.  A chunk is one stack
     of states, one Kraus sandwich and one `eigh` per side, and every input and
-    output state passes the checks of DensityMatrix, eig_hermitian and its
-    spectrum's ProbVector.
+    output state passes the checks of DensityMatrix and its spectrum's ProbVector.
     """
     if trials < 1:
         raise ValueError(f"trials={trials} must be >= 1")

@@ -106,9 +106,10 @@ def is_majorized(a, b, tol: float = MAJORIZATION_TOL) -> MajorizationVerdict:
     """Decide whether a is majorized by b, zero-padding to a common length.
 
     Prefix comparisons use the absolute tolerance `tol`; a total-sum mismatch
-    beyond `tol` is a false verdict with sums_equal=False, not an error.  A raw
-    vector must pass ProbVector's checks, and prefix sums that overflow raise
-    InvalidValue.
+    beyond `tol` is a false verdict with sums_equal=False, not an error.  Two
+    normalized vectors each proved their total is 1 at construction, so their totals,
+    the last prefix, are not compared again.  A raw vector must pass ProbVector's
+    checks, and prefix sums that overflow raise InvalidValue.
     """
     a, b = _prob_vector(a), _prob_vector(b)
     d = max(a.d, b.d)
@@ -117,8 +118,9 @@ def is_majorized(a, b, tol: float = MAJORIZATION_TOL) -> MajorizationVerdict:
         pb = np.cumsum(sorted_padded(b, d))
     if not (np.isfinite(pa[-1]) and np.isfinite(pb[-1])):  # an overflow stays to the end
         raise InvalidValue(f"prefix sums {pa[-1]}, {pb[-1]} are not finite")
-    sums_equal = bool(abs(pa[-1] - pb[-1]) <= tol)
-    bad = np.nonzero(pa > pb + tol)[0]
+    n = d - (a.normalized and b.normalized)  # the prefixes still to compare
+    sums_equal = n < d or bool(abs(pa[-1] - pb[-1]) <= tol)
+    bad = np.nonzero(pa[:n] > pb[:n] + tol)[0]
     if bad.size:
         k = int(bad[0])
         violation = PrefixViolation(k=k + 1, lhs=float(pa[k]), rhs=float(pb[k]))
@@ -140,10 +142,7 @@ def convex_weights(weights, count: int) -> np.ndarray:
 def shannon_entropy(p) -> float:
     """H(p) = -sum p_i log2(p_i) in bits, with 0*log(0) = 0; a raw p must pass ProbVector's
     checks."""
-    p = _prob_vector(p)
-    arr = p.entries
-    if p.normalized and arr.max() > 1.0 + NORMALIZED_TOL:
-        raise ValueError(f"normalized vector has entry {arr.max()} > 1")
+    arr = _prob_vector(p).entries
     pos = arr[arr > LOG_FLOOR]
     if pos.size == 0:
         return 0.0

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import dataclasses
 import io
@@ -16,10 +17,11 @@ from hypothesis import strategies as st
 import entmaj
 from entmaj import cli
 from entmaj.cli import main
-from entmaj.densop import DensityMatrix, random_density
+from entmaj.densop import DensityMatrix, haar_unitary, random_density
 from entmaj.serial import (channel_from_json, complex_matrix_to_json, density_to_json,
                            prob_vector_from_json, read_json, real_matrix_to_json, save_json)
 from entmaj.qchan import KrausChannel, random_isometric_conjugation_channel
+from entmaj.seqmaj import NORMALIZED_TOL
 from entmaj.xfer import chain_to_doubly_stochastic, find_transfer_chain
 
 
@@ -271,6 +273,27 @@ class TestStatePipelines:
         report = json.loads(out)
         assert report["error"] == "DimensionMismatch"
         assert report["message"] == "basis dimension 2 != state dimension 3"
+
+
+class TestSolverCalls:
+    """Each state a subcommand reads is decomposed once, by one `eigh` as it is built."""
+
+    @pytest.mark.parametrize("sub,kind,expected", [
+        ("entropy", "state", {"eigh": 1}),
+        ("uhlmann", "state-pair", {"eigh": 3, "eigvalsh": 1}),
+        ("mixed-unitary", "state-pair", {"eigh": 3, "eigvalsh": 1}),
+    ])
+    def test_solver_calls_per_subcommand(self, tmp_path, capsys, monkeypatch, sub, kind, expected):
+        p = tmp_path / "in.json"
+        run(capsys, "gen", kind, "--d", "5", "--seed", "3", "--out", str(p))
+        calls = collections.Counter()
+        for name in ("eigh", "eigvalsh"):
+            solver = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda m, name=name, solver=solver: calls.update([name]) or solver(m))
+        rc, _, _ = run(capsys, sub, "--in", str(p))
+        assert rc == 0
+        assert calls == expected
 
 
 class TestDetectorCli:
@@ -551,6 +574,29 @@ class TestExitCodeContract:
         rc, out, err = run(capsys, sub, "--in", str(p))
         self.assert_error_line(rc, out, err)
         assert "spectrum sums to 1.0000000019" in err
+
+    @pytest.mark.parametrize("seed", [1, 24])
+    def test_state_at_the_bound_is_refused_by_every_reader_or_none(self, tmp_path, capsys, seed):
+        # eigenvalues summing to 1 + NORMALIZED_TOL before rounding: seed 1's state is
+        # accepted, and seed 24's once passed a check on eigvalsh's eigenvalues and then
+        # failed the one on eigh's
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 9))
+        u = haar_unitary(d, rng)
+        m = (u * (rng.dirichlet(np.ones(d)) * (1 + NORMALIZED_TOL))) @ u.conj().T
+        rho = {**complex_matrix_to_json((m + m.conj().T) / 2), "kind": "density"}
+        mixed = {**complex_matrix_to_json(np.eye(d) / d), "kind": "density"}
+        state, pair = tmp_path / "rho.json", tmp_path / "pair.json"
+        write_json(state, rho)
+        write_json(pair, {"rho1": mixed, "rho2": rho})
+        codes = set()
+        for sub, path in [("entropy", state), ("uhlmann", pair), ("mixed-unitary", pair),
+                          ("pinch-converge", state)]:
+            rc, out, err = run(capsys, sub, "--in", str(path))
+            if rc == 2:
+                self.assert_error_line(rc, out, err)
+            codes.add(rc)
+        assert codes in ({0}, {2})
 
     @pytest.mark.parametrize("sub", ["entropy", "uhlmann", "pinch-converge"])
     def test_state_with_an_eigenvalue_above_one_exit_two(self, tmp_path, capsys, sub):

@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,8 @@ from entmaj.densop import (
     von_neumann_entropy,
 )
 from entmaj.errors import DimensionMismatch, InvalidValue, NotHermitian, NotUnitVector
-from entmaj.seqmaj import _flat_spectrum, shannon_entropies, shannon_entropy
+from entmaj.qchan import uhlmann_frame
+from entmaj.seqmaj import NORMALIZED_TOL, _flat_spectrum, shannon_entropies, shannon_entropy
 
 
 def two_level_entropy(lam):
@@ -39,6 +42,15 @@ class TestDensityMatrixType:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([1.2, -0.2]).astype(complex))
+
+
+def _at_bound_state(seed):
+    """A seeded state at d 2..8 whose eigenvalues, before rounding, sum to 1 + NORMALIZED_TOL."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 9))
+    u = haar_unitary(d, rng)
+    m = (u * (rng.dirichlet(np.ones(d)) * (1 + NORMALIZED_TOL))) @ u.conj().T
+    return (m + m.conj().T) / 2
 
 
 class TestOneUnitSumCheck:
@@ -69,6 +81,19 @@ class TestOneUnitSumCheck:
         m[2:, 2:] = [[0.3e-9, 0.99e-9], [0.0, 0.3e-9]]
         with pytest.raises(InvalidValue, match="spectrum sums to 1.0000000010"):
             DensityMatrix(m)
+
+    def test_no_state_at_the_bound_is_accepted_then_refused(self):
+        accepted = 0
+        for s in range(2000):
+            try:
+                rho = DensityMatrix(_at_bound_state(s))
+            except InvalidValue:
+                continue
+            accepted += 1
+            spectrum(rho)
+            von_neumann_entropy(rho)
+            uhlmann_frame(DensityMatrix(np.eye(rho.d) / rho.d), rho)
+        assert 0 < accepted < 2000
 
     def test_every_accepted_state_passes_its_spectrum_checks(self):
         rng = np.random.default_rng(17)
@@ -133,10 +158,38 @@ class TestSpectrum:
         np.testing.assert_allclose(spectrum(rho).entries, [0.75, 0.25], atol=1e-12)
 
 
-    def test_from_decomposition_is_bit_identical(self):
+    def test_is_the_clamped_eig_hermitian_spectrum_bit_for_bit(self):
         rho = random_density(6, np.random.default_rng(41))
-        np.testing.assert_array_equal(spectrum(eig_hermitian(rho)).entries,
-                                      spectrum(rho).entries)
+        dec = eig_hermitian(rho.matrix)
+        np.testing.assert_array_equal(spectrum(rho).entries,
+                                      np.clip(dec.eigenvalues, 0.0, 1.0))
+        np.testing.assert_array_equal(rho.eigenvectors, dec.eigenvectors)
+
+
+class TestOneDecompositionPerState:
+    """A state is decomposed by one `eigh` at construction; what reads it solves nothing."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = collections.Counter()
+        for name in ("eigh", "eigvalsh"):
+            solver = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda m, name=name, solver=solver: calls.update([name]) or solver(m))
+        return calls
+
+    def test_construction_is_one_eigh(self, calls):
+        DensityMatrix(np.diag([0.75, 0.25]).astype(complex))
+        assert calls == {"eigh": 1}
+
+    def test_readers_of_a_state_make_no_solver_call(self, calls):
+        rng = np.random.default_rng(45)
+        rho1, rho2 = random_density(4, rng), random_density(4, rng)
+        calls.clear()
+        spectrum(rho1)
+        von_neumann_entropy(rho1)
+        state_majorized(rho1, rho2)
+        assert calls == {}
 
 
 class TestIsometryDefect:
@@ -302,17 +355,16 @@ class TestPureMixtureOverlap:
 
 
 def _single_state_error(m):
-    """The exception DensityMatrix, or else eig_hermitian, raises for one matrix alone."""
-    for check in (DensityMatrix, eig_hermitian):
-        try:
-            check(m)
-        except Exception as exc:  # noqa: BLE001 - the type is what is compared
-            return type(exc)
+    """The exception DensityMatrix raises for one matrix alone."""
+    try:
+        DensityMatrix(m)
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc)
     return None
 
 
 class TestStackedStateCheck:
-    """spectra checks every state of a stack as DensityMatrix and eig_hermitian check one."""
+    """spectra checks every state of a stack as DensityMatrix checks one."""
 
     def stack(self):
         return random_density_stack(3, [80, 81, 82, 83])
@@ -367,6 +419,8 @@ class TestStackedStateCheck:
         monkeypatch.setattr(np.linalg, "eigh", skewed)
         with pytest.raises(ArithmeticError):
             spectra(self.stack())
+        with pytest.raises(ArithmeticError):
+            DensityMatrix(self.stack()[0])
         with pytest.raises(ArithmeticError):
             eig_hermitian(self.stack()[0])
 
