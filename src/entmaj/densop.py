@@ -50,8 +50,8 @@ def _require_states(vals: np.ndarray) -> np.ndarray:
     """The spectrum clamped to [0, 1], for the descending eigenvalues `vals` of one
     Hermitian matrix or the rows of a stack's: no eigenvalue is below EIG_FLOOR, and the
     eigenvalues clamped at zero sum to 1 within NORMALIZED_TOL.  Clamping to [0, 1] only
-    moves a sum above 1 toward 1, and ProbVector and shannon_entropies sum the result in
-    the same order over the same contiguous layout, so they accept what passes here."""
+    moves a sum above 1 toward 1, and ProbVector sums each row of the result in the same
+    order over the same contiguous layout, so it accepts what passes here."""
     total = vals.clip(0.0, None).sum(axis=-1)
     if total.ndim:  # one sum per state: check the one farthest from 1
         total = total[np.abs(total - 1.0).argmax()]

@@ -31,7 +31,7 @@ from .errors import (
     NotUnitary,
     require,
 )
-from .seqmaj import CLAMP_TOL, MAJORIZATION_TOL, _flat_spectrum, convex_weights, shannon_entropies
+from .seqmaj import CLAMP_TOL, MAJORIZATION_TOL, _flat_spectrum, _row_entropies, convex_weights
 from .xfer import chain_to_orthogonal, find_transfer_chain
 
 COMPLETENESS_TOL = 1e-8  # channel completeness and unitality; unitarity of mixed-unitary terms
@@ -425,8 +425,8 @@ def entropy_probe(phi: KrausChannel, trials: int,
     devs = np.empty(trials)
     for start in range(0, trials, chunk):
         rho = random_density_stack(phi.d_in, seeds[start:start + chunk])
-        before = shannon_entropies(spectra(rho))
-        after = shannon_entropies(spectra(_sandwich(phi.kraus, rho)))
+        before = _row_entropies(spectra(rho))
+        after = _row_entropies(spectra(_sandwich(phi.kraus, rho)))
         devs[start:start + chunk] = np.abs(after - before)
     worst = int(np.argmax(devs))  # first maximum, in seed order
     return EntropyProbeResult(max_deviation=float(devs[worst]), worst_seed=int(seeds[worst]),

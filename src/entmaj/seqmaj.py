@@ -69,8 +69,8 @@ class MajorizationVerdict:
 
 
 def _require_probabilities(arr: np.ndarray, normalized: bool):
-    """Prove arr finite with no entry below -CLAMP_TOL, and set its negative entries to
-    zero in place; if normalized, each vector along the last axis must sum to 1."""
+    """Prove the vector arr finite with no entry below -CLAMP_TOL, and set its negative
+    entries to zero in place; if normalized, it must sum to 1."""
     lo, hi = arr.min(), arr.max()  # both NaN when any entry is
     if not -np.inf < lo <= hi < np.inf:
         raise InvalidValue("entries must be finite")
@@ -79,9 +79,7 @@ def _require_probabilities(arr: np.ndarray, normalized: bool):
     if lo < 0:
         arr[arr < 0] = 0.0
     if normalized:
-        total = arr.sum(axis=-1)
-        if total.ndim:  # one sum per row: check the one farthest from 1
-            total = total[np.abs(total - 1.0).argmax()]
+        total = arr.sum()
         require(abs(total - 1.0), NORMALIZED_TOL, InvalidValue,
                 "normalized vector sums to {}, not 1", total)
 
@@ -149,17 +147,10 @@ def shannon_entropy(p) -> float:
     return float(_bits(pos))
 
 
-def shannon_entropies(rows) -> np.ndarray:
-    """H of each row of an (n, d) array, in bits.
-
-    Each row passes the checks of ProbVector(row, normalized=True) and of
-    shannon_entropy on it: finite, no entry below -CLAMP_TOL, a sum within
-    NORMALIZED_TOL of 1 (so no entry above 1 + NORMALIZED_TOL), and a finite entropy.
-    """
-    arr = np.array(rows, dtype=float)
-    if arr.ndim != 2 or not arr.size:
-        raise InvalidValue("rows must be a non-empty 2-d array")
-    _require_probabilities(arr, normalized=True)
+def _row_entropies(arr: np.ndarray) -> np.ndarray:
+    """H of each row of a 2-d array, in bits, for rows that each pass the checks of
+    ProbVector(row, normalized=True), such as the spectra of `densop.spectra`; the
+    entropies must be finite."""
     return _bits(np.where(arr > LOG_FLOOR, arr, 1.0))  # an entry of 1 adds 0 bits
 
 

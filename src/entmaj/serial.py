@@ -8,8 +8,11 @@ Schemas:
   Kraus channel        {"d_in": n, "d_out": m, "kraus": [<complex matrix>, ...],
                         "flags": {"trace_preserving": b, "unital": b}}
   transfer chain       {"d": n, "steps": [{"i": i, "j": j, "t": t}, ...]}   (written only)
-  Birkhoff mixture     {"terms": [{"weight": t, "perm": [...]}, ...]}
-                       (perm maps row index -> column index)
+  Birkhoff mixture     {"weights": [t0, ...], "first": [...],
+                        "changes": [[term, row, col], ...]}
+                       (each permutation maps row index -> column index; term's maps
+                       row to col and copies term-1's elsewhere; 1 <= term < k, in
+                       strictly increasing (term, row) order, every term >= 1 present)
   majorization verdict {"holds": b, "sums_equal": b,
                         "first_violation": null | {"k": k, "lhs": x, "rhs": y}} (written only)
   Uhlmann frame        {"f": <complex matrix>, "e": <complex matrix>}    (written only)
@@ -24,13 +27,16 @@ and the json module's default separators (pipe it through `python -m json.tool`
 to indent it).  Arrays are written through one `ndarray.tolist()` each, and
 every real is written as its shortest IEEE-754 decimal repr, so it reads back
 bit for bit.  Every number read must be finite, and every dimension an
-integer >= 1.
+integer >= 1.  Each matrix, vector and Kraus list is read by one np.array
+call; a value that fails a check is read again entry by entry, so the
+error names the first bad field.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -55,6 +61,32 @@ def _number(x, where: str, *index) -> float:
                       field=where + "".join(f"[{k}]" for k in index))
 
 
+def _numbers_at_once(values: list, shape: tuple) -> np.ndarray | None:
+    """values as a float array of `shape`, non-empty, read by one np.array call; None
+    unless every leaf is a JSON number (a float or an int, not a bool) below the float
+    maximum in magnitude.  np.array would read true, "1" and null as numbers, so the
+    leaves' types are checked; a leaf at the maximum itself is left to `_number`, which
+    tells a double apart from a larger integer that rounds to it."""
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # ragged, not numbers, or too large
+        return None
+    if arr.shape != shape or not arr.size or not np.abs(arr).max() < sys.float_info.max:
+        return None
+    leaves = values
+    for _ in shape[1:]:
+        leaves = chain.from_iterable(leaves)
+    return arr if set(map(type, leaves)) <= {float, int} else None
+
+
+def _numbers(values: list, where: str) -> np.ndarray:
+    """A list of JSON numbers as a float array; the first bad entry is named on error."""
+    arr = _numbers_at_once(values, (len(values),))
+    if arr is None:
+        arr = np.array([_number(x, where, k) for k, x in enumerate(values)])
+    return arr
+
+
 def _expect(obj, key, kind, where):
     if not isinstance(obj, dict) or key not in obj:
         raise SchemaError("missing required field", field=f"{where}.{key}")
@@ -66,10 +98,10 @@ def _expect(obj, key, kind, where):
     return val
 
 
-def _complex(pair, where: str, i, j) -> complex:
+def _pair(pair, where: str, i, j) -> list[float]:
     if not isinstance(pair, list) or len(pair) != 2:
         raise SchemaError("expected an [re, im] pair", field=f"{where}[{i}][{j}]")
-    return complex(_number(pair[0], where, i, j), _number(pair[1], where, i, j))
+    return [_number(pair[0], where, i, j), _number(pair[1], where, i, j)]
 
 
 def _dimension(obj, key, where) -> int:
@@ -79,12 +111,8 @@ def _dimension(obj, key, where) -> int:
     return d
 
 
-def _matrix(obj, where: str, row_key: str, col_key: str, entry) -> np.ndarray:
-    """obj["rows"] as an array, each entry read by `entry`; built after every check."""
-    r = _dimension(obj, row_key, where)
-    c = _dimension(obj, col_key, where)
-    rows = _expect(obj, "rows", list, where)
-    field = f"{where}.rows"
+def _rows_each(rows: list, field: str, r: int, c: int, entry) -> np.ndarray:
+    """rows read entry by entry with `entry`, so the first bad row or entry is named."""
     if len(rows) != r:
         raise SchemaError(f"expected {r} rows, got {len(rows)}", field=field)
     out = []
@@ -93,6 +121,16 @@ def _matrix(obj, where: str, row_key: str, col_key: str, entry) -> np.ndarray:
             raise SchemaError(f"expected {c} entries", field=f"{field}[{i}]")
         out.append([entry(x, field, i, j) for j, x in enumerate(row)])
     return np.array(out)
+
+
+def _matrix(obj, where: str, row_key: str, col_key: str, entry) -> np.ndarray:
+    """obj["rows"] as a float array of shape (r, c), or (r, c, 2) of [re, im] pairs when
+    `entry` is `_pair`: read at once, and entry by entry only to name a bad field."""
+    r = _dimension(obj, row_key, where)
+    c = _dimension(obj, col_key, where)
+    rows = _expect(obj, "rows", list, where)
+    arr = _numbers_at_once(rows, (r, c, 2) if entry is _pair else (r, c))
+    return _rows_each(rows, f"{where}.rows", r, c, entry) if arr is None else arr
 
 
 def _construct(where: str, cls, *args, **kwargs):
@@ -108,9 +146,8 @@ def prob_vector_to_json(p: ProbVector) -> dict:
 
 
 def prob_vector_from_json(obj, where: str = "prob_vector") -> ProbVector:
-    entries = _expect(obj, "entries", list, where)
     field = f"{where}.entries"
-    values = np.array([_number(x, field, k) for k, x in enumerate(entries)])
+    values = _numbers(_expect(obj, "entries", list, where), field)
     return _construct(field, ProbVector, values, normalized=bool(obj.get("normalized", False)))
 
 
@@ -136,7 +173,7 @@ def complex_matrix_to_json(arr: np.ndarray) -> dict:
 
 
 def complex_matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
-    return _matrix(obj, where, "d_rows", "d_cols", _complex)
+    return _matrix(obj, where, "d_rows", "d_cols", _pair).view(complex)[..., 0]
 
 
 def density_to_json(rho: DensityMatrix) -> dict:
@@ -164,6 +201,25 @@ def channel_to_json(phi: KrausChannel) -> dict:
     }
 
 
+def _kraus_from_json(kraus_list: list, where: str):
+    """The operators of a Kraus list: one (k, r, c) complex stack read by one np.array
+    when every operator is a complex matrix declaring the same shape, else each operator
+    read alone, so that an error names the same field."""
+    try:
+        shapes = {(type(a["d_rows"]), a["d_rows"], type(a["d_cols"]), a["d_cols"])
+                  for a in kraus_list}
+        rows = [a["rows"] for a in kraus_list]
+    except (TypeError, KeyError):  # an operator that is not a dict with these keys
+        shapes = set()
+    if len(shapes) == 1:
+        (r_type, r, c_type, c), = shapes
+        if r_type is int and c_type is int:
+            arr = _numbers_at_once(rows, (len(rows), r, c, 2))
+            if arr is not None:
+                return arr.view(complex)[..., 0]
+    return tuple(complex_matrix_from_json(a, f"{where}[{i}]") for i, a in enumerate(kraus_list))
+
+
 def channel_from_json(obj, where: str = "channel") -> KrausChannel:
     """The channel of the operators, which must match the declared d_in and d_out and meet
     the claimed "flags", each a bool: trace_preserving (true unless given) and unital
@@ -175,9 +231,7 @@ def channel_from_json(obj, where: str = "channel") -> KrausChannel:
     claims_tp, claims_unital = (_expect(flags, key, bool, f"{where}.flags") if key in flags
                                 else default
                                 for key, default in (("trace_preserving", True), ("unital", False)))
-    ops = [complex_matrix_from_json(k, where=f"{where}.kraus[{i}]")
-           for i, k in enumerate(kraus_list)]
-    phi = _construct(where, KrausChannel, tuple(ops))
+    phi = _construct(where, KrausChannel, _kraus_from_json(kraus_list, f"{where}.kraus"))
     for key, declared, actual in (("d_in", d_in, phi.d_in), ("d_out", d_out, phi.d_out)):
         if declared != actual:
             raise SchemaError(f"{declared} != {actual} of the Kraus operators",
@@ -196,22 +250,60 @@ def chain_to_json(chain: TransferChain) -> dict:
 
 
 def birkhoff_to_json(decomp: BirkhoffDecomposition) -> dict:
-    return {"terms": [{"weight": w, "perm": p} for w, p in
-                      zip(decomp.weights.tolist(), decomp.permutations.tolist())]}
+    """The weights, the first permutation, and as "changes" each [term, row, col] where the
+    permutation of `term` maps row to col and its predecessor does not, in (term, row)
+    order.  A mixture with two equal consecutive permutations, which `birkhoff_decompose`
+    never writes, gives a term with no change, and `birkhoff_from_json` refuses it."""
+    perms = decomp.permutations
+    term, row = (perms[1:] != perms[:-1]).nonzero()
+    changes = np.stack((term + 1, row, perms[term + 1, row]), axis=1)
+    return {"weights": decomp.weights.tolist(), "first": perms[0].tolist(),
+            "changes": changes.tolist()}
+
+
+def _index_rows(rows: list, where: str, lo: tuple, hi: tuple) -> np.ndarray:
+    """rows, each a list of len(lo) JSON integers with lo[i] <= x < hi[i] in place i, as
+    one (len(rows), len(lo)) int array; the first bad row or entry is named on error."""
+    for n, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != len(lo):
+            raise SchemaError(f"expected {len(lo)} integers", field=f"{where}[{n}]")
+        for i, x in enumerate(row):
+            if type(x) is not int or not lo[i] <= x < hi[i]:
+                raise SchemaError(f"expected an integer in {lo[i]}..{hi[i] - 1}",
+                                  field=f"{where}[{n}][{i}]")
+    return np.array(rows, dtype=np.int64).reshape(len(rows), len(lo))
 
 
 def birkhoff_from_json(obj, where: str = "birkhoff") -> BirkhoffDecomposition:
-    terms = _expect(obj, "terms", list, where)
-    weights = []
-    perms = []
-    for k, term in enumerate(terms):
-        weights.append(_expect(term, "weight", float, f"{where}.terms[{k}]"))
-        perm = _expect(term, "perm", list, f"{where}.terms[{k}]")
-        if not all(type(x) is int and 0 <= x < len(perm) for x in perm):
-            raise SchemaError("expected indices 0..d-1", field=f"{where}.terms[{k}].perm")
-        perms.append(perm)
-    return _construct(f"{where}.terms", BirkhoffDecomposition, weights=weights,
-                      permutations=tuple(perms))
+    """The mixture that `birkhoff_to_json` wrote.  Term t's permutation is term t-1's with
+    each change [t, row, col] applied; the (k, d) stack is rebuilt by array operations,
+    each entry taken from the latest change to its row, or from "first".  Every term
+    after the first must have a change, as in every mixture `birkhoff_decompose` writes,
+    so the stack holds at most (len(changes) + 1) * len(first) entries."""
+    weights = _numbers(_expect(obj, "weights", list, where), f"{where}.weights")
+    first = _expect(obj, "first", list, where)
+    k, d = len(weights), len(first)
+    for j, x in enumerate(first):
+        if type(x) is not int or not 0 <= x < d:
+            raise SchemaError(f"expected an integer in 0..{d - 1}", field=f"{where}.first[{j}]")
+    field = f"{where}.changes"
+    changes = _index_rows(_expect(obj, "changes", list, where), field, (1, 0, 0), (k, d, d))
+    term, row, col = changes.T
+    unordered = (np.diff(term * d + row) <= 0).nonzero()[0]
+    if unordered.size:
+        raise SchemaError("(term, row) pairs must strictly increase",
+                          field=f"{field}[{unordered[0] + 1}]")
+    unchanged = np.setdiff1d(np.arange(1, k), term)  # bounds the stack by the input's size
+    if unchanged.size:
+        raise SchemaError(f"term {unchanged[0]} has no change", field=field)
+    # latest[t, r] indexes `source` at the change to row r last made at or before term t
+    source = np.concatenate((np.array(first, dtype=np.int64), col))
+    latest = np.zeros((k, d), dtype=np.int64)
+    latest[:1] = np.arange(d)
+    latest[term, row] = np.arange(d, d + len(col))
+    np.maximum.accumulate(latest, axis=0, out=latest)
+    return _construct(where, BirkhoffDecomposition, weights=weights,
+                      permutations=source[latest])
 
 
 def verdict_to_json(verdict: MajorizationVerdict) -> dict:

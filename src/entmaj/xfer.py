@@ -122,8 +122,9 @@ class BirkhoffDecomposition:
         bound = (d - 1) ** 2 + 1
         if k > bound:
             raise InvalidValue(f"{k} terms exceed the bound {bound} for d={d}")
-        if not d or np.any(np.sort(perms, axis=1) != np.arange(d)):
-            raise InvalidValue("not a permutation of 0..d-1")
+        bad = (np.sort(perms, axis=1) != np.arange(d)).any(axis=1)
+        if not d or bad.any():
+            raise InvalidValue(f"term {bad.argmax()} is not a permutation of 0..d-1")
         perms.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "permutations", perms)
@@ -299,12 +300,16 @@ def birkhoff_decompose(q, tol: float = SUPPORT_TOL) -> BirkhoffDecomposition:
     m >= tol and |N(X)| >= 0.99 |X|, which is Hall's condition |N(X)| >= |X|
     for every X when d < 100; beyond that MatchingFailed guards the round.
     A floor at tol itself would let borderline entries strand whole rows.
+    Once every entry is below tol, m may fall near tol / 100 and the bound
+    no longer holds; a round that then finds no perfect matching ends the
+    decomposition if at most NORMALIZED_TOL of row mass is left, since the
+    weights already sum to 1 within NORMALIZED_TOL.
 
-    Raises MatchingFailed, naming the undecomposed row mass and tol, when a
-    round finds no perfect matching on the support above the floor: either
-    an entry >= tol is stranded (numerical breakdown), or the entries below
-    the floor hold more than NORMALIZED_TOL of row mass, which a tol above
-    100 NORMALIZED_TOL allows.  Also raises the errors of
+    Raises MatchingFailed, naming the undecomposed row mass and tol, when
+    any other round finds no perfect matching on the support above the
+    floor: either an entry >= tol is stranded (numerical breakdown), or the
+    entries below the floor hold more than NORMALIZED_TOL of row mass, which
+    a tol above 100 NORMALIZED_TOL allows.  Also raises the errors of
     DoublyStochasticMatrix for bad input, and ValueError unless 0 < tol < inf.
     """
     if not 0 < tol < np.inf:
@@ -332,6 +337,8 @@ def birkhoff_decompose(q, tol: float = SUPPORT_TOL) -> BirkhoffDecomposition:
             matched = (perm >= 0).nonzero()[0]
             residual[matched, perm[matched]] = cur[matched]
             if not all(_augment(support, perm, inv, r) for r in free):
+                if mass <= NORMALIZED_TOL and (residual[support] < tol).all():
+                    break  # off the support every entry is at most the floor
                 raise MatchingFailed(
                     f"no perfect matching on the support above {floor} after "
                     f"{len(weights)} terms; row mass {mass:.3g} undecomposed at tol={tol}")

@@ -133,7 +133,8 @@ class TestTransferAndFriends:
         assert rc == 0
         report = json.loads(out)
         assert report["verified"]["ok_reconstruction"] is True
-        assert len(report["terms"]) == 2
+        assert report["weights"] == [0.5, 0.5]
+        assert report["first"] == [0, 1] and report["changes"] == [[1, 0, 1], [1, 1, 0]]
 
     def test_birkhoff_in_a_fresh_interpreter_imports_no_scipy(self, tmp_path):
         # importing scipy.sparse would add about 0.2 s to every fresh `entmaj` process
@@ -738,8 +739,8 @@ class TestOneLineReports:
 READERS = ("entropy", "majorize", "transfer", "birkhoff", "schur-horn", "uhlmann",
            "mixed-unitary", "pinch-converge", "detect-isometry", "probe-entropy")
 KEYS = ("entries", "normalized", "d", "rows", "d_rows", "d_cols", "kind", "d_in", "d_out",
-        "kraus", "flags", "trace_preserving", "unital", "steps", "i", "j", "t", "terms",
-        "weight", "perm", "a", "b", "rho1", "rho2")
+        "kraus", "flags", "trace_preserving", "unital", "steps", "i", "j", "t", "weights",
+        "first", "changes", "a", "b", "rho1", "rho2")
 # json.dumps writes 1e300 as "1e+300"; the test swaps that text for 1e400, a
 # literal that Python's json module reads as inf.
 BIG = 1e300
@@ -768,8 +769,10 @@ def _json_documents():
             {}, optional={"trace_preserving": leaf, "unital": leaf}))})
     chain = st.fixed_dictionaries({"d": dim, "steps": st.lists(st.fixed_dictionaries(
         {"i": number, "j": number, "t": number}), max_size=2)})
-    birkhoff = st.fixed_dictionaries({"terms": st.lists(st.fixed_dictionaries(
-        {"weight": number, "perm": st.lists(number, max_size=3)}), max_size=2)})
+    birkhoff = st.fixed_dictionaries({"weights": st.lists(number, max_size=3),
+                                      "first": st.lists(number, max_size=3),
+                                      "changes": st.lists(st.lists(number, max_size=3),
+                                                          max_size=3)})
     trees = st.recursive(leaf, lambda kids: st.one_of(
         st.lists(kids, max_size=3), st.dictionaries(st.sampled_from(KEYS), kids, max_size=4)),
         max_leaves=12)

@@ -19,7 +19,7 @@ from entmaj.densop import (
 )
 from entmaj.errors import DimensionMismatch, InvalidValue, NotHermitian, NotUnitVector
 from entmaj.qchan import uhlmann_frame
-from entmaj.seqmaj import NORMALIZED_TOL, _flat_spectrum, shannon_entropies, shannon_entropy
+from entmaj.seqmaj import NORMALIZED_TOL, ProbVector, _flat_spectrum, _row_entropies, shannon_entropy
 
 
 def two_level_entropy(lam):
@@ -107,7 +107,7 @@ class TestOneUnitSumCheck:
                 continue
             accepted += 1
             von_neumann_entropy(rho)
-            shannon_entropies(spectra(rho.matrix[None]))
+            ProbVector(spectra(rho.matrix[None])[0], normalized=True)
         assert 0 < accepted < 2000
 
 
@@ -386,7 +386,7 @@ class TestStackedStateCheck:
         rows = spectra(states)
         np.testing.assert_array_equal(rows[3], spectrum(DensityMatrix(states[3])).entries)
         assert rows.min() == 0.0
-        assert shannon_entropies(rows)[3] == pytest.approx(1.0)
+        assert _row_entropies(rows)[3] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("fault", [
         np.diag([0.6, 0.3, 0.2]),  # trace 1.1

@@ -1,8 +1,14 @@
+import gzip
 import json
+import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from entmaj import serial
+from entmaj.cli import main
 from entmaj.densop import DensityMatrix, random_density
 from entmaj.errors import SchemaError
 from entmaj.qchan import (KrausChannel, random_bistochastic_channel,
@@ -289,7 +295,311 @@ class TestValueFidelity:
         perms = np.array([rng.permutation(5) for _ in range(5)])
         dec = BirkhoffDecomposition(weights=weights, permutations=perms)
         raw = self._read_back(dec, tmp_path)
-        assert [repr(t["weight"]) for t in raw["terms"]] == [repr(float(x)) for x in dec.weights]
-        assert raw["terms"][-1]["weight"] == 5e-324
-        assert [t["perm"] for t in raw["terms"]] == [[int(x) for x in p] for p in perms]
-        assert all(type(x) is int for t in raw["terms"] for x in t["perm"])
+        assert _reprs(raw["weights"]) == [repr(float(x)) for x in dec.weights]
+        assert raw["weights"][-1] == 5e-324
+        assert raw["first"] == [int(x) for x in perms[0]]
+        assert raw["changes"] == [[t, r, int(perms[t, r])] for t in range(1, 5) for r in range(5)
+                                  if perms[t, r] != perms[t - 1, r]]
+        assert all(type(x) is int for x in raw["first"] + sum(raw["changes"], []))
+
+
+def _chain_decomposition(d, seed):
+    a, b = random_majorized_pair(d, np.random.default_rng(seed))
+    return birkhoff_decompose(chain_to_doubly_stochastic(find_transfer_chain(a, b)))
+
+
+def _cyclic_mixture(d, k):
+    """(I + C + ... + C^(k-1)) / k for the cyclic shift C: k tied terms of weight 1/k."""
+    return sum(np.roll(np.eye(d), j, axis=1) for j in range(k)) / k
+
+
+def _replay(first, changes, k):
+    """The permutations of a change list, rebuilt term by term."""
+    perms = [list(first)]
+    for t in range(1, k):
+        perm = list(perms[-1])
+        for term, row, col in changes:
+            if term == t:
+                perm[row] = col
+        perms.append(perm)
+    return perms
+
+
+class TestBirkhoffWire:
+    """A Birkhoff report holds the weights, the first permutation and, for each later
+    term, the rows whose column differs from the term before."""
+
+    def assert_round_trip(self, dec):
+        text = dumps_report(birkhoff_to_json(dec))
+        back = birkhoff_from_json(json.loads(text))
+        assert back.weights.tobytes() == dec.weights.tobytes()
+        assert back.permutations.shape == dec.permutations.shape
+        assert np.array_equal(back.permutations, dec.permutations)
+        return json.loads(text)
+
+    @pytest.mark.parametrize("d", [1, 2, 32, 128, 256])
+    def test_chain_matrices_round_trip(self, d):
+        obj = self.assert_round_trip(_chain_decomposition(d, 2000 + d))
+        assert sorted(obj) == ["changes", "first", "weights"]
+
+    @pytest.mark.parametrize("q", [np.full((d, d), 1 / d) for d in (2, 5, 16, 40)]
+                             + [_cyclic_mixture(50, k) for k in (2, 3, 5)],
+                             ids=[f"flat-{d}" for d in (2, 5, 16, 40)]
+                             + [f"cyclic-{k}" for k in (2, 3, 5)])
+    def test_tied_mixtures_round_trip(self, q):
+        self.assert_round_trip(birkhoff_decompose(q))
+
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_one_term_identity_has_no_changes(self, d):
+        obj = self.assert_round_trip(birkhoff_decompose(np.eye(d)))
+        assert obj == {"weights": [1.0], "first": list(range(d)), "changes": []}
+
+    def test_changes_are_exactly_the_rows_that_differ(self):
+        dec = _chain_decomposition(32, 7)
+        obj = birkhoff_to_json(dec)
+        perms = dec.permutations.tolist()
+        assert obj["changes"] == [[t, r, perms[t][r]] for t in range(1, len(perms))
+                                  for r in range(32) if perms[t][r] != perms[t - 1][r]]
+        assert _replay(obj["first"], obj["changes"], len(perms)) == perms
+
+    def test_report_is_a_quarter_of_the_full_stack_at_d128(self, tmp_path):
+        dec = _chain_decomposition(128, 128)
+        matrix = tmp_path / "q.json"
+        save_json(dec.matrix(), matrix)
+        out = tmp_path / "report.json"
+        assert main(["birkhoff", "--in", str(matrix), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        perms = birkhoff_from_json(report).permutations.tolist()
+        full = {key: value for key, value in report.items()
+                if key not in ("weights", "first", "changes")}
+        full["terms"] = [{"weight": w, "perm": p} for w, p in zip(report["weights"], perms)]
+        assert 4 * len(dumps_report(report)) <= len(dumps_report(full))
+
+    def test_the_full_stack_form_is_not_read(self):
+        with pytest.raises(SchemaError) as err:
+            birkhoff_from_json({"terms": [{"weight": 1.0, "perm": [0]}]})
+        assert err.value.field == "birkhoff.weights"
+
+    VALID = {"weights": [0.5, 0.25, 0.25], "first": [0, 1, 2],
+             "changes": [[1, 0, 1], [1, 1, 0], [2, 1, 2], [2, 2, 0]]}
+
+    def test_valid_example(self):
+        dec = birkhoff_from_json(self.VALID)
+        assert dec.permutations.tolist() == [[0, 1, 2], [1, 0, 2], [1, 2, 0]]
+
+    @pytest.mark.parametrize("path,value,field", [
+        (("weights", 1), True, "birkhoff.weights[1]"),
+        (("weights", 1), "0.25", "birkhoff.weights[1]"),
+        (("first", 1), 1.0, "birkhoff.first[1]"),
+        (("first", 1), True, "birkhoff.first[1]"),
+        (("first", 2), 3, "birkhoff.first[2]"),
+        (("first", 0), -1, "birkhoff.first[0]"),
+        (("changes", 0, 2), True, "birkhoff.changes[0][2]"),
+        (("changes", 0, 2), 1.0, "birkhoff.changes[0][2]"),
+        (("changes", 0, 2), "1", "birkhoff.changes[0][2]"),
+        (("changes", 0, 2), None, "birkhoff.changes[0][2]"),
+        (("changes", 0, 2), float("inf"), "birkhoff.changes[0][2]"),
+        (("changes", 0, 2), 10**30, "birkhoff.changes[0][2]"),
+        (("changes", 1, 0), 0, "birkhoff.changes[1][0]"),
+        (("changes", 3, 0), 3, "birkhoff.changes[3][0]"),
+        (("changes", 2, 1), 3, "birkhoff.changes[2][1]"),
+        (("changes", 2, 2), -1, "birkhoff.changes[2][2]"),
+        (("changes", 2), [2, 1], "birkhoff.changes[2]"),
+        (("changes", 2), "abc", "birkhoff.changes[2]"),
+        (("changes", 1), [1, 0, 0], "birkhoff.changes[1]"),  # repeats (1, 0)
+        (("changes", 1), [0 + 1, 0, 1], "birkhoff.changes[1]"),
+        (("changes", 3), [2, 0, 0], "birkhoff.changes[3]"),  # (2, 0) after (2, 1)
+        (("changes",), "[]", "birkhoff.changes"),
+    ], ids=lambda v: repr(v) if not isinstance(v, tuple) else ".".join(map(str, v)))
+    def test_malformed_field_is_named(self, path, value, field):
+        obj = json.loads(json.dumps(self.VALID))
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(SchemaError) as err:
+            birkhoff_from_json(obj)
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("weights,first,changes,term", [
+        ([1.0], [0, 0, 2], [], 0), ([0.5, 0.5], [0, 1, 2], [[1, 0, 1]], 1),
+        ([0.5, 0.25, 0.25], [0, 1, 2], [[1, 0, 1], [1, 1, 0], [2, 2, 0]], 2)])
+    def test_a_term_that_is_no_permutation_is_named(self, weights, first, changes, term):
+        with pytest.raises(SchemaError, match=f"term {term} is not a permutation") as err:
+            birkhoff_from_json({"weights": weights, "first": first, "changes": changes})
+        assert err.value.field == "birkhoff"
+
+    @pytest.mark.parametrize("changes,term", [
+        ([], 1), ([[1, 0, 1], [1, 1, 0]], 2), ([[2, 1, 2], [2, 2, 1]], 1)])
+    def test_a_term_with_no_change_is_refused(self, changes, term):
+        with pytest.raises(SchemaError) as err:
+            birkhoff_from_json({**self.VALID, "changes": changes})
+        assert str(err.value) == f"birkhoff.changes: term {term} has no change"
+
+
+INDEX = st.one_of(st.integers(-1, 4), st.sampled_from([True, False, 1.0, "1", None, 10**30]))
+LEAF = st.one_of(st.none(), st.booleans(), st.text(max_size=2), st.integers(-2, 4),
+                 st.floats(allow_nan=True, allow_infinity=True),
+                 st.sampled_from([0.5, 0.25, 1.0, float("inf"), 10**400]))
+
+
+@st.composite
+def _swap_lists(draw):
+    """A change list in which each term swaps the columns of two rows."""
+    d = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 4)) if d > 1 else 1
+    first = draw(st.permutations(range(d)))
+    perm, changes = list(first), []
+    for t in range(1, k):
+        i, j = sorted(draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2,
+                                    unique=True)))
+        perm[i], perm[j] = perm[j], perm[i]
+        changes += [[t, i, perm[i]], [t, j, perm[j]]]
+    return {"weights": [1 / k] * k, "first": first, "changes": changes}
+
+
+BIRKHOFF_DOCUMENTS = st.one_of(
+    _swap_lists(),
+    st.fixed_dictionaries({
+        "weights": st.one_of(st.sampled_from([[1.0], [0.5, 0.5], [0.25, 0.75], [0.5, 0.25, 0.25]]),
+                             st.lists(LEAF, max_size=4), LEAF),
+        "first": st.one_of(st.permutations([0, 1, 2]), st.permutations([0, 1]),
+                           st.lists(INDEX, max_size=4), LEAF),
+        "changes": st.one_of(st.lists(st.one_of(st.lists(INDEX, min_size=3, max_size=3),
+                                                st.lists(LEAF, max_size=4), LEAF), max_size=5),
+                             LEAF)}),
+    st.dictionaries(st.sampled_from(["weights", "first", "changes", "terms"]), LEAF, max_size=3),
+    LEAF)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(obj=BIRKHOFF_DOCUMENTS)
+def test_any_birkhoff_shaped_value_is_read_or_refused_as_a_schema_error(obj):
+    try:
+        dec = birkhoff_from_json(obj)
+    except SchemaError:
+        return
+    assert dec.permutations.tolist() == _replay(obj["first"], obj["changes"], len(obj["weights"]))
+    again = birkhoff_from_json(birkhoff_to_json(dec))
+    assert np.array_equal(again.permutations, dec.permutations)
+
+
+BAD_LEAVES = ["true", '"1"', "null", "1e400"]
+
+
+def _with_leaf(obj, path, literal):
+    """obj with the value at `path` replaced by the JSON text `literal`, read by json."""
+    obj = json.loads(json.dumps(obj))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = "LEAF"
+    return json.loads(json.dumps(obj).replace('"LEAF"', literal))
+
+
+class TestOneCallReadersNameTheSameField:
+    """A leaf that np.array would read as a number, or could not read, is still refused by
+    the per-entry path, which names it as before the one-call readers."""
+
+    REAL = real_matrix_to_json(np.full((3, 3), 1 / 3))
+    COMPLEX = complex_matrix_to_json(np.eye(3) / 3)
+    CHANNEL = channel_to_json(random_bistochastic_channel(3, np.random.default_rng(9)))
+    VECTOR = prob_vector_to_json(ProbVector([0.25, 0.25, 0.5], normalized=True))
+
+    @staticmethod
+    def assert_refused(read, obj, field, message="expected a finite number"):
+        with pytest.raises(SchemaError) as err:
+            read(obj)
+        assert str(err.value) == f"{field}: {message}"
+
+    @pytest.mark.parametrize("literal", BAD_LEAVES)
+    def test_real_matrix(self, literal):
+        self.assert_refused(real_matrix_from_json, _with_leaf(self.REAL, ("rows", 1, 2), literal),
+                            "matrix.rows[1][2]")
+
+    @pytest.mark.parametrize("part", [0, 1])
+    @pytest.mark.parametrize("literal", BAD_LEAVES)
+    def test_complex_matrix(self, literal, part):
+        obj = _with_leaf(self.COMPLEX, ("rows", 1, 2, part), literal)
+        self.assert_refused(complex_matrix_from_json, obj, "matrix.rows[1][2]")
+
+    @pytest.mark.parametrize("literal", BAD_LEAVES)
+    def test_kraus_list(self, literal):
+        obj = _with_leaf(self.CHANNEL, ("kraus", 1, "rows", 0, 2, 1), literal)
+        self.assert_refused(channel_from_json, obj, "channel.kraus[1].rows[0][2]")
+
+    @pytest.mark.parametrize("literal", BAD_LEAVES)
+    def test_prob_vector(self, literal):
+        obj = _with_leaf(self.VECTOR, ("entries", 2), literal)
+        self.assert_refused(prob_vector_from_json, obj, "prob_vector.entries[2]")
+
+    def test_ragged_rows(self):
+        obj = json.loads(json.dumps(self.REAL))
+        obj["rows"][1].append(0.0)
+        self.assert_refused(real_matrix_from_json, obj, "matrix.rows[1]", "expected 3 entries")
+        obj = json.loads(json.dumps(self.COMPLEX))
+        del obj["rows"][2][0]
+        self.assert_refused(complex_matrix_from_json, obj, "matrix.rows[2]", "expected 3 entries")
+        obj = json.loads(json.dumps(self.CHANNEL))
+        obj["kraus"][1]["rows"][2].append([0.0, 0.0])
+        self.assert_refused(channel_from_json, obj, "channel.kraus[1].rows[2]",
+                            "expected 3 entries")
+        self.assert_refused(prob_vector_from_json, {"entries": [0.5, [0.5]]},
+                            "prob_vector.entries[1]")
+
+    def test_kraus_operators_of_other_shapes_are_read_one_by_one(self):
+        obj = json.loads(json.dumps(self.CHANNEL))
+        obj["kraus"][1]["d_rows"] = True
+        self.assert_refused(channel_from_json, obj, "channel.kraus[1].d_rows", "expected int")
+
+
+def _fixture_values():
+    """Every vector, real matrix, complex matrix and Kraus list among the determinism
+    fixture's inputs, as (schema, value)."""
+    with gzip.open(pathlib.Path(__file__).parent / "fixtures" / "determinism.json.gz") as fh:
+        inputs = json.load(fh)["inputs"]
+    found = []
+
+    def walk(value):
+        if isinstance(value, dict):
+            if "entries" in value:
+                found.append(("vector", value))
+            elif "d" in value and "rows" in value:
+                found.append(("real", value))
+            elif "d_rows" in value:
+                found.append(("complex", value))
+            elif "kraus" in value:
+                found.append(("kraus", value))
+            for item in value.values():
+                walk(item)
+        elif isinstance(value, list):
+            for item in value:
+                walk(item)
+
+    walk(inputs)
+    return found
+
+
+@pytest.mark.parametrize("schema", ["vector", "real", "complex", "kraus"])
+def test_one_call_reads_every_fixture_input_as_the_per_entry_path(schema):
+    values = [value for kind, value in _fixture_values() if kind == schema]
+    assert values
+    for value in values:
+        if schema == "vector":
+            at_once = serial._numbers_at_once(value["entries"], (len(value["entries"]),))
+            each = np.array([serial._number(x, "entries", k)
+                             for k, x in enumerate(value["entries"])])
+        elif schema == "kraus":
+            rows = [op["rows"] for op in value["kraus"]]
+            r, c = value["d_out"], value["d_in"]
+            at_once = serial._numbers_at_once(rows, (len(rows), r, c, 2))
+            each = np.array([serial._rows_each(op, "rows", r, c, serial._pair) for op in rows])
+        else:
+            r, c = (value["d"],) * 2 if schema == "real" else (value["d_rows"], value["d_cols"])
+            entry, shape = (serial._number, (r, c)) if schema == "real" else (serial._pair,
+                                                                              (r, c, 2))
+            at_once = serial._numbers_at_once(value["rows"], shape)
+            each = serial._rows_each(value["rows"], "rows", r, c, entry)
+        assert at_once is not None
+        assert at_once.dtype == each.dtype and at_once.shape == each.shape
+        assert at_once.tobytes() == each.tobytes()

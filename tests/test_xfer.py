@@ -248,6 +248,16 @@ class TestBirkhoffDecompose:
         assert abs(dec.weights.sum() - 1.0) <= NORMALIZED_TOL
         assert np.abs(dec.matrix() - q.entries).max() <= NORMALIZED_TOL
 
+    @pytest.mark.parametrize("d,seed", [(47, 1776192179), (73, 393115801)])
+    def test_no_matching_below_tol_ends_the_decomposition(self, d, seed):
+        # a late round of these chain matrices finds no perfect matching with about 1e-11
+        # of row mass left, every entry of it below tol
+        a, b = random_majorized_pair(d, np.random.default_rng(seed))
+        q = chain_to_doubly_stochastic(find_transfer_chain(a, b))
+        dec = birkhoff_decompose(q)
+        assert 1e-12 < 1.0 - dec.weights.sum() <= NORMALIZED_TOL
+        assert np.abs(dec.matrix() - q.entries).max() <= 10 * SUPPORT_TOL
+
     def test_term_bound_enforced_by_type(self):
         with pytest.raises(ValueError):
             BirkhoffDecomposition(
