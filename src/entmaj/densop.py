@@ -33,7 +33,8 @@ def _hermitian(m, ndim: int = 2) -> np.ndarray:
     if (arr.ndim != ndim or arr.shape[-1] != arr.shape[-2] or not np.isfinite(arr).all()
             or not arr.size):
         raise InvalidValue("expected a non-empty square matrix of finite numbers")
-    dev = np.abs(arr - _dagger(arr))
+    with np.errstate(over="ignore", invalid="ignore"):  # entries near the float maximum
+        dev = np.abs(arr - _dagger(arr))
     at = np.unravel_index(np.argmax(dev), dev.shape)
     require(dev[at], HERMITIAN_TOL, NotHermitian,
             "worst entry pair ({0}, {1})/({1}, {0}){2} deviates by {3}",
@@ -65,11 +66,13 @@ def _eigh(arr: np.ndarray):
     """(eigenvalues descending, matching eigenvector columns) of the Hermitian part of one
     matrix or of each matrix of a stack, as read-only contiguous arrays; the decomposition
     must reconstruct it within RECONSTRUCTION_TOL."""
-    sym = (arr + _dagger(arr)) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):  # entries near the float maximum
+        sym = (arr + _dagger(arr)) / 2.0
     vals, vecs = np.linalg.eigh(sym)
     recon = (vecs * vals[..., None, :]) @ _dagger(vecs)
-    if not np.abs(recon - sym).max() <= RECONSTRUCTION_TOL:
-        raise ArithmeticError("eigendecomposition failed to reconstruct input")
+    err = np.abs(recon - sym).max()
+    require(err, RECONSTRUCTION_TOL, InvalidValue,
+            "eigendecomposition failed to reconstruct input: largest error {}", err)
     vals, vecs = vals[..., ::-1].copy(), vecs[..., ::-1].copy()
     vals.setflags(write=False)
     vecs.setflags(write=False)
@@ -140,8 +143,9 @@ def isometry_defect(m):
     A (k, r, c) stack gives k defects.  NaN entries give NaN: test `not defect <= tol`.
     """
     m = np.asarray(m)
-    gram = np.swapaxes(m, -1, -2).conj() @ m
-    dev = np.abs(gram - np.eye(m.shape[-1])).max(axis=(-2, -1))
+    with np.errstate(over="ignore", invalid="ignore"):  # entries near the float maximum
+        gram = np.swapaxes(m, -1, -2).conj() @ m
+        dev = np.abs(gram - np.eye(m.shape[-1])).max(axis=(-2, -1))
     return float(dev) if dev.ndim == 0 else dev
 
 

@@ -36,6 +36,7 @@ from .xfer import chain_to_orthogonal, find_transfer_chain
 
 COMPLETENESS_TOL = 1e-8  # channel completeness and unitality; unitarity of mixed-unitary terms
 ISOMETRY_TOL = 1e-7  # default tolerance of the isometric-conjugation detector
+FIXED_POINT_TOL = 1e-9  # default tolerance of fixed_point_commutant_check
 # most complex entries in one chunk of an entropy_probe or pinch_convergence_experiment stack
 PROBE_CHUNK_ENTRIES = 2**14
 
@@ -218,14 +219,6 @@ def apply_channel(phi: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     _require_trace_preserving(phi)
     out = _sandwich(phi.kraus, rho.matrix)
     return DensityMatrix((out + out.conj().T) / 2.0)
-
-
-def apply_raw(phi: KrausChannel, x: np.ndarray) -> np.ndarray:
-    """sum_i A_i X A_i^* on an arbitrary matrix, without state validation."""
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (phi.d_in, phi.d_in):
-        raise DimensionMismatch(f"matrix shape {x.shape} != ({phi.d_in}, {phi.d_in})")
-    return _sandwich(phi.kraus, x)
 
 
 def choi_of_linear_map(fn, d_in: int, d_out: int) -> np.ndarray:
@@ -433,7 +426,8 @@ def entropy_probe(phi: KrausChannel, trials: int,
                               trials=trials)
 
 
-def fixed_point_commutant_check(phi: KrausChannel, b, tol: float = 1e-9) -> FixedPointReport:
+def fixed_point_commutant_check(phi: KrausChannel, b,
+                                tol: float = FIXED_POINT_TOL) -> FixedPointReport:
     """Check whether B is fixed by the channel and commutes with its Kraus family.
 
     Requires the dual map to be subunital (sum A_i^* A_i <= I within tol);
@@ -441,12 +435,14 @@ def fixed_point_commutant_check(phi: KrausChannel, b, tol: float = 1e-9) -> Fixe
     """
     if phi.d_in != phi.d_out:
         raise DimensionMismatch("fixed points need a square channel")
-    x = np.asarray(b, dtype=complex)  # apply_raw checks its shape
+    x = np.asarray(b, dtype=complex)
     tall = phi.kraus.reshape(-1, phi.d_in)
     excess = float(np.linalg.eigvalsh(tall.conj().T @ tall).max()) - 1.0
     require(excess, tol, InvalidValue,
             "dual map is not subunital: largest eigenvalue 1+{}", excess)
-    defect = float(np.abs(apply_raw(phi, x) - x).max())
+    if x.shape != (phi.d_in, phi.d_in):
+        raise DimensionMismatch(f"matrix shape {x.shape} != ({phi.d_in}, {phi.d_in})")
+    defect = float(np.abs(_sandwich(phi.kraus, x) - x).max())
     both = np.concatenate([phi.kraus, phi.kraus.conj().transpose(0, 2, 1)])
     comm = float(np.abs(both @ x - x @ both).max())
     return FixedPointReport(is_fixed=defect <= tol, defect=defect,

@@ -9,10 +9,10 @@ Schemas:
                         "flags": {"trace_preserving": b, "unital": b}}
   transfer chain       {"d": n, "steps": [{"i": i, "j": j, "t": t}, ...]}   (written only)
   Birkhoff mixture     {"weights": [t0, ...], "first": [...],
-                        "changes": [[term, row, col], ...]}
+                        "changes": [[term, row, col], ...]}                (written only)
                        (each permutation maps row index -> column index; term's maps
                        row to col and copies term-1's elsewhere; 1 <= term < k, in
-                       strictly increasing (term, row) order, every term >= 1 present)
+                       strictly increasing (term, row) order)
   majorization verdict {"holds": b, "sums_equal": b,
                         "first_violation": null | {"k": k, "lhs": x, "rhs": y}} (written only)
   Uhlmann frame        {"f": <complex matrix>, "e": <complex matrix>}    (written only)
@@ -79,14 +79,6 @@ def _numbers_at_once(values: list, shape: tuple) -> np.ndarray | None:
     return arr if set(map(type, leaves)) <= {float, int} else None
 
 
-def _numbers(values: list, where: str) -> np.ndarray:
-    """A list of JSON numbers as a float array; the first bad entry is named on error."""
-    arr = _numbers_at_once(values, (len(values),))
-    if arr is None:
-        arr = np.array([_number(x, where, k) for k, x in enumerate(values)])
-    return arr
-
-
 def _expect(obj, key, kind, where):
     if not isinstance(obj, dict) or key not in obj:
         raise SchemaError("missing required field", field=f"{where}.{key}")
@@ -147,7 +139,10 @@ def prob_vector_to_json(p: ProbVector) -> dict:
 
 def prob_vector_from_json(obj, where: str = "prob_vector") -> ProbVector:
     field = f"{where}.entries"
-    values = _numbers(_expect(obj, "entries", list, where), field)
+    entries = _expect(obj, "entries", list, where)
+    values = _numbers_at_once(entries, (len(entries),))
+    if values is None:  # read again entry by entry, to name the first bad one
+        values = np.array([_number(x, field, k) for k, x in enumerate(entries)])
     return _construct(field, ProbVector, values, normalized=bool(obj.get("normalized", False)))
 
 
@@ -252,58 +247,12 @@ def chain_to_json(chain: TransferChain) -> dict:
 def birkhoff_to_json(decomp: BirkhoffDecomposition) -> dict:
     """The weights, the first permutation, and as "changes" each [term, row, col] where the
     permutation of `term` maps row to col and its predecessor does not, in (term, row)
-    order.  A mixture with two equal consecutive permutations, which `birkhoff_decompose`
-    never writes, gives a term with no change, and `birkhoff_from_json` refuses it."""
+    order."""
     perms = decomp.permutations
     term, row = (perms[1:] != perms[:-1]).nonzero()
     changes = np.stack((term + 1, row, perms[term + 1, row]), axis=1)
     return {"weights": decomp.weights.tolist(), "first": perms[0].tolist(),
             "changes": changes.tolist()}
-
-
-def _index_rows(rows: list, where: str, lo: tuple, hi: tuple) -> np.ndarray:
-    """rows, each a list of len(lo) JSON integers with lo[i] <= x < hi[i] in place i, as
-    one (len(rows), len(lo)) int array; the first bad row or entry is named on error."""
-    for n, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != len(lo):
-            raise SchemaError(f"expected {len(lo)} integers", field=f"{where}[{n}]")
-        for i, x in enumerate(row):
-            if type(x) is not int or not lo[i] <= x < hi[i]:
-                raise SchemaError(f"expected an integer in {lo[i]}..{hi[i] - 1}",
-                                  field=f"{where}[{n}][{i}]")
-    return np.array(rows, dtype=np.int64).reshape(len(rows), len(lo))
-
-
-def birkhoff_from_json(obj, where: str = "birkhoff") -> BirkhoffDecomposition:
-    """The mixture that `birkhoff_to_json` wrote.  Term t's permutation is term t-1's with
-    each change [t, row, col] applied; the (k, d) stack is rebuilt by array operations,
-    each entry taken from the latest change to its row, or from "first".  Every term
-    after the first must have a change, as in every mixture `birkhoff_decompose` writes,
-    so the stack holds at most (len(changes) + 1) * len(first) entries."""
-    weights = _numbers(_expect(obj, "weights", list, where), f"{where}.weights")
-    first = _expect(obj, "first", list, where)
-    k, d = len(weights), len(first)
-    for j, x in enumerate(first):
-        if type(x) is not int or not 0 <= x < d:
-            raise SchemaError(f"expected an integer in 0..{d - 1}", field=f"{where}.first[{j}]")
-    field = f"{where}.changes"
-    changes = _index_rows(_expect(obj, "changes", list, where), field, (1, 0, 0), (k, d, d))
-    term, row, col = changes.T
-    unordered = (np.diff(term * d + row) <= 0).nonzero()[0]
-    if unordered.size:
-        raise SchemaError("(term, row) pairs must strictly increase",
-                          field=f"{field}[{unordered[0] + 1}]")
-    unchanged = np.setdiff1d(np.arange(1, k), term)  # bounds the stack by the input's size
-    if unchanged.size:
-        raise SchemaError(f"term {unchanged[0]} has no change", field=field)
-    # latest[t, r] indexes `source` at the change to row r last made at or before term t
-    source = np.concatenate((np.array(first, dtype=np.int64), col))
-    latest = np.zeros((k, d), dtype=np.int64)
-    latest[:1] = np.arange(d)
-    latest[term, row] = np.arange(d, d + len(col))
-    np.maximum.accumulate(latest, axis=0, out=latest)
-    return _construct(where, BirkhoffDecomposition, weights=weights,
-                      permutations=source[latest])
 
 
 def verdict_to_json(verdict: MajorizationVerdict) -> dict:

@@ -672,6 +672,69 @@ class TestExitCodeContract:
         assert err == ""
         assert json.loads(out, parse_constant=_refuse_constant)["error"] == "InvalidValue"
 
+    BIG_KRAUS = {"d_in": 1, "d_out": 1, "flags": {"trace_preserving": False},
+                 "kraus": [complex_matrix_to_json(np.array([[sys.float_info.max]]))]}
+    NEAR_MAX = {
+        "kraus": BIG_KRAUS,
+        "kraus-unflagged": {key: value for key, value in BIG_KRAUS.items() if key != "flags"},
+        "state": {**complex_matrix_to_json(np.full((2, 2), 1.7e308)), "kind": "density"},
+        "skew": {**complex_matrix_to_json(np.full((2, 2), 1.7e308 + 1.7e308j)),
+                 "kind": "density"},
+        "large": {**complex_matrix_to_json(np.diag([1e300, 1e300])), "kind": "density"},
+        "mixed": {**complex_matrix_to_json(np.eye(2) / 2), "kind": "density"},
+        "basis": complex_matrix_to_json(np.diag([1.7e308, 1.7e308])),
+    }
+
+    @pytest.mark.parametrize("sub,files,rc,error", [
+        ("detect-isometry", ["kraus"], 1, "NotTracePreserving"),
+        ("probe-entropy", ["kraus"], 1, "NotTracePreserving"),
+        ("detect-isometry", ["kraus-unflagged"], 2, None),
+        ("probe-entropy", ["kraus-unflagged"], 2, None),
+        ("entropy", ["state"], 2, None),
+        ("entropy", ["skew"], 2, None),
+        ("entropy", ["large"], 2, None),
+        ("uhlmann", ["state", "mixed"], 2, None),
+        ("uhlmann", ["mixed", "skew"], 2, None),
+        ("mixed-unitary", ["mixed", "state"], 2, None),
+        ("mixed-unitary", ["skew", "mixed"], 2, None),
+        ("pinch-converge", ["state"], 2, None),
+        ("pinch-converge", ["skew"], 2, None),
+        ("pinch-converge", ["mixed", "basis"], 1, "NotUnitary"),
+    ], ids=["detect", "probe", "detect-unflagged", "probe-unflagged", "entropy",
+            "entropy-non-hermitian", "entropy-large", "uhlmann", "uhlmann-non-hermitian",
+            "mixed-unitary", "mixed-unitary-non-hermitian", "pinch-state",
+            "pinch-non-hermitian", "pinch-basis"])
+    def test_near_maximum_entries_warn_nothing(self, tmp_path, capsys, sub, files, rc, error):
+        argv = [sub]
+        for name in files:
+            write_json(tmp_path / f"{name}.json", self.NEAR_MAX[name])
+            argv += ["--in", str(tmp_path / f"{name}.json")]
+        code, out, err = run(capsys, *argv)
+        if error is None:
+            self.assert_error_line(code, out, err, code=rc)
+        else:
+            assert (code, err) == (rc, "")
+            assert json.loads(out)["error"] == error
+
+    def fresh_cli(self, tmp_path, sub, name):
+        """`python -m entmaj.cli sub --in <NEAR_MAX[name]>`, with no warning filter."""
+        p = tmp_path / f"{name}.json"
+        write_json(p, self.NEAR_MAX[name])
+        src = pathlib.Path(entmaj.__file__).resolve().parent.parent
+        return subprocess.run([sys.executable, "-m", "entmaj.cli", sub, "--in", str(p)],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+
+    def test_near_maximum_channel_in_a_fresh_interpreter_warns_nothing(self, tmp_path):
+        proc = self.fresh_cli(tmp_path, "detect-isometry", "kraus")
+        assert (proc.returncode, proc.stderr) == (1, "")
+        assert json.loads(proc.stdout)["error"] == "NotTracePreserving"
+
+    def test_near_maximum_state_in_a_fresh_interpreter_is_one_error_line(self, tmp_path):
+        proc = self.fresh_cli(tmp_path, "entropy", "state")
+        self.assert_error_line(proc.returncode, proc.stdout, proc.stderr)
+        assert "failed to reconstruct input" in proc.stderr
+
     @pytest.mark.parametrize("message", ["", "Unable to allocate 7.28 TiB"],
                              ids=["bare", "with-message"])
     def test_allocation_failure_exit_two(self, tmp_path, capsys, monkeypatch, message):
@@ -805,10 +868,17 @@ def test_any_json_input_keeps_the_exit_code_contract(sub, docs, flags):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 rc = main(argv)  # an uncaught exception fails the test with its traceback
+                returned = True
             except SystemExit as exc:  # argparse rejects a flag value
-                rc = exc.code
+                rc, returned = exc.code, False
     assert rc in (0, 1, 2), (argv, rc)
     assert "Traceback" not in err.getvalue()
+    if returned:  # main writes to stderr only its one `error:` line, on exit 2
+        lines = err.getvalue().splitlines()
+        if rc == 2:
+            assert len(lines) == 1 and lines[0].startswith("error: "), argv
+        else:
+            assert err.getvalue() == "", argv
     if rc == 2:
         assert "error:" in err.getvalue(), argv
     elif sub != "pinch-converge":  # every other subcommand writes a JSON report

@@ -417,11 +417,11 @@ class TestStackedStateCheck:
             return vals, vecs * 1.001
 
         monkeypatch.setattr(np.linalg, "eigh", skewed)
-        with pytest.raises(ArithmeticError):
+        with pytest.raises(InvalidValue, match="failed to reconstruct"):
             spectra(self.stack())
-        with pytest.raises(ArithmeticError):
+        with pytest.raises(InvalidValue, match="failed to reconstruct"):
             DensityMatrix(self.stack()[0])
-        with pytest.raises(ArithmeticError):
+        with pytest.raises(InvalidValue, match="failed to reconstruct"):
             eig_hermitian(self.stack()[0])
 
     @pytest.mark.parametrize("bad", [np.zeros((3, 3)), np.zeros((2, 3, 4)), np.zeros((0, 3, 3))],
@@ -429,6 +429,34 @@ class TestStackedStateCheck:
     def test_refuses_what_is_not_a_stack_of_square_matrices(self, bad):
         with pytest.raises(InvalidValue):
             spectra(bad)
+
+
+MAX = np.finfo(float).max
+
+
+class TestNearMaximumEntries:
+    """Finite entries near the float maximum overflow inside the checks; the overflow is
+    refused as a value, without a numpy RuntimeWarning (which this suite turns into an
+    error)."""
+
+    @pytest.mark.parametrize("m", [np.array([[MAX]]), np.full((2, 2), 1.7e308),
+                                   np.full((3, 1, 1), MAX), np.full((2, 2), 1.7e308 + 1.7e308j)],
+                             ids=["one-entry", "real", "stack", "complex"])
+    def test_isometry_defect_is_not_below_any_tolerance(self, m):
+        defect = np.asarray(isometry_defect(m))
+        assert not (defect <= 1.0).any()
+
+    @pytest.mark.parametrize("m,error,message", [
+        (np.full((2, 2), 1.7e308), InvalidValue, "failed to reconstruct input: largest error nan"),
+        (np.diag([MAX, 0.0]), InvalidValue, "failed to reconstruct input"),
+        (np.diag([1e300, 1e300]), InvalidValue, "failed to reconstruct input"),
+        (np.full((2, 2), 1.7e308 + 1.7e308j), NotHermitian, "deviates by inf"),
+    ], ids=["real", "one-entry", "large", "non-hermitian"])
+    def test_state_is_refused(self, m, error, message):
+        with pytest.raises(error, match=message):
+            DensityMatrix(m)
+        with pytest.raises(error, match=message):
+            spectra(np.stack([np.eye(2) / 2, m]))
 
 
 class TestFlatSpectrumDraw:

@@ -1,4 +1,5 @@
 import collections
+import re
 
 import numpy as np
 import pytest
@@ -13,14 +14,15 @@ from entmaj.densop import (
     trace_distance,
     von_neumann_entropy,
 )
-from entmaj.errors import DimensionMismatch, MajorizationFailed, NotTracePreserving, NotUnitary
+from entmaj.errors import (DimensionMismatch, InvalidValue, MajorizationFailed,
+                           NotTracePreserving, NotUnitary)
 from entmaj import qchan, xfer
 from entmaj.qchan import (
     COMPLETENESS_TOL,
+    FIXED_POINT_TOL,
     PROBE_CHUNK_ENTRIES,
     KrausChannel,
     apply_channel,
-    apply_raw,
     choi_matrix,
     choi_of_linear_map,
     compose_channels,
@@ -40,6 +42,11 @@ from entmaj.qchan import (
 )
 from entmaj.seqmaj import is_majorized, random_majorized_pair, sorted_padded
 from entmaj.serial import channel_to_json
+
+
+def kraus_sum(phi: KrausChannel, x: np.ndarray) -> np.ndarray:
+    """sum_i A_i X A_i^*, one operator at a time."""
+    return sum(a @ x @ a.conj().T for a in phi.kraus)
 
 
 def phase_averaging_channel(n: int, d: int) -> KrausChannel:
@@ -130,7 +137,7 @@ class TestStructureChecks:
         rng = np.random.default_rng(5)
         phi = random_bistochastic_channel(3, rng)
         direct = choi_matrix(phi)
-        generic = choi_of_linear_map(lambda x: apply_raw(phi, x), 3, 3)
+        generic = choi_of_linear_map(lambda x: kraus_sum(phi, x), 3, 3)
         assert np.abs(direct - generic).max() <= 1e-10
 
 
@@ -417,7 +424,7 @@ class TestDetectIsometry:
             for j in range(4):
                 e = np.zeros((4, 4), dtype=complex)
                 e[i, j] = 1.0
-                assert np.abs(apply_raw(chan, e) - v @ e @ v.conj().T).max() <= 1e-7
+                assert np.abs(kraus_sum(chan, e) - v @ e @ v.conj().T).max() <= 1e-7
 
     def test_depolarizing_rejected(self):
         rep = detect_isometry(depolarizing_channel(3, 0.5))
@@ -558,6 +565,26 @@ class TestFixedPointCommutant:
         assert rep.is_fixed
         assert rep.max_commutator_norm <= 1e-8
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (4, 4), (3, 3, 1)])
+    def test_matrix_of_another_shape_is_refused(self, shape):
+        with pytest.raises(DimensionMismatch,
+                           match=re.escape(f"matrix shape {shape} != (3, 3)")):
+            fixed_point_commutant_check(pinching_channel(np.eye(3)), np.zeros(shape))
+
+    def test_subunitality_is_checked_before_the_shape(self):
+        with pytest.raises(InvalidValue, match="dual map is not subunital"):
+            fixed_point_commutant_check(KrausChannel((1.1 * np.eye(3, dtype=complex),)),
+                                        np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("off,fixed", [(0.5 * FIXED_POINT_TOL, True),
+                                           (2 * FIXED_POINT_TOL, False)])
+    def test_default_tolerance_is_fixed_point_tol(self, off, fixed):
+        # pinching moves B by exactly its off-diagonal entry
+        b = np.diag([0.5, 0.3, 0.2]).astype(complex)
+        b[0, 1] = b[1, 0] = off
+        rep = fixed_point_commutant_check(pinching_channel(np.eye(3)), b)
+        assert (rep.is_fixed, rep.defect) == (fixed, off)
+
 
 class TestCompose:
     def test_composition_matches_sequential_application(self):
@@ -629,7 +656,6 @@ def loop_reference(phi):
     """Per-operator sums, the form the stacked computations must reproduce."""
     ops = list(phi.kraus)
     return {
-        "apply": lambda x: sum(a @ x @ a.conj().T for a in ops),
         "choi": sum(np.outer(a.T.reshape(-1), a.T.reshape(-1).conj()) for a in ops) / phi.d_in,
         "completeness": np.abs(sum(a.conj().T @ a for a in ops) - np.eye(phi.d_in)).max(),
         "unitality": np.abs(sum(a @ a.conj().T for a in ops) - np.eye(phi.d_out)).max(),
@@ -649,7 +675,8 @@ class TestKrausStack:
         ref = loop_reference(phi)
         x = rng.standard_normal((d_in, d_in)) + 1j * rng.standard_normal((d_in, d_in))
         scale = np.abs(g).max() ** 2 * terms * max(d_in, d_out)
-        assert np.abs(apply_raw(phi, x) - ref["apply"](x)).max() <= self.TOL * scale * 10
+        stacked = qchan._sandwich(phi.kraus, x)
+        assert np.abs(stacked - kraus_sum(phi, x)).max() <= self.TOL * scale * 10
         assert np.abs(choi_matrix(phi) - ref["choi"]).max() <= self.TOL * scale
         assert abs(phi.completeness_defect - ref["completeness"]) <= self.TOL * scale
         assert abs(phi.unitality_defect - ref["unitality"]) <= self.TOL * scale

@@ -273,6 +273,11 @@ class TestBirkhoffDecompose:
         with pytest.raises(InvalidValue):
             BirkhoffDecomposition(weights=[0.5, 0.5], permutations=perms)
 
+    def test_the_first_term_that_is_no_permutation_is_named(self):
+        with pytest.raises(InvalidValue, match="term 1 is not a permutation"):
+            BirkhoffDecomposition(weights=[0.5, 0.25, 0.25],
+                                  permutations=([0, 1, 2], [0, 0, 2], [1, 1, 0]))
+
     def test_permutations_are_one_read_only_stack(self):
         dec = BirkhoffDecomposition(weights=[0.25, 0.75], permutations=([1, 0, 2], [0, 1, 2]))
         assert dec.permutations.shape == (2, 3)
