@@ -307,7 +307,8 @@ def _run_probe_entropy(args) -> int:
     phi = args.load(args.inputs)
     result = entropy_probe(phi, args.trials, np.random.default_rng(args.seed))
     body = {"seed": args.seed, "max_abs_entropy_deviation": result.max_deviation,
-            "worst_seed": result.worst_seed, "trials": result.trials,
+            "base_seed": result.base_seed, "worst_trial": result.worst_trial,
+            "trials": result.trials,
             "verified": {"ok_trials": result.trials == args.trials}}
     return _finish(args, {}, body)
 

@@ -19,7 +19,7 @@ HERMITIAN_TOL = 1e-9
 EIG_FLOOR = -1e-9
 RECONSTRUCTION_TOL = 1e-8
 UNIT_NORM_TOL = 1e-9
-# isometry_defect of a unitary pinching basis and of an orthogonal matrix
+# isometry_defect of a unitary pinching basis, an orthogonal matrix and a probe's Haar factor
 UNITARY_TOL = 1e-9
 
 
@@ -62,33 +62,41 @@ def _require_states(vals: np.ndarray) -> np.ndarray:
     return vals.clip(0.0, 1.0)
 
 
-def _eigh(arr: np.ndarray):
+def _eigh(arr: np.ndarray, states: bool = False):
     """(eigenvalues descending, matching eigenvector columns) of the Hermitian part of one
     matrix or of each matrix of a stack, as read-only contiguous arrays; the decomposition
-    must reconstruct it within RECONSTRUCTION_TOL."""
+    must reconstruct it within RECONSTRUCTION_TOL.
+
+    With `states` the descending eigenvalues pass _require_states before the
+    reconstruction is checked, and come back clamped to [0, 1].  Both checks still
+    decide, so the same matrices pass; one that fails both, such as diag(1e300, 1e300),
+    is refused for its spectrum, whose size is what spoils the reconstruction.
+    """
     with np.errstate(over="ignore", invalid="ignore"):  # entries near the float maximum
         sym = (arr + _dagger(arr)) / 2.0
     vals, vecs = np.linalg.eigh(sym)
+    desc = vals[..., ::-1].copy()
+    if states:
+        desc = _require_states(desc)
     recon = (vecs * vals[..., None, :]) @ _dagger(vecs)
     err = np.abs(recon - sym).max()
     require(err, RECONSTRUCTION_TOL, InvalidValue,
             "eigendecomposition failed to reconstruct input: largest error {}", err)
-    vals, vecs = vals[..., ::-1].copy(), vecs[..., ::-1].copy()
-    vals.setflags(write=False)
+    vecs = vecs[..., ::-1].copy()
+    desc.setflags(write=False)
     vecs.setflags(write=False)
-    return vals, vecs
+    return desc, vecs
 
 
 def spectra(states) -> np.ndarray:
     """Spectra of an (n, d, d) stack of states as rows, descending and clamped to [0, 1].
 
     One `eigh` serves the whole stack.  Each state passes the checks that
-    DensityMatrix makes on it alone, with the same tolerances and exception types:
-    finite and Hermitian, a decomposition that reconstructs it, eigenvalues clamped at
-    zero summing to 1, and no eigenvalue below EIG_FLOOR.
+    DensityMatrix makes on it alone, with the same tolerances and exception types, in
+    the same order: finite and Hermitian, eigenvalues clamped at zero summing to 1, no
+    eigenvalue below EIG_FLOOR, and a decomposition that reconstructs it.
     """
-    vals, _ = _eigh(_hermitian(states, ndim=3))
-    return _require_states(vals)
+    return _eigh(_hermitian(states, ndim=3), states=True)[0]
 
 
 @dataclass(frozen=True)
@@ -104,10 +112,10 @@ class DensityMatrix:
 
     def __post_init__(self):
         arr = _hermitian(self.matrix)
-        vals, vecs = _eigh(arr)
+        vals, vecs = _eigh(arr, states=True)
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
-        object.__setattr__(self, "spectrum", ProbVector(_require_states(vals), normalized=True))
+        object.__setattr__(self, "spectrum", ProbVector(vals, normalized=True))
         object.__setattr__(self, "eigenvectors", vecs)
 
     @property
@@ -219,20 +227,17 @@ def random_density(d: int, rng: np.random.Generator,
     return DensityMatrix(_with_spectra(vals, haar_unitary(d, rng)))
 
 
-def random_density_stack(d: int, seeds) -> np.ndarray:
-    """The matrices of random_density(d, default_rng(s)) for each seed s, as one
-    unvalidated (n, d, d) stack; `spectra` checks them.
+def _haar_states(vals: np.ndarray, gauss: np.ndarray):
+    """(states, spectra): V diag(lam) V^* for each row lam of the (n, d) array `vals`, as an
+    (n, d, d) stack, V the Haar unitary of the matching Gaussian pair of the (n, 2, d, d)
+    stack `gauss`, and the rows lam clamped to [0, 1].
 
-    Each seed's generator draws what random_density draws, in its order: the
-    flat Dirichlet spectrum, then the real and the imaginary Gaussian block of the
-    Haar unitary.  So every state replays alone from its seed.
+    Proved without an eigensolver: the rows pass _require_states, the checks that
+    `spectra` makes on eigenvalues, and each V is unitary within UNITARY_TOL, so each
+    state's spectrum is its row to rounding.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    vals = np.empty((len(seeds), d))
-    gauss = np.empty((len(seeds), 2, d, d))
-    for s, row, block in zip(seeds, vals, gauss):
-        rng = np.random.default_rng(int(s))
-        row[:] = _flat_spectrum(d, rng)
-        rng.standard_normal(out=block)
-    return _with_spectra(vals, _haar(gauss[:, 0], gauss[:, 1]))
+    lam = _require_states(vals)
+    v = _haar(gauss[:, 0], gauss[:, 1])
+    defect = isometry_defect(v).max()
+    require(defect, UNITARY_TOL, InvalidValue, "Haar factor deviates from unitary by {}", defect)
+    return _with_spectra(lam, v), lam

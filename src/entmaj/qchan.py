@@ -18,9 +18,9 @@ import numpy as np
 from .densop import (
     UNITARY_TOL,
     DensityMatrix,
+    _haar_states,
     haar_unitary,
     isometry_defect,
-    random_density_stack,
     spectra,
 )
 from .errors import (
@@ -39,6 +39,8 @@ ISOMETRY_TOL = 1e-7  # default tolerance of the isometric-conjugation detector
 FIXED_POINT_TOL = 1e-9  # default tolerance of fixed_point_commutant_check
 # most complex entries in one chunk of an entropy_probe or pinch_convergence_experiment stack
 PROBE_CHUNK_ENTRIES = 2**14
+PROBE_BLOCK = 256  # entropy_probe trials drawn from one generator, default_rng([base_seed, block])
+PROBE_NOISE_FLOOR = 1e-12  # a largest entropy deviation at or below this names no worst trial
 
 
 def _as_stack(ops) -> np.ndarray:
@@ -185,8 +187,13 @@ class PinchRow:
 
 @dataclass(frozen=True)
 class EntropyProbeResult:
+    """`worst_trial` is the first trial of largest deviation, replayed by
+    probe_state(d_in, base_seed, worst_trial), or None when that deviation is at or below
+    PROBE_NOISE_FLOOR, where it is rounding noise."""
+
     max_deviation: float
-    worst_seed: int
+    base_seed: int
+    worst_trial: Optional[int]
     trials: int
 
 
@@ -394,35 +401,75 @@ def detect_isometry(phi: KrausChannel, tol: float = ISOMETRY_TOL) -> IsometryRep
     return IsometryReport(is_isometric_conjugation=True, isometry=v, gram=gram)
 
 
+def _probe_block(d: int, base_seed: int, block: int):
+    """The generator of one block of PROBE_BLOCK probe trials at d_in = d, after it drew the
+    block's spectra, and those spectra as a (PROBE_BLOCK, d) array of flat simplex rows.
+
+    Every row is drawn whatever the number of trials, so each trial's draws do not
+    depend on it.
+    """
+    rng = np.random.default_rng([base_seed, block])
+    x = rng.standard_exponential((PROBE_BLOCK, d))
+    return rng, x / x.sum(axis=1, keepdims=True)
+
+
+def probe_state(d: int, base_seed: int, trial: int) -> DensityMatrix:
+    """Input state number `trial` of an entropy_probe at d_in = d that drew `base_seed`,
+    bit for bit; it redraws the spectra of the trial's block and the Gaussian pairs of at
+    most PROBE_BLOCK states."""
+    if d < 1 or trial < 0:
+        raise ValueError(f"need d >= 1 and trial >= 0, not d={d}, trial={trial}")
+    block, offset = divmod(trial, PROBE_BLOCK)
+    rng, vals = _probe_block(d, base_seed, block)
+    for _ in range(offset):  # the pairs of the block's earlier trials, one at a time
+        rng.standard_normal((2, d, d))
+    states, _ = _haar_states(vals[offset:offset + 1], rng.standard_normal((1, 2, d, d)))
+    return DensityMatrix(states[0])
+
+
+def _probe_deviations(phi: KrausChannel, trials: int, base_seed: int) -> np.ndarray:
+    """|S(phi(rho)) - S(rho)| for the first `trials` probe states drawn from `base_seed`."""
+    d = phi.d_in
+    chunk = min(PROBE_BLOCK, max(1, PROBE_CHUNK_ENTRIES // max(phi.kraus.size, phi.d_out**2)))
+    devs = np.empty(trials)
+    for first in range(0, trials, PROBE_BLOCK):
+        rng, vals = _probe_block(d, base_seed, first // PROBE_BLOCK)
+        for lo in range(0, min(PROBE_BLOCK, trials - first), chunk):
+            hi = min(lo + chunk, PROBE_BLOCK, trials - first)
+            rho, lam = _haar_states(vals[lo:hi], rng.standard_normal((hi - lo, 2, d, d)))
+            after = _row_entropies(spectra(_sandwich(phi.kraus, rho)))
+            devs[first + lo:first + hi] = np.abs(after - _row_entropies(lam))
+    return devs
+
+
 def entropy_probe(phi: KrausChannel, trials: int,
                   rng: np.random.Generator) -> EntropyProbeResult:
     """Largest entropy change observed on random full-rank states.
 
-    Each trial derives its own seed from the generator, so the result is
-    reproducible and independent of evaluation order; the seed of the worst
-    state is reported, and random_density(phi.d_in, default_rng(worst_seed))
-    replays that state.  Rectangular channels are fine: the input state lives at
-    d = d_in and the output entropy is taken at d_out.
+    The generator draws one base seed.  Trial i is drawn from the generator
+    default_rng([base_seed, i // PROBE_BLOCK]) of its block, which first draws the
+    flat simplex spectra of all PROBE_BLOCK trials of the block, then one Gaussian pair
+    per trial, in trial order, for its Haar eigenbasis.  So the result is reproducible
+    and independent of how the trials are chunked, and probe_state(phi.d_in, base_seed,
+    worst_trial) replays the worst state.  Rectangular channels are fine: the input
+    state lives at d = d_in and the output entropy is taken at d_out.
 
-    The trials run in chunks small enough that the Kraus sandwich temporary
-    (chunk, k, d_out, d_in) and the output stack hold at most PROBE_CHUNK_ENTRIES
-    complex entries each, unless one trial alone is larger.  A chunk is one stack
-    of states, one Kraus sandwich and one `eigh` per side, and every input and
-    output state passes the checks of DensityMatrix and its spectrum's ProbVector.
+    The trials run in chunks of at most PROBE_BLOCK, small enough that the Kraus
+    sandwich temporary (chunk, k, d_out, d_in) and the output stack hold at most
+    PROBE_CHUNK_ENTRIES complex entries each, unless one trial alone is larger.  A chunk
+    is one stack of states, one Kraus sandwich and one `eigh` of the outputs.  Every
+    output state passes the checks of DensityMatrix and its spectrum's ProbVector; every
+    input state is proved by its drawn spectrum and Haar factor (densop._haar_states),
+    and its entropy is that of its drawn spectrum.
     """
     if trials < 1:
         raise ValueError(f"trials={trials} must be >= 1")
     _require_trace_preserving(phi)
-    seeds = rng.integers(0, 2**63 - 1, size=trials)
-    chunk = max(1, PROBE_CHUNK_ENTRIES // max(phi.kraus.size, phi.d_out**2))
-    devs = np.empty(trials)
-    for start in range(0, trials, chunk):
-        rho = random_density_stack(phi.d_in, seeds[start:start + chunk])
-        before = _row_entropies(spectra(rho))
-        after = _row_entropies(spectra(_sandwich(phi.kraus, rho)))
-        devs[start:start + chunk] = np.abs(after - before)
-    worst = int(np.argmax(devs))  # first maximum, in seed order
-    return EntropyProbeResult(max_deviation=float(devs[worst]), worst_seed=int(seeds[worst]),
+    base_seed = int(rng.integers(0, 2**63 - 1))
+    devs = _probe_deviations(phi, trials, base_seed)
+    worst = int(np.argmax(devs))  # the first maximum, in trial order
+    return EntropyProbeResult(max_deviation=float(devs[worst]), base_seed=base_seed,
+                              worst_trial=worst if devs[worst] > PROBE_NOISE_FLOOR else None,
                               trials=trials)
 
 

@@ -20,7 +20,7 @@ from entmaj.cli import main
 from entmaj.densop import DensityMatrix, haar_unitary, random_density
 from entmaj.serial import (channel_from_json, complex_matrix_to_json, density_to_json,
                            prob_vector_from_json, read_json, real_matrix_to_json, save_json)
-from entmaj.qchan import KrausChannel, random_isometric_conjugation_channel
+from entmaj.qchan import PROBE_NOISE_FLOOR, KrausChannel, random_isometric_conjugation_channel
 from entmaj.seqmaj import NORMALIZED_TOL
 from entmaj.xfer import chain_to_doubly_stochastic, find_transfer_chain
 
@@ -344,7 +344,18 @@ class TestDetectorCli:
         assert rc == 0
         report = json.loads(out)
         assert report["max_abs_entropy_deviation"] >= 1e-3
-        assert "worst_seed" in report
+        assert report["max_abs_entropy_deviation"] > PROBE_NOISE_FLOOR
+        assert 0 <= report["worst_trial"] < 200
+        assert isinstance(report["base_seed"], int)
+
+    @pytest.mark.parametrize("seed", ["0", "7"])
+    def test_probe_of_a_one_dimensional_channel_names_no_trial(self, tmp_path, capsys, seed):
+        p = tmp_path / "chan.json"
+        run(capsys, "gen", "channel", "--d", "1", "--seed", seed, "--out", str(p))
+        rc, out, _ = run(capsys, "probe-entropy", "--in", str(p), "--trials", "4", "--seed", "3")
+        report = json.loads(out)
+        assert rc == 0 and report["max_abs_entropy_deviation"] <= PROBE_NOISE_FLOOR
+        assert report["worst_trial"] is None
 
 
 class TestGenAndErrors:
@@ -733,7 +744,7 @@ class TestExitCodeContract:
     def test_near_maximum_state_in_a_fresh_interpreter_is_one_error_line(self, tmp_path):
         proc = self.fresh_cli(tmp_path, "entropy", "state")
         self.assert_error_line(proc.returncode, proc.stdout, proc.stderr)
-        assert "failed to reconstruct input" in proc.stderr
+        assert "spectrum sums to nan" in proc.stderr
 
     @pytest.mark.parametrize("message", ["", "Unable to allocate 7.28 TiB"],
                              ids=["bare", "with-message"])

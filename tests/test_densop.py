@@ -3,14 +3,17 @@ import collections
 import numpy as np
 import pytest
 
+from entmaj import densop
 from entmaj.densop import (
     DensityMatrix,
+    _haar,
+    _haar_states,
+    _with_spectra,
     eig_hermitian,
     haar_unitary,
     isometry_defect,
     pure_state,
     random_density,
-    random_density_stack,
     spectra,
     spectrum,
     state_majorized,
@@ -367,7 +370,14 @@ class TestStackedStateCheck:
     """spectra checks every state of a stack as DensityMatrix checks one."""
 
     def stack(self):
-        return random_density_stack(3, [80, 81, 82, 83])
+        """The states random_density draws from seeds 80-83, built as one stack."""
+        vals, gauss = [], []
+        for s in [80, 81, 82, 83]:
+            rng = np.random.default_rng(s)
+            vals.append(_flat_spectrum(3, rng))
+            gauss.append(rng.standard_normal((2, 3, 3)))  # haar_unitary's two blocks
+        gauss = np.array(gauss)
+        return _with_spectra(np.array(vals), _haar(gauss[:, 0], gauss[:, 1]))
 
     def test_valid_stack_matches_per_state_spectra(self):
         rows = spectra(self.stack())
@@ -431,6 +441,42 @@ class TestStackedStateCheck:
             spectra(bad)
 
 
+class TestHaarStates:
+    """_haar_states proves each state by its spectrum and its Haar factor, with the checks
+    and exceptions that `spectra` uses, and needs no eigensolver."""
+
+    def draw(self, n=5, d=4):
+        rng = np.random.default_rng(90)
+        x = rng.standard_exponential((n, d))
+        return x / x.sum(axis=1, keepdims=True), rng.standard_normal((n, 2, d, d))
+
+    def test_states_have_the_drawn_spectra(self, monkeypatch):
+        vals, gauss = self.draw()
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        states, lam = _haar_states(vals, gauss)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(lam, vals)
+        np.testing.assert_array_equal(states, _with_spectra(vals, _haar(gauss[:, 0], gauss[:, 1])))
+        np.testing.assert_allclose(spectra(states), -np.sort(-vals), atol=1e-15)
+
+    @pytest.mark.parametrize("row,message", [
+        ([0.6, 0.3, 0.1, 0.1], "spectrum sums to 1.0999"),
+        ([0.6, 0.399999, 1e-6, -1e-6], "negative eigenvalue"),
+        ([np.nan, 0.5, 0.5, 0.0], "spectrum sums to nan"),
+    ], ids=["trace", "negative", "nan"])
+    def test_a_bad_spectrum_is_refused(self, row, message):
+        vals, gauss = self.draw()
+        vals[3] = row
+        with pytest.raises(InvalidValue, match=message):
+            _haar_states(vals, gauss)
+
+    def test_a_factor_that_is_not_unitary_is_refused(self, monkeypatch):
+        vals, gauss = self.draw()
+        monkeypatch.setattr(densop, "_haar", lambda re, im: (re + 1j * im) / 2.0)
+        with pytest.raises(InvalidValue, match="Haar factor deviates from unitary"):
+            _haar_states(vals, gauss)
+
+
 MAX = np.finfo(float).max
 
 
@@ -447,9 +493,9 @@ class TestNearMaximumEntries:
         assert not (defect <= 1.0).any()
 
     @pytest.mark.parametrize("m,error,message", [
-        (np.full((2, 2), 1.7e308), InvalidValue, "failed to reconstruct input: largest error nan"),
-        (np.diag([MAX, 0.0]), InvalidValue, "failed to reconstruct input"),
-        (np.diag([1e300, 1e300]), InvalidValue, "failed to reconstruct input"),
+        (np.full((2, 2), 1.7e308), InvalidValue, "spectrum sums to nan, not 1"),
+        (np.diag([MAX, 0.0]), InvalidValue, "spectrum sums to nan, not 1"),
+        (np.diag([1e300, 1e300]), InvalidValue, r"spectrum sums to 1\.9+8e\+300, not 1"),
         (np.full((2, 2), 1.7e308 + 1.7e308j), NotHermitian, "deviates by inf"),
     ], ids=["real", "one-entry", "large", "non-hermitian"])
     def test_state_is_refused(self, m, error, message):
@@ -482,5 +528,4 @@ class TestFlatSpectrumDraw:
             expected = (expected + expected.conj().T) / 2.0
             ours = np.random.default_rng(seed)
             np.testing.assert_array_equal(random_density(d, ours).matrix, expected)
-            np.testing.assert_array_equal(random_density_stack(d, [seed])[0], expected)
             assert ours.standard_normal() == rng.standard_normal()

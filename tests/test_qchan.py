@@ -20,6 +20,7 @@ from entmaj import qchan, xfer
 from entmaj.qchan import (
     COMPLETENESS_TOL,
     FIXED_POINT_TOL,
+    PROBE_BLOCK,
     PROBE_CHUNK_ENTRIES,
     KrausChannel,
     apply_channel,
@@ -34,6 +35,7 @@ from entmaj.qchan import (
     mixed_unitary_uhlmann,
     pinch_convergence_experiment,
     pinching_channel,
+    probe_state,
     random_bistochastic_channel,
     random_isometric_conjugation_channel,
     random_isometry,
@@ -822,29 +824,30 @@ def test_entropy_probe_needs_a_trial():
 
 
 def per_trial_probe(phi, trials, rng):
-    """The probe one validated state at a time: (max deviation, worst seed, deviations)."""
-    seeds = rng.integers(0, 2**63 - 1, size=trials)
+    """The probe one validated state at a time, each replayed by probe_state from the base
+    seed the generator draws: (max deviation, worst trial, deviations)."""
+    base_seed = int(rng.integers(0, 2**63 - 1))
     devs = []
-    for s in seeds:
-        rho = random_density(phi.d_in, np.random.default_rng(int(s)))
+    for trial in range(trials):
+        rho = probe_state(phi.d_in, base_seed, trial)
         devs.append(abs(von_neumann_entropy(apply_channel(phi, rho)) - von_neumann_entropy(rho)))
     worst = int(np.argmax(devs))
-    return devs[worst], int(seeds[worst]), devs
+    return devs[worst], worst, devs
 
 
 class TestBatchedProbeMatchesPerTrial:
-    """entropy_probe against the per-trial oracle on the same seeds."""
+    """entropy_probe against the per-trial oracle on the same states."""
 
     @pytest.mark.parametrize("make", [
         dephasing_channel,
         *[lambda d=d: depolarizing_channel(d, 0.6) for d in range(2, 9)],
         lambda: pinching_channel(haar_unitary(4, np.random.default_rng(61))),
     ], ids=["dephasing", *[f"depolarizing-d{d}" for d in range(2, 9)], "pinching-d4"])
-    def test_same_worst_seed_where_the_deviation_is_signal(self, make):
+    def test_same_worst_trial_where_the_deviation_is_signal(self, make):
         phi = make()
         result = entropy_probe(phi, 200, np.random.default_rng(62))
-        dev, seed, _ = per_trial_probe(phi, 200, np.random.default_rng(62))
-        assert result.worst_seed == seed
+        dev, trial, _ = per_trial_probe(phi, 200, np.random.default_rng(62))
+        assert result.worst_trial == trial
         assert abs(result.max_deviation - dev) <= 1e-14
         assert result.trials == 200
 
@@ -860,9 +863,12 @@ class TestBatchedProbeMatchesPerTrial:
     def test_one_dimensional_input(self):
         identity = KrausChannel(np.eye(1, dtype=complex)[None])
         result = entropy_probe(identity, 7, np.random.default_rng(66))
-        dev, seed, _ = per_trial_probe(identity, 7, np.random.default_rng(66))
-        assert result.max_deviation == dev == 0.0
-        assert result.worst_seed == seed  # every deviation is 0: the first seed
+        dev, _, _ = per_trial_probe(identity, 7, np.random.default_rng(66))
+        assert dev == 0.0  # each state alone: one eigh of the same matrix on both sides
+        # the probe takes the input entropy from the drawn spectrum [1.0], the output's from
+        # the eigh of V V^*, whose one entry |v|^2 is 1 to rounding
+        assert abs(result.max_deviation - dev) <= 1e-14
+        assert result.worst_trial is None  # no deviation above the noise floor
         phi, _ = random_isometric_conjugation_channel(1, 3, np.random.default_rng(65), 2)
         result = entropy_probe(phi, 7, np.random.default_rng(66))
         dev, _, _ = per_trial_probe(phi, 7, np.random.default_rng(66))
@@ -871,8 +877,8 @@ class TestBatchedProbeMatchesPerTrial:
 
     def test_single_trial(self):
         result = entropy_probe(dephasing_channel(), 1, np.random.default_rng(67))
-        dev, seed, _ = per_trial_probe(dephasing_channel(), 1, np.random.default_rng(67))
-        assert (result.worst_seed, result.trials) == (seed, 1)
+        dev, trial, _ = per_trial_probe(dephasing_channel(), 1, np.random.default_rng(67))
+        assert (result.worst_trial, result.trials) == (trial, 1) == (0, 1)
         assert abs(result.max_deviation - dev) <= 1e-14
 
     def test_trials_one_past_a_chunk_boundary(self, monkeypatch):
@@ -883,9 +889,9 @@ class TestBatchedProbeMatchesPerTrial:
         spectra = qchan.spectra
         monkeypatch.setattr(qchan, "spectra", lambda x: calls.append(len(x)) or spectra(x))
         result = entropy_probe(phi, chunk + 1, np.random.default_rng(68))
-        assert calls == [chunk, chunk, 1, 1]  # inputs and outputs of two chunks
-        dev, seed, _ = per_trial_probe(phi, chunk + 1, np.random.default_rng(68))
-        assert result.worst_seed == seed
+        assert calls == [chunk, 1]  # the outputs of two chunks
+        dev, trial, _ = per_trial_probe(phi, chunk + 1, np.random.default_rng(68))
+        assert result.worst_trial == trial
         assert abs(result.max_deviation - dev) <= 1e-14
 
     def test_chunks_bound_a_wide_output_stack(self, monkeypatch):
@@ -899,21 +905,84 @@ class TestBatchedProbeMatchesPerTrial:
         dev, _, _ = per_trial_probe(phi, 25, np.random.default_rng(74))
         assert abs(result.max_deviation - dev) <= 1e-14
 
-    def test_worst_seed_replays_the_worst_state(self):
+    def test_worst_trial_replays_the_worst_state(self):
         phi = pinching_channel(haar_unitary(3, np.random.default_rng(69)))
         result = entropy_probe(phi, 50, np.random.default_rng(70))
-        rho = random_density(phi.d_in, np.random.default_rng(result.worst_seed))
+        rho = probe_state(phi.d_in, result.base_seed, result.worst_trial)
         replay = abs(von_neumann_entropy(apply_channel(phi, rho)) - von_neumann_entropy(rho))
         assert abs(replay - result.max_deviation) <= 1e-14
 
-    def test_eigensolver_runs_once_per_side_per_chunk(self, monkeypatch):
+    def test_eigensolver_runs_once_per_chunk(self, monkeypatch):
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
         monkeypatch.setattr(np.linalg, "eigvalsh", None)  # the probe needs no second solver
         phi, _ = random_isometric_conjugation_channel(3, 7, np.random.default_rng(71), 1)
         entropy_probe(phi, 40, np.random.default_rng(72))
-        assert calls == [(40, 3, 3), (40, 7, 7)]
+        assert calls == [(40, 7, 7)]  # the outputs; each input is proved by its draws
+
+
+class TestProbeReplayContract:
+    """Trial i of a probe is drawn from default_rng([base_seed, i // PROBE_BLOCK]): the
+    block's PROBE_BLOCK flat simplex spectra, then one Gaussian pair per trial."""
+
+    TRIALS = 2 * PROBE_BLOCK + 3
+
+    def test_probe_state_replays_each_input_bit_for_bit(self, monkeypatch):
+        inputs = []  # the input stacks, read off the Kraus sandwich
+        sandwich = qchan._sandwich
+        monkeypatch.setattr(qchan, "_sandwich", lambda k, x: inputs.append(x) or sandwich(k, x))
+        result = entropy_probe(depolarizing_channel(3, 0.6), self.TRIALS,
+                               np.random.default_rng(80))
+        inputs = np.concatenate(inputs)
+        assert len(inputs) == self.TRIALS
+        for trial in (0, PROBE_BLOCK - 1, PROBE_BLOCK, self.TRIALS - 1):
+            np.testing.assert_array_equal(probe_state(3, result.base_seed, trial).matrix,
+                                          inputs[trial])
+
+    def test_the_stream_is_the_documented_one(self):
+        d, base_seed = 3, 12345
+        for trial in (0, 7, PROBE_BLOCK + 1):
+            rng = np.random.default_rng([base_seed, trial // PROBE_BLOCK])
+            x = rng.standard_exponential((PROBE_BLOCK, d))[trial % PROBE_BLOCK]
+            vals = np.sort(x / x.sum())[::-1]
+            re, im = rng.standard_normal((trial % PROBE_BLOCK + 1, 2, d, d))[-1]
+            q, r = np.linalg.qr((re + 1j * im) / np.sqrt(2))
+            v = q * (np.diag(r) / np.abs(np.diag(r)))
+            rho = probe_state(d, base_seed, trial)
+            np.testing.assert_allclose(rho.matrix, (v * vals) @ v.conj().T, atol=1e-15)
+            np.testing.assert_allclose(rho.spectrum.entries, vals, atol=1e-15)
+
+    @pytest.mark.parametrize("chunk", [1, 4, PROBE_BLOCK])
+    def test_deviations_do_not_depend_on_the_chunk(self, monkeypatch, chunk):
+        phi = pinching_channel(haar_unitary(3, np.random.default_rng(81)))
+        whole = qchan._probe_deviations(phi, self.TRIALS, 82)
+        monkeypatch.setattr(qchan, "PROBE_CHUNK_ENTRIES", chunk * phi.kraus.size)
+        sizes = []
+        spectra = qchan.spectra
+        monkeypatch.setattr(qchan, "spectra", lambda x: sizes.append(len(x)) or spectra(x))
+        np.testing.assert_array_equal(qchan._probe_deviations(phi, self.TRIALS, 82), whole)
+        assert max(sizes) == chunk
+
+    @pytest.mark.parametrize("d,trial", [(0, 0), (3, -1)])
+    def test_probe_state_needs_a_dimension_and_a_trial(self, d, trial):
+        with pytest.raises(ValueError, match="need d >= 1 and trial >= 0"):
+            probe_state(d, 1, trial)
+
+    def test_one_generator_per_block(self, monkeypatch):
+        rng = np.random.default_rng(83)
+        built = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda s: built.append(s) or default_rng(s))
+        result = entropy_probe(dephasing_channel(), self.TRIALS, rng)
+        assert len(built) <= -(-self.TRIALS // PROBE_BLOCK)
+        assert built == [[result.base_seed, block] for block in range(3)]
+
+    def test_a_noise_level_deviation_names_no_trial(self):
+        phi, _ = random_isometric_conjugation_channel(3, 5, np.random.default_rng(84), 2)
+        result = entropy_probe(phi, 30, np.random.default_rng(85))
+        assert 0.0 < result.max_deviation <= qchan.PROBE_NOISE_FLOOR
+        assert result.worst_trial is None
 
 
 class TestRandomChannelsKeepTheDirichletStream:
