@@ -220,55 +220,81 @@ def schur_horn_orthogonal(a, b, tol: float = MAJORIZATION_TOL) -> OrthogonalMatr
     return chain_to_orthogonal(find_transfer_chain(a, b, tol))
 
 
-def _augment(support: np.ndarray, perm: np.ndarray, inv: np.ndarray, root: int) -> bool:
+def _augment(cols, perm, inv, mirror, moved, root) -> bool:
     """Match the free row `root` along one BFS augmenting path; False when none exists.
 
-    perm maps rows to columns and inv columns to rows, -1 where unmatched; both
-    are updated in place.  Each BFS level is one reduction over the frontier
-    rows' support, restricted to columns not yet seen.
+    cols[r] lists row r's support columns in ascending order.  perm maps rows to
+    columns and inv columns to rows, -1 where unmatched; both are updated in place,
+    and each row that takes a new column is written to the numpy mirror of perm
+    and logged in `moved` as (row, col).  Each BFS level scans the frontier rows'
+    lists: a column goes to the first frontier row that reaches it, the lowest
+    free column of the level wins, and the next frontier is the mates of the
+    level's columns in ascending order.
     """
-    seen = np.zeros(inv.size, dtype=bool)
-    via = np.empty(inv.size, dtype=int)  # via[c]: the frontier row that reached column c
-    frontier = np.array([root])
-    while frontier.size:
-        hit = support[frontier] & ~seen
-        cols = hit.any(axis=0).nonzero()[0]
-        seen[cols] = True
-        via[cols] = frontier[hit[:, cols].argmax(axis=0)]
-        free = cols[inv[cols] < 0]
-        if free.size:
-            c = free[0]
-            while c >= 0:  # flip the path back to root, whose perm is -1
-                r = via[c]
-                perm[r], inv[c], c = c, r, perm[r]
-            return True
-        frontier = inv[cols]
+    via = {}  # via[c]: the frontier row that reached column c
+    frontier = [root]
+    while frontier:
+        level = []
+        for r in frontier:
+            for c in cols[r]:
+                if c not in via:
+                    via[c] = r
+                    level.append(c)
+        level.sort()
+        for c in level:
+            if inv[c] < 0:
+                while c >= 0:  # flip the path back to root, whose perm is -1
+                    r = via[c]
+                    nxt = perm[r]
+                    perm[r] = mirror[r] = c
+                    inv[c] = r
+                    moved.append((r, c))
+                    c = nxt
+                return True
+        frontier = [inv[c] for c in level]
     return False
 
 
-def _swap(support: np.ndarray, perm: np.ndarray, inv: np.ndarray, residual: np.ndarray,
-          cur: np.ndarray, r: int) -> bool:
-    """Drop row r's matched entry from the support and re-match r by one swap.
+def _swap(cols, members, perm, inv, mirror, moved, residual, cur, r) -> bool:
+    """Re-match row r, whose matched entry has just left the support, by one swap.
 
-    Row r, the only row left free, takes the lowest column of its support
-    whose mate m reaches r's old column c, and m takes c: the path that
-    `_augment` from r finds first, since c is the only free column.  m's old
-    entry is written back to `residual` and both rows' entries are read into
-    `cur`.  Returns False, with only the support changed, when no such
-    column exists.
+    Row r, the only row left free, takes the lowest column c2 of its list whose
+    mate m has r's old column c in its support (`members[m]`), and m takes c:
+    the path that `_augment` from r finds first, since c is the only free
+    column.  m's old entry is written back to `residual` and both rows' entries
+    are read into `cur`.  Returns False, changing nothing, when no such column
+    exists.
     """
     c = perm[r]
-    support[r, c] = False
-    cols = support[r].nonzero()[0]
-    mates = inv[cols]
-    hit = support[mates, c].nonzero()[0]
-    if not hit.size:
+    for c2 in cols[r]:
+        m = inv[c2]
+        if c in members[m]:
+            break
+    else:
         return False
-    c2, m = cols[hit[0]], mates[hit[0]]
     residual[m, c2] = cur[m]
     cur[r], cur[m] = residual[r, c2], residual[m, c]
-    perm[r], inv[c2], perm[m], inv[c] = c2, r, c, m
+    perm[r] = mirror[r] = c2
+    perm[m] = mirror[m] = c
+    inv[c2], inv[c] = r, m
+    moved += (r, c2), (m, c)
     return True
+
+
+def _stack(moved, ends, d) -> np.ndarray:
+    """The (terms, d) permutation stack from the changes logged as the matching changed.
+
+    moved lists (row, col) in the order the rows took their columns; ends[t] is
+    len(moved) when term t was taken, so change k belongs to the first term whose
+    end exceeds k, and changes past the last end belong to no term.  Each row and
+    term reads its latest change at or before that term.
+    """
+    changes = np.array(moved[:ends[-1]]).reshape(-1, 2)
+    k = np.arange(len(changes))
+    latest = np.full((len(ends), d), -1, dtype=np.int32)
+    np.maximum.at(latest, (np.searchsorted(ends, k, side="right"), changes[:, 0]), k)
+    np.maximum.accumulate(latest, axis=0, out=latest)  # term 0 matched every row
+    return np.take(changes[:, 1], latest)
 
 
 def birkhoff_decompose(q, tol: float = SUPPORT_TOL) -> BirkhoffDecomposition:
@@ -276,11 +302,11 @@ def birkhoff_decompose(q, tol: float = SUPPORT_TOL) -> BirkhoffDecomposition:
 
     Repeatedly finds a perfect matching on the support graph of the
     residual and subtracts the minimal matched entry.  Each round zeroes at
-    least one entry, so the loop is finite.  The first round runs only if
-    some entry is >= tol.  Later rounds run while the residual's row mass
-    exceeds min(tol / 100, NORMALIZED_TOL): stopping at the first residual
-    below tol could leave nearly tol per row undecomposed, and a mass above
-    NORMALIZED_TOL would leave weights that do not sum to 1.
+    least one entry, so the loop is finite.  Rounds after the first run
+    while the residual's row mass exceeds min(tol / 100, NORMALIZED_TOL):
+    stopping at the first residual below tol could leave nearly tol per row
+    undecomposed, and a mass above NORMALIZED_TOL would leave weights that do
+    not sum to 1.
 
     The matching is warm-started: a round drops from the support only the
     matched entries that fell to the floor and unmatches their rows.  When
@@ -292,6 +318,14 @@ def birkhoff_decompose(q, tol: float = SUPPORT_TOL) -> BirkhoffDecomposition:
     would pick first, so both give the same terms.  The matched entries are
     carried as one vector across rounds and written back to `residual` only
     before a BFS repair and where a swap moves a row off its entry.
+
+    The support is kept as one ascending column list per row, with a set per
+    row for membership, so a swap or a BFS level costs Python work in the
+    degree of the rows it scans, not numpy calls over d columns.  Only the
+    minimum, the subtraction, the floor test and the gather of the matched
+    entries (through a numpy mirror of the matching) run over all d rows per
+    round.  The permutations are logged as (row, col) changes when the
+    matching changes and assembled into the (terms, d) stack once, at the end.
 
     The support graph keeps entries down to the floor tol / (100 d).  Rows
     and columns of the residual carry equal mass m, and each row hides at
@@ -309,8 +343,10 @@ def birkhoff_decompose(q, tol: float = SUPPORT_TOL) -> BirkhoffDecomposition:
     any other round finds no perfect matching on the support above the
     floor: either an entry >= tol is stranded (numerical breakdown), or the
     entries below the floor hold more than NORMALIZED_TOL of row mass, which
-    a tol above 100 NORMALIZED_TOL allows.  Also raises the errors of
-    DoublyStochasticMatrix for bad input, and ValueError unless 0 < tol < inf.
+    a tol above 100 NORMALIZED_TOL allows.  Raises InvalidValue, naming tol
+    and the largest entry, when tol exceeds every entry, so that no round
+    can start.  Also raises the errors of DoublyStochasticMatrix for bad
+    input, and ValueError unless 0 < tol < inf.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol={tol} must be finite and > 0")
@@ -318,44 +354,54 @@ def birkhoff_decompose(q, tol: float = SUPPORT_TOL) -> BirkhoffDecomposition:
         q = DoublyStochasticMatrix(q)
     residual = q.entries.copy()
     residual[residual < 0] = 0.0
+    top = float(residual.max())
+    if tol > top:
+        raise InvalidValue(f"tol={tol} exceeds the largest entry {top}: no term can be taken")
     d = residual.shape[0]
     rows = np.arange(d)
     floor = tol / (100.0 * d)
     stop = min(d * floor, NORMALIZED_TOL)
-    support = residual > floor
-    perm = np.full(d, -1)
-    inv = np.full(d, -1)
+    cols = [np.flatnonzero(row).tolist() for row in residual > floor]
+    members = [set(c) for c in cols]
+    perm = [-1] * d
+    inv = [-1] * d
+    mirror = np.full(d, -1)  # perm as an array, for the gathers from residual
     cur = np.zeros(d)  # residual[rows, perm] where matched; residual is stale there
     mass = residual.sum(axis=1).max()  # every round takes w from every row
 
     weights = []
-    perms = []
-    free = rows
-    going = residual.max() >= tol
+    moved = []  # (row, col) each time a row takes a column
+    ends = []  # len(moved) when each term was taken
+    free = range(d)
+    going = True
     while going:
-        if free.size:
-            matched = (perm >= 0).nonzero()[0]
-            residual[matched, perm[matched]] = cur[matched]
-            if not all(_augment(support, perm, inv, r) for r in free):
-                if mass <= NORMALIZED_TOL and (residual[support] < tol).all():
+        if free:
+            matched = (mirror >= 0).nonzero()[0]
+            residual[matched, mirror[matched]] = cur[matched]
+            if not all(_augment(cols, perm, inv, mirror, moved, r) for r in free):
+                if mass <= NORMALIZED_TOL and all(
+                        (residual[r, c] < tol).all() for r, c in enumerate(cols)):
                     break  # off the support every entry is at most the floor
                 raise MatchingFailed(
                     f"no perfect matching on the support above {floor} after "
                     f"{len(weights)} terms; row mass {mass:.3g} undecomposed at tol={tol}")
-            cur = residual[rows, perm]
+            cur = residual[rows, mirror]
         w = float(cur.min())
         weights.append(w)
-        perms.append(perm.copy())
+        ends.append(len(moved))
         cur -= w
         mass -= w
         going = mass > stop
-        gone = (cur <= floor).nonzero()[0]
-        if gone.size == 1 and _swap(support, perm, inv, residual, cur, gone[0]):
-            free = gone[:0]
+        free = (cur <= floor).nonzero()[0].tolist()
+        for r in free:
+            cols[r].remove(perm[r])
+            members[r].discard(perm[r])
+        if len(free) == 1 and _swap(cols, members, perm, inv, mirror, moved, residual, cur,
+                                    free[0]):
+            free = []
             continue
-        support[gone, perm[gone]] = False
-        inv[perm[gone]] = -1
-        perm[gone] = -1
-        free = gone
-    return BirkhoffDecomposition(weights=np.array(weights), permutations=np.array(perms))
-
+        for r in free:
+            inv[perm[r]] = -1
+            perm[r] = -1
+        mirror[free] = -1
+    return BirkhoffDecomposition(weights=np.array(weights), permutations=_stack(moved, ends, d))

@@ -637,6 +637,21 @@ class TestExitCodeContract:
         assert err == ""
         assert json.loads(out)["error"] == "InvalidValue"
 
+    def test_tol_above_the_largest_entry_is_named(self, tmp_path, capsys):
+        pair, q = tmp_path / "pair.json", tmp_path / "q.json"
+        assert run(capsys, "gen", "pair", "--d", "8", "--seed", "0", "--out", str(pair))[0] == 0
+        bundle = json.loads(pair.read_text())
+        chain_matrix = chain_to_doubly_stochastic(find_transfer_chain(
+            prob_vector_from_json(bundle["a"]), prob_vector_from_json(bundle["b"])))
+        save_json(chain_matrix, q)
+        rc, out, err = run(capsys, "birkhoff", "--in", str(q), "--tol", "2")
+        assert rc == 1
+        assert err == ""
+        report = json.loads(out)
+        assert report["error"] == "InvalidValue"
+        assert report["message"].startswith(
+            f"tol=2.0 exceeds the largest entry {chain_matrix.entries.max()}")
+
     def test_matching_failure_is_a_domain_report(self, tmp_path, capsys):
         p = tmp_path / "q.json"
         write_json(p, {"d": 2, "rows": [[1.0, 0.0], [5e-10, 1.0 - 5e-10]]})

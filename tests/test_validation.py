@@ -101,8 +101,9 @@ class TestOneCheckPerInvariant:
             birkhoff_decompose(np.full((2, 2), 0.5), tol=tol)
 
     def test_tol_above_every_entry_leaves_no_terms(self):
-        with pytest.raises(InvalidValue, match="at least one term"):
+        with pytest.raises(InvalidValue, match=r"^tol=0\.6 exceeds the largest entry 0\.5"):
             birkhoff_decompose(np.full((2, 2), 0.5), tol=0.6)
+        assert len(birkhoff_decompose(np.full((2, 2), 0.5), tol=0.5).weights) == 2
 
     @pytest.mark.parametrize("weights,count", [([0.5, 0.5], 3), ([], 0), ([1.0, 0.0], 2),
                                                ([0.6, 0.6], 2), ([[0.5, 0.5]], 2)])

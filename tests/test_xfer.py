@@ -165,6 +165,19 @@ class TestChainWalk:
                                           fancy_index_walk(chain, _rotation))
 
 
+def zero_diagonal(d):
+    """(J - I) / (d - 1): flat off the diagonal, zero on it."""
+    return (np.ones((d, d)) - np.eye(d)) / (d - 1)
+
+
+def scrambled_cycle(d):
+    """The permutation matrix of one d-cycle through a seeded order of the rows."""
+    order = np.random.default_rng(7).permutation(d)
+    q = np.zeros((d, d))
+    q[order, np.roll(order, 1)] = 1.0
+    return q
+
+
 def cyclic_mixture(d, k, scrambled):
     """(I + C + ... + C^(k-1)) / k for the cyclic shift C; scrambled relabels rows and columns."""
     q = sum(np.roll(np.eye(d), j, axis=1) for j in range(k)) / k
@@ -376,7 +389,7 @@ class TestBirkhoffMatchesTheBfsOnlyLoop:
         return dec
 
     @pytest.mark.parametrize("tol", [SUPPORT_TOL, 1e-10])
-    @pytest.mark.parametrize("d", [1, 2, 8, 32, 64, 128])
+    @pytest.mark.parametrize("d", [1, 2, 8, 32, 64, 128, 256])
     def test_chain_matrices(self, repairs, d, tol):
         a, b = random_majorized_pair(d, np.random.default_rng(1000 + d))
         dec = self.assert_same_terms(chain_to_doubly_stochastic(find_transfer_chain(a, b)).entries,
@@ -396,6 +409,24 @@ class TestBirkhoffMatchesTheBfsOnlyLoop:
         self.assert_same_terms(q, tol)
         assert repairs["bfs"] > len(q)
         assert repairs["swap"] == 0
+
+    @pytest.mark.parametrize("tol", [SUPPORT_TOL, 1e-10])
+    @pytest.mark.parametrize("q", [zero_diagonal(d) for d in (2, 3, 8)] + [scrambled_cycle(40)],
+                             ids=["zero-diagonal-2", "zero-diagonal-3", "zero-diagonal-8",
+                                  "scrambled-permutation-40"])
+    def test_no_row_holds_its_diagonal(self, q, tol):
+        assert not np.diag(q).any()
+        self.assert_same_terms(q, tol)
+
+    @pytest.mark.parametrize("d,tol,bfs,swap,swap_failed", [
+        (32, SUPPORT_TOL, 87, 360, 36), (64, SUPPORT_TOL, 164, 524, 55),
+        (128, SUPPORT_TOL, 412, 1768, 219), (256, SUPPORT_TOL, 897, 3109, 509),
+        (128, 1e-10, 509, 1819, 300)])
+    def test_repair_work_is_pinned(self, repairs, d, tol, bfs, swap, swap_failed):
+        # the swap and BFS repairs the dense-support loop made on these matrices
+        a, b = random_majorized_pair(d, np.random.default_rng(1000 + d))
+        birkhoff_decompose(chain_to_doubly_stochastic(find_transfer_chain(a, b)), tol=tol)
+        assert repairs == {"bfs": bfs, "swap": swap, "swap_failed": swap_failed}
 
 
 class TestCaratheodoryReduce:
