@@ -47,7 +47,6 @@ from .serial import (
     prob_vector_to_json,
     read_json,
     real_matrix_from_json,
-    real_matrix_to_json,
     vector_or_state_from_json,
     verdict_to_json,
 )
@@ -56,8 +55,8 @@ from .xfer import (
     DoublyStochasticMatrix,
     birkhoff_decompose,
     chain_to_doubly_stochastic,
+    chain_to_orthogonal,
     find_transfer_chain,
-    schur_horn_orthogonal,
 )
 
 # Thresholds of the reports' verified blocks.
@@ -65,14 +64,23 @@ REPLAY_TOL = 1e-9
 TRACE_DISTANCE_TOL = 1e-7
 PINCH_SLACK = 1e-8
 
+# Largest flag values, each chosen from its measured cost (README, "Validation and
+# tolerances"): `gen state-pair` at d = MAX_D and `gen channel` at d = MAX_CHANNEL_D each
+# stay below 1 GiB, and `probe-entropy` holds 8 bytes per trial.
+MAX_D = 1024
+MAX_CHANNEL_D = 64
+MAX_TRIALS = 10**6
 
-def _above(cast, low=0):
-    """An argparse type: a finite value > low read by `cast`, so an int is >= low + 1."""
+
+def _above(cast, low=0, high=np.inf):
+    """An argparse type: a finite value > low and <= high read by `cast`, so an int is
+    >= low + 1."""
     def parse(text: str):
         value = cast(text)
-        if not low < value < np.inf:  # false for NaN too
+        if not low < value < np.inf or value > high:  # the first is false for NaN too
+            bound = f">= {low + 1}" if cast is int else f"finite and > {low}"
             raise argparse.ArgumentTypeError(
-                f"{value} is not {f'>= {low + 1}' if cast is int else f'finite and > {low}'}")
+                f"{value} is not {bound}{f' and <= {high}' if high < np.inf else ''}")
         return value
     parse.__name__ = cast.__name__  # argparse names the type in its messages
     return parse
@@ -81,8 +89,8 @@ def _above(cast, low=0):
 # The flags beyond --in, --out and --tol, each declared only where it is read.
 FLAGS = {
     "--seed": {"type": _above(int, low=-1), "default": 0},  # any size, as default_rng takes
-    "--d": {"type": _above(int), "default": 4},
-    "--trials": {"type": _above(int), "default": 1000},
+    "--d": {"type": _above(int, high=MAX_D), "default": 4},
+    "--trials": {"type": _above(int, high=MAX_TRIALS), "default": 1000},
     "--require": {"action": "store_true", "help": "exit 1 on a negative verdict"},
     "--expect-isometry": {"action": "store_true", "help": "exit 1 on a negative detection"},
 }
@@ -119,7 +127,8 @@ def _parser() -> argparse.ArgumentParser:
         vectors, MAJORIZATION_TOL)
     add("birkhoff", _run_birkhoff, "split a doubly stochastic matrix into permutations",
         partial(_load_one, from_json=real_matrix_from_json), SUPPORT_TOL)
-    add("schur-horn", _run_schur_horn, "orthogonal matrix carrying one spectrum onto a diagonal",
+    add("schur-horn", _run_schur_horn,
+        "plane rotations of an orthogonal matrix carrying one spectrum onto a diagonal",
         vectors, MAJORIZATION_TOL)
     add("uhlmann", _run_uhlmann, "bistochastic channel carrying the second state onto the first",
         states, MAJORIZATION_TOL)
@@ -227,21 +236,22 @@ def _run_birkhoff(args) -> int:
     bound = (q.d - 1) ** 2 + 1
     body = dict(birkhoff_to_json(decomp))
     body["verified"] = {"reconstruction_max_error": err, "ok_reconstruction": err <= 10 * args.tol,
-                        "term_count": len(decomp.permutations), "term_bound": bound,
-                        "ok_term_bound": len(decomp.permutations) <= bound,
+                        "term_count": len(decomp.weights), "term_bound": bound,
+                        "ok_term_bound": len(decomp.weights) <= bound,
                         "weight_sum": float(decomp.weights.sum())}
     return _finish(args, {"support_threshold": args.tol}, body)
 
 
 def _run_schur_horn(args) -> int:
     a, b = args.load(args.inputs)
-    u = schur_horn_orthogonal(a, b, args.tol)
+    chain = find_transfer_chain(a, b, args.tol)
+    u = chain_to_orthogonal(chain)
     diag = np.diag(u.entries @ np.diag(sorted_padded(b, u.d)) @ u.entries.T)
     err = float(np.abs(diag - sorted_padded(a, u.d)).max())
-    defect = isometry_defect(u.entries)
-    body = dict(real_matrix_to_json(u))
-    body["verified"] = {"diagonal_max_error": err, "ok_diagonal": err <= REPLAY_TOL,
-                        "orthogonality_defect": defect, "ok_orthogonal": defect <= UNITARY_TOL}
+    defect = u.orthogonality_defect
+    body = {"rotations": chain_to_json(chain),
+            "verified": {"diagonal_max_error": err, "ok_diagonal": err <= REPLAY_TOL,
+                         "orthogonality_defect": defect, "ok_orthogonal": defect <= UNITARY_TOL}}
     return _finish(args, {"majorization_abs": args.tol}, body)
 
 
@@ -314,6 +324,8 @@ def _run_probe_entropy(args) -> int:
 
 
 def _run_gen(args) -> int:
+    if args.kind == "channel" and args.d > MAX_CHANNEL_D:  # d^3 Kraus entries
+        raise SchemaError(f"--d {args.d} exceeds {MAX_CHANNEL_D} for gen channel")
     rng = np.random.default_rng(args.seed)
     if args.kind == "state":
         obj = density_to_json(random_density(args.d, rng))

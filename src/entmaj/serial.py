@@ -8,6 +8,9 @@ Schemas:
   Kraus channel        {"d_in": n, "d_out": m, "kraus": [<complex matrix>, ...],
                         "flags": {"trace_preserving": b, "unital": b}}
   transfer chain       {"d": n, "steps": [{"i": i, "j": j, "t": t}, ...]}   (written only)
+  Schur-Horn rotations {"rotations": <transfer chain>}                      (written only)
+                       (U = G_m ... G_1: step k maps rows i and j to c r_i - s r_j and
+                       s r_i + c r_j, with c = sqrt(t) and s = sqrt(1 - t))
   Birkhoff mixture     {"weights": [t0, ...], "first": [...],
                         "changes": [[term, row, col], ...]}                (written only)
                        (each permutation maps row index -> column index; term's maps
@@ -245,14 +248,9 @@ def chain_to_json(chain: TransferChain) -> dict:
 
 
 def birkhoff_to_json(decomp: BirkhoffDecomposition) -> dict:
-    """The weights, the first permutation, and as "changes" each [term, row, col] where the
-    permutation of `term` maps row to col and its predecessor does not, in (term, row)
-    order."""
-    perms = decomp.permutations
-    term, row = (perms[1:] != perms[:-1]).nonzero()
-    changes = np.stack((term + 1, row, perms[term + 1, row]), axis=1)
-    return {"weights": decomp.weights.tolist(), "first": perms[0].tolist(),
-            "changes": changes.tolist()}
+    """The weights, the first permutation and the change list, as the type stores them."""
+    return {"weights": decomp.weights.tolist(), "first": decomp.first.tolist(),
+            "changes": decomp.changes.tolist()}
 
 
 def verdict_to_json(verdict: MajorizationVerdict) -> dict:

@@ -9,7 +9,8 @@ sorted source spectrum onto the sorted target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -83,55 +84,133 @@ class DoublyStochasticMatrix:
 
 @dataclass(frozen=True)
 class OrthogonalMatrix:
+    """Real square matrix U with max |U^T U - I| within UNITARY_TOL.
+
+    The defect is measured once, at construction, and stored.
+    """
+
     entries: np.ndarray
+    orthogonality_defect: float = field(init=False)
 
     def __post_init__(self):
         arr = _square_array(self.entries, "orthogonal matrix")
         defect = isometry_defect(arr)
         require(defect, UNITARY_TOL, NotOrthogonal, "U^T U deviates from identity by {}", defect)
         object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "orthogonality_defect", defect)
 
     @property
     def d(self) -> int:
         return self.entries.shape[0]
 
 
+def _ints(values, name: str, ndim: int) -> np.ndarray:
+    """values as a read-only int array of `ndim` (1 or 2) dimensions; an empty value,
+    whatever its dtype, reads as shape (0,) or (0, 3)."""
+    try:
+        arr = np.array(values)
+    except ValueError as exc:  # ragged rows
+        raise InvalidValue(f"{name} must be a rectangular array") from exc
+    if not arr.size:
+        arr = np.empty((0, 3)[:ndim], dtype=int)
+    elif arr.dtype.kind not in "iu":  # no truncated floats, no booleans
+        raise InvalidValue(f"{name} must hold integers, not {arr.dtype}")
+    if arr.ndim != ndim:
+        raise InvalidValue(f"{name} must have {ndim} dimension(s), not shape {arr.shape}")
+    arr = arr.astype(int, copy=False)
+    arr.setflags(write=False)
+    return arr
+
+
+def _previous(first, term, row, col, k) -> np.ndarray:
+    """The column each change's row maps to in the term before, for changes with distinct
+    (term, row): the row's previous change, or `first` where it has none."""
+    by_row = np.argsort(row * k + term)
+    r, c = row[by_row], col[by_row]
+    prev = first[r]
+    again = np.flatnonzero(r[1:] == r[:-1]) + 1
+    prev[again] = c[again - 1]
+    old = np.empty_like(prev)
+    old[by_row] = prev
+    return old
+
+
 @dataclass(frozen=True)
 class BirkhoffDecomposition:
-    """Convex mixture of permutations: weights t_i and maps row -> column.
+    """Convex mixture of permutations, stored as it is built: the weights t_0..t_{k-1},
+    the first permutation, and the net changes of each later one.
 
-    The permutations are one read-only (terms, d) int stack, row i mapping
-    row indices to column indices for weight t_i.
+    `first` maps row indices to column indices for t_0.  `changes` is a read-only (C, 3)
+    int array of [term, row, col]: the permutation of `term` maps row to col where that
+    of term - 1 does not, and copies it on every row it does not name.  1 <= term < k,
+    the (term, row) pairs strictly increase, and every later term changes a row.  The
+    type checks this once, in O(C log C), with each term's changed rows taking exactly
+    the multiset of columns they leave, and at most (d-1)^2+1 terms.  `permutations`,
+    the read-only (terms, d) stack, is built from the changes when first read.
     """
 
     weights: np.ndarray
-    permutations: np.ndarray
+    first: np.ndarray
+    changes: np.ndarray
 
     def __post_init__(self):
-        try:
-            perms = np.array(self.permutations)
-        except ValueError as exc:  # ragged rows
-            raise InvalidValue("permutations must share one length") from exc
-        w = convex_weights(self.weights, len(perms))
-        if perms.dtype.kind not in "iu":  # no truncated floats, no booleans
-            raise InvalidValue(f"permutations must hold integers, not {perms.dtype}")
-        perms = perms.astype(int, copy=False)
-        if perms.ndim != 2:
-            raise InvalidValue(f"permutations must form a (terms, d) stack, not {perms.shape}")
-        k, d = perms.shape
+        w = convex_weights(self.weights, np.size(self.weights))
+        first, changes = _ints(self.first, "first", 1), _ints(self.changes, "changes", 2)
+        k, d = len(w), len(first)
+        if not d or (np.sort(first) != np.arange(d)).any():
+            raise InvalidValue("term 0 is not a permutation of 0..d-1")
         bound = (d - 1) ** 2 + 1
         if k > bound:
             raise InvalidValue(f"{k} terms exceed the bound {bound} for d={d}")
-        bad = (np.sort(perms, axis=1) != np.arange(d)).any(axis=1)
-        if not d or bad.any():
-            raise InvalidValue(f"term {bad.argmax()} is not a permutation of 0..d-1")
-        perms.setflags(write=False)
+        if changes.shape[1] != 3:
+            raise InvalidValue(f"changes must be [term, row, col] triples, not shape "
+                               f"{changes.shape}")
+        term, row, col = changes.T
+        bad = (term < 1) | (term >= k) | (np.minimum(row, col) < 0) | (np.maximum(row, col) >= d)
+        if bad.any():
+            t, r, c = changes[bad.argmax()]
+            raise InvalidValue(f"term {t}: change [{t}, {r}, {c}] out of range for {k} terms "
+                               f"at d={d}")
+        key = term * d + row
+        unordered = np.flatnonzero(key[1:] <= key[:-1])
+        if unordered.size:
+            t, r = changes[unordered[0] + 1, :2]
+            raise InvalidValue(f"term {t}: row {r} repeated or out of (term, row) order")
+        idle = np.flatnonzero(np.bincount(term, minlength=k)[1:] == 0)
+        if idle.size:
+            raise InvalidValue(f"term {idle[0] + 1} has no change")
+        old = _previous(first, term, row, col, k)
+        same = np.flatnonzero(old == col)
+        if same.size:
+            t, r, c = changes[same[0]]
+            raise InvalidValue(f"term {t}: row {r} already maps to column {c}")
+        left = np.sort(term * d + old)
+        wrong = np.flatnonzero(left != np.sort(term * d + col))
+        if wrong.size:
+            raise InvalidValue(f"term {left[wrong[0]] // d} is not a permutation of 0..d-1")
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "permutations", perms)
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "changes", changes)
 
     @property
     def d(self) -> int:
-        return self.permutations.shape[1]
+        return len(self.first)
+
+    @cached_property
+    def permutations(self) -> np.ndarray:
+        """The read-only (terms, d) int stack, row t mapping row indices to column indices
+        for weight t_t.
+
+        It is the transpose of a C-ordered (d, terms) array, in which each row holds its
+        column in `first` and then each of its changes, repeated up to its next change."""
+        d, k = self.d, len(self.weights)
+        term, row, col = self.changes.T
+        start = np.concatenate((np.arange(d) * k, row * k + term))
+        order = np.argsort(start)
+        by_row = np.repeat(np.concatenate((self.first, col))[order],
+                           np.diff(start[order], append=d * k)).reshape(d, k)
+        by_row.setflags(write=False)
+        return by_row.T
 
     def matrix(self) -> np.ndarray:
         """Assemble sum_i t_i P(pi_i), adding the terms in order."""
@@ -281,20 +360,26 @@ def _swap(cols, members, perm, inv, mirror, moved, residual, cur, r) -> bool:
     return True
 
 
-def _stack(moved, ends, d) -> np.ndarray:
-    """The (terms, d) permutation stack from the changes logged as the matching changed.
+def _net_changes(moved, ends, d) -> tuple[np.ndarray, np.ndarray]:
+    """The first permutation and the net [term, row, col] changes of each later term, in
+    (term, row) order, from the changes logged as the matching changed.
 
-    moved lists (row, col) in the order the rows took their columns; ends[t] is
-    len(moved) when term t was taken, so change k belongs to the first term whose
-    end exceeds k, and changes past the last end belong to no term.  Each row and
-    term reads its latest change at or before that term.
+    moved lists (row, col) in the order the rows took their columns; ends[t] is len(moved)
+    when term t was taken, so change i belongs to the first term whose end exceeds i, and
+    changes past the last end belong to no term.  A row's last change in a term is its
+    column there, kept when it differs from the row's column in the term before.
     """
-    changes = np.array(moved[:ends[-1]]).reshape(-1, 2)
-    k = np.arange(len(changes))
-    latest = np.full((len(ends), d), -1, dtype=np.int32)
-    np.maximum.at(latest, (np.searchsorted(ends, k, side="right"), changes[:, 0]), k)
-    np.maximum.accumulate(latest, axis=0, out=latest)  # term 0 matched every row
-    return np.take(changes[:, 1], latest)
+    log = np.array(moved[:ends[-1]]).reshape(-1, 2)
+    key = np.searchsorted(ends, np.arange(len(log)), side="right") * d + log[:, 0]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    last = np.append(key[1:] != key[:-1], True)
+    col = log[order[last], 1]
+    term, row = np.divmod(key[last], d)
+    first = col[:d]  # term 0 matched every row
+    term, row, col = term[d:], row[d:], col[d:]
+    moves = _previous(first, term, row, col, len(ends)) != col
+    return first, np.stack((term, row, col), axis=1)[moves]
 
 
 def birkhoff_decompose(q, tol: float = SUPPORT_TOL) -> BirkhoffDecomposition:
@@ -325,7 +410,7 @@ def birkhoff_decompose(q, tol: float = SUPPORT_TOL) -> BirkhoffDecomposition:
     minimum, the subtraction, the floor test and the gather of the matched
     entries (through a numpy mirror of the matching) run over all d rows per
     round.  The permutations are logged as (row, col) changes when the
-    matching changes and assembled into the (terms, d) stack once, at the end.
+    matching changes and reduced to each term's net changes once, at the end.
 
     The support graph keeps entries down to the floor tol / (100 d).  Rows
     and columns of the residual carry equal mass m, and each row hides at
@@ -404,4 +489,5 @@ def birkhoff_decompose(q, tol: float = SUPPORT_TOL) -> BirkhoffDecomposition:
             inv[perm[r]] = -1
             perm[r] = -1
         mirror[free] = -1
-    return BirkhoffDecomposition(weights=np.array(weights), permutations=_stack(moved, ends, d))
+    first, changes = _net_changes(moved, ends, d)
+    return BirkhoffDecomposition(weights=np.array(weights), first=first, changes=changes)

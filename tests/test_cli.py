@@ -1,3 +1,4 @@
+import argparse
 import collections
 import contextlib
 import dataclasses
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entmaj
+from certificates import orthogonal_of_rotations
 from entmaj import cli
 from entmaj.cli import main
 from entmaj.densop import DensityMatrix, haar_unitary, random_density
@@ -159,7 +161,8 @@ class TestTransferAndFriends:
         report = json.loads(out)
         assert report["verified"]["ok_diagonal"] is True
         s = np.sqrt(0.5)
-        np.testing.assert_allclose(report["rows"], [[s, -s], [s, s]], atol=1e-12)
+        u = orthogonal_of_rotations(report["rotations"]).entries
+        np.testing.assert_allclose(u, [[s, -s], [s, s]], atol=1e-12)
 
 
 class TestStatePipelines:
@@ -461,6 +464,39 @@ class TestInputRejection:
             main(list(argv))
         assert exc.value.code == 2
         assert ">= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,limit", [("--d", cli.MAX_D), ("--trials", cli.MAX_TRIALS)])
+    def test_the_argparse_type_takes_values_up_to_the_limit(self, flag, limit):
+        parse = cli.FLAGS[flag]["type"]
+        assert parse(str(limit)) == limit
+        for text in (str(limit + 1), "1" + "0" * 40):
+            with pytest.raises(argparse.ArgumentTypeError, match=f"is not >= 1 and <= {limit}$"):
+                parse(text)
+
+    # each value is refused while the arguments are parsed, before anything is allocated
+    @pytest.mark.parametrize("argv,message", [
+        (("gen", "state-pair", "--d", str(cli.MAX_D + 1)),
+         f"argument --d: {cli.MAX_D + 1} is not >= 1 and <= {cli.MAX_D}"),
+        (("probe-entropy", "--in", "c.json", "--trials", str(cli.MAX_TRIALS + 1)),
+         f"argument --trials: {cli.MAX_TRIALS + 1} is not >= 1 and <= {cli.MAX_TRIALS}"),
+        (("gen", "state", "--d", "1000000"), "argument --d: 1000000 is not >= 1 and <= "),
+    ], ids=["d", "trials", "d-million"])
+    def test_flag_above_its_limit_exit_two(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and "Traceback" not in err
+
+    def test_channel_above_its_limit_exit_two(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("generated a channel")
+
+        monkeypatch.setattr(cli, "random_bistochastic_channel", refuse)
+        rc, out, err = run(capsys, "gen", "channel", "--d", str(cli.MAX_CHANNEL_D + 1))
+        assert (rc, out) == (2, "")
+        assert err == (f"error: --d {cli.MAX_CHANNEL_D + 1} exceeds {cli.MAX_CHANNEL_D} "
+                       f"for gen channel\n")
 
 
 class TestDeclaredFlags:
@@ -771,7 +807,7 @@ class TestExitCodeContract:
         p = tmp_path / "chan.json"
         save_json(KrausChannel(np.eye(2, dtype=complex)[None]), p)
         rc, out, err = run(capsys, "probe-entropy", "--in", str(p),
-                           "--trials", "1000000000000")
+                           "--trials", str(cli.MAX_TRIALS))
         self.assert_error_line(rc, out, err)
         assert err.rstrip() == f"error: out of memory{': ' + message if message else ''}"
 

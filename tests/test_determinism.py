@@ -2,9 +2,9 @@
 
 The fixture holds the outputs of `gen {pair,state,state-pair,channel} --d {1,4,20}
 --seed {0,7}` and the reports of each subcommand on them.  `birkhoff` reads the
-squared entries of the `schur-horn` matrix of each pair, its orthostochastic
-certificate.  Every report is run on the fixture's own inputs, so each comparison
-sees only the arithmetic of its own subcommand.
+squared entries of the orthogonal matrix that the `schur-horn` rotations of each pair
+rebuild, its orthostochastic certificate.  Every report is run on the fixture's own
+inputs, so each comparison sees only the arithmetic of its own subcommand.
 
 Values that make no BLAS or LAPACK call are compared exactly: `gen pair`, the
 `majorize` reports, and every integer, such as the probe's `base_seed` and
@@ -23,9 +23,9 @@ import json
 import pathlib
 import tempfile
 
-import numpy as np
 import pytest
 
+from certificates import orthogonal_of_rotations
 from entmaj.cli import main
 
 FIXTURE = pathlib.Path(__file__).resolve().parent / "fixtures" / "determinism.json.gz"
@@ -77,8 +77,9 @@ def build():
             rc, output = _run(argv, inputs, workdir)
             reports.append({"argv": argv, "exit": rc, "output": output})
             if argv[0] == "schur-horn":
-                rows = (np.array(output["rows"]) ** 2).tolist()
-                inputs[f"squared schur-horn of {argv[2]}"] = {"d": output["d"], "rows": rows}
+                u = orthogonal_of_rotations(output["rotations"]).entries
+                inputs[f"squared schur-horn of {argv[2]}"] = {"d": u.shape[0],
+                                                              "rows": (u ** 2).tolist()}
     return {"inputs": inputs, "reports": reports}
 
 

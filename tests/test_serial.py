@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from certificates import decomposition_of_stack, orthogonal_of_rotations
 from entmaj import serial
 from entmaj.cli import main
-from entmaj.densop import DensityMatrix, random_density
-from entmaj.errors import SchemaError
+from entmaj.densop import DensityMatrix, isometry_defect, random_density
+from entmaj.errors import InvalidValue, SchemaError
 from entmaj.qchan import (KrausChannel, random_bistochastic_channel,
                           random_isometric_conjugation_channel)
 from entmaj.seqmaj import ProbVector, random_majorized_pair
@@ -31,8 +32,8 @@ from entmaj.serial import (
     save_json,
     vector_or_state_from_json,
 )
-from entmaj.xfer import (BirkhoffDecomposition, birkhoff_decompose, chain_to_doubly_stochastic,
-                         find_transfer_chain)
+from entmaj.xfer import (birkhoff_decompose, chain_to_doubly_stochastic, find_transfer_chain,
+                         schur_horn_orthogonal)
 
 
 class TestRoundTrips:
@@ -291,7 +292,7 @@ class TestValueFidelity:
         w = rng.random(4)
         weights = np.append(w / w.sum(), 5e-324)
         perms = np.array([rng.permutation(5) for _ in range(5)])
-        dec = BirkhoffDecomposition(weights=weights, permutations=perms)
+        dec = decomposition_of_stack(weights, perms)
         raw = self._read_back(dec, tmp_path)
         assert _reprs(raw["weights"]) == [repr(float(x)) for x in dec.weights]
         assert raw["weights"][-1] == 5e-324
@@ -372,28 +373,69 @@ class TestBirkhoffWire:
         assert 4 * len(dumps_report(report)) <= len(dumps_report(full))
 
     def test_hand_mixture_is_written_as_its_changes(self):
-        dec = BirkhoffDecomposition(weights=[0.5, 0.25, 0.25],
-                                    permutations=([0, 1, 2], [1, 0, 2], [1, 2, 0]))
+        dec = decomposition_of_stack([0.5, 0.25, 0.25], ([0, 1, 2], [1, 0, 2], [1, 2, 0]))
         assert self.assert_round_trip(dec) == {
             "weights": [0.5, 0.25, 0.25], "first": [0, 1, 2],
             "changes": [[1, 0, 1], [1, 1, 0], [2, 1, 2], [2, 2, 0]]}
 
-    def test_a_repeated_term_is_written_with_no_change(self):
-        # birkhoff_decompose never repeats a permutation, but the type allows it
-        dec = BirkhoffDecomposition(weights=[0.5, 0.25, 0.25],
-                                    permutations=([1, 0, 2], [1, 0, 2], [0, 1, 2]))
-        assert self.assert_round_trip(dec)["changes"] == [[2, 0, 0], [2, 1, 1]]
+    def test_a_repeated_term_is_refused(self):
+        # birkhoff_decompose never repeats a permutation, and a term with no change has no
+        # wire form
+        with pytest.raises(InvalidValue, match="term 1 has no change"):
+            decomposition_of_stack([0.5, 0.25, 0.25], ([1, 0, 2], [1, 0, 2], [0, 1, 2]))
+
+
+def _pair_file(tmp_path, d, seed):
+    """A seeded majorized pair (a, b) and the path of its bundle."""
+    a, b = random_majorized_pair(d, np.random.default_rng(seed))
+    path = tmp_path / "pair.json"
+    path.write_text(dumps_report({"a": prob_vector_to_json(a), "b": prob_vector_to_json(b)}))
+    return a, b, path
+
+
+def _report(sub, path, tmp_path) -> dict:
+    out = tmp_path / f"{sub}.json"
+    assert main([sub, "--in", str(path), "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+class TestSchurHornWire:
+    """A schur-horn report holds the transfer chain, read as plane rotations that rebuild
+    the orthogonal matrix bit for bit."""
+
+    @pytest.mark.parametrize("d", [1, 2, 32, 128, 256])
+    def test_rotations_rebuild_the_matrix_bit_for_bit(self, tmp_path, d):
+        a, b, path = _pair_file(tmp_path, d, 3000 + d)
+        report = _report("schur-horn", path, tmp_path)
+        assert sorted(report) == ["rotations", "subcommand", "tolerances", "verified", "version"]
+        u = orthogonal_of_rotations(report["rotations"]).entries
+        assert u.tobytes() == schur_horn_orthogonal(a, b).entries.tobytes()
+        assert report["verified"]["orthogonality_defect"] == isometry_defect(u)
+
+    @pytest.mark.parametrize("d", [1, 2, 32, 128])
+    def test_rotations_are_the_transfer_chain(self, tmp_path, d):
+        _, _, path = _pair_file(tmp_path, d, 4000 + d)
+        rotations = _report("schur-horn", path, tmp_path)["rotations"]
+        assert rotations == _report("transfer", path, tmp_path)["chain"]
+
+    def test_report_is_a_twentieth_of_the_dense_matrix_at_d128(self, tmp_path):
+        _, _, path = _pair_file(tmp_path, 128, 128)
+        report = _report("schur-horn", path, tmp_path)
+        dense = {key: value for key, value in report.items() if key != "rotations"}
+        dense.update(real_matrix_to_json(orthogonal_of_rotations(report["rotations"])))
+        assert 20 * len(dumps_report(report)) <= len(dumps_report(dense))
 
 
 @st.composite
 def _mixtures(draw):
-    """A BirkhoffDecomposition of up to the term bound of random, possibly repeated,
-    permutations of 0..d-1."""
+    """A BirkhoffDecomposition of up to the term bound of random permutations of 0..d-1,
+    each differing from the one before and possibly equal to an earlier one."""
     d = draw(st.integers(1, 5))
     k = draw(st.integers(1, (d - 1) ** 2 + 1))
-    perms = draw(st.lists(st.permutations(range(d)), min_size=k, max_size=k))
-    weights = draw(st.lists(st.integers(1, 8), min_size=k, max_size=k))
-    return BirkhoffDecomposition(weights=np.array(weights) / sum(weights), permutations=perms)
+    drawn = draw(st.lists(st.permutations(range(d)), min_size=k, max_size=k))
+    perms = [p for t, p in enumerate(drawn) if t == 0 or p != drawn[t - 1]]
+    weights = draw(st.lists(st.integers(1, 8), min_size=len(perms), max_size=len(perms)))
+    return decomposition_of_stack(np.array(weights) / sum(weights), perms)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

@@ -1,8 +1,8 @@
 """README's tolerance table lists exactly the named bounds of the library.
 
-Every module-level constant of entmaj whose name ends in _TOL, _FLOOR or _SLACK
-must have one row, with its value and the module that defines it, and every row
-must name such a constant.
+Every module-level constant of entmaj whose name ends in _TOL, _FLOOR or _SLACK, or
+starts with MAX_, must have one row, with its value and the module that defines it,
+and every row must name such a constant.
 """
 
 import ast
@@ -15,6 +15,7 @@ import entmaj
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 HEADER = "| name | value | module | bounds |"
 SUFFIXES = ("_TOL", "_FLOOR", "_SLACK")
+PREFIX = "MAX_"
 
 
 def _table_rows():
@@ -41,7 +42,8 @@ def _defined_bounds():
             targets = (node.targets if isinstance(node, ast.Assign)
                        else [node.target] if isinstance(node, ast.AnnAssign) else [])
             for target in targets:
-                if isinstance(target, ast.Name) and target.id.endswith(SUFFIXES):
+                if isinstance(target, ast.Name) and (target.id.endswith(SUFFIXES)
+                                                     or target.id.startswith(PREFIX)):
                     assert target.id not in bounds, f"{target.id} is defined twice"
                     bounds[target.id] = (getattr(module, target.id), info.name)
     return bounds

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from certificates import decomposition_of_stack
 from entmaj.densop import DensityMatrix, eig_hermitian, random_density, trace_distance
 from entmaj.errors import DomainError, InvalidValue, NotHermitian, NotTracePreserving, require
 from entmaj.qchan import KrausChannel, entropy_probe, mixed_unitary_channel
 from entmaj.seqmaj import (CLAMP_TOL, ProbVector, convex_weights, is_majorized,
                            shannon_entropy, sorted_padded)
 from entmaj.xfer import (
-    BirkhoffDecomposition,
     DoublyStochasticMatrix,
     OrthogonalMatrix,
     TTransform,
@@ -35,7 +35,7 @@ BUILDERS = {
     "DoublyStochasticMatrix": (DoublyStochasticMatrix, np.full((2, 2), 0.5)),
     "OrthogonalMatrix": (OrthogonalMatrix, np.eye(2)),
     "BirkhoffDecomposition": (
-        lambda w: BirkhoffDecomposition(weights=w, permutations=([0, 1], [1, 0])),
+        lambda w: decomposition_of_stack(w, ([0, 1], [1, 0])),
         np.array([0.5, 0.5])),
     "KrausChannel": (KrausChannel, np.eye(2, dtype=complex)[None]),
     "mixed_unitary_channel": (lambda w: mixed_unitary_channel(w, [np.eye(2), np.eye(2)]),

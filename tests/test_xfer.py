@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from certificates import decomposition_of_stack
 from entmaj import xfer
 from entmaj.densop import random_density
 from entmaj.errors import (DimensionMismatch, InvalidValue, MajorizationFailed, MatchingFailed,
@@ -272,10 +273,8 @@ class TestBirkhoffDecompose:
         assert np.abs(dec.matrix() - q.entries).max() <= 10 * SUPPORT_TOL
 
     def test_term_bound_enforced_by_type(self):
-        with pytest.raises(ValueError):
-            BirkhoffDecomposition(
-                weights=np.full(3, 1 / 3),
-                permutations=tuple(np.array([0, 1]) for _ in range(3)))
+        with pytest.raises(ValueError, match="3 terms exceed the bound 2 for d=2"):
+            decomposition_of_stack(np.full(3, 1 / 3), tuple(np.array([0, 1]) for _ in range(3)))
 
     @pytest.mark.parametrize("perms", [([0, 1], [0, 1, 2]), ([0, 1], [1, 1]), ([0, 2], [1, 0]),
                                        [0, 1], [[[0, 1]], [[1, 0]]], [[], []],
@@ -284,15 +283,14 @@ class TestBirkhoffDecompose:
                                   "float", "bool"])
     def test_rows_must_form_a_stack_of_permutations(self, perms):
         with pytest.raises(InvalidValue):
-            BirkhoffDecomposition(weights=[0.5, 0.5], permutations=perms)
+            decomposition_of_stack([0.5, 0.5], perms)
 
     def test_the_first_term_that_is_no_permutation_is_named(self):
         with pytest.raises(InvalidValue, match="term 1 is not a permutation"):
-            BirkhoffDecomposition(weights=[0.5, 0.25, 0.25],
-                                  permutations=([0, 1, 2], [0, 0, 2], [1, 1, 0]))
+            decomposition_of_stack([0.5, 0.25, 0.25], ([0, 1, 2], [0, 0, 2], [1, 1, 0]))
 
     def test_permutations_are_one_read_only_stack(self):
-        dec = BirkhoffDecomposition(weights=[0.25, 0.75], permutations=([1, 0, 2], [0, 1, 2]))
+        dec = decomposition_of_stack([0.25, 0.75], ([1, 0, 2], [0, 1, 2]))
         assert dec.permutations.shape == (2, 3)
         assert not dec.permutations.flags.writeable
         assert dec.d == 3
@@ -305,6 +303,78 @@ class TestBirkhoffDecompose:
         for w, p in zip(dec.weights, dec.permutations):
             expected[np.arange(32), p] += w
         assert np.array_equal(dec.matrix(), expected)
+
+
+class TestBirkhoffChangeList:
+    """The type holds the weights, the first permutation and the net [term, row, col]
+    changes, and refuses a malformed change list naming the term."""
+
+    FIRST = [0, 1, 2]
+    WEIGHTS = [0.5, 0.25, 0.25]
+
+    def build(self, changes, first=FIRST):
+        return BirkhoffDecomposition(weights=self.WEIGHTS, first=first, changes=changes)
+
+    def test_a_valid_list_is_stored_read_only(self):
+        dec = self.build([[1, 0, 1], [1, 1, 0], [2, 1, 2], [2, 2, 0]])
+        assert dec.d == 3
+        assert dec.changes.shape == (4, 3)
+        assert not dec.first.flags.writeable and not dec.changes.flags.writeable
+        assert "permutations" not in vars(dec)
+        assert dec.permutations.tolist() == [[0, 1, 2], [1, 0, 2], [1, 2, 0]]
+        assert dec.permutations is dec.permutations
+
+    def test_the_stack_cannot_be_replaced(self):
+        dec = self.build([[1, 0, 1], [1, 1, 0], [2, 1, 2], [2, 2, 0]])
+        with pytest.raises(AttributeError):
+            dec.permutations = np.zeros((3, 3), dtype=int)
+
+    def test_one_term_needs_no_change(self):
+        for changes in ([], np.empty((0, 3), dtype=int)):
+            dec = BirkhoffDecomposition(weights=[1.0], first=[2, 0, 1], changes=changes)
+            assert dec.changes.shape == (0, 3)
+            assert dec.permutations.tolist() == [[2, 0, 1]]
+
+    @pytest.mark.parametrize("changes,message", [
+        ([[1, 0, 1], [2, 1, 2], [2, 2, 1]], "term 1 is not a permutation"),
+        ([[1, 0, 1], [1, 1, 0], [2, 0, 2]], "term 2 is not a permutation"),
+        ([[1, 1, 0], [1, 0, 1], [2, 1, 2], [2, 2, 0]], r"term 1: row 0 repeated or out of"),
+        ([[2, 0, 2], [2, 2, 0], [1, 0, 1], [1, 1, 0]], r"term 1: row 0 repeated or out of"),
+        ([[1, 0, 1], [1, 0, 1], [1, 1, 0], [2, 1, 2], [2, 2, 0]], r"term 1: row 0 repeated"),
+        ([[1, 0, 1], [1, 1, 0]], "term 2 has no change"),
+        ([[2, 0, 1], [2, 1, 0]], "term 1 has no change"),
+        ([[1, 0, 1], [1, 1, 0], [3, 1, 2], [3, 2, 1]], r"term 3: change \[3, 1, 2\] out of range"),
+        ([[0, 0, 1], [0, 1, 0], [2, 1, 2], [2, 2, 1]], r"term 0: change \[0, 0, 1\] out of range"),
+        ([[1, 0, 1], [1, 3, 0], [2, 1, 2], [2, 2, 1]], r"term 1: change \[1, 3, 0\] out of range"),
+        ([[1, 0, -1], [1, 1, 0], [2, 1, 2], [2, 2, 1]], r"term 1: change \[1, 0, -1\] out of"),
+        ([[1, 0, 1], [1, 1, 0], [1, 2, 2], [2, 1, 2], [2, 2, 0]],
+         "term 1: row 2 already maps to column 2"),
+    ], ids=["no-permutation", "no-permutation-later", "unordered-rows", "unordered-terms",
+            "repeated-row", "idle-last-term", "idle-first-term", "term-too-large", "term-zero",
+            "row-out-of-range", "negative-col", "no-op-change"])
+    def test_malformed_change_lists_name_the_term(self, changes, message):
+        with pytest.raises(InvalidValue, match=message):
+            self.build(changes)
+
+    @pytest.mark.parametrize("first,changes,message", [
+        ([0, 0, 2], [[1, 0, 1], [1, 1, 0], [2, 1, 2], [2, 2, 1]], "term 0 is not a permutation"),
+        ([], [], "term 0 is not a permutation"),
+        ([0, 1, 2], [[1, 0], [1, 1]], r"changes must be \[term, row, col\] triples"),
+        ([0, 1, 2], [1, 0, 1], "changes must have 2 dimension"),
+        ([0, 1, 2], [[1.0, 0.0, 1.0], [1.0, 1.0, 0.0]], "changes must hold integers"),
+        ([[0, 1, 2]], [], "first must have 1 dimension"),
+        ([0, 1, 2], [[1, 0, 1], [1, 1]], "changes must be a rectangular array"),
+    ], ids=["first-repeats", "first-empty", "pairs", "flat", "float", "first-2-d", "ragged"])
+    def test_malformed_arrays_are_refused(self, first, changes, message):
+        with pytest.raises(InvalidValue, match=message):
+            self.build(changes, first)
+
+    def test_decomposer_stores_only_rows_that_move(self):
+        # J / 3 splits into three permutations that differ in every row
+        dec = birkhoff_decompose(np.full((3, 3), 1 / 3))
+        perms = dec.permutations
+        assert len(dec.changes) == int((perms[1:] != perms[:-1]).sum())
+        assert all(perms[t - 1, r] != c for t, r, c in dec.changes)
 
 
 def _bfs_augment(support, perm, inv, root):
@@ -385,6 +455,11 @@ class TestBirkhoffMatchesTheBfsOnlyLoop:
         dec = birkhoff_decompose(q, tol=tol)
         weights, perms = bfs_only_birkhoff(q, tol)
         assert np.array_equal(dec.weights, weights)
+        # the stored change list is the oracle's stack diffed, and the stack is built lazily
+        oracle = decomposition_of_stack(weights, perms)
+        assert np.array_equal(dec.first, oracle.first)
+        assert np.array_equal(dec.changes, oracle.changes)
+        assert "permutations" not in vars(dec)
         assert np.array_equal(dec.permutations, perms)
         return dec
 
