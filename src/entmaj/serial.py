@@ -12,9 +12,10 @@ Schemas:
                        (U = G_m ... G_1: step k maps rows i and j to c r_i - s r_j and
                        s r_i + c r_j, with c = sqrt(t) and s = sqrt(1 - t))
   Birkhoff mixture     {"weights": [t0, ...], "first": [...],
-                        "changes": [[term, row, col], ...]}                (written only)
-                       (each permutation maps row index -> column index; term's maps
-                       row to col and copies term-1's elsewhere; 1 <= term < k, in
+                        "changes": {"term": [...], "row": [...], "col": [...]}} (written only)
+                       (each permutation maps row index -> column index; change i says
+                       that term[i]'s maps row[i] to col[i], and each term copies
+                       term-1's on the rows it does not change; 1 <= term < k, in
                        strictly increasing (term, row) order)
   majorization verdict {"holds": b, "sums_equal": b,
                         "first_violation": null | {"k": k, "lhs": x, "rhs": y}} (written only)
@@ -248,9 +249,11 @@ def chain_to_json(chain: TransferChain) -> dict:
 
 
 def birkhoff_to_json(decomp: BirkhoffDecomposition) -> dict:
-    """The weights, the first permutation and the change list, as the type stores them."""
+    """The weights, the first permutation and the change list as three int columns, in
+    the order the type stores them."""
+    term, row, col = decomp.changes.T.tolist()
     return {"weights": decomp.weights.tolist(), "first": decomp.first.tolist(),
-            "changes": decomp.changes.tolist()}
+            "changes": {"term": term, "row": row, "col": col}}
 
 
 def verdict_to_json(verdict: MajorizationVerdict) -> dict:

@@ -9,6 +9,7 @@ sorted source spectrum onto the sorted target.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -224,38 +225,54 @@ def find_transfer_chain(a, b, tol: float = MAJORIZATION_TOL) -> TransferChain:
     """Build at most d-1 elementary transfers carrying b's sorted vector to a's.
 
     At each step the mass surplus at the deepest still-mismatched coordinate
-    is moved to the first coordinate that is short of its target, fixing at
-    least one coordinate exactly.
+    is moved to the first coordinate after it that is short of its target,
+    fixing at least one coordinate exactly.  The coordinates above and below
+    their targets by more than MATCH_TOL are kept as two ascending index lists,
+    and a step re-tests only the two coordinates it changes, so a step costs
+    two bisections, not scans over d coordinates.
     """
     a, b = _prob_vector(a), _prob_vector(b)
     verdict = is_majorized(a, b, tol)
     if not verdict.holds:
         raise MajorizationFailed("a is not majorized by b", verdict=verdict)
     d = max(a.d, b.d)
-    av = sorted_padded(a, d)
-    cur = sorted_padded(b, d)
+    av = sorted_padded(a, d).tolist()
+    cur = sorted_padded(b, d).tolist()
+    over = [i for i in range(d) if cur[i] - av[i] > MATCH_TOL]
+    under = [i for i in range(d) if av[i] - cur[i] > MATCH_TOL]
 
     steps = []
     for _ in range(d):  # terminates in <= d-1 transfers
-        over = np.nonzero(cur - av > MATCH_TOL)[0]
-        if over.size == 0:
+        if not over:
             break
-        j = int(over[-1])
-        under = np.nonzero(av - cur > MATCH_TOL)[0]
-        under = under[under > j]
-        if under.size == 0:
+        j = over[-1]
+        pos = bisect_right(under, j)
+        if pos == len(under):
             # residuals below MATCH_TOL only; nothing meaningful remains
             break
-        k = int(under[0])
+        k = under[pos]
         delta = min(cur[j] - av[j], av[k] - cur[k])
         t = 1.0 - delta / (cur[j] - cur[k])
         steps.append(TTransform(i=j, j=k, t=t))
         # assign exactly-hit targets to avoid accumulating rounding residue
         cur[j] = av[j] if delta == cur[j] - av[j] else cur[j] - delta
         cur[k] = av[k] if delta == av[k] - cur[k] else cur[k] + delta
+        for i in j, k:
+            _mark(over, i, cur[i] - av[i] > MATCH_TOL)
+            _mark(under, i, av[i] - cur[i] > MATCH_TOL)
     if len(steps) > d - 1:
         raise RuntimeError("transfer chain exceeded d-1 steps")
     return TransferChain(d=d, steps=tuple(steps))
+
+
+def _mark(members: list, i: int, holds: bool):
+    """Keep i in the ascending list `members` exactly when `holds`."""
+    pos = bisect_left(members, i)
+    present = pos < len(members) and members[pos] == i
+    if holds and not present:
+        members.insert(pos, i)
+    elif present and not holds:
+        del members[pos]
 
 
 def _multiply_out(chain: TransferChain, coeffs) -> np.ndarray:
@@ -299,20 +316,45 @@ def schur_horn_orthogonal(a, b, tol: float = MAJORIZATION_TOL) -> OrthogonalMatr
     return chain_to_orthogonal(find_transfer_chain(a, b, tol))
 
 
-def _augment(cols, perm, inv, mirror, moved, root) -> bool:
+def _augment(cols, members, perm, inv, open_cols, residual, cur, moved, root) -> bool:
     """Match the free row `root` along one BFS augmenting path; False when none exists.
 
-    cols[r] lists row r's support columns in ascending order.  perm maps rows to
-    columns and inv columns to rows, -1 where unmatched; both are updated in place,
-    and each row that takes a new column is written to the numpy mirror of perm
-    and logged in `moved` as (row, col).  Each BFS level scans the frontier rows'
-    lists: a column goes to the first frontier row that reaches it, the lowest
-    free column of the level wins, and the next frontier is the mates of the
-    level's columns in ascending order.
+    cols[r] lists row r's support columns in ascending order and members[r] holds them
+    as a set.  perm maps rows to columns and inv columns to rows, -1 where unmatched,
+    and open_cols is the set of unmatched columns; all three are updated in place.
+    Each BFS level goes to the lowest free column it reaches, through the first
+    frontier row that reaches it: it is found by intersecting the frontier rows' sets
+    with open_cols, and only a level that reaches none is scanned, each column going
+    to the first frontier row that reaches it and the next frontier being the mates
+    of the level's columns in ascending order.  Each row the path moves writes its
+    carried entry cur[r] back to `residual`, reads its new entry into cur[r] and is
+    logged in the flat list `moved` as row, col.
     """
     via = {}  # via[c]: the frontier row that reached column c
     frontier = [root]
     while frontier:
+        best = -1
+        for r in frontier:
+            hit = members[r] & open_cols
+            if hit:
+                c = min(hit)
+                if best < 0 or c < best:
+                    best = c
+                    via[c] = r
+        if best >= 0:
+            open_cols.discard(best)
+            c = best
+            while c >= 0:  # flip the path back to root, whose perm is -1
+                r = via[c]
+                nxt = perm[r]
+                if nxt >= 0:
+                    residual[r, nxt] = cur[r]
+                cur[r] = residual[r, c]
+                perm[r] = c
+                inv[c] = r
+                moved += r, c
+                c = nxt
+            return True
         level = []
         for r in frontier:
             for c in cols[r]:
@@ -320,21 +362,11 @@ def _augment(cols, perm, inv, mirror, moved, root) -> bool:
                     via[c] = r
                     level.append(c)
         level.sort()
-        for c in level:
-            if inv[c] < 0:
-                while c >= 0:  # flip the path back to root, whose perm is -1
-                    r = via[c]
-                    nxt = perm[r]
-                    perm[r] = mirror[r] = c
-                    inv[c] = r
-                    moved.append((r, c))
-                    c = nxt
-                return True
         frontier = [inv[c] for c in level]
     return False
 
 
-def _swap(cols, members, perm, inv, mirror, moved, residual, cur, r) -> bool:
+def _swap(cols, members, perm, inv, moved, residual, cur, r) -> bool:
     """Re-match row r, whose matched entry has just left the support, by one swap.
 
     Row r, the only row left free, takes the lowest column c2 of its list whose
@@ -353,10 +385,9 @@ def _swap(cols, members, perm, inv, mirror, moved, residual, cur, r) -> bool:
         return False
     residual[m, c2] = cur[m]
     cur[r], cur[m] = residual[r, c2], residual[m, c]
-    perm[r] = mirror[r] = c2
-    perm[m] = mirror[m] = c
+    perm[r], perm[m] = c2, c
     inv[c2], inv[c] = r, m
-    moved += (r, c2), (m, c)
+    moved += r, c2, m, c
     return True
 
 
@@ -364,12 +395,13 @@ def _net_changes(moved, ends, d) -> tuple[np.ndarray, np.ndarray]:
     """The first permutation and the net [term, row, col] changes of each later term, in
     (term, row) order, from the changes logged as the matching changed.
 
-    moved lists (row, col) in the order the rows took their columns; ends[t] is len(moved)
-    when term t was taken, so change i belongs to the first term whose end exceeds i, and
-    changes past the last end belong to no term.  A row's last change in a term is its
-    column there, kept when it differs from the row's column in the term before.
+    moved is the flat list row, col, row, col, ... in the order the rows took their
+    columns; ends[t] is the number of (row, col) pairs in it when term t was taken, so
+    pair i belongs to the first term whose end exceeds i, and pairs past the last end
+    belong to no term.  A row's last change in a term is its column there, kept when it
+    differs from the row's column in the term before.
     """
-    log = np.array(moved[:ends[-1]]).reshape(-1, 2)
+    log = np.array(moved[:2 * ends[-1]]).reshape(-1, 2)
     key = np.searchsorted(ends, np.arange(len(log)), side="right") * d + log[:, 0]
     order = np.argsort(key, kind="stable")
     key = key[order]
@@ -401,16 +433,19 @@ def birkhoff_decompose(q, tol: float = SUPPORT_TOL) -> BirkhoffDecomposition:
     SIAM J. Comput. 2, 1973), which by Berge's theorem reaches a perfect
     matching whenever the support has one.  The swap is the path the BFS
     would pick first, so both give the same terms.  The matched entries are
-    carried as one vector across rounds and written back to `residual` only
-    before a BFS repair and where a swap moves a row off its entry.
+    carried as one vector across rounds; a row writes its entry back to
+    `residual` and reads its new one only when a swap or an augmenting path
+    moves it, and every matched entry is written back only when a round
+    finds no perfect matching.
 
     The support is kept as one ascending column list per row, with a set per
     row for membership, so a swap or a BFS level costs Python work in the
-    degree of the rows it scans, not numpy calls over d columns.  Only the
-    minimum, the subtraction, the floor test and the gather of the matched
-    entries (through a numpy mirror of the matching) run over all d rows per
-    round.  The permutations are logged as (row, col) changes when the
-    matching changes and reduced to each term's net changes once, at the end.
+    degree of the rows it scans, not numpy calls over d columns; a BFS level
+    that reaches a free column finds it by set intersections with the free
+    columns and is not scanned.  Only the minimum, the subtraction and the
+    floor test run over all d rows per round.  The permutations are logged as
+    flat row, col changes when the matching changes and reduced to each
+    term's net changes once, at the end.
 
     The support graph keeps entries down to the floor tol / (100 d).  Rows
     and columns of the residual carry equal mass m, and each row hides at
@@ -443,37 +478,36 @@ def birkhoff_decompose(q, tol: float = SUPPORT_TOL) -> BirkhoffDecomposition:
     if tol > top:
         raise InvalidValue(f"tol={tol} exceeds the largest entry {top}: no term can be taken")
     d = residual.shape[0]
-    rows = np.arange(d)
     floor = tol / (100.0 * d)
     stop = min(d * floor, NORMALIZED_TOL)
     cols = [np.flatnonzero(row).tolist() for row in residual > floor]
     members = [set(c) for c in cols]
     perm = [-1] * d
     inv = [-1] * d
-    mirror = np.full(d, -1)  # perm as an array, for the gathers from residual
-    cur = np.zeros(d)  # residual[rows, perm] where matched; residual is stale there
+    open_cols = set(range(d))  # the columns with inv -1
+    cur = np.zeros(d)  # residual[r, perm[r]] where matched; residual is stale there
     mass = residual.sum(axis=1).max()  # every round takes w from every row
 
     weights = []
-    moved = []  # (row, col) each time a row takes a column
-    ends = []  # len(moved) when each term was taken
+    moved = []  # row, col, row, col, ...: each time a row takes a column
+    ends = []  # the number of (row, col) pairs in moved when each term was taken
     free = range(d)
     going = True
     while going:
-        if free:
-            matched = (mirror >= 0).nonzero()[0]
-            residual[matched, mirror[matched]] = cur[matched]
-            if not all(_augment(cols, perm, inv, mirror, moved, r) for r in free):
-                if mass <= NORMALIZED_TOL and all(
-                        (residual[r, c] < tol).all() for r, c in enumerate(cols)):
-                    break  # off the support every entry is at most the floor
-                raise MatchingFailed(
-                    f"no perfect matching on the support above {floor} after "
-                    f"{len(weights)} terms; row mass {mass:.3g} undecomposed at tol={tol}")
-            cur = residual[rows, mirror]
+        if free and not all(_augment(cols, members, perm, inv, open_cols, residual, cur,
+                                     moved, r) for r in free):
+            for r, c in enumerate(perm):  # the test below reads the matched entries too
+                if c >= 0:
+                    residual[r, c] = cur[r]
+            if mass <= NORMALIZED_TOL and all(
+                    (residual[r, c] < tol).all() for r, c in enumerate(cols)):
+                break  # off the support every entry is at most the floor
+            raise MatchingFailed(
+                f"no perfect matching on the support above {floor} after "
+                f"{len(weights)} terms; row mass {mass:.3g} undecomposed at tol={tol}")
         w = float(cur.min())
         weights.append(w)
-        ends.append(len(moved))
+        ends.append(len(moved) // 2)
         cur -= w
         mass -= w
         going = mass > stop
@@ -481,13 +515,13 @@ def birkhoff_decompose(q, tol: float = SUPPORT_TOL) -> BirkhoffDecomposition:
         for r in free:
             cols[r].remove(perm[r])
             members[r].discard(perm[r])
-        if len(free) == 1 and _swap(cols, members, perm, inv, mirror, moved, residual, cur,
-                                    free[0]):
+        if len(free) == 1 and _swap(cols, members, perm, inv, moved, residual, cur, free[0]):
             free = []
             continue
+        # a new set: one drained from d members keeps its table, and iterating it costs that
+        open_cols = {perm[r] for r in free}
         for r in free:
             inv[perm[r]] = -1
             perm[r] = -1
-        mirror[free] = -1
     first, changes = _net_changes(moved, ends, d)
     return BirkhoffDecomposition(weights=np.array(weights), first=first, changes=changes)

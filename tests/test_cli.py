@@ -136,7 +136,8 @@ class TestTransferAndFriends:
         report = json.loads(out)
         assert report["verified"]["ok_reconstruction"] is True
         assert report["weights"] == [0.5, 0.5]
-        assert report["first"] == [0, 1] and report["changes"] == [[1, 0, 1], [1, 1, 0]]
+        assert report["first"] == [0, 1]
+        assert report["changes"] == {"term": [1, 1], "row": [0, 1], "col": [1, 0]}
 
     def test_birkhoff_in_a_fresh_interpreter_imports_no_scipy(self, tmp_path):
         # importing scipy.sparse would add about 0.2 s to every fresh `entmaj` process
@@ -865,7 +866,7 @@ READERS = ("entropy", "majorize", "transfer", "birkhoff", "schur-horn", "uhlmann
            "mixed-unitary", "pinch-converge", "detect-isometry", "probe-entropy")
 KEYS = ("entries", "normalized", "d", "rows", "d_rows", "d_cols", "kind", "d_in", "d_out",
         "kraus", "flags", "trace_preserving", "unital", "steps", "i", "j", "t", "weights",
-        "first", "changes", "a", "b", "rho1", "rho2")
+        "first", "changes", "term", "row", "col", "a", "b", "rho1", "rho2")
 # json.dumps writes 1e300 as "1e+300"; the test swaps that text for 1e400, a
 # literal that Python's json module reads as inf.
 BIG = 1e300
@@ -896,8 +897,9 @@ def _json_documents():
         {"i": number, "j": number, "t": number}), max_size=2)})
     birkhoff = st.fixed_dictionaries({"weights": st.lists(number, max_size=3),
                                       "first": st.lists(number, max_size=3),
-                                      "changes": st.lists(st.lists(number, max_size=3),
-                                                          max_size=3)})
+                                      "changes": st.fixed_dictionaries(
+                                          {key: st.lists(number, max_size=3)
+                                           for key in ("term", "row", "col")})})
     trees = st.recursive(leaf, lambda kids: st.one_of(
         st.lists(kids, max_size=3), st.dictionaries(st.sampled_from(KEYS), kids, max_size=4)),
         max_leaves=12)

@@ -297,9 +297,9 @@ class TestValueFidelity:
         assert _reprs(raw["weights"]) == [repr(float(x)) for x in dec.weights]
         assert raw["weights"][-1] == 5e-324
         assert raw["first"] == [int(x) for x in perms[0]]
-        assert raw["changes"] == [[t, r, int(perms[t, r])] for t in range(1, 5) for r in range(5)
-                                  if perms[t, r] != perms[t - 1, r]]
-        assert all(type(x) is int for x in raw["first"] + sum(raw["changes"], []))
+        assert raw["changes"] == _columns([[t, r, int(perms[t, r])] for t in range(1, 5)
+                                           for r in range(5) if perms[t, r] != perms[t - 1, r]])
+        assert all(type(x) is int for x in raw["first"] + sum(raw["changes"].values(), []))
 
 
 def _chain_decomposition(d, seed):
@@ -312,12 +312,23 @@ def _cyclic_mixture(d, k):
     return sum(np.roll(np.eye(d), j, axis=1) for j in range(k)) / k
 
 
+def _columns(triples):
+    """The written form of a list of [term, row, col] changes: three int columns."""
+    return {key: [change[k] for change in triples] for k, key in enumerate(("term", "row", "col"))}
+
+
+def _triples(changes):
+    """The [term, row, col] changes of their written columns."""
+    return [list(change) for change in zip(changes["term"], changes["row"], changes["col"])]
+
+
 def _replay(first, changes, k):
-    """The permutations of a change list, rebuilt term by term."""
+    """The permutations of a written change list, rebuilt term by term."""
     perms = [list(first)]
+    triples = _triples(changes)
     for t in range(1, k):
         perm = list(perms[-1])
-        for term, row, col in changes:
+        for term, row, col in triples:
             if term == t:
                 perm[row] = col
         perms.append(perm)
@@ -349,14 +360,15 @@ class TestBirkhoffWire:
     @pytest.mark.parametrize("d", [1, 4])
     def test_one_term_identity_has_no_changes(self, d):
         obj = self.assert_round_trip(birkhoff_decompose(np.eye(d)))
-        assert obj == {"weights": [1.0], "first": list(range(d)), "changes": []}
+        assert obj == {"weights": [1.0], "first": list(range(d)),
+                       "changes": {"term": [], "row": [], "col": []}}
 
     def test_changes_are_exactly_the_rows_that_differ(self):
         dec = _chain_decomposition(32, 7)
         obj = birkhoff_to_json(dec)
         perms = dec.permutations.tolist()
-        assert obj["changes"] == [[t, r, perms[t][r]] for t in range(1, len(perms))
-                                  for r in range(32) if perms[t][r] != perms[t - 1][r]]
+        assert obj["changes"] == _columns([[t, r, perms[t][r]] for t in range(1, len(perms))
+                                           for r in range(32) if perms[t][r] != perms[t - 1][r]])
         assert _replay(obj["first"], obj["changes"], len(perms)) == perms
 
     def test_report_is_a_quarter_of_the_full_stack_at_d128(self, tmp_path):
@@ -376,7 +388,7 @@ class TestBirkhoffWire:
         dec = decomposition_of_stack([0.5, 0.25, 0.25], ([0, 1, 2], [1, 0, 2], [1, 2, 0]))
         assert self.assert_round_trip(dec) == {
             "weights": [0.5, 0.25, 0.25], "first": [0, 1, 2],
-            "changes": [[1, 0, 1], [1, 1, 0], [2, 1, 2], [2, 2, 0]]}
+            "changes": {"term": [1, 1, 2, 2], "row": [0, 1, 1, 2], "col": [1, 0, 2, 0]}}
 
     def test_a_repeated_term_is_refused(self):
         # birkhoff_decompose never repeats a permutation, and a term with no change has no
@@ -444,10 +456,12 @@ def test_any_mixture_is_written_as_the_rows_that_change(dec):
     obj = birkhoff_to_json(dec)
     assert obj["weights"] == dec.weights.tolist()
     perms = dec.permutations.tolist()
-    keys = [(term, row) for term, row, _ in obj["changes"]]
+    changes = _triples(obj["changes"])
+    keys = [(term, row) for term, row, _ in changes]
     assert keys == sorted(set(keys))
-    assert all(perms[term - 1][row] != col for term, row, col in obj["changes"])
-    assert {type(x) for change in obj["changes"] for x in change} <= {int}
+    assert all(perms[term - 1][row] != col for term, row, col in changes)
+    assert sorted(obj["changes"]) == ["col", "row", "term"]
+    assert {type(x) for column in obj["changes"].values() for x in column} <= {int}
     assert _replay(obj["first"], obj["changes"], len(perms)) == perms
 
 

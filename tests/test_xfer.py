@@ -1,4 +1,5 @@
 import collections
+import hashlib
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from entmaj.qchan import mixed_unitary_uhlmann
 from entmaj.seqmaj import (NORMALIZED_TOL, ProbVector, is_majorized, random_majorized_pair,
                            sorted_padded)
 from entmaj.xfer import (
+    MATCH_TOL,
     SUPPORT_TOL,
     BirkhoffDecomposition,
     DoublyStochasticMatrix,
@@ -101,6 +103,93 @@ class TestFindTransferChain:
         assert len(chain.steps) <= d - 1 if d > 1 else chain.steps == ()
         target = sorted_padded(a, a.d)
         assert np.abs(replay(chain, b) - target).max() <= 1e-9
+
+
+def numpy_scan_chain(a, b):
+    """Reference transfer chain at the default tol: each step scans all d coordinates
+    with numpy for those above and below their targets by more than MATCH_TOL, moves
+    the surplus of the last one above to the first one below after it, and assigns
+    exactly-hit targets.  Raises MajorizationFailed as find_transfer_chain does."""
+    a, b = (v if isinstance(v, ProbVector) else ProbVector(v) for v in (a, b))
+    verdict = is_majorized(a, b)
+    if not verdict.holds:
+        raise MajorizationFailed("a is not majorized by b", verdict=verdict)
+    d = max(a.d, b.d)
+    av, cur = sorted_padded(a, d), sorted_padded(b, d)
+    steps = []
+    for _ in range(d):
+        over = np.nonzero(cur - av > MATCH_TOL)[0]
+        if over.size == 0:
+            break
+        j = int(over[-1])
+        under = np.nonzero(av - cur > MATCH_TOL)[0]
+        under = under[under > j]
+        if under.size == 0:
+            break
+        k = int(under[0])
+        delta = min(cur[j] - av[j], av[k] - cur[k])
+        steps.append(TTransform(i=j, j=k, t=1.0 - delta / (cur[j] - cur[k])))
+        cur[j] = av[j] if delta == cur[j] - av[j] else cur[j] - delta
+        cur[k] = av[k] if delta == av[k] - cur[k] else cur[k] + delta
+    return TransferChain(d=d, steps=steps)
+
+
+def chain_steps(build, a, b):
+    """The steps `build` takes from b to a, each as (i, j, t in hex) so that t is compared
+    bit for bit, or the verdict of the MajorizationFailed it raises."""
+    try:
+        chain = build(a, b)
+    except MajorizationFailed as exc:
+        return exc.verdict
+    return [(s.i, s.j, float(s.t).hex()) for s in chain.steps]
+
+
+@st.composite
+def _transfer_inputs(draw):
+    """A raw pair (a, b) of entries from small integer levels, so that ties and zeros are
+    common: a mixes b by up to six transfers, or is drawn alone; each entry of a is then
+    nudged by a few 1e-13, within MATCH_TOL, and each vector gets up to three more zeros,
+    so their lengths may differ.  One pair in four is returned as (b, a), and most of
+    those are refused."""
+    n = draw(st.integers(1, 8))
+    b = np.array(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)), dtype=float)
+    if draw(st.integers(0, 3)):
+        a = b.copy()
+        index = st.integers(0, n - 1)
+        for i, j, t in draw(st.lists(st.tuples(index, index, st.sampled_from(
+                [1 / 3, 0.5, 0.9, 0.0])), min_size=1, max_size=6)):
+            a[i], a[j] = t * a[i] + (1 - t) * a[j], (1 - t) * a[i] + t * a[j]
+    else:
+        a = np.array(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)), dtype=float)
+    a += np.array(draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))) * 1e-13
+    a = np.append(a, np.zeros(draw(st.integers(0, 3))))
+    b = np.append(b, np.zeros(draw(st.integers(0, 3))))
+    return (b, a) if draw(st.integers(0, 3)) == 0 else (a, b)
+
+
+class TestTransferChainMatchesTheNumpyScan:
+    """The chain kept on two sorted index lists takes the numpy scan's steps bit for bit,
+    and refuses the same pairs with the same verdicts."""
+
+    @pytest.mark.parametrize("d", [*range(1, 65), 128, 256, 512])
+    def test_seeded_pairs(self, d):
+        for seed in range(3):
+            a, b = random_majorized_pair(d, np.random.default_rng([d, seed]))
+            steps = chain_steps(find_transfer_chain, a, b)
+            assert steps == chain_steps(numpy_scan_chain, a, b)
+            assert len(steps) <= max(d - 1, 0)
+
+    @given(_transfer_inputs())
+    @settings(max_examples=400, deadline=None)
+    def test_ties_zeros_padding_and_residues(self, pair):
+        a, b = pair
+        assert chain_steps(find_transfer_chain, a, b) == chain_steps(numpy_scan_chain, a, b)
+
+    def test_refusals_keep_their_verdict(self):
+        a, b = ProbVector([0.5, 0.25, 0.25]), ProbVector([0.4, 0.4, 0.2])
+        verdict = chain_steps(find_transfer_chain, a, b)
+        assert verdict == chain_steps(numpy_scan_chain, a, b) == is_majorized(a, b)
+        assert not verdict.holds and verdict.first_violation.k == 1
 
 
 class TestChainToDoublyStochastic:
@@ -271,6 +360,29 @@ class TestBirkhoffDecompose:
         dec = birkhoff_decompose(q)
         assert 1e-12 < 1.0 - dec.weights.sum() <= NORMALIZED_TOL
         assert np.abs(dec.matrix() - q.entries).max() <= 10 * SUPPORT_TOL
+
+    def test_terms_ended_by_a_round_with_no_matching_are_pinned(self, monkeypatch):
+        # the BFS-only reference loop cannot follow a round with no perfect matching, so
+        # these terms are pinned to the digests of those taken when every BFS round wrote
+        # back and gathered all d matched entries
+        outcomes = []
+        augment = xfer._augment
+
+        def recorded_augment(*args):
+            outcomes.append(augment(*args))
+            return outcomes[-1]
+
+        monkeypatch.setattr(xfer, "_augment", recorded_augment)
+        a, b = random_majorized_pair(40, np.random.default_rng([40, 3]))
+        dec = birkhoff_decompose(chain_to_doubly_stochastic(find_transfer_chain(a, b)),
+                                 tol=SUPPORT_TOL)
+        assert outcomes.count(False) == 1 and outcomes[-1] is False
+        assert len(dec.weights) == 579 and len(dec.changes) == 1293
+        assert (hashlib.sha256(dec.weights.astype("<f8").tobytes()).hexdigest()
+                == "0449e242131c3b47f02fd7eedb60c4ad26a3c7b714aa378524707f4a022a0643")
+        assert (hashlib.sha256(dec.first.astype("<i8").tobytes()
+                               + dec.changes.astype("<i8").tobytes()).hexdigest()
+                == "89a6289d13587ef14bd48a911ccc687c1b506fd96c8c962ce2b789553b068fe0")
 
     def test_term_bound_enforced_by_type(self):
         with pytest.raises(ValueError, match="3 terms exceed the bound 2 for d=2"):
