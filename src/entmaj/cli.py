@@ -246,7 +246,7 @@ def _run_schur_horn(args) -> int:
     a, b = args.load(args.inputs)
     chain = find_transfer_chain(a, b, args.tol)
     u = chain_to_orthogonal(chain)
-    diag = np.diag(u.entries @ np.diag(sorted_padded(b, u.d)) @ u.entries.T)
+    diag = (u.entries ** 2) @ sorted_padded(b, u.d)  # the diagonal of U diag(b) U^T
     err = float(np.abs(diag - sorted_padded(a, u.d)).max())
     defect = u.orthogonality_defect
     body = {"rotations": chain_to_json(chain),

@@ -9,7 +9,7 @@ sorted source spectrum onto the sorted target.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -227,9 +227,9 @@ def find_transfer_chain(a, b, tol: float = MAJORIZATION_TOL) -> TransferChain:
     At each step the mass surplus at the deepest still-mismatched coordinate
     is moved to the first coordinate after it that is short of its target,
     fixing at least one coordinate exactly.  The coordinates above and below
-    their targets by more than MATCH_TOL are kept as two ascending index lists,
-    and a step re-tests only the two coordinates it changes, so a step costs
-    two bisections, not scans over d coordinates.
+    their targets by more than MATCH_TOL are kept as two ascending index lists
+    that only shrink: a step moves no coordinate past its target, so it costs
+    one bisection, pops j once it is matched and deletes k once it is.
     """
     a, b = _prob_vector(a), _prob_vector(b)
     verdict = is_majorized(a, b, tol)
@@ -242,9 +242,7 @@ def find_transfer_chain(a, b, tol: float = MAJORIZATION_TOL) -> TransferChain:
     under = [i for i in range(d) if av[i] - cur[i] > MATCH_TOL]
 
     steps = []
-    for _ in range(d):  # terminates in <= d-1 transfers
-        if not over:
-            break
+    while over:  # each step matches j or k exactly, so <= d-1 transfers
         j = over[-1]
         pos = bisect_right(under, j)
         if pos == len(under):
@@ -257,22 +255,13 @@ def find_transfer_chain(a, b, tol: float = MAJORIZATION_TOL) -> TransferChain:
         # assign exactly-hit targets to avoid accumulating rounding residue
         cur[j] = av[j] if delta == cur[j] - av[j] else cur[j] - delta
         cur[k] = av[k] if delta == av[k] - cur[k] else cur[k] + delta
-        for i in j, k:
-            _mark(over, i, cur[i] - av[i] > MATCH_TOL)
-            _mark(under, i, av[i] - cur[i] > MATCH_TOL)
+        if cur[j] - av[j] <= MATCH_TOL:
+            over.pop()
+        if av[k] - cur[k] <= MATCH_TOL:
+            del under[pos]
     if len(steps) > d - 1:
         raise RuntimeError("transfer chain exceeded d-1 steps")
     return TransferChain(d=d, steps=tuple(steps))
-
-
-def _mark(members: list, i: int, holds: bool):
-    """Keep i in the ascending list `members` exactly when `holds`."""
-    pos = bisect_left(members, i)
-    present = pos < len(members) and members[pos] == i
-    if holds and not present:
-        members.insert(pos, i)
-    elif present and not holds:
-        del members[pos]
 
 
 def _multiply_out(chain: TransferChain, coeffs) -> np.ndarray:

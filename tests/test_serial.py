@@ -324,13 +324,14 @@ def _triples(changes):
 
 def _replay(first, changes, k):
     """The permutations of a written change list, rebuilt term by term."""
+    by_term = {}
+    for term, row, col in _triples(changes):
+        by_term.setdefault(term, []).append((row, col))
     perms = [list(first)]
-    triples = _triples(changes)
     for t in range(1, k):
         perm = list(perms[-1])
-        for term, row, col in triples:
-            if term == t:
-                perm[row] = col
+        for row, col in by_term.get(t, ()):
+            perm[row] = col
         perms.append(perm)
     return perms
 

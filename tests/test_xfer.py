@@ -171,7 +171,7 @@ class TestTransferChainMatchesTheNumpyScan:
     """The chain kept on two sorted index lists takes the numpy scan's steps bit for bit,
     and refuses the same pairs with the same verdicts."""
 
-    @pytest.mark.parametrize("d", [*range(1, 65), 128, 256, 512])
+    @pytest.mark.parametrize("d", [*range(1, 65), 128, 256, 512, 1024])
     def test_seeded_pairs(self, d):
         for seed in range(3):
             a, b = random_majorized_pair(d, np.random.default_rng([d, seed]))
