@@ -155,9 +155,10 @@ def _row_entropies(arr: np.ndarray) -> np.ndarray:
 
 
 def _bits(pos: np.ndarray) -> np.ndarray:
-    """-sum p log2(p) along the last axis, for entries above LOG_FLOOR; must be finite."""
+    """-sum p log2(p) along the last axis, for entries above LOG_FLOOR; must be finite.
+    Subtracted from 0.0, so that a point mass, whose terms are all +0.0, has +0.0 bits."""
     with np.errstate(over="ignore"):  # entries near the float maximum overflow x*log(x)
-        bits = -np.sum(pos * np.log2(pos), axis=-1)
+        bits = 0.0 - np.sum(pos * np.log2(pos), axis=-1)
     if not np.isfinite(bits).all():
         raise InvalidValue(f"entropy sum {bits} is not finite")
     return bits

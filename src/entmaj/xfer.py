@@ -317,7 +317,7 @@ def _augment(cols, members, perm, inv, open_cols, residual, cur, moved, root) ->
     to the first frontier row that reaches it and the next frontier being the mates
     of the level's columns in ascending order.  Each row the path moves writes its
     carried entry cur[r] back to `residual`, reads its new entry into cur[r] and is
-    logged in the flat list `moved` as row, col.
+    appended to the row list `moved`.
     """
     via = {}  # via[c]: the frontier row that reached column c
     frontier = [root]
@@ -341,7 +341,7 @@ def _augment(cols, members, perm, inv, open_cols, residual, cur, moved, root) ->
                 cur[r] = residual[r, c]
                 perm[r] = c
                 inv[c] = r
-                moved += r, c
+                moved.append(r)
                 c = nxt
             return True
         level = []
@@ -362,8 +362,8 @@ def _swap(cols, members, perm, inv, moved, residual, cur, r) -> bool:
     mate m has r's old column c in its support (`members[m]`), and m takes c:
     the path that `_augment` from r finds first, since c is the only free
     column.  m's old entry is written back to `residual` and both rows' entries
-    are read into `cur`.  Returns False, changing nothing, when no such column
-    exists.
+    are read into `cur`, and r and m are appended to `moved`.  Returns False,
+    changing nothing, when no such column exists.
     """
     c = perm[r]
     for c2 in cols[r]:
@@ -376,31 +376,8 @@ def _swap(cols, members, perm, inv, moved, residual, cur, r) -> bool:
     cur[r], cur[m] = residual[r, c2], residual[m, c]
     perm[r], perm[m] = c2, c
     inv[c2], inv[c] = r, m
-    moved += r, c2, m, c
+    moved += r, m
     return True
-
-
-def _net_changes(moved, ends, d) -> tuple[np.ndarray, np.ndarray]:
-    """The first permutation and the net [term, row, col] changes of each later term, in
-    (term, row) order, from the changes logged as the matching changed.
-
-    moved is the flat list row, col, row, col, ... in the order the rows took their
-    columns; ends[t] is the number of (row, col) pairs in it when term t was taken, so
-    pair i belongs to the first term whose end exceeds i, and pairs past the last end
-    belong to no term.  A row's last change in a term is its column there, kept when it
-    differs from the row's column in the term before.
-    """
-    log = np.array(moved[:2 * ends[-1]]).reshape(-1, 2)
-    key = np.searchsorted(ends, np.arange(len(log)), side="right") * d + log[:, 0]
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    last = np.append(key[1:] != key[:-1], True)
-    col = log[order[last], 1]
-    term, row = np.divmod(key[last], d)
-    first = col[:d]  # term 0 matched every row
-    term, row, col = term[d:], row[d:], col[d:]
-    moves = _previous(first, term, row, col, len(ends)) != col
-    return first, np.stack((term, row, col), axis=1)[moves]
 
 
 def birkhoff_decompose(q, tol: float = SUPPORT_TOL) -> BirkhoffDecomposition:
@@ -432,9 +409,11 @@ def birkhoff_decompose(q, tol: float = SUPPORT_TOL) -> BirkhoffDecomposition:
     degree of the rows it scans, not numpy calls over d columns; a BFS level
     that reaches a free column finds it by set intersections with the free
     columns and is not scanned.  Only the minimum, the subtraction and the
-    floor test run over all d rows per round.  The permutations are logged as
-    flat row, col changes when the matching changes and reduced to each
-    term's net changes once, at the end.
+    floor test run over all d rows per round.  The permutations are written
+    as they are taken: `moved` lists the rows a swap or a path moved since the
+    last term, and each term walks it in ascending order, writing a row's new
+    column once, and only where it differs from the row's column in the term
+    before.  Moves after the last term are never written.
 
     The support graph keeps entries down to the floor tol / (100 d).  Rows
     and columns of the residual carry equal mass m, and each row hides at
@@ -478,8 +457,8 @@ def birkhoff_decompose(q, tol: float = SUPPORT_TOL) -> BirkhoffDecomposition:
     mass = residual.sum(axis=1).max()  # every round takes w from every row
 
     weights = []
-    moved = []  # row, col, row, col, ...: each time a row takes a column
-    ends = []  # the number of (row, col) pairs in moved when each term was taken
+    changes = []  # term, row, col, ...: where each term's permutation differs from the last
+    moved = []  # the rows that took a column since the last term
     free = range(d)
     going = True
     while going:
@@ -495,8 +474,18 @@ def birkhoff_decompose(q, tol: float = SUPPORT_TOL) -> BirkhoffDecomposition:
                 f"no perfect matching on the support above {floor} after "
                 f"{len(weights)} terms; row mass {mass:.3g} undecomposed at tol={tol}")
         w = float(cur.min())
+        if weights:
+            term = len(weights)
+            moved.sort()
+            for r in moved:  # a row that moved twice is written once, and not if it moved back
+                c = perm[r]
+                if c != last[r]:
+                    last[r] = c
+                    changes += term, r, c
+        else:
+            first, last = perm.copy(), perm.copy()
+        moved.clear()
         weights.append(w)
-        ends.append(len(moved) // 2)
         cur -= w
         mass -= w
         going = mass > stop
@@ -512,5 +501,5 @@ def birkhoff_decompose(q, tol: float = SUPPORT_TOL) -> BirkhoffDecomposition:
         for r in free:
             inv[perm[r]] = -1
             perm[r] = -1
-    first, changes = _net_changes(moved, ends, d)
-    return BirkhoffDecomposition(weights=np.array(weights), first=first, changes=changes)
+    return BirkhoffDecomposition(weights=np.array(weights), first=first,
+                                 changes=np.array(changes, dtype=int).reshape(-1, 3))

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -68,6 +69,16 @@ class TestEntropy:
         rc, out, _ = run(capsys, "entropy", "--in", str(p))
         assert rc == 0
         assert json.loads(out)["shannon_bits"] == pytest.approx(0.8112781244591328)
+
+    def test_point_mass_writes_positive_zero(self, tmp_path, capsys):
+        vector, state = tmp_path / "pv.json", tmp_path / "rho.json"
+        write_json(vector, {"entries": [1.0, 0.0], "normalized": True})
+        run(capsys, "gen", "state", "--d", "1", "--seed", "0", "--out", str(state))
+        for p in (vector, state):
+            rc, out, _ = run(capsys, "entropy", "--in", str(p))
+            assert rc == 0
+            assert '"shannon_bits": 0.0' in out
+            assert math.copysign(1.0, json.loads(out)["shannon_bits"]) == 1.0
 
 
 class TestMajorize:

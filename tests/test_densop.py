@@ -1,4 +1,5 @@
 import collections
+import math
 
 import numpy as np
 import pytest
@@ -221,6 +222,11 @@ class TestVonNeumannEntropy:
         v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         v /= np.linalg.norm(v)
         assert abs(von_neumann_entropy(pure_state(v))) <= 1e-9
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_diagonal_pure_state_is_positive_zero(self, d):
+        rho = DensityMatrix(np.diag(np.eye(d)[0]).astype(complex))
+        assert math.copysign(1.0, von_neumann_entropy(rho)) == 1.0
 
     @pytest.mark.parametrize("n", [2, 3, 16])
     def test_maximally_mixed_is_log_n(self, n):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,6 +120,10 @@ class TestIsMajorized:
 class TestShannonEntropy:
     def test_point_mass(self):
         assert shannon_entropy(ProbVector([1.0, 0.0, 0.0])) == 0.0
+
+    @pytest.mark.parametrize("p", [[1.0], [1.0, 0.0], [0.0, 1.0, 0.0]])
+    def test_point_mass_is_positive_zero(self, p):
+        assert math.copysign(1.0, shannon_entropy(ProbVector(p))) == 1.0
 
     def test_uniform_pair(self):
         assert shannon_entropy(ProbVector([0.5, 0.5])) == 1.0

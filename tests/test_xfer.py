@@ -586,6 +586,14 @@ class TestBirkhoffMatchesTheBfsOnlyLoop:
             assert repairs["swap"] > 0 and repairs["swap_failed"] > 0 and repairs["bfs"] > d
             assert repairs["swap"] + repairs["swap_failed"] < len(dec.weights) - 1
 
+    @pytest.mark.parametrize("d,seed", [(75, 43), (92, 157)])
+    def test_rows_that_take_back_their_column_between_two_terms(self, d, seed):
+        # in these chain matrices a row leaves its column and takes it back between two
+        # terms, so the change list must not name it
+        a, b = random_majorized_pair(d, np.random.default_rng(seed))
+        self.assert_same_terms(chain_to_doubly_stochastic(find_transfer_chain(a, b)).entries,
+                               SUPPORT_TOL)
+
     @pytest.mark.parametrize("tol", [SUPPORT_TOL, 1e-10])
     @pytest.mark.parametrize("q", [np.full((d, d), 1 / d) for d in (2, 5, 16, 40)]
                              + [cyclic_mixture(50, k, s) for k in (2, 3, 5) for s in (False, True)],
