@@ -24,6 +24,7 @@ from .seqmaj import (CLAMP_TOL, MAJORIZATION_TOL, NORMALIZED_TOL, _prob_vector,
 # Two values closer than this are considered already transferred.
 MATCH_TOL = 1e-12
 SUPPORT_TOL = 1e-9  # default tol of birkhoff_decompose
+_MATRIX_BLOCK = 1 << 20  # most cells BirkhoffDecomposition.matrix() builds at once
 
 
 @dataclass(frozen=True)
@@ -197,6 +198,16 @@ class BirkhoffDecomposition:
     def d(self) -> int:
         return len(self.first)
 
+    def _runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each row's columns in term order, as runs: the ascending starts row * k + term
+        (`first` at row * k), the column of each run, and its length in terms."""
+        d, k = self.d, len(self.weights)
+        term, row, col = self.changes.T
+        start = np.concatenate((np.arange(d) * k, row * k + term))
+        order = np.argsort(start)
+        start = start[order]
+        return start, np.concatenate((self.first, col))[order], np.diff(start, append=d * k)
+
     @cached_property
     def permutations(self) -> np.ndarray:
         """The read-only (terms, d) int stack, row t mapping row indices to column indices
@@ -204,21 +215,30 @@ class BirkhoffDecomposition:
 
         It is the transpose of a C-ordered (d, terms) array, in which each row holds its
         column in `first` and then each of its changes, repeated up to its next change."""
-        d, k = self.d, len(self.weights)
-        term, row, col = self.changes.T
-        start = np.concatenate((np.arange(d) * k, row * k + term))
-        order = np.argsort(start)
-        by_row = np.repeat(np.concatenate((self.first, col))[order],
-                           np.diff(start[order], append=d * k)).reshape(d, k)
+        _, col, length = self._runs()
+        by_row = np.repeat(col, length).reshape(self.d, len(self.weights))
         by_row.setflags(write=False)
         return by_row.T
 
     def matrix(self) -> np.ndarray:
-        """Assemble sum_i t_i P(pi_i), adding the terms in order."""
-        d = self.d
-        cells = (np.arange(d) * d + self.permutations).ravel()
-        return np.bincount(cells, weights=np.repeat(self.weights, d),
-                           minlength=d * d).reshape(d, d)
+        """Assemble sum_i t_i P(pi_i), adding the terms in order.
+
+        The cells are built from the runs a block of rows at a time, at most
+        _MATRIX_BLOCK of them a block, and never as the (terms, d) stack.  A cell
+        belongs to one row and `bincount` adds in input order, so each cell sums its
+        weights in term order."""
+        d, k = self.d, len(self.weights)
+        start, col, length = self._runs()
+        cell = start // k * d + col
+        rows = max(1, _MATRIX_BLOCK // k)
+        out = np.empty((d, d))
+        for r0 in range(0, d, rows):
+            r1 = min(r0 + rows, d)
+            lo, hi = np.searchsorted(start, (r0 * k, r1 * k))
+            out[r0:r1] = np.bincount(np.repeat(cell[lo:hi] - r0 * d, length[lo:hi]),
+                                     weights=np.tile(self.weights, r1 - r0),
+                                     minlength=(r1 - r0) * d).reshape(-1, d)
+        return out
 
 
 def find_transfer_chain(a, b, tol: float = MAJORIZATION_TOL) -> TransferChain:
@@ -408,12 +428,15 @@ def birkhoff_decompose(q, tol: float = SUPPORT_TOL) -> BirkhoffDecomposition:
     row for membership, so a swap or a BFS level costs Python work in the
     degree of the rows it scans, not numpy calls over d columns; a BFS level
     that reaches a free column finds it by set intersections with the free
-    columns and is not scanned.  Only the minimum, the subtraction and the
-    floor test run over all d rows per round.  The permutations are written
-    as they are taken: `moved` lists the rows a swap or a path moved since the
-    last term, and each term walks it in ascending order, writing a row's new
-    column once, and only where it differs from the row's column in the term
-    before.  Moves after the last term are never written.
+    columns and is not scanned.  Each round runs three numpy calls over all d
+    rows: the argmin that gives its weight, the subtraction, and one more
+    argmin with the row that gave the weight hidden, which tells whether that
+    row alone fell to the floor; only when it did not are all d rows compared
+    with the floor.  The permutations are written as they are taken: `moved`
+    lists the rows a swap or a path moved since the last term, and each term
+    walks it in ascending order, writing a row's new column once, and only
+    where it differs from the row's column in the term before.  Moves after
+    the last term are never written.
 
     The support graph keeps entries down to the floor tol / (100 d).  Rows
     and columns of the residual carry equal mass m, and each row hides at
@@ -473,7 +496,8 @@ def birkhoff_decompose(q, tol: float = SUPPORT_TOL) -> BirkhoffDecomposition:
             raise MatchingFailed(
                 f"no perfect matching on the support above {floor} after "
                 f"{len(weights)} terms; row mass {mass:.3g} undecomposed at tol={tol}")
-        w = float(cur.min())
+        j = int(cur.argmin())  # a C method; ndarray.min() goes through a Python wrapper
+        w = float(cur[j])
         if weights:
             term = len(weights)
             moved.sort()
@@ -489,7 +513,17 @@ def birkhoff_decompose(q, tol: float = SUPPORT_TOL) -> BirkhoffDecomposition:
         cur -= w
         mass -= w
         going = mass > stop
-        free = (cur <= floor).nonzero()[0].tolist()
+        # Row j is now exactly 0.0.  Hidden under inf, one argmin tells whether it is the
+        # only row at the floor, and only when it is not are all d rows compared with the
+        # floor.  The inf is never read: `_swap` and `_augment` overwrite cur of every row
+        # they match, an unmatched root writes nothing back, and the write-back before
+        # MatchingFailed reads matched rows only.
+        cur[j] = np.inf
+        if cur[cur.argmin()] > floor:
+            free = [j]
+        else:
+            cur[j] = 0.0
+            free = (cur <= floor).nonzero()[0].tolist()
         for r in free:
             cols[r].remove(perm[r])
             members[r].discard(perm[r])

@@ -1,5 +1,6 @@
 import collections
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -277,6 +278,17 @@ def cyclic_mixture(d, k, scrambled):
     return q
 
 
+def sinkhorn(d, seed):
+    """A dense doubly stochastic matrix: seeded positive entries, rows and columns scaled
+    alternately until every row sums to 1 within 1e-14."""
+    q = np.random.default_rng(seed).random((d, d)) + 0.01
+    while True:
+        q /= q.sum(axis=1, keepdims=True)
+        q /= q.sum(axis=0, keepdims=True)
+        if np.abs(q.sum(axis=1) - 1).max() < 1e-14:
+            return q
+
+
 class TestBirkhoffDecompose:
     def test_even_two_by_two(self):
         dec = birkhoff_decompose(np.array([[0.5, 0.5], [0.5, 0.5]]))
@@ -415,6 +427,35 @@ class TestBirkhoffDecompose:
         for w, p in zip(dec.weights, dec.permutations):
             expected[np.arange(32), p] += w
         assert np.array_equal(dec.matrix(), expected)
+
+    @pytest.mark.parametrize("block", [lambda k: 1, lambda k: 300, lambda k: 5 * k + 4,
+                                       lambda k: 7 * k + 6, lambda k: 1 << 20],
+                             ids=["1", "300", "5k+4", "7k+6", "2^20"])
+    def test_matrix_by_blocks_of_rows_adds_the_terms_in_order(self, monkeypatch, block):
+        # the 468 terms at d = 32 in blocks of 1 row (1 and 300 cells), of 5 and 7 rows,
+        # which leave a last block of 2 and 4 rows, and in one block
+        a, b = random_majorized_pair(32, np.random.default_rng(32))
+        dec = birkhoff_decompose(chain_to_doubly_stochastic(find_transfer_chain(a, b)))
+        expected = np.zeros((32, 32))
+        for w, p in zip(dec.weights, dec.permutations):
+            expected[np.arange(32), p] += w
+        monkeypatch.setattr(xfer, "_MATRIX_BLOCK", block(len(dec.weights)))
+        assert np.array_equal(dec.matrix(), expected)
+
+    def test_matrix_memory_follows_the_matrix(self):
+        # 65026 terms, the bound (d - 1)^2 + 1: their (terms, d) stack of cells and weights
+        # alone would take 254 MiB, and the 256 x 256 matrix takes 0.5 MiB
+        q = sinkhorn(256, 256)
+        dec = birkhoff_decompose(q)
+        assert len(dec.weights) == 255 ** 2 + 1
+        tracemalloc.start()
+        try:
+            m = dec.matrix()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2 ** 20
+        assert np.abs(m - q).max() <= 10 * SUPPORT_TOL
 
 
 class TestBirkhoffChangeList:
@@ -612,6 +653,22 @@ class TestBirkhoffMatchesTheBfsOnlyLoop:
     def test_no_row_holds_its_diagonal(self, q, tol):
         assert not np.diag(q).any()
         self.assert_same_terms(q, tol)
+
+    @pytest.mark.parametrize("tol", [SUPPORT_TOL, 1e-10])
+    def test_a_row_within_the_floor_of_the_minimum_is_freed_with_it(self, repairs, tol):
+        # the first term, the identity, takes 0.3 from rows 0, 1 and 2, which hold 0.3,
+        # 0.3 + tol / 1000 and 0.4; row 1 is then within the floor tol / 300, so only the
+        # full floor test frees it with row 0, and both are re-matched by BFS, not by a swap
+        delta = tol / 1000
+        perms = [[0, 1, 2], [0, 2, 1], [2, 1, 0], [1, 0, 2], [1, 2, 0], [2, 0, 1]]
+        weights = [0.1, 0.2, 0.2 + delta, 0.3, 0.1, 0.1 - delta]
+        q = sum(w * np.eye(3)[p] for w, p in zip(weights, perms))
+        assert 0 < q[1, 1] - q[0, 0] < tol / 300 and q[2, 2] == 0.4
+        dec = self.assert_same_terms(q, tol)
+        # freeing row 0 alone would leave row 1 matched, and the next term would weigh delta
+        assert dec.weights.min() > 0.09
+        assert np.array_equal(dec.permutations[:2], [[0, 1, 2], [1, 0, 2]])
+        assert repairs == {"bfs": 8, "swap": 1}
 
     @pytest.mark.parametrize("d,tol,bfs,swap,swap_failed", [
         (32, SUPPORT_TOL, 87, 360, 36), (64, SUPPORT_TOL, 164, 524, 55),
