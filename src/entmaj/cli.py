@@ -232,7 +232,9 @@ def _run_transfer(args) -> int:
 def _run_birkhoff(args) -> int:
     q = DoublyStochasticMatrix(args.load(args.inputs))
     decomp = birkhoff_decompose(q, args.tol)
-    err = float(np.abs(decomp.matrix() - q.entries).max())
+    m = decomp.matrix()
+    m -= q.entries
+    err = float(np.abs(m, out=m).max())
     bound = (q.d - 1) ** 2 + 1
     body = dict(birkhoff_to_json(decomp))
     body["verified"] = {"reconstruction_max_error": err, "ok_reconstruction": err <= 10 * args.tol,

@@ -8,6 +8,7 @@ convention 0*log(0) = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -158,8 +159,8 @@ def _bits(pos: np.ndarray) -> np.ndarray:
     """-sum p log2(p) along the last axis, for entries above LOG_FLOOR; must be finite.
     Subtracted from 0.0, so that a point mass, whose terms are all +0.0, has +0.0 bits."""
     with np.errstate(over="ignore"):  # entries near the float maximum overflow x*log(x)
-        bits = 0.0 - np.sum(pos * np.log2(pos), axis=-1)
-    if not np.isfinite(bits).all():
+        bits = 0.0 - np.add.reduce(pos * np.log2(pos), axis=-1)  # np.sum, minus its wrapper
+    if not (np.isfinite(bits).all() if bits.ndim else math.isfinite(bits)):
         raise InvalidValue(f"entropy sum {bits} is not finite")
     return bits
 

@@ -24,7 +24,10 @@ from .seqmaj import (CLAMP_TOL, MAJORIZATION_TOL, NORMALIZED_TOL, _prob_vector,
 # Two values closer than this are considered already transferred.
 MATCH_TOL = 1e-12
 SUPPORT_TOL = 1e-9  # default tol of birkhoff_decompose
-_MATRIX_BLOCK = 1 << 20  # most cells BirkhoffDecomposition.matrix() builds at once
+# Most cells BirkhoffDecomposition.matrix() builds at once, unless one row has more terms:
+# 2**13 cells make 64 KiB temporaries, below glibc's default 128 KiB mmap threshold, so
+# each block reuses heap memory instead of mapping and faulting in fresh pages.
+_MATRIX_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -223,21 +226,23 @@ class BirkhoffDecomposition:
     def matrix(self) -> np.ndarray:
         """Assemble sum_i t_i P(pi_i), adding the terms in order.
 
-        The cells are built from the runs a block of rows at a time, at most
-        _MATRIX_BLOCK of them a block, and never as the (terms, d) stack.  A cell
-        belongs to one row and `bincount` adds in input order, so each cell sums its
-        weights in term order."""
+        The cells are built from the runs a block of whole rows at a time, at most
+        _MATRIX_BLOCK of them a block or else one row, and never as the (terms, d)
+        stack.  A cell belongs to one row and `bincount` adds in input order, so each
+        cell sums its weights in term order."""
         d, k = self.d, len(self.weights)
         start, col, length = self._runs()
-        cell = start // k * d + col
-        rows = max(1, _MATRIX_BLOCK // k)
+        rows = min(max(1, _MATRIX_BLOCK // k), d)
+        cell = start // k % rows * d + col  # numbered within its block
+        ends = np.searchsorted(start, np.arange(rows, d + rows, rows) * k).tolist()
+        weights = np.tile(self.weights, rows)
         out = np.empty((d, d))
-        for r0 in range(0, d, rows):
-            r1 = min(r0 + rows, d)
-            lo, hi = np.searchsorted(start, (r0 * k, r1 * k))
-            out[r0:r1] = np.bincount(np.repeat(cell[lo:hi] - r0 * d, length[lo:hi]),
-                                     weights=np.tile(self.weights, r1 - r0),
-                                     minlength=(r1 - r0) * d).reshape(-1, d)
+        lo = 0
+        for r0, hi in zip(range(0, d, rows), ends):
+            n = min(rows, d - r0)
+            out[r0:r0 + n] = np.bincount(np.repeat(cell[lo:hi], length[lo:hi]),
+                                         weights=weights[:n * k], minlength=n * d).reshape(n, d)
+            lo = hi
         return out
 
 
@@ -535,5 +540,6 @@ def birkhoff_decompose(q, tol: float = SUPPORT_TOL) -> BirkhoffDecomposition:
         for r in free:
             inv[perm[r]] = -1
             perm[r] = -1
-    return BirkhoffDecomposition(weights=np.array(weights), first=first,
-                                 changes=np.array(changes, dtype=int).reshape(-1, 3))
+    weights, changes = np.array(weights), np.array(changes, dtype=int).reshape(-1, 3)
+    del cols, members, residual, cur  # freed before the type checks copy the changes
+    return BirkhoffDecomposition(weights=weights, first=first, changes=changes)

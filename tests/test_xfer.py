@@ -289,6 +289,23 @@ def sinkhorn(d, seed):
             return q
 
 
+def traced_peak(call):
+    """call() and the peak of the memory it allocated, in bytes, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def dense_256():
+    """sinkhorn(256, 256), its decomposition and the tracemalloc peak of that one call,
+    which is traced once for every test that reads either."""
+    q = sinkhorn(256, 256)
+    return (q, *traced_peak(lambda: birkhoff_decompose(q)))
+
+
 class TestBirkhoffDecompose:
     def test_even_two_by_two(self):
         dec = birkhoff_decompose(np.array([[0.5, 0.5], [0.5, 0.5]]))
@@ -442,20 +459,27 @@ class TestBirkhoffDecompose:
         monkeypatch.setattr(xfer, "_MATRIX_BLOCK", block(len(dec.weights)))
         assert np.array_equal(dec.matrix(), expected)
 
-    def test_matrix_memory_follows_the_matrix(self):
+    def test_matrix_memory_follows_the_matrix(self, dense_256):
         # 65026 terms, the bound (d - 1)^2 + 1: their (terms, d) stack of cells and weights
         # alone would take 254 MiB, and the 256 x 256 matrix takes 0.5 MiB
-        q = sinkhorn(256, 256)
-        dec = birkhoff_decompose(q)
+        q, dec, _ = dense_256
         assert len(dec.weights) == 255 ** 2 + 1
-        tracemalloc.start()
-        try:
-            m = dec.matrix()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 48 * 2 ** 20
+        m, peak = traced_peak(dec.matrix)
+        assert peak < 8 * 2 ** 20
         assert np.abs(m - q).max() <= 10 * SUPPORT_TOL
+
+    def test_matrix_memory_on_a_chain_matrix(self):
+        # 2017 terms: blocks of 4 rows, whose cells and weights take 64 KiB each
+        a, b = random_majorized_pair(128, np.random.default_rng(1128))
+        q = chain_to_doubly_stochastic(find_transfer_chain(a, b))
+        dec = birkhoff_decompose(q)
+        m, peak = traced_peak(dec.matrix)
+        assert peak < 2 ** 20
+        assert np.abs(m - q.entries).max() <= 10 * SUPPORT_TOL
+
+    def test_decompose_memory_follows_the_matrix(self, dense_256):
+        # the support lists and sets are freed before the change list is checked
+        assert dense_256[2] < 20 * 2 ** 20
 
 
 class TestBirkhoffChangeList:
