@@ -203,7 +203,8 @@ def _with_spectra(vals: np.ndarray, v: np.ndarray) -> np.ndarray:
     """v diag(vals sorted descending) v^*, symmetrized; one matrix or a stack."""
     vals = -np.sort(-vals, axis=-1)
     rho = (v * vals[..., None, :]) @ _dagger(v)
-    return (rho + _dagger(rho)) / 2.0
+    # C order at any stack size, so that qchan._sandwich reshapes a stack without a copy
+    return np.add(rho, _dagger(rho), order="C") / 2.0
 
 
 def random_density(d: int, rng: np.random.Generator,

@@ -209,10 +209,33 @@ def _require_trace_preserving(phi: KrausChannel):
             "sum A*A deviates from I by {}", phi.completeness_defect)
 
 
-def _sandwich(stack: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_i A_i X A_i^* for one X or each X of an (n, cols, cols) stack: batched A_i X,
-    then one GEMM per X with the A_i laid side by side."""
+def _via_superoperator(stack: np.ndarray) -> bool:
+    """Whether _sandwich applies a stack of states through S = sum_i A_i (x) conj(A_i):
+    a list of k >= d_out d_in operators, at least the Choi rank's bound, holds at least
+    the (d_out d_in)^2 entries of S."""
     k, rows, cols = stack.shape
+    return k >= rows * cols
+
+
+def _sandwich(stack: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_i A_i X A_i^* for one X or each X of an (n, cols, cols) stack.
+
+    Kraus route: batched A_i X, then one GEMM per X with the A_i laid side by side; its
+    per-X temporary is the (k, rows, cols) product.  A stack of states on a redundant
+    list (_via_superoperator) instead builds S = sum_i A_i (x) conj(A_i), a
+    (rows^2, cols^2) matrix no larger than the Kraus stack, with one GEMM, and applies it
+    to each X as its own (1, cols^2) row, so the per-X temporary is the output and each
+    X's bits do not depend on how many share the call (numpy's single-GEMM form takes a
+    vector path for one row).  One X keeps the Kraus route: building S costs
+    k (rows cols)^2 against the sandwich's k rows cols (rows + cols).  A stack of one X
+    still builds S, a few microseconds at rows = cols = 8, not worth a second condition.
+    """
+    k, rows, cols = stack.shape
+    if x.ndim == 3 and _via_superoperator(stack):
+        m = stack.reshape(k, -1)
+        s = (m.T @ m.conj()).reshape(rows, cols, rows, cols).transpose(0, 2, 1, 3)
+        s = s.reshape(rows * rows, cols * cols)
+        return (x.reshape(len(x), 1, -1) @ s.T).reshape(len(x), rows, rows)
     left = stack @ x[..., None, :, :]  # (..., k, rows, cols)
     left = np.swapaxes(left, -3, -2).reshape(*x.shape[:-2], rows, k * cols)
     wide = stack.transpose(1, 0, 2).reshape(rows, k * cols)
@@ -428,9 +451,17 @@ def probe_state(d: int, base_seed: int, trial: int) -> DensityMatrix:
 
 
 def _probe_deviations(phi: KrausChannel, trials: int, base_seed: int) -> np.ndarray:
-    """|S(phi(rho)) - S(rho)| for the first `trials` probe states drawn from `base_seed`."""
+    """|S(phi(rho)) - S(rho)| for the first `trials` probe states drawn from `base_seed`.
+
+    A chunk holds as many trials as fit PROBE_CHUNK_ENTRIES by the per-trial temporary of
+    the route _sandwich takes: d_out^2 through the superoperator, max(k d_out d_in,
+    d_out^2) through the Kraus sandwich.
+    """
     d = phi.d_in
-    chunk = min(PROBE_BLOCK, max(1, PROBE_CHUNK_ENTRIES // max(phi.kraus.size, phi.d_out**2)))
+    per_trial = phi.d_out**2
+    if not _via_superoperator(phi.kraus):
+        per_trial = max(phi.kraus.size, per_trial)
+    chunk = min(PROBE_BLOCK, max(1, PROBE_CHUNK_ENTRIES // per_trial))
     devs = np.empty(trials)
     for first in range(0, trials, PROBE_BLOCK):
         rng, vals = _probe_block(d, base_seed, first // PROBE_BLOCK)
@@ -454,10 +485,12 @@ def entropy_probe(phi: KrausChannel, trials: int,
     worst_trial) replays the worst state.  Rectangular channels are fine: the input
     state lives at d = d_in and the output entropy is taken at d_out.
 
-    The trials run in chunks of at most PROBE_BLOCK, small enough that the Kraus
-    sandwich temporary (chunk, k, d_out, d_in) and the output stack hold at most
-    PROBE_CHUNK_ENTRIES complex entries each, unless one trial alone is larger.  A chunk
-    is one stack of states, one Kraus sandwich and one `eigh` of the outputs.  Every
+    The trials run in chunks of at most PROBE_BLOCK, small enough that the route's
+    temporary holds at most PROBE_CHUNK_ENTRIES complex entries, unless one trial alone is
+    larger: on a list of k >= d_out d_in operators that is the (chunk, d_out, d_out)
+    output stack, applied through the channel's superoperator, and otherwise also the
+    (chunk, k, d_out, d_in) Kraus sandwich (see _sandwich).  A chunk is one stack of
+    states, one _sandwich and one `eigh` of the outputs.  Every
     output state passes the checks of DensityMatrix and its spectrum's ProbVector; every
     input state is proved by its drawn spectrum and Haar factor (densop._haar_states),
     and its entropy is that of its drawn spectrum.

@@ -1,5 +1,6 @@
 import collections
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -664,6 +665,10 @@ def loop_reference(phi):
     }
 
 
+def _gaussian_stack(rng, n, rows, cols):
+    return rng.standard_normal((n, rows, cols)) + 1j * rng.standard_normal((n, rows, cols))
+
+
 class TestKrausStack:
     # stacked GEMMs sum in another order than the loops: allow a few ulps per term
     TOL = 1e-12
@@ -671,8 +676,7 @@ class TestKrausStack:
     @pytest.mark.parametrize("d_in,d_out,terms", [(3, 3, 1), (2, 5, 3), (4, 6, 2)])
     def test_matches_per_operator_loops(self, d_in, d_out, terms):
         rng = np.random.default_rng(44 + d_out)
-        g = rng.standard_normal((terms, d_out, d_in)) + 1j * rng.standard_normal(
-            (terms, d_out, d_in))
+        g = _gaussian_stack(rng, terms, d_out, d_in)
         phi = KrausChannel(g)
         ref = loop_reference(phi)
         x = rng.standard_normal((d_in, d_in)) + 1j * rng.standard_normal((d_in, d_in))
@@ -682,6 +686,23 @@ class TestKrausStack:
         assert np.abs(choi_matrix(phi) - ref["choi"]).max() <= self.TOL * scale
         assert abs(phi.completeness_defect - ref["completeness"]) <= self.TOL * scale
         assert abs(phi.unitality_defect - ref["unitality"]) <= self.TOL * scale
+
+    @pytest.mark.parametrize("make", [
+        *[lambda d=d: depolarizing_channel(d, 0.6) for d in range(2, 9)],
+        lambda: KrausChannel(_gaussian_stack(np.random.default_rng(47), 6, 3, 2)),
+        lambda: KrausChannel(_gaussian_stack(np.random.default_rng(48), 8, 2, 3)),
+        lambda: compose_channels(depolarizing_channel(3, 0.5),
+                                 pinching_channel(haar_unitary(3, np.random.default_rng(49)))),
+    ], ids=[*[f"depolarizing-d{d}" for d in range(2, 9)], "tall-k6", "wide-k8", "composition"])
+    def test_stacked_states_on_a_redundant_list_match_per_operator_loops(self, make):
+        phi = make()
+        assert qchan._via_superoperator(phi.kraus)
+        x = _gaussian_stack(np.random.default_rng(50), 5, phi.d_in, phi.d_in)
+        scale = np.abs(phi.kraus).max() ** 2 * phi.num_kraus * max(phi.d_in, phi.d_out)
+        stacked = qchan._sandwich(phi.kraus, x)
+        assert stacked.shape == (5, phi.d_out, phi.d_out)
+        for xi, out in zip(x, stacked):
+            assert np.abs(out - kraus_sum(phi, xi)).max() <= self.TOL * scale * 10
 
     def test_stack_is_read_only_and_ordered(self):
         rng = np.random.default_rng(45)
@@ -881,10 +902,8 @@ class TestBatchedProbeMatchesPerTrial:
         assert (result.worst_trial, result.trials) == (trial, 1) == (0, 1)
         assert abs(result.max_deviation - dev) <= 1e-14
 
-    def test_trials_one_past_a_chunk_boundary(self, monkeypatch):
-        phi = depolarizing_channel(8, 0.9)  # k = 64 Kraus operators
-        assert phi.num_kraus == 64
-        chunk = PROBE_CHUNK_ENTRIES // phi.kraus.size
+    @staticmethod
+    def _one_past_a_chunk(monkeypatch, phi, chunk):
         calls = []
         spectra = qchan.spectra
         monkeypatch.setattr(qchan, "spectra", lambda x: calls.append(len(x)) or spectra(x))
@@ -893,6 +912,18 @@ class TestBatchedProbeMatchesPerTrial:
         dev, trial, _ = per_trial_probe(phi, chunk + 1, np.random.default_rng(68))
         assert result.worst_trial == trial
         assert abs(result.max_deviation - dev) <= 1e-14
+
+    def test_trials_one_past_a_chunk_boundary(self, monkeypatch):
+        rng = np.random.default_rng(67)
+        phi = mixed_unitary_channel(np.full(8, 1 / 8), [haar_unitary(8, rng) for _ in range(8)])
+        assert not qchan._via_superoperator(phi.kraus)  # k = 8 < d_out d_in = 64
+        self._one_past_a_chunk(monkeypatch, phi, PROBE_CHUNK_ENTRIES // phi.kraus.size)
+
+    def test_trials_one_past_a_superoperator_chunk_boundary(self, monkeypatch):
+        phi = depolarizing_channel(8, 0.9)  # k = 64 = d_out d_in
+        assert qchan._via_superoperator(phi.kraus)
+        monkeypatch.setattr(qchan, "PROBE_CHUNK_ENTRIES", 4 * phi.d_out**2)
+        self._one_past_a_chunk(monkeypatch, phi, 4)
 
     def test_chunks_bound_a_wide_output_stack(self, monkeypatch):
         phi, _ = random_isometric_conjugation_channel(2, 40, np.random.default_rng(73), 1)
@@ -912,14 +943,46 @@ class TestBatchedProbeMatchesPerTrial:
         replay = abs(von_neumann_entropy(apply_channel(phi, rho)) - von_neumann_entropy(rho))
         assert abs(replay - result.max_deviation) <= 1e-14
 
-    def test_eigensolver_runs_once_per_chunk(self, monkeypatch):
+    @pytest.mark.parametrize("make,trials,shape", [
+        (lambda: random_isometric_conjugation_channel(3, 7, np.random.default_rng(71), 1)[0],
+         40, (40, 7, 7)),
+        (lambda: depolarizing_channel(8, 0.6), 25, (25, 8, 8)),  # 7 chunks on the Kraus route
+    ], ids=["isometric-d7", "depolarizing-d8"])
+    def test_eigensolver_runs_once_per_chunk(self, monkeypatch, make, trials, shape):
+        phi = make()
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
         monkeypatch.setattr(np.linalg, "eigvalsh", None)  # the probe needs no second solver
-        phi, _ = random_isometric_conjugation_channel(3, 7, np.random.default_rng(71), 1)
-        entropy_probe(phi, 40, np.random.default_rng(72))
-        assert calls == [(40, 7, 7)]  # the outputs; each input is proved by its draws
+        entropy_probe(phi, trials, np.random.default_rng(72))
+        assert calls == [shape]  # the outputs; each input is proved by its draws
+
+    def test_superoperator_route_memory(self):
+        """The peak of each sandwich of a 256-trial probe stays within the Kraus stack (its
+        conjugate), S and the chunk's outputs; the Kraus route would have made a
+        (256, 64, 8, 8) temporary of 16 MiB."""
+        phi = depolarizing_channel(8, 0.6)
+        peaks = []
+        sandwich = qchan._sandwich
+
+        def traced(stack, x):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = sandwich(stack, x)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qchan, "_sandwich", traced)
+            tracemalloc.start()
+            try:
+                entropy_probe(phi, PROBE_BLOCK, np.random.default_rng(75))
+            finally:
+                tracemalloc.stop()
+        s_bytes = phi.d_out**2 * phi.d_in**2 * 16
+        assert s_bytes <= phi.kraus.nbytes
+        assert len(peaks) == 1
+        assert peaks[0] <= phi.kraus.nbytes + s_bytes + PROBE_BLOCK * phi.d_out**2 * 16
 
 
 class TestProbeReplayContract:
@@ -954,10 +1017,16 @@ class TestProbeReplayContract:
             np.testing.assert_allclose(rho.spectrum.entries, vals, atol=1e-15)
 
     @pytest.mark.parametrize("chunk", [1, 4, PROBE_BLOCK])
-    def test_deviations_do_not_depend_on_the_chunk(self, monkeypatch, chunk):
-        phi = pinching_channel(haar_unitary(3, np.random.default_rng(81)))
+    @pytest.mark.parametrize("make,per_trial", [
+        (lambda: pinching_channel(haar_unitary(3, np.random.default_rng(81))),
+         lambda phi: phi.kraus.size),
+        (lambda: depolarizing_channel(3, 0.6), lambda phi: phi.d_out**2),
+        (lambda: depolarizing_channel(8, 0.6), lambda phi: phi.d_out**2),
+    ], ids=["pinching-d3", "depolarizing-d3", "depolarizing-d8"])
+    def test_deviations_do_not_depend_on_the_chunk(self, monkeypatch, make, per_trial, chunk):
+        phi = make()
         whole = qchan._probe_deviations(phi, self.TRIALS, 82)
-        monkeypatch.setattr(qchan, "PROBE_CHUNK_ENTRIES", chunk * phi.kraus.size)
+        monkeypatch.setattr(qchan, "PROBE_CHUNK_ENTRIES", chunk * per_trial(phi))
         sizes = []
         spectra = qchan.spectra
         monkeypatch.setattr(qchan, "spectra", lambda x: sizes.append(len(x)) or spectra(x))
