@@ -12,7 +12,7 @@ import argparse
 
 import numpy as np
 
-from entmaj.qchan import detect_isometry, detector_corpus, entropy_probe
+from entmaj.qchan import ISOMETRY_TOL, detect_isometry, detector_corpus, entropy_probe
 
 
 def main(argv=None):
@@ -20,7 +20,7 @@ def main(argv=None):
     ap.add_argument("--positives", type=int, default=50)
     ap.add_argument("--negatives", type=int, default=50)
     ap.add_argument("--trials", type=int, default=300)
-    ap.add_argument("--tol", type=float, default=1e-7)
+    ap.add_argument("--tol", type=float, default=ISOMETRY_TOL)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
 

@@ -122,13 +122,16 @@ class IsometryReport:
     largest defect G_ii G_jj - |G_ij|^2 and gap the sum of all but the
     largest eigenvalue of G.  When the gap passes but V misses being an
     isometry, it is ((t, t), isometry defect of V) with t the heaviest entry
-    of the top eigenvector.
+    of the top eigenvector.  The verdict is derived: `isometry` is set on success only.
     """
 
-    is_isometric_conjugation: bool
     isometry: Optional[np.ndarray] = None
     gram: Optional[np.ndarray] = None
     failure_witness: Optional[tuple[tuple[int, int], float]] = None
+
+    @property
+    def is_isometric_conjugation(self) -> bool:
+        return self.isometry is not None
 
 
 @dataclass(frozen=True)
@@ -408,20 +411,19 @@ def detect_isometry(phi: KrausChannel, tol: float = ISOMETRY_TOL) -> IsometryRep
         diag = gram.diagonal().real
         defect = np.triu(np.outer(diag, diag) - np.abs(gram) ** 2, 1)
         i, j = np.unravel_index(np.argmax(defect), defect.shape)
-        return IsometryReport(is_isometric_conjugation=False,
-                              failure_witness=((int(i), int(j)), gap))
+        return IsometryReport(failure_witness=((int(i), int(j)), gap))
     u = evecs[:, -1]
     v = (u @ flat).reshape(phi.d_out, phi.d_in) / np.sqrt(evals[-1])
     dev = isometry_defect(v)
     if not dev <= tol:
         t = int(np.argmax(np.abs(u)))
-        return IsometryReport(is_isometric_conjugation=False, failure_witness=((t, t), dev))
+        return IsometryReport(failure_witness=((t, t), dev))
     # fix the global phase: first nonzero column entry becomes real positive
     col = v.T.reshape(-1)
     lead = col[np.abs(col) > CLAMP_TOL][0]
     v = v * (lead.conjugate() / abs(lead))
     v.setflags(write=False)
-    return IsometryReport(is_isometric_conjugation=True, isometry=v, gram=gram)
+    return IsometryReport(isometry=v, gram=gram)
 
 
 def _probe_block(d: int, base_seed: int, block: int):

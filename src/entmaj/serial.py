@@ -147,7 +147,8 @@ def prob_vector_from_json(obj, where: str = "prob_vector") -> ProbVector:
     values = _numbers_at_once(entries, (len(entries),))
     if values is None:  # read again entry by entry, to name the first bad one
         values = np.array([_number(x, field, k) for k, x in enumerate(entries)])
-    return _construct(field, ProbVector, values, normalized=bool(obj.get("normalized", False)))
+    normalized = _expect(obj, "normalized", bool, where) if "normalized" in obj else False
+    return _construct(field, ProbVector, values, normalized=normalized)
 
 
 def real_matrix_to_json(m) -> dict:

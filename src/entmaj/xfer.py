@@ -127,19 +127,6 @@ def _ints(values, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
-def _previous(first, term, row, col, k) -> np.ndarray:
-    """The column each change's row maps to in the term before, for changes with distinct
-    (term, row): the row's previous change, or `first` where it has none."""
-    by_row = np.argsort(row * k + term)
-    r, c = row[by_row], col[by_row]
-    prev = first[r]
-    again = np.flatnonzero(r[1:] == r[:-1]) + 1
-    prev[again] = c[again - 1]
-    old = np.empty_like(prev)
-    old[by_row] = prev
-    return old
-
-
 @dataclass(frozen=True)
 class BirkhoffDecomposition:
     """Convex mixture of permutations, stored as it is built: the weights t_0..t_{k-1},
@@ -149,9 +136,11 @@ class BirkhoffDecomposition:
     int array of [term, row, col]: the permutation of `term` maps row to col where that
     of term - 1 does not, and copies it on every row it does not name.  1 <= term < k,
     the (term, row) pairs strictly increase, and every later term changes a row.  The
-    type checks this once, in O(C log C), with each term's changed rows taking exactly
-    the multiset of columns they leave, and at most (d-1)^2+1 terms.  `permutations`,
-    the read-only (terms, d) stack, is built from the changes when first read.
+    type checks this once, in O((d + C) log(d + C)), on the run table `_runs()` that
+    `matrix()` and `permutations` also read: no change keeps the column of the run
+    before it, each term's changed rows take exactly the multiset of columns they leave,
+    and there are at most (d-1)^2+1 terms.  `permutations`, the read-only (terms, d)
+    stack, is built from the runs when first read.
     """
 
     weights: np.ndarray
@@ -184,18 +173,24 @@ class BirkhoffDecomposition:
         idle = np.flatnonzero(np.bincount(term, minlength=k)[1:] == 0)
         if idle.size:
             raise InvalidValue(f"term {idle[0] + 1} has no change")
-        old = _previous(first, term, row, col, k)
-        same = np.flatnonzero(old == col)
-        if same.size:
-            t, r, c = changes[same[0]]
-            raise InvalidValue(f"term {t}: row {r} already maps to column {c}")
-        left = np.sort(term * d + old)
-        wrong = np.flatnonzero(left != np.sort(term * d + col))
-        if wrong.size:
-            raise InvalidValue(f"term {left[wrong[0]] // d} is not a permutation of 0..d-1")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "first", first)
         object.__setattr__(self, "changes", changes)
+        start, cols = self._runs()[:2]
+        t = start[1:] % k
+        run = t > 0  # a change's run follows the run it replaces in its row
+        t, before, after = t[run], cols[:-1][run], cols[1:][run]
+        same = np.flatnonzero(before == after)
+        if same.size:
+            r = start[1:][run][same] // k
+            i = np.argmin(t[same] * d + r)  # the first in (term, row) order
+            raise InvalidValue(f"term {t[same[i]]}: row {r[i]} already maps to column "
+                               f"{after[same[i]]}")
+        del start, cols  # freed before the sorts
+        left = np.sort(t * d + before)
+        wrong = np.flatnonzero(left != np.sort(t * d + after))
+        if wrong.size:
+            raise InvalidValue(f"term {left[wrong[0]] // d} is not a permutation of 0..d-1")
 
     @property
     def d(self) -> int:

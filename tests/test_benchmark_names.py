@@ -29,9 +29,8 @@ def _traced_names():
 
 
 KNOWN_DEAD = {
-    "serial.load_json": "deleted with the guessing loader; the benchmark change of ROADMAP "
-                        "item 1 (a trajectory file, no scipy, live metrics) traces "
-                        "serial.read_json instead",
+    "serial.load_json": "deleted with the guessing loader; the benchmark change that "
+                        "traces serial.read_json in its place mends this",
 }
 
 NAMES = [pytest.param(n, marks=pytest.mark.xfail(strict=True, reason=KNOWN_DEAD[n]))

@@ -668,6 +668,13 @@ class TestExitCodeContract:
         self.assert_error_line(rc, out, err)
         assert "spectrum sums to 2.0" in err
 
+    def test_normalized_flag_that_is_no_bool_exit_two(self, tmp_path, capsys):
+        p = tmp_path / "pv.json"
+        write_json(p, {"entries": [0.3, 0.3], "normalized": "false"})
+        rc, out, err = run(capsys, "entropy", "--in", str(p))
+        self.assert_error_line(rc, out, err)
+        assert err.rstrip() == f"error: {p}.normalized: expected bool"
+
     @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "-inf"])
     def test_tol_outside_open_half_line_exit_two(self, tmp_path, capsys, tol):
         p = tmp_path / "q.json"

@@ -111,6 +111,16 @@ class TestSchemaErrors:
             prob_vector_from_json({"entries": [0.5, "x"]})
         assert "entries[1]" in str(err.value)
 
+    @pytest.mark.parametrize("value", ["false", "yes", 0, 1, None, []],
+                             ids=["false-string", "yes-string", "zero", "one", "null", "list"])
+    def test_normalized_must_be_a_bool(self, value):
+        with pytest.raises(SchemaError, match="expected bool") as err:
+            prob_vector_from_json({"entries": [0.3, 0.3], "normalized": value}, "pv")
+        assert err.value.field == "pv.normalized"
+
+    def test_missing_normalized_reads_as_false(self):
+        assert not prob_vector_from_json({"entries": [0.3, 0.3]}).normalized
+
     def test_non_hermitian_density_names_worst_pair(self):
         obj = {**complex_matrix_to_json(np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)),
                "kind": "density"}

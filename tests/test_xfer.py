@@ -526,9 +526,12 @@ class TestBirkhoffChangeList:
         ([[1, 0, -1], [1, 1, 0], [2, 1, 2], [2, 2, 1]], r"term 1: change \[1, 0, -1\] out of"),
         ([[1, 0, 1], [1, 1, 0], [1, 2, 2], [2, 1, 2], [2, 2, 0]],
          "term 1: row 2 already maps to column 2"),
+        # row-major order would name (term 2, row 0) first
+        ([[1, 0, 1], [1, 1, 0], [1, 2, 2], [2, 0, 1], [2, 1, 2], [2, 2, 0]],
+         "term 1: row 2 already maps to column 2"),
     ], ids=["no-permutation", "no-permutation-later", "unordered-rows", "unordered-terms",
             "repeated-row", "idle-last-term", "idle-first-term", "term-too-large", "term-zero",
-            "row-out-of-range", "negative-col", "no-op-change"])
+            "row-out-of-range", "negative-col", "no-op-change", "two-no-op-changes"])
     def test_malformed_change_lists_name_the_term(self, changes, message):
         with pytest.raises(InvalidValue, match=message):
             self.build(changes)
