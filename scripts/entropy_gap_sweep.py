@@ -12,7 +12,7 @@ import argparse
 
 import numpy as np
 
-from entmaj.seqmaj import ProbVector, shannon_entropy
+from entmaj.seqmaj import ProbVector, random_majorized_pair, shannon_entropy
 
 
 def grid_minimum_2d(floor, gap, step):
@@ -32,10 +32,9 @@ def random_minimum(d, floor, gap, samples, rng):
     found = 0
     while found < samples and tries < samples * 200:
         tries += 1
-        b = (1 - d * floor * 1.2) * rng.dirichlet(np.ones(d)) + floor * 1.2
-        a = np.zeros(d)
-        for w in rng.dirichlet(np.ones(4)):
-            a += w * b[rng.permutation(d)]
+        # the floor map is affine and the mixture weights sum to 1, so a stays majorized by b
+        a, b = ((1 - d * floor * 1.2) * v.entries + floor * 1.2
+                for v in random_majorized_pair(d, rng))
         if np.abs(np.sort(a) - np.sort(b)).max() < gap:
             continue
         found += 1

@@ -12,6 +12,7 @@ import numpy as np
 
 from entmaj.densop import haar_unitary, random_density
 from entmaj.qchan import pinch_convergence_experiment
+from entmaj.serial import pinch_table_to_csv
 
 
 def main(argv=None):
@@ -30,10 +31,7 @@ def main(argv=None):
         basis = haar_unitary(args.d, rng)
         rows = pinch_convergence_experiment(rho, basis)
         path = args.outdir / f"state_{k:03d}.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("n,trace_distance,bound\n")
-            for r in rows:
-                fh.write(f"{r.n},{r.trace_distance!r},{r.bound!r}\n")
+        path.write_text(pinch_table_to_csv(rows), encoding="utf-8")
         slack = max(r.trace_distance - r.bound for r in rows)
         worst_slack = max(worst_slack, slack)
         print(f"state {k:3d}: final distance {rows[-1].trace_distance:.2e}, "

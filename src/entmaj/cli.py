@@ -43,6 +43,7 @@ from .serial import (
     frame_to_json,
     isometry_report_to_json,
     mixed_unitary_to_json,
+    pinch_table_to_csv,
     prob_vector_from_json,
     prob_vector_to_json,
     read_json,
@@ -92,7 +93,8 @@ FLAGS = {
     "--d": {"type": _above(int, high=MAX_D), "default": 4},
     "--trials": {"type": _above(int, high=MAX_TRIALS), "default": 1000},
     "--require": {"action": "store_true", "help": "exit 1 on a negative verdict"},
-    "--expect-isometry": {"action": "store_true", "help": "exit 1 on a negative detection"},
+    "--expect-isometry": {"action": "store_true", "dest": "require",
+                          "help": "exit 1 on a negative detection"},
 }
 
 
@@ -103,15 +105,17 @@ def _parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="subcommand", required=True)
 
     def add(name, run, help_, load=None, tol=None, flags=()):
-        """--out, plus --in if `load` reads files, --tol if `tol` is set, and `flags`."""
+        """--out, plus --in if `load` reads files, --tol if `tol` = (the report's
+        tolerances key for it, its default) is set, and `flags`."""
         p = sub.add_parser(name, help=help_)
-        p.set_defaults(run=run, load=load)
+        p.set_defaults(run=run, load=load, tol_key=None, require=False)
         if load is not None:
             p.add_argument("--in", dest="inputs", action="append", default=[],
                            metavar="PATH", help="input file (repeatable, ordered)")
         p.add_argument("--out", default=None, metavar="PATH")
         if tol is not None:
-            p.add_argument("--tol", type=_above(float), default=tol)
+            p.set_defaults(tol_key=tol[0])
+            p.add_argument("--tol", type=_above(float), default=tol[1])
         for flag in flags:
             p.add_argument(flag, **FLAGS[flag])
         return p
@@ -119,25 +123,26 @@ def _parser() -> argparse.ArgumentParser:
     vectors = partial(_load_pair, keys=("a", "b"), from_json=prob_vector_from_json)
     states = partial(_load_pair, keys=("rho1", "rho2"), from_json=density_from_json)
     channel = partial(_load_one, from_json=channel_from_json)
+    maj = ("majorization_abs", MAJORIZATION_TOL)
     add("entropy", _run_entropy, "Shannon/von Neumann entropy of a vector or state",
         partial(_load_one, from_json=vector_or_state_from_json))
     add("majorize", _run_majorize, "decide whether the first vector is majorized by the second",
-        vectors, MAJORIZATION_TOL, ("--require",))
+        vectors, maj, ("--require",))
     add("transfer", _run_transfer, "elementary transfer chain certifying majorization",
-        vectors, MAJORIZATION_TOL)
+        vectors, maj)
     add("birkhoff", _run_birkhoff, "split a doubly stochastic matrix into permutations",
-        partial(_load_one, from_json=real_matrix_from_json), SUPPORT_TOL)
+        partial(_load_one, from_json=real_matrix_from_json), ("support_threshold", SUPPORT_TOL))
     add("schur-horn", _run_schur_horn,
         "plane rotations of an orthogonal matrix carrying one spectrum onto a diagonal",
-        vectors, MAJORIZATION_TOL)
+        vectors, maj)
     add("uhlmann", _run_uhlmann, "bistochastic channel carrying the second state onto the first",
-        states, MAJORIZATION_TOL)
+        states, maj)
     add("mixed-unitary", _run_mixed_unitary,
-        "unitary mixture carrying the second state onto the first", states, MAJORIZATION_TOL)
+        "unitary mixture carrying the second state onto the first", states, maj)
     add("pinch-converge", _run_pinch_converge, "phase-averaging convergence table (CSV)",
         _load_state_and_basis)
     add("detect-isometry", _run_detect_isometry, "test a channel for isometric conjugation",
-        channel, ISOMETRY_TOL, ("--expect-isometry",))
+        channel, ("gram_rank_gap", ISOMETRY_TOL), ("--expect-isometry",))
     add("probe-entropy", _run_probe_entropy, "max entropy deviation over random states",
         channel, flags=("--seed", "--trials"))
     add("gen", _run_gen, "generate seeded random inputs", flags=("--seed", "--d")).add_argument(
@@ -167,7 +172,7 @@ def _load_pair(paths, keys, from_json):
         if not isinstance(obj, dict) or any(k not in obj for k in keys):
             raise SchemaError(f"bundle needs fields {keys[0]!r} and {keys[1]!r}",
                               field=str(paths[0]))
-        return tuple(from_json(obj[k], k) for k in keys)
+        return tuple(from_json(obj[k], f"{paths[0]}.{k}") for k in keys)
     if len(paths) != 2:
         raise SchemaError(f"expected a bundle or 2 --in files, got {len(paths)}")
     return tuple(from_json(read_json(p), str(p)) for p in paths)
@@ -182,14 +187,21 @@ def _load_state_and_basis(paths):
     return rho2, basis
 
 
-def _finish(args, tolerances, body) -> int:
-    """Write the report; exit 1 if one of its `verified` ok_ checks failed."""
-    report = {"subcommand": args.subcommand, "version": __version__,
-              "tolerances": tolerances, **body}
-    _emit(dumps_report(report), args.out)
-    verified = report.get("verified", {})
+def _report(args, **fields) -> None:
+    """Write one JSON report: the subcommand and version, then `fields`."""
+    _emit(dumps_report({"subcommand": args.subcommand, "version": __version__, **fields}),
+          args.out)
+
+
+def _finish(args, body, verified, bounds=(), holds=True) -> int:
+    """Write the report of a run, its tolerances being --tol under the key its subcommand
+    declares plus the fixed `bounds`; exit 1 if one of its `verified` ok_ checks failed,
+    or if its verdict does not hold under --require / --expect-isometry."""
+    tolerances = {} if args.tol_key is None else {args.tol_key: args.tol}
+    tolerances.update(bounds)
+    _report(args, tolerances=tolerances, **body, verified=verified)
     ok = all(v for k, v in verified.items() if k.startswith("ok_"))
-    return 0 if ok else 1
+    return 0 if ok and (holds or not args.require) else 1
 
 
 def _run_entropy(args) -> int:
@@ -202,19 +214,15 @@ def _run_entropy(args) -> int:
         bits = von_neumann_entropy(value)
         kind = "density"
         total = float(value.matrix.trace().real)
-    body = {"shannon_bits": bits, "input_kind": kind,
-            "verified": {"input_total": total, "ok_nonnegative": bits >= 0.0}}
-    return _finish(args, {}, body)
+    return _finish(args, {"shannon_bits": bits, "input_kind": kind},
+                   {"input_total": total, "ok_nonnegative": bits >= 0.0})
 
 
 def _run_majorize(args) -> int:
     a, b = args.load(args.inputs)
     verdict = is_majorized(a, b, args.tol)
-    body = {**verdict_to_json(verdict), "verified": {"prefix_pairs_checked": max(a.d, b.d)}}
-    rc = _finish(args, {"majorization_abs": args.tol}, body)
-    if args.require and not verdict.holds:
-        return 1
-    return rc
+    return _finish(args, verdict_to_json(verdict), {"prefix_pairs_checked": max(a.d, b.d)},
+                   holds=verdict.holds)
 
 
 def _run_transfer(args) -> int:
@@ -222,11 +230,10 @@ def _run_transfer(args) -> int:
     chain = find_transfer_chain(a, b, args.tol)
     source, target = sorted_padded(b, chain.d), sorted_padded(a, chain.d)
     err = float(np.abs(chain_to_doubly_stochastic(chain).entries @ source - target).max())
-    body = {"chain": chain_to_json(chain),
-            "verified": {"replay_max_abs_error": err, "ok_replay": err <= REPLAY_TOL,
-                         "steps": len(chain.steps), "step_bound": chain.d - 1,
-                         "ok_step_bound": len(chain.steps) <= chain.d - 1}}
-    return _finish(args, {"majorization_abs": args.tol}, body)
+    return _finish(args, {"chain": chain_to_json(chain)},
+                   {"replay_max_abs_error": err, "ok_replay": err <= REPLAY_TOL,
+                    "steps": len(chain.steps), "step_bound": chain.d - 1,
+                    "ok_step_bound": len(chain.steps) <= chain.d - 1})
 
 
 def _run_birkhoff(args) -> int:
@@ -236,12 +243,11 @@ def _run_birkhoff(args) -> int:
     m -= q.entries
     err = float(np.abs(m, out=m).max())
     bound = (q.d - 1) ** 2 + 1
-    body = dict(birkhoff_to_json(decomp))
-    body["verified"] = {"reconstruction_max_error": err, "ok_reconstruction": err <= 10 * args.tol,
-                        "term_count": len(decomp.weights), "term_bound": bound,
-                        "ok_term_bound": len(decomp.weights) <= bound,
-                        "weight_sum": float(decomp.weights.sum())}
-    return _finish(args, {"support_threshold": args.tol}, body)
+    return _finish(args, birkhoff_to_json(decomp),
+                   {"reconstruction_max_error": err, "ok_reconstruction": err <= 10 * args.tol,
+                    "term_count": len(decomp.weights), "term_bound": bound,
+                    "ok_term_bound": len(decomp.weights) <= bound,
+                    "weight_sum": float(decomp.weights.sum())})
 
 
 def _run_schur_horn(args) -> int:
@@ -251,10 +257,9 @@ def _run_schur_horn(args) -> int:
     diag = (u.entries ** 2) @ sorted_padded(b, u.d)  # the diagonal of U diag(b) U^T
     err = float(np.abs(diag - sorted_padded(a, u.d)).max())
     defect = u.orthogonality_defect
-    body = {"rotations": chain_to_json(chain),
-            "verified": {"diagonal_max_error": err, "ok_diagonal": err <= REPLAY_TOL,
-                         "orthogonality_defect": defect, "ok_orthogonal": defect <= UNITARY_TOL}}
-    return _finish(args, {"majorization_abs": args.tol}, body)
+    return _finish(args, {"rotations": chain_to_json(chain)},
+                   {"diagonal_max_error": err, "ok_diagonal": err <= REPLAY_TOL,
+                    "orthogonality_defect": defect, "ok_orthogonal": defect <= UNITARY_TOL})
 
 
 def _run_uhlmann(args) -> int:
@@ -263,15 +268,11 @@ def _run_uhlmann(args) -> int:
     td = trace_distance(frame.apply(rho2, rank_one=True), rho1)
     # for |f_i><e_i|: sum A*A = E E^* and sum AA* = F F^*, each the identity for unitary E, F
     completeness, unitality = isometry_defect(frame.e), isometry_defect(frame.f)
-    body = frame_to_json(frame)
-    body["verified"] = {
+    return _finish(args, frame_to_json(frame), {
         "trace_distance": td, "ok_trace_distance": td <= TRACE_DISTANCE_TOL,
         "completeness_defect": completeness, "ok_completeness": completeness <= COMPLETENESS_TOL,
         "unitality_defect": unitality, "ok_unitality": unitality <= COMPLETENESS_TOL,
-    }
-    tols = {"majorization_abs": args.tol, "trace_distance_max": TRACE_DISTANCE_TOL,
-            "completeness_max": COMPLETENESS_TOL}
-    return _finish(args, tols, body)
+    }, {"trace_distance_max": TRACE_DISTANCE_TOL, "completeness_max": COMPLETENESS_TOL})
 
 
 def _run_mixed_unitary(args) -> int:
@@ -280,15 +281,13 @@ def _run_mixed_unitary(args) -> int:
     td = trace_distance(mix.apply(rho2), rho1)
     count, bound = mix.num_terms, (rho1.d - 1) ** 2 + 1
     unitary = max(isometry_defect(mix.f), isometry_defect(mix.e))  # the factors of each U_k
-    body = mixed_unitary_to_json(mix)
-    body["verified"] = {"trace_distance": td, "ok_trace_distance": td <= TRACE_DISTANCE_TOL,
-                        "term_count": count, "term_bound": bound, "ok_term_bound": count <= bound,
-                        "caratheodory_bound": rho1.d, "ok_caratheodory_bound": count <= rho1.d,
-                        "weight_sum": float(mix.weights.sum()),
-                        "unitary_defect": unitary, "ok_unitary": unitary <= COMPLETENESS_TOL}
-    tols = {"majorization_abs": args.tol, "trace_distance_max": TRACE_DISTANCE_TOL,
-            "unitary_max": COMPLETENESS_TOL}
-    return _finish(args, tols, body)
+    return _finish(args, mixed_unitary_to_json(mix), {
+        "trace_distance": td, "ok_trace_distance": td <= TRACE_DISTANCE_TOL,
+        "term_count": count, "term_bound": bound, "ok_term_bound": count <= bound,
+        "caratheodory_bound": rho1.d, "ok_caratheodory_bound": count <= rho1.d,
+        "weight_sum": float(mix.weights.sum()),
+        "unitary_defect": unitary, "ok_unitary": unitary <= COMPLETENESS_TOL,
+    }, {"trace_distance_max": TRACE_DISTANCE_TOL, "unitary_max": COMPLETENESS_TOL})
 
 
 def _run_pinch_converge(args) -> int:
@@ -296,33 +295,25 @@ def _run_pinch_converge(args) -> int:
     rows = pinch_convergence_experiment(rho2, basis)
     ok = all(r.trace_distance <= r.bound + PINCH_SLACK for r in rows)
     final_ok = rows[-1].trace_distance <= PINCH_SLACK
-    lines = [f"# entmaj {__version__} pinch-converge d={rho2.d} "
-             f"bound_slack={PINCH_SLACK} ok_bound={ok} ok_final={final_ok}",
-             "n,trace_distance,bound"]
-    lines += [f"{r.n},{r.trace_distance!r},{r.bound!r}" for r in rows]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(f"# entmaj {__version__} pinch-converge d={rho2.d} bound_slack={PINCH_SLACK} "
+          f"ok_bound={ok} ok_final={final_ok}\n" + pinch_table_to_csv(rows), args.out)
     return 0 if ok and final_ok else 1
 
 
 def _run_detect_isometry(args) -> int:
     report = detect_isometry(args.load(args.inputs), args.tol)
-    body = dict(isometry_report_to_json(report))
     defect = None if report.isometry is None else isometry_defect(report.isometry)
-    body["verified"] = {"isometry_defect": defect}
-    rc = _finish(args, {"gram_rank_gap": args.tol}, body)
-    if args.expect_isometry and not report.is_isometric_conjugation:
-        return 1
-    return rc
+    return _finish(args, isometry_report_to_json(report), {"isometry_defect": defect},
+                   holds=report.is_isometric_conjugation)
 
 
 def _run_probe_entropy(args) -> int:
     phi = args.load(args.inputs)
     result = entropy_probe(phi, args.trials, np.random.default_rng(args.seed))
-    body = {"seed": args.seed, "max_abs_entropy_deviation": result.max_deviation,
-            "base_seed": result.base_seed, "worst_trial": result.worst_trial,
-            "trials": result.trials,
-            "verified": {"ok_trials": result.trials == args.trials}}
-    return _finish(args, {}, body)
+    return _finish(args, {"seed": args.seed, "max_abs_entropy_deviation": result.max_deviation,
+                          "base_seed": result.base_seed, "worst_trial": result.worst_trial,
+                          "trials": result.trials},
+                   {"ok_trials": result.trials == args.trials})
 
 
 def _run_gen(args) -> int:
@@ -356,12 +347,9 @@ def main(argv=None) -> int:
         print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return 2
     except DomainError as exc:
-        report = {"subcommand": args.subcommand, "version": __version__,
-                  "error": type(exc).__name__, "message": str(exc)}
         verdict = getattr(exc, "verdict", None)
-        if verdict is not None:
-            report["verdict"] = verdict_to_json(verdict)
-        _emit(dumps_report(report), args.out)
+        extra = {} if verdict is None else {"verdict": verdict_to_json(verdict)}
+        _report(args, error=type(exc).__name__, message=str(exc), **extra)
         return 1
 
 

@@ -1,4 +1,4 @@
-"""JSON wire formats for every value the CLI reads or writes.
+"""Wire formats for every value the CLI reads or writes: JSON, and CSV for the pinch table.
 
 Schemas:
   probability vector   {"entries": [x1, ...], "normalized": bool}
@@ -7,6 +7,10 @@ Schemas:
   density matrix       complex matrix plus "kind": "density"        (validated on load)
   Kraus channel        {"d_in": n, "d_out": m, "kraus": [<complex matrix>, ...],
                         "flags": {"trace_preserving": b, "unital": b}}
+  vector bundle        {"a": <probability vector>, "b": <probability vector>}
+                       (read by majorize, transfer, schur-horn; written by gen pair)
+  state bundle         {"rho1": <density matrix>, "rho2": <density matrix>}
+                       (read by uhlmann, mixed-unitary; written by gen state-pair)
   transfer chain       {"d": n, "steps": [{"i": i, "j": j, "t": t}, ...]}   (written only)
   Schur-Horn rotations {"rotations": <transfer chain>}                      (written only)
                        (U = G_m ... G_1: step k maps rows i and j to c r_i - s r_j and
@@ -22,6 +26,7 @@ Schemas:
   Uhlmann frame        {"f": <complex matrix>, "e": <complex matrix>}    (written only)
   mixed-unitary frame  Uhlmann frame plus "pos": [p1, ...], "weight": 1/n (written only)
                        (U_k = F diag(omega^(k pos)) E^*, omega = exp(2 pi i / n), k < n)
+  pinch table          CSV "n,trace_distance,bound", then one row per n  (written only)
 
 Each reader reads the one schema its caller names; none guesses a schema from
 the keys it finds, and `vector_or_state_from_json` is the only one that takes two.
@@ -41,12 +46,11 @@ from __future__ import annotations
 import json
 import sys
 from itertools import chain
-from typing import Any
 
 import numpy as np
 
 from .errors import DomainError, SchemaError
-from .qchan import IsometryReport, KrausChannel, MixedUnitaryTransfer
+from .qchan import IsometryReport, KrausChannel, MixedUnitaryTransfer, PinchRow
 from .densop import DensityMatrix
 from .seqmaj import MajorizationVerdict, ProbVector
 from .xfer import (
@@ -272,16 +276,19 @@ def mixed_unitary_to_json(mix: MixedUnitaryTransfer) -> dict:
 
 
 def isometry_report_to_json(report: IsometryReport) -> dict:
-    obj: dict[str, Any] = {"is_isometric_conjugation": report.is_isometric_conjugation}
-    obj["isometry"] = (None if report.isometry is None
-                       else complex_matrix_to_json(report.isometry))
-    obj["gram"] = None if report.gram is None else complex_matrix_to_json(report.gram)
-    if report.failure_witness is None:
-        obj["failure_witness"] = None
-    else:
-        (i, j), dev = report.failure_witness
-        obj["failure_witness"] = {"pair": [int(i), int(j)], "deviation": float(dev)}
-    return obj
+    fw = report.failure_witness
+    return {"is_isometric_conjugation": report.is_isometric_conjugation,
+            **{key: None if m is None else complex_matrix_to_json(m)
+               for key, m in (("isometry", report.isometry), ("gram", report.gram))},
+            "failure_witness": None if fw is None else {"pair": [int(i) for i in fw[0]],
+                                                        "deviation": float(fw[1])}}
+
+
+def pinch_table_to_csv(rows: list[PinchRow]) -> str:
+    """The pinch table: a header line, then one `n,trace_distance,bound` line per row,
+    each real as its repr."""
+    return "n,trace_distance,bound\n" + "".join(
+        f"{r.n},{r.trace_distance!r},{r.bound!r}\n" for r in rows)
 
 
 def to_json_value(value) -> dict:

@@ -598,6 +598,30 @@ class TestParserBuiltOnce:
         assert rc == 0 and json.loads(out)["shannon_bits"] == 1.0
 
 
+@pytest.fixture
+def inputs(tmp_path, capsys):
+    """A file of each kind that a subcommand reads, `gen`'s at d = 4 and seed 3 among them."""
+    files = {}
+    for kind in ("state", "pair", "state-pair", "channel"):
+        files[kind] = str(tmp_path / f"{kind}.json")
+        run(capsys, "gen", kind, "--d", "4", "--seed", "3", "--out", files[kind])
+    bundle = json.loads(pathlib.Path(files["pair"]).read_text())
+    a, b = (prob_vector_from_json(bundle[key]) for key in ("a", "b"))
+    files["matrix"] = str(tmp_path / "matrix.json")
+    save_json(chain_to_doubly_stochastic(find_transfer_chain(a, b)), files["matrix"])
+    unmajorized = tmp_path / "unmajorized.json"
+    write_json(unmajorized, {"a": {"entries": [0.6, 0.4]}, "b": {"entries": [0.5, 0.5]}})
+    files["unmajorized"] = str(unmajorized)
+    files["isometry"] = str(tmp_path / "isometry.json")
+    save_json(random_isometric_conjugation_channel(2, 3, np.random.default_rng(4))[0],
+              files["isometry"])
+    files["dephasing"] = str(tmp_path / "dephasing.json")
+    z = np.diag([1.0, -1.0]).astype(complex)
+    save_json(KrausChannel((np.eye(2, dtype=complex) / np.sqrt(2), z / np.sqrt(2))),
+              files["dephasing"])
+    return files
+
+
 class TestExitCodeContract:
     """Every rejection exits 1 with a domain report or 2 with one `error:` line."""
 
@@ -667,6 +691,22 @@ class TestExitCodeContract:
         rc, out, err = run(capsys, sub, "--in", str(p))
         self.assert_error_line(rc, out, err)
         assert "spectrum sums to 2.0" in err
+
+    @pytest.mark.parametrize("sub,kind,field", [("majorize", "pair", "a.entries[1]"),
+                                                 ("uhlmann", "state-pair", "rho2.rows[0][1]")],
+                             ids=["vector-bundle", "state-bundle"])
+    def test_bad_entry_of_a_bundle_names_the_file(self, tmp_path, capsys, sub, kind, field):
+        bundle = tmp_path / "bundle.json"
+        run(capsys, "gen", kind, "--d", "2", "--out", str(bundle))
+        obj = json.loads(bundle.read_text())
+        if kind == "pair":
+            obj["a"]["entries"][1] = "x"
+        else:
+            obj["rho2"]["rows"][0][1] = ["x", 0.0]
+        write_json(bundle, obj)
+        rc, out, err = run(capsys, sub, "--in", str(bundle))
+        self.assert_error_line(rc, out, err)
+        assert err == f"error: {bundle}.{field}: expected a finite number\n"
 
     def test_normalized_flag_that_is_no_bool_exit_two(self, tmp_path, capsys):
         p = tmp_path / "pv.json"
@@ -830,35 +870,52 @@ class TestExitCodeContract:
         self.assert_error_line(rc, out, err)
         assert err.rstrip() == f"error: out of memory{': ' + message if message else ''}"
 
-    def test_default_tolerances_reported(self, tmp_path, capsys):
-        p = tmp_path / "q.json"
-        write_json(p, {"d": 2, "rows": [[0.5, 0.5], [0.5, 0.5]]})
-        _, out, _ = run(capsys, "birkhoff", "--in", str(p))
-        assert json.loads(out)["tolerances"] == {"support_threshold": 1e-9}
-        chan, _ = random_isometric_conjugation_channel(2, 2, np.random.default_rng(1))
-        save_json(chan, p)
-        _, out, _ = run(capsys, "detect-isometry", "--in", str(p))
-        assert json.loads(out)["tolerances"] == {"gram_rank_gap": 1e-7}
+    # subcommand, input, the tolerances key of --tol and its default, the fixed bounds
+    TOL_CASES = [
+        ("majorize", "pair", "majorization_abs", 1e-9, {}),
+        ("transfer", "pair", "majorization_abs", 1e-9, {}),
+        ("schur-horn", "pair", "majorization_abs", 1e-9, {}),
+        ("birkhoff", "matrix", "support_threshold", 1e-9, {}),
+        ("uhlmann", "state-pair", "majorization_abs", 1e-9,
+         {"trace_distance_max": 1e-7, "completeness_max": 1e-8}),
+        ("mixed-unitary", "state-pair", "majorization_abs", 1e-9,
+         {"trace_distance_max": 1e-7, "unitary_max": 1e-8}),
+        ("detect-isometry", "isometry", "gram_rank_gap", 1e-7, {}),
+    ]
+    VERDICTS = {"majorize": "holds", "detect-isometry": "is_isometric_conjugation"}
+
+    @pytest.mark.parametrize("sub,kind,extra,tolerances,code", [
+        *[pytest.param(sub, kind, extra, {key: tol, **bounds}, 0, id=f"{sub}-{name}")
+          for sub, kind, key, default, bounds in TOL_CASES
+          for name, extra, tol in [("default", (), default), ("tol", ("--tol", "2e-6"), 2e-6)]],
+        pytest.param("entropy", "state", (), {}, 0, id="entropy"),
+        pytest.param("probe-entropy", "channel", ("--trials", "3"), {}, 0, id="probe-entropy"),
+        pytest.param("majorize", "unmajorized", ("--require",), {"majorization_abs": 1e-9}, 1,
+                     id="majorize-require-negative"),
+        pytest.param("detect-isometry", "dephasing", ("--expect-isometry",),
+                     {"gram_rank_gap": 1e-7}, 1, id="detect-isometry-expect-negative"),
+    ])
+    def test_default_tolerances_reported(self, inputs, capsys, sub, kind, extra, tolerances,
+                                         code):
+        """The tolerances block is --tol under its subcommand's key plus the fixed bounds;
+        a negative verdict under --require / --expect-isometry exits 1 after writing the
+        same report as without the flag, every ok_ check passed."""
+        rc, out, err = run(capsys, sub, "--in", inputs[kind], *extra)
+        assert (rc, err) == (code, "")
+        report = json.loads(out)
+        assert report["subcommand"] == sub
+        assert report["tolerances"] == tolerances
+        assert all(v for k, v in report["verified"].items() if k.startswith("ok_"))
+        if sub in self.VERDICTS:
+            assert report[self.VERDICTS[sub]] is (code == 0)
+        if code:
+            flagless = [a for a in extra if a not in ("--require", "--expect-isometry")]
+            assert run(capsys, sub, "--in", inputs[kind], *flagless) == (0, out, "")
 
 
 class TestOneLineReports:
     """Every JSON report, error reports and `gen` output included, is one line of
     sorted-key JSON with the json module's default separators."""
-
-    @pytest.fixture
-    def inputs(self, tmp_path, capsys):
-        files = {}
-        for kind in ("state", "pair", "state-pair", "channel"):
-            files[kind] = str(tmp_path / f"{kind}.json")
-            run(capsys, "gen", kind, "--d", "4", "--seed", "3", "--out", files[kind])
-        bundle = json.loads(pathlib.Path(files["pair"]).read_text())
-        a, b = (prob_vector_from_json(bundle[key]) for key in ("a", "b"))
-        files["matrix"] = str(tmp_path / "matrix.json")
-        save_json(chain_to_doubly_stochastic(find_transfer_chain(a, b)), files["matrix"])
-        unmajorized = tmp_path / "unmajorized.json"
-        write_json(unmajorized, {"a": {"entries": [0.6, 0.4]}, "b": {"entries": [0.5, 0.5]}})
-        files["unmajorized"] = str(unmajorized)
-        return files
 
     @pytest.mark.parametrize("sub,kind,extra", [
         ("entropy", "state", ()), ("majorize", "pair", ()), ("transfer", "pair", ()),
