@@ -25,7 +25,6 @@ from .xfer import (
 )
 from .densop import (
     DensityMatrix,
-    SpectralDecomposition,
     eig_hermitian,
     haar_unitary,
     pure_state,
@@ -71,6 +70,5 @@ from .errors import (
     NotOrthogonal,
     NotTracePreserving,
     NotUnitary,
-    NotUnitVector,
     SchemaError,
 )

@@ -11,28 +11,35 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidValue, NotHermitian, NotUnitVector, require
+from .errors import DimensionMismatch, InvalidValue, NotHermitian, require
 from .seqmaj import (MAJORIZATION_TOL, NORMALIZED_TOL, MajorizationVerdict, ProbVector,
                      _flat_spectrum, is_majorized, shannon_entropy)
 
 HERMITIAN_TOL = 1e-9
 EIG_FLOOR = -1e-9
 RECONSTRUCTION_TOL = 1e-8
-UNIT_NORM_TOL = 1e-9
 # isometry_defect of a unitary pinching basis, an orthogonal matrix and a probe's Haar factor
 UNITARY_TOL = 1e-9
 
 
-def _hermitian(m, ndim: int = 2) -> np.ndarray:
-    """m as a complex array, proved non-empty, square, finite and Hermitian, or with
-    ndim=3 a stack of such matrices; a DensityMatrix was proved so when it was built
-    and is not checked again."""
-    if isinstance(m, DensityMatrix):
-        return m.matrix
-    arr = np.array(m, dtype=complex)
+def _square(m, dtype, ndim: int = 2) -> np.ndarray:
+    """m as a read-only `dtype` array, proved non-empty, square and finite, or with ndim=3
+    a stack of such matrices."""
+    arr = np.array(m, dtype=dtype)
     if (arr.ndim != ndim or arr.shape[-1] != arr.shape[-2] or not np.isfinite(arr).all()
             or not arr.size):
         raise InvalidValue("expected a non-empty square matrix of finite numbers")
+    arr.setflags(write=False)
+    return arr
+
+
+def _hermitian(m, ndim: int = 2) -> np.ndarray:
+    """m as a read-only complex array, proved non-empty, square, finite and Hermitian, or
+    with ndim=3 a stack of such matrices; a DensityMatrix was proved so when it was built
+    and is not checked again."""
+    if isinstance(m, DensityMatrix):
+        return m.matrix
+    arr = _square(m, complex, ndim)
     with np.errstate(over="ignore", invalid="ignore"):  # entries near the float maximum
         dev = np.abs(arr - _dagger(arr))
     at = np.unravel_index(np.argmax(dev), dev.shape)
@@ -113,7 +120,6 @@ class DensityMatrix:
     def __post_init__(self):
         arr = _hermitian(self.matrix)
         vals, vecs = _eigh(arr, states=True)
-        arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
         object.__setattr__(self, "spectrum", ProbVector(vals, normalized=True))
         object.__setattr__(self, "eigenvectors", vecs)
@@ -123,21 +129,10 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues sorted descending with matching unitary eigenvector columns.
-
-    Eigenvalues are kept as a raw real vector (not a ProbVector) because the
-    solver also serves indefinite Hermitian inputs such as state differences.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def eig_hermitian(h) -> SpectralDecomposition:
-    """Spectral decomposition of a Hermitian matrix, eigenvalues descending."""
-    return SpectralDecomposition(*_eigh(_hermitian(h)))
+def eig_hermitian(h) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues descending, matching unitary eigenvector columns) of a Hermitian matrix,
+    indefinite ones such as state differences included."""
+    return _eigh(_hermitian(h))
 
 
 def spectrum(rho) -> ProbVector:
@@ -178,11 +173,12 @@ def trace_distance(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
 
 
 def pure_state(x) -> DensityMatrix:
-    """Rank-one projection onto a unit vector."""
+    """Rank-one projection onto a unit vector: the state's own trace check bounds
+    |‖x‖² − 1| by NORMALIZED_TOL."""
     v = np.asarray(x, dtype=complex).ravel()
-    norm = np.linalg.norm(v)
-    require(abs(norm - 1.0), UNIT_NORM_TOL, NotUnitVector, "norm {} is not 1", norm)
-    return DensityMatrix(np.outer(v, v.conj()))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: refused as not finite
+        outer = np.outer(v, v.conj())
+    return DensityMatrix(outer)
 
 
 def _haar(re: np.ndarray, im: np.ndarray) -> np.ndarray:

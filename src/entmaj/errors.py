@@ -40,10 +40,6 @@ class NotUnitary(DomainError):
     pass
 
 
-class NotUnitVector(DomainError):
-    pass
-
-
 class NotTracePreserving(DomainError):
     pass
 

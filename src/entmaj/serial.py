@@ -91,8 +91,6 @@ def _expect(obj, key, kind, where):
     if not isinstance(obj, dict) or key not in obj:
         raise SchemaError("missing required field", field=f"{where}.{key}")
     val = obj[key]
-    if kind is float:
-        return _number(val, f"{where}.{key}")
     if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
         raise SchemaError(f"expected {kind.__name__}", field=f"{where}.{key}")
     return val

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .densop import UNITARY_TOL, isometry_defect
+from .densop import UNITARY_TOL, _square, isometry_defect
 from .errors import (InvalidValue, MajorizationFailed, MatchingFailed, NotDoublyStochastic,
                      NotOrthogonal, require)
 from .seqmaj import (CLAMP_TOL, MAJORIZATION_TOL, NORMALIZED_TOL, _prob_vector,
@@ -58,14 +58,6 @@ class TransferChain:
                 raise InvalidValue(f"step indices ({s.i},{s.j}) exceed dimension {self.d}")
 
 
-def _square_array(entries, name: str) -> np.ndarray:
-    arr = np.array(entries, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not np.isfinite(arr).all() or not arr.size:
-        raise InvalidValue(f"{name} must be a non-empty square matrix of finite numbers")
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class DoublyStochasticMatrix:
     """Non-negative square matrix with unit row and column sums."""
@@ -73,7 +65,7 @@ class DoublyStochasticMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = _square_array(self.entries, "doubly stochastic matrix")
+        arr = _square(self.entries, float)
         lo, hi = arr.min(), arr.max()
         if lo < -CLAMP_TOL or hi > 1.0 + CLAMP_TOL:
             raise NotDoublyStochastic(f"entry outside [0,1]: {lo}..{hi}")
@@ -98,7 +90,7 @@ class OrthogonalMatrix:
     orthogonality_defect: float = field(init=False)
 
     def __post_init__(self):
-        arr = _square_array(self.entries, "orthogonal matrix")
+        arr = _square(self.entries, float)
         defect = isometry_defect(arr)
         require(defect, UNITARY_TOL, NotOrthogonal, "U^T U deviates from identity by {}", defect)
         object.__setattr__(self, "entries", arr)
@@ -249,7 +241,9 @@ def find_transfer_chain(a, b, tol: float = MAJORIZATION_TOL) -> TransferChain:
     fixing at least one coordinate exactly.  The coordinates above and below
     their targets by more than MATCH_TOL are kept as two ascending index lists
     that only shrink: a step moves no coordinate past its target, so it costs
-    one bisection, pops j once it is matched and deletes k once it is.
+    one bisection, pops j once it is matched and deletes k once it is.  A
+    surplus with no deficit after it is at most tol plus the difference of the
+    totals, which the majorization test allowed, and is left in place.
     """
     a, b = _prob_vector(a), _prob_vector(b)
     verdict = is_majorized(a, b, tol)
@@ -266,8 +260,9 @@ def find_transfer_chain(a, b, tol: float = MAJORIZATION_TOL) -> TransferChain:
         j = over[-1]
         pos = bisect_right(under, j)
         if pos == len(under):
-            # residuals below MATCH_TOL only; nothing meaningful remains
-            break
+            # no deficit after j: its surplus is within the majorization tolerance
+            over.pop()
+            continue
         k = under[pos]
         delta = min(cur[j] - av[j], av[k] - cur[k])
         t = 1.0 - delta / (cur[j] - cur[k])

@@ -139,6 +139,22 @@ class TestTransferAndFriends:
             assert report["verdict"] == {"holds": False, "sums_equal": False,
                                          "first_violation": None}
 
+    @pytest.mark.parametrize("sub", ["majorize", "transfer", "schur-horn", "uhlmann",
+                                     "mixed-unitary"])
+    def test_every_certificate_holds_where_majorize_does(self, tmp_path, capsys, sub):
+        # b's last coordinate is 9e-10 over its target, within --tol, with nothing after it
+        a, b = [0.5, 0.4, 0.1], [0.6, 0.3, 0.1000000009]
+        p = tmp_path / "edge.json"
+        if sub in ("uhlmann", "mixed-unitary"):
+            write_json(p, {key: density_to_json(DensityMatrix(np.diag(v).astype(complex)))
+                           for key, v in (("rho1", a), ("rho2", b))})
+        else:
+            write_json(p, {key: {"entries": v, "normalized": True}
+                           for key, v in (("a", a), ("b", b))})
+        rc, out, err = run(capsys, sub, "--in", str(p), *(["--require"] * (sub == "majorize")))
+        assert (rc, err) == (0, "")
+        assert all(v for k, v in json.loads(out)["verified"].items() if k.startswith("ok_"))
+
     def test_birkhoff_roundtrip(self, tmp_path, capsys):
         q = tmp_path / "q.json"
         write_json(q, {"d": 2, "rows": [[0.5, 0.5], [0.5, 0.5]]})
@@ -631,22 +647,39 @@ class TestExitCodeContract:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("sub,text", [
+    @pytest.mark.parametrize("sub,text,message", [
         ("entropy", '{"kind": "density", "d_rows": 2, "d_cols": 2, "rows": '
-                    '[[[NaN, 0], [0, 0]], [[0, 0], [0.5, 0]]]}'),
-        ("birkhoff", '{"d": 2, "rows": [[NaN, 0.5], [0.5, 0.5]]}'),
-        ("birkhoff", '{"d": 2, "rows": [[Infinity, 0.5], [0.5, -Infinity]]}'),
-        ("entropy", '{"entries": [1e400, 0.5]}'),
-        ("pinch-converge", '{"d_rows": 0, "d_cols": -5, "rows": []}'),
-        ("birkhoff", '{"d": 0, "rows": []}'),
-        ("detect-isometry", '{"d_in": 1, "d_out": 0, "kraus": []}'),
-        ("entropy", "[" * 100_000 + "]" * 100_000),
+                    '[[[NaN, 0], [0, 0]], [[0, 0], [0.5, 0]]]}', ""),
+        ("birkhoff", '{"d": 2, "rows": [[NaN, 0.5], [0.5, 0.5]]}', ""),
+        ("birkhoff", '{"d": 2, "rows": [[Infinity, 0.5], [0.5, -Infinity]]}', ""),
+        ("entropy", '{"entries": [1e400, 0.5]}', ""),
+        ("pinch-converge", '{"d_rows": 0, "d_cols": -5, "rows": []}', ""),
+        ("birkhoff", '{"d": 0, "rows": []}', ""),
+        ("detect-isometry", '{"d_in": 1, "d_out": 0, "kraus": []}', ""),
+        ("detect-isometry", '{"d_in": 1, "d_out": 1, "kraus": []}',
+         "in.json: need at least one operator\n"),
+        ("probe-entropy", '{"d_in": 1, "d_out": 1, "kraus": [[1]]}',
+         "in.json.kraus[0].d_rows: missing required field\n"),
+        ("entropy", "[" * 100_000 + "]" * 100_000, ""),
     ], ids=["nan-density", "nan-matrix", "infinity-matrix", "1e400", "zero-and-negative-dims",
-            "zero-dim", "empty-channel", "deep-nesting"])
-    def test_non_finite_or_empty_input_exit_two(self, tmp_path, capsys, sub, text):
+            "zero-dim", "empty-channel", "no-operator", "operator-not-an-object",
+            "deep-nesting"])
+    def test_non_finite_or_empty_input_exit_two(self, tmp_path, capsys, sub, text, message):
         p = tmp_path / "in.json"
         p.write_text(text)
-        self.assert_error_line(*run(capsys, sub, "--in", str(p)))
+        rc, out, err = run(capsys, sub, "--in", str(p))
+        self.assert_error_line(rc, out, err)
+        assert err.endswith(message)
+
+    @pytest.mark.parametrize("sub,kind,message", [
+        ("majorize", "pair", "expected a bundle or 2 --in files, got 3"),
+        ("uhlmann", "state-pair", "expected a bundle or 2 --in files, got 3"),
+        ("pinch-converge", "state", "expected --in state [--in basis]"),
+    ])
+    def test_three_input_files_exit_two(self, inputs, capsys, sub, kind, message):
+        rc, out, err = run(capsys, sub, *["--in", inputs[kind]] * 3)
+        self.assert_error_line(rc, out, err)
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("sub", ["entropy", "uhlmann", "pinch-converge"])
     def test_state_whose_clamped_spectrum_misses_one_exit_two(self, tmp_path, capsys, sub):

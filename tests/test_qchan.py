@@ -101,7 +101,7 @@ class TestApply:
     def test_pinching_in_eigenbasis_is_identity(self):
         rng = np.random.default_rng(1)
         rho = random_density(4, rng)
-        basis = eig_hermitian(rho).eigenvectors
+        basis = eig_hermitian(rho)[1]
         out = apply_channel(pinching_channel(basis), rho)
         assert np.abs(out.matrix - rho.matrix).max() <= 1e-9
 
@@ -373,7 +373,7 @@ class TestBistochasticMajorization:
             assert np.abs(spectrum(out).entries - spectrum(rho).entries).max() <= 1e-6
         # pinching in the eigenbasis also preserves the spectrum exactly
         rho = random_density(5, np.random.default_rng(19))
-        phi = pinching_channel(eig_hermitian(rho).eigenvectors)
+        phi = pinching_channel(eig_hermitian(rho)[1])
         out = apply_channel(phi, rho)
         assert abs(von_neumann_entropy(out) - von_neumann_entropy(rho)) <= 1e-9
         assert np.abs(spectrum(out).entries - spectrum(rho).entries).max() <= 1e-6

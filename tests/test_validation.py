@@ -5,13 +5,18 @@ import pytest
 
 from certificates import decomposition_of_stack
 from entmaj.densop import DensityMatrix, eig_hermitian, random_density, trace_distance
-from entmaj.errors import DomainError, InvalidValue, NotHermitian, NotTracePreserving, require
-from entmaj.qchan import KrausChannel, entropy_probe, mixed_unitary_channel
+from entmaj.errors import (DimensionMismatch, DomainError, InvalidValue, NotHermitian,
+                           NotTracePreserving, require)
+from entmaj.qchan import (KrausChannel, compose_channels, depolarizing_channel, entropy_probe,
+                          fixed_point_commutant_check, mixed_unitary_channel,
+                          random_bistochastic_channel, random_isometry)
 from entmaj.seqmaj import (CLAMP_TOL, ProbVector, convex_weights, is_majorized,
-                           shannon_entropy, sorted_padded)
+                           random_majorized_pair, shannon_entropy, sorted_padded)
+from entmaj.serial import to_json_value
 from entmaj.xfer import (
     DoublyStochasticMatrix,
     OrthogonalMatrix,
+    TransferChain,
     TTransform,
     birkhoff_decompose,
     find_transfer_chain,
@@ -87,8 +92,15 @@ class TestNonFiniteRejected:
 class TestOneCheckPerInvariant:
     def test_empty_matrices_rejected(self):
         for build in (DensityMatrix, DoublyStochasticMatrix, OrthogonalMatrix):
-            with pytest.raises(InvalidValue):
-                build(np.zeros((0, 0)))
+            for bad in (np.zeros((0, 0)), np.zeros((2, 3)), np.zeros(2)):
+                with pytest.raises(InvalidValue,
+                                   match="^expected a non-empty square matrix of finite numbers$"):
+                    build(bad)
+
+    def test_square_matrices_are_stored_read_only(self):
+        for m in (DensityMatrix(np.eye(2) / 2).matrix, DoublyStochasticMatrix(np.eye(2)).entries,
+                  OrthogonalMatrix(np.eye(2)).entries):
+            assert not m.flags.writeable
 
     def test_birkhoff_decompose_uses_the_type_check(self):
         # a raw matrix gets DoublyStochasticMatrix's check, which does not widen with tol
@@ -123,7 +135,7 @@ class TestOneCheckPerInvariant:
 
     def test_density_matrix_accepted_where_a_hermitian_matrix_is(self):
         rho = DensityMatrix(np.diag([0.75, 0.25]).astype(complex))
-        np.testing.assert_allclose(eig_hermitian(rho).eigenvalues, [0.75, 0.25])
+        np.testing.assert_allclose(eig_hermitian(rho)[0], [0.75, 0.25])
 
     def test_trace_distance_checks_raw_matrices(self):
         with pytest.raises(NotHermitian):
@@ -152,3 +164,35 @@ class TestRawVectorsTakenInOnce:
     @pytest.mark.parametrize("name", sorted(RAW_VECTOR_TAKERS))
     def test_entry_within_clamp_is_rounded_up(self, name):
         RAW_VECTOR_TAKERS[name]([-CLAMP_TOL / 2, 0.5, 0.5])
+
+
+def _tall():
+    """The channel of the 3 x 2 isometry onto the first two basis vectors."""
+    return KrausChannel(np.eye(3, 2, dtype=complex)[None])
+
+
+class TestArgumentsRefused:
+    @pytest.mark.parametrize("call,error,message", [
+        (lambda: TTransform(0, 0, 0.5), InvalidValue, "need two distinct non-negative indices"),
+        (lambda: TransferChain(d=2, steps=(TTransform(0, 2, 0.5),)), InvalidValue,
+         r"step indices \(0,2\) exceed dimension 2"),
+        (lambda: random_density(0, np.random.default_rng(0)), ValueError, "d must be >= 1"),
+        (lambda: random_majorized_pair(0, np.random.default_rng(0)), ValueError,
+         "d must be >= 1"),
+        (lambda: fixed_point_commutant_check(_tall(), np.eye(2)), DimensionMismatch,
+         "fixed points need a square channel"),
+        (lambda: compose_channels(KrausChannel(np.eye(2, dtype=complex)[None]), _tall()),
+         DimensionMismatch, "inner output 3 != outer input 2"),
+        (lambda: depolarizing_channel(2, 0.0), ValueError, r"p must be in \(0, 1\]"),
+        (lambda: random_isometry(3, 2, np.random.default_rng(0)), DimensionMismatch,
+         "an isometry needs d_out >= d_in"),
+        (lambda: random_bistochastic_channel(2, np.random.default_rng(0), kind="swap"),
+         ValueError, "unknown channel kind 'swap'"),
+        (lambda: to_json_value(object()), TypeError, "no JSON schema for object"),
+    ], ids=["t-transform-one-index", "chain-index-past-d", "random-density-d0",
+            "majorized-pair-d0", "fixed-point-of-rectangular", "composition-mismatch",
+            "depolarizing-p0", "isometry-d-out-below-d-in", "unknown-channel-kind",
+            "no-json-schema"])
+    def test_is_refused(self, call, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            call()

@@ -94,6 +94,17 @@ class TestFindTransferChain:
             find_transfer_chain(ProbVector([0.6, 0.4]), ProbVector([0.5, 0.5]))
         assert err.value.verdict.first_violation.k == 1
 
+    def test_surplus_with_no_deficit_after_it_is_left_in_place(self):
+        # b's last coordinate is 9e-10 over its target, within tol, with nothing after it:
+        # the transfer still open before it is made
+        a = ProbVector([0.5, 0.4, 0.1], normalized=True)
+        b = ProbVector([0.6, 0.3, 0.1000000009], normalized=True)
+        chain = find_transfer_chain(a, b)
+        assert [(s.i, s.j) for s in chain.steps] == [(0, 1)]
+        assert chain.steps[0].t == pytest.approx(2 / 3, abs=1e-12)
+        assert np.abs(replay(chain, b) - sorted_padded(a, 3)).max() <= 1e-9
+        assert chain_steps(find_transfer_chain, a, b) == chain_steps(numpy_scan_chain, a, b)
+
     @given(st.integers(min_value=0, max_value=2**32 - 1),
            st.integers(min_value=1, max_value=12))
     @settings(max_examples=60, deadline=None)
@@ -110,7 +121,8 @@ def numpy_scan_chain(a, b):
     """Reference transfer chain at the default tol: each step scans all d coordinates
     with numpy for those above and below their targets by more than MATCH_TOL, moves
     the surplus of the last one above to the first one below after it, and assigns
-    exactly-hit targets.  Raises MajorizationFailed as find_transfer_chain does."""
+    exactly-hit targets; a surplus with no deficit after it is left in place.  Raises
+    MajorizationFailed as find_transfer_chain does."""
     a, b = (v if isinstance(v, ProbVector) else ProbVector(v) for v in (a, b))
     verdict = is_majorized(a, b)
     if not verdict.holds:
@@ -118,15 +130,17 @@ def numpy_scan_chain(a, b):
     d = max(a.d, b.d)
     av, cur = sorted_padded(a, d), sorted_padded(b, d)
     steps = []
-    for _ in range(d):
-        over = np.nonzero(cur - av > MATCH_TOL)[0]
+    left = np.zeros(d, dtype=bool)  # the surpluses left in place
+    for _ in range(2 * d):  # each pass leaves one surplus in place or matches a coordinate
+        over = np.nonzero((cur - av > MATCH_TOL) & ~left)[0]
         if over.size == 0:
             break
         j = int(over[-1])
         under = np.nonzero(av - cur > MATCH_TOL)[0]
         under = under[under > j]
         if under.size == 0:
-            break
+            left[j] = True
+            continue
         k = int(under[0])
         delta = min(cur[j] - av[j], av[k] - cur[k])
         steps.append(TTransform(i=j, j=k, t=1.0 - delta / (cur[j] - cur[k])))
