@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidValue, NotHermitian, require
 from .seqmaj import (MAJORIZATION_TOL, NORMALIZED_TOL, MajorizationVerdict, ProbVector,
-                     _flat_spectrum, is_majorized, shannon_entropy)
+                     is_majorized, shannon_entropy)
 
 HERMITIAN_TOL = 1e-9
 EIG_FLOOR = -1e-9
@@ -25,7 +25,10 @@ UNITARY_TOL = 1e-9
 def _square(m, dtype, ndim: int = 2) -> np.ndarray:
     """m as a read-only `dtype` array, proved non-empty, square and finite, or with ndim=3
     a stack of such matrices."""
-    arr = np.array(m, dtype=dtype)
+    try:
+        arr = np.array(m, dtype=dtype)
+    except ValueError as exc:  # ragged: the rows or matrices differ in shape
+        raise InvalidValue(str(exc)) from exc
     if (arr.ndim != ndim or arr.shape[-1] != arr.shape[-2] or not np.isfinite(arr).all()
             or not arr.size):
         raise InvalidValue("expected a non-empty square matrix of finite numbers")
@@ -34,19 +37,23 @@ def _square(m, dtype, ndim: int = 2) -> np.ndarray:
 
 
 def _hermitian(m, ndim: int = 2) -> np.ndarray:
-    """m as a read-only complex array, proved non-empty, square, finite and Hermitian, or
-    with ndim=3 a stack of such matrices; a DensityMatrix was proved so when it was built
-    and is not checked again."""
+    """The Hermitian part (m + m^*)/2 of m, or with ndim=3 of each matrix of the stack m,
+    as a read-only complex array; m is proved non-empty, square, finite and Hermitian
+    within HERMITIAN_TOL.  A DensityMatrix was proved so when it was built, and its matrix
+    is returned as it is."""
     if isinstance(m, DensityMatrix):
         return m.matrix
     arr = _square(m, complex, ndim)
+    dag = _dagger(arr)
     with np.errstate(over="ignore", invalid="ignore"):  # entries near the float maximum
-        dev = np.abs(arr - _dagger(arr))
+        dev = np.abs(arr - dag)
+        sym = (arr + dag) / 2.0
     at = np.unravel_index(np.argmax(dev), dev.shape)
     require(dev[at], HERMITIAN_TOL, NotHermitian,
             "worst entry pair ({0}, {1})/({1}, {0}){2} deviates by {3}",
             at[-2], at[-1], "" if ndim == 2 else f" of state {at[0]}", dev[at])
-    return arr
+    sym.setflags(write=False)
+    return sym
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:
@@ -70,23 +77,21 @@ def _require_states(vals: np.ndarray) -> np.ndarray:
 
 
 def _eigh(arr: np.ndarray, states: bool = False):
-    """(eigenvalues descending, matching eigenvector columns) of the Hermitian part of one
-    matrix or of each matrix of a stack, as read-only contiguous arrays; the decomposition
-    must reconstruct it within RECONSTRUCTION_TOL.
+    """(eigenvalues descending, matching eigenvector columns) of one Hermitian matrix or of
+    each matrix of a stack, as read-only contiguous arrays; the decomposition must
+    reconstruct it within RECONSTRUCTION_TOL.
 
     With `states` the descending eigenvalues pass _require_states before the
     reconstruction is checked, and come back clamped to [0, 1].  Both checks still
     decide, so the same matrices pass; one that fails both, such as diag(1e300, 1e300),
     is refused for its spectrum, whose size is what spoils the reconstruction.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # entries near the float maximum
-        sym = (arr + _dagger(arr)) / 2.0
-    vals, vecs = np.linalg.eigh(sym)
+    vals, vecs = np.linalg.eigh(arr)
     desc = vals[..., ::-1].copy()
     if states:
         desc = _require_states(desc)
     recon = (vecs * vals[..., None, :]) @ _dagger(vecs)
-    err = np.abs(recon - sym).max()
+    err = np.abs(recon - arr).max()
     require(err, RECONSTRUCTION_TOL, InvalidValue,
             "eigendecomposition failed to reconstruct input: largest error {}", err)
     vecs = vecs[..., ::-1].copy()
@@ -108,10 +113,10 @@ def spectra(states) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian positive semidefinite complex matrix of unit trace, proved on the one
-    decomposition of its Hermitian part, which the state keeps as `spectrum` (clamped to
-    [0, 1]) and `eigenvectors`: no eigenvalue below EIG_FLOOR, and the eigenvalues clamped
-    at zero sum to 1 within NORMALIZED_TOL."""
+    """Hermitian positive semidefinite complex matrix of unit trace.  `matrix` is the
+    Hermitian part of the input, proved on its one decomposition, which the state keeps as
+    `spectrum` (clamped to [0, 1]) and `eigenvectors`: no eigenvalue below EIG_FLOOR, and
+    the eigenvalues clamped at zero sum to 1 within NORMALIZED_TOL."""
 
     matrix: np.ndarray
     spectrum: ProbVector = field(init=False)
@@ -214,7 +219,7 @@ def random_density(d: int, rng: np.random.Generator,
     if d < 1:
         raise ValueError("d must be >= 1")
     if spec is None:
-        vals = _flat_spectrum(d, rng)
+        vals = rng.dirichlet(np.ones(d))
     else:
         vals = ProbVector(spec.entries if isinstance(spec, ProbVector) else spec,
                           normalized=True).entries

@@ -19,6 +19,8 @@ from .densop import (
     UNITARY_TOL,
     DensityMatrix,
     _haar_states,
+    _hermitian,
+    _square,
     haar_unitary,
     isometry_defect,
     spectra,
@@ -31,7 +33,7 @@ from .errors import (
     NotUnitary,
     require,
 )
-from .seqmaj import CLAMP_TOL, MAJORIZATION_TOL, _flat_spectrum, _row_entropies, convex_weights
+from .seqmaj import CLAMP_TOL, MAJORIZATION_TOL, _row_entropies, convex_weights
 from .xfer import chain_to_orthogonal, find_transfer_chain
 
 COMPLETENESS_TOL = 1e-8  # channel completeness and unitality; unitarity of mixed-unitary terms
@@ -41,19 +43,6 @@ FIXED_POINT_TOL = 1e-9  # default tolerance of fixed_point_commutant_check
 PROBE_CHUNK_ENTRIES = 2**14
 PROBE_BLOCK = 256  # entropy_probe trials drawn from one generator, default_rng([base_seed, block])
 PROBE_NOISE_FLOOR = 1e-12  # a largest entropy deviation at or below this names no worst trial
-
-
-def _as_stack(ops) -> np.ndarray:
-    """Operators as one non-empty complex (k, rows, cols) array."""
-    try:
-        stack = np.array(ops, dtype=complex)
-    except ValueError as exc:  # ragged: the operators differ in shape
-        raise DimensionMismatch(str(exc)) from exc
-    if not stack.size:
-        raise InvalidValue("need at least one operator")
-    if stack.ndim != 3:
-        raise DimensionMismatch(f"operators stack to shape {stack.shape}, not (k, rows, cols)")
-    return stack
 
 
 @dataclass(frozen=True)
@@ -71,7 +60,14 @@ class KrausChannel:
     unitality_defect: float = field(init=False)
 
     def __post_init__(self):
-        stack = _as_stack(self.kraus)
+        try:
+            stack = np.array(self.kraus, dtype=complex)
+        except ValueError as exc:  # ragged: the operators differ in shape
+            raise DimensionMismatch(str(exc)) from exc
+        if not stack.size:
+            raise InvalidValue("need at least one operator")
+        if stack.ndim != 3:
+            raise DimensionMismatch(f"operators stack to shape {stack.shape}, not (k, rows, cols)")
         if not np.isfinite(stack).all():
             raise InvalidValue("Kraus entries must be finite")
         stack.setflags(write=False)
@@ -177,8 +173,7 @@ class MixedUnitaryTransfer:
             raise DimensionMismatch(f"state dimension {rho.d} != frame dimension {d}")
         m = self.e.conj().T @ rho.matrix @ self.e
         mask = np.eye(d, dtype=bool) if rank_one else self.pos[:, None] == self.pos
-        out = self.f @ (m * mask) @ self.f.conj().T
-        return DensityMatrix((out + out.conj().T) / 2.0)
+        return DensityMatrix(self.f @ (m * mask) @ self.f.conj().T)
 
 
 @dataclass(frozen=True)
@@ -250,8 +245,7 @@ def apply_channel(phi: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     if rho.d != phi.d_in:
         raise DimensionMismatch(f"state dimension {rho.d} != channel input {phi.d_in}")
     _require_trace_preserving(phi)
-    out = _sandwich(phi.kraus, rho.matrix)
-    return DensityMatrix((out + out.conj().T) / 2.0)
+    return DensityMatrix(_sandwich(phi.kraus, rho.matrix))
 
 
 def choi_of_linear_map(fn, d_in: int, d_out: int) -> np.ndarray:
@@ -277,17 +271,15 @@ def choi_matrix(phi: KrausChannel) -> np.ndarray:
 def mixed_unitary_channel(weights, unitaries) -> KrausChannel:
     """Bistochastic channel sum_i t_i U_i X U_i^* from weights and unitaries."""
     w = convex_weights(weights, len(unitaries))
-    us = _as_stack(unitaries)
-    if us.shape[1] != us.shape[2]:
-        raise DimensionMismatch("unitaries must share one square shape")
+    us = _square(unitaries, complex, ndim=3)
     require(isometry_defect(us).max(), COMPLETENESS_TOL, NotUnitary,
             "matrix is not unitary within {}", COMPLETENESS_TOL)
     return KrausChannel(np.sqrt(w)[:, None, None] * us)
 
 
 def _unitary_basis(basis) -> np.ndarray:
-    b = np.asarray(basis, dtype=complex)
-    if b.ndim != 2 or b.shape[0] != b.shape[1] or not isometry_defect(b) <= UNITARY_TOL:
+    b = _square(basis, complex)
+    if not isometry_defect(b) <= UNITARY_TOL:
         raise NotUnitary(f"basis must be unitary within {UNITARY_TOL}")
     return b
 
@@ -315,8 +307,7 @@ def pinch_convergence_experiment(rho2: DensityMatrix, basis) -> list[PinchRow]:
     d = rho2.d
     if b.shape[0] != d:
         raise DimensionMismatch(f"basis dimension {b.shape[0]} != state dimension {d}")
-    rot = b.conj().T @ rho2.matrix @ b  # rho2 expressed in the pinching basis
-    rot = (rot + rot.conj().T) / 2.0
+    rot = _hermitian(b.conj().T @ rho2.matrix @ b)  # rho2 expressed in the pinching basis
     tail = np.diag(rot).real
     # row n - 1 is the n-power average minus the pinching: rot off-diagonal at i, j >= n - 1
     step = max(1, PROBE_CHUNK_ENTRIES // d**2)
@@ -512,8 +503,8 @@ def fixed_point_commutant_check(phi: KrausChannel, b,
                                 tol: float = FIXED_POINT_TOL) -> FixedPointReport:
     """Check whether B is fixed by the channel and commutes with its Kraus family.
 
-    Requires the dual map to be subunital (sum A_i^* A_i <= I within tol);
-    for a fixed point the commutators with every A_i and A_i^* should vanish.
+    Requires the dual map to be subunital (sum A_i^* A_i <= I within tol) and B
+    finite, of shape (d_in, d_in); for a fixed point the commutators with every A_i and A_i^* should vanish.
     """
     if phi.d_in != phi.d_out:
         raise DimensionMismatch("fixed points need a square channel")
@@ -524,6 +515,7 @@ def fixed_point_commutant_check(phi: KrausChannel, b,
             "dual map is not subunital: largest eigenvalue 1+{}", excess)
     if x.shape != (phi.d_in, phi.d_in):
         raise DimensionMismatch(f"matrix shape {x.shape} != ({phi.d_in}, {phi.d_in})")
+    x = _square(x, complex)
     defect = float(np.abs(_sandwich(phi.kraus, x) - x).max())
     both = np.concatenate([phi.kraus, phi.kraus.conj().transpose(0, 2, 1)])
     comm = float(np.abs(both @ x - x @ both).max())
@@ -573,7 +565,7 @@ def random_isometric_conjugation_channel(d_in: int, d_out: int,
     Returns the channel and the ground-truth isometry V.
     """
     v = random_isometry(d_in, d_out, rng)
-    weights = _flat_spectrum(num_terms, rng)
+    weights = rng.dirichlet(np.ones(num_terms))
     phases = np.exp(2j * np.pi * rng.random(num_terms))
     ops = (np.sqrt(weights) * phases)[:, None, None] * v
     return KrausChannel(ops), v
@@ -597,7 +589,7 @@ def detector_corpus(rng: np.random.Generator, n_pos: int, n_neg: int):
             negatives.append(depolarizing_channel(d, p=float(rng.uniform(0.2, 1.0))))
         else:
             m = int(rng.integers(2, 4))
-            w = _flat_spectrum(m, rng) * 0.8 + 0.2 / m
+            w = rng.dirichlet(np.ones(m)) * 0.8 + 0.2 / m
             negatives.append(mixed_unitary_channel(w, [haar_unitary(d, rng) for _ in range(m)]))
     return positives, negatives
 
@@ -609,12 +601,12 @@ def random_bistochastic_channel(d: int, rng: np.random.Generator,
         kind = ["mixed_unitary", "pinching", "composition"][int(rng.integers(3))]
     if kind == "mixed_unitary":
         m = int(rng.integers(2, 5))
-        weights = _flat_spectrum(m, rng)
+        weights = rng.dirichlet(np.ones(m))
         return mixed_unitary_channel(weights, [haar_unitary(d, rng) for _ in range(m)])
     if kind == "pinching":
         return pinching_channel(haar_unitary(d, rng))
     if kind == "composition":
-        weights = _flat_spectrum(2, rng)
+        weights = rng.dirichlet(np.ones(2))
         mixed = mixed_unitary_channel(weights, [haar_unitary(d, rng) for _ in range(2)])
         return compose_channels(pinching_channel(haar_unitary(d, rng)), mixed)
     raise ValueError(f"unknown channel kind {kind!r}")

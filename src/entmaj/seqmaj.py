@@ -165,14 +165,6 @@ def _bits(pos: np.ndarray) -> np.ndarray:
     return bits
 
 
-def _flat_spectrum(d: int, rng: np.random.Generator) -> np.ndarray:
-    """rng.dirichlet(np.ones(d)) bit for bit, leaving rng in the same state, without its
-    per-call argument checks: for alpha = 1 it draws d standard exponentials and scales
-    them by 1 over their sequential sum."""
-    x = rng.standard_exponential(d)
-    return x * (1 / np.cumsum(x)[-1])
-
-
 def random_majorized_pair(d: int, rng: np.random.Generator) -> tuple[ProbVector, ProbVector]:
     """Sample (a, b) with a majorized by b, b flat on the simplex.
 
@@ -182,8 +174,8 @@ def random_majorized_pair(d: int, rng: np.random.Generator) -> tuple[ProbVector,
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    b = _flat_spectrum(d, rng)
+    b = rng.dirichlet(np.ones(d))
     a = np.zeros(d)
-    for w in _flat_spectrum(4, rng):
+    for w in rng.dirichlet(np.ones(4)):
         a += w * b[rng.permutation(d)]
     return ProbVector(a, normalized=True), ProbVector(b, normalized=True)

@@ -306,6 +306,17 @@ class TestStatePipelines:
         assert report["error"] == "DimensionMismatch"
         assert report["message"] == "basis dimension 2 != state dimension 3"
 
+    def test_pinch_converge_basis_that_is_not_square(self, tmp_path, capsys):
+        rho = tmp_path / "rho.json"
+        basis = tmp_path / "basis.json"
+        save_json(random_density(3, np.random.default_rng(3)), rho)
+        write_json(basis, complex_matrix_to_json(np.eye(2, 3)))
+        rc, out, _ = run(capsys, "pinch-converge", "--in", str(rho), "--in", str(basis))
+        assert rc == 1
+        report = json.loads(out)
+        assert report["error"] == "InvalidValue"
+        assert report["message"] == "expected a non-empty square matrix of finite numbers"
+
 
 class TestSolverCalls:
     """Each state a subcommand reads is decomposed once, by one `eigh` as it is built."""

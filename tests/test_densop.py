@@ -23,7 +23,7 @@ from entmaj.densop import (
 )
 from entmaj.errors import DimensionMismatch, InvalidValue, NotHermitian
 from entmaj.qchan import uhlmann_frame
-from entmaj.seqmaj import NORMALIZED_TOL, ProbVector, _flat_spectrum, _row_entropies, shannon_entropy
+from entmaj.seqmaj import NORMALIZED_TOL, ProbVector, _row_entropies, shannon_entropy
 
 
 def two_level_entropy(lam):
@@ -46,6 +46,17 @@ class TestDensityMatrixType:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([1.2, -0.2]).astype(complex))
+
+    def test_matrix_is_the_hermitian_part_it_decomposes(self):
+        rng = np.random.default_rng(5)
+        rho = random_density(5, rng).matrix
+        m = rho + 3e-11 * (rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+        assert 1e-11 < np.abs(m - m.conj().T).max() < densop.HERMITIAN_TOL
+        state = DensityMatrix(m)
+        np.testing.assert_array_equal(state.matrix, (m + m.conj().T) / 2)
+        np.testing.assert_array_equal(state.matrix, state.matrix.conj().T)
+        recon = (state.eigenvectors * state.spectrum.entries) @ state.eigenvectors.conj().T
+        np.testing.assert_allclose(recon, state.matrix, atol=1e-14)
 
 
 def _at_bound_state(seed):
@@ -384,7 +395,7 @@ class TestStackedStateCheck:
         vals, gauss = [], []
         for s in [80, 81, 82, 83]:
             rng = np.random.default_rng(s)
-            vals.append(_flat_spectrum(3, rng))
+            vals.append(rng.dirichlet(np.ones(3)))
             gauss.append(rng.standard_normal((2, 3, 3)))  # haar_unitary's two blocks
         gauss = np.array(gauss)
         return _with_spectra(np.array(vals), _haar(gauss[:, 0], gauss[:, 1]))
@@ -516,16 +527,18 @@ class TestNearMaximumEntries:
 
 
 class TestFlatSpectrumDraw:
-    """The flat-simplex draw of states, pairs and channel weights is
-    Generator.dirichlet(ones(d)) without its argument checks; a numpy release that
-    changes either side shows up here."""
+    """The flat-simplex draw of states is Generator.dirichlet(ones(d))."""
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 7, 8, 9, 12, 16, 33, 64])
     def test_bit_equal_to_dirichlet_and_same_next_draw(self, d):
+        """The recorded `gen` outputs were drawn as d standard exponentials scaled by 1 over
+        their sequential sum; dirichlet(ones(d)) must stay that draw, bit for bit and with the
+        same next draw, or every seeded state, pair and channel moves."""
         ones = np.ones(d)
         for seed in range(500):
             ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-            np.testing.assert_array_equal(_flat_spectrum(d, ours), theirs.dirichlet(ones))
+            x = ours.standard_exponential(d)
+            np.testing.assert_array_equal(x * (1 / np.cumsum(x)[-1]), theirs.dirichlet(ones))
             assert ours.standard_normal() == theirs.standard_normal()
 
     @pytest.mark.parametrize("d", [1, 4, 9])

@@ -574,6 +574,13 @@ class TestFixedPointCommutant:
                            match=re.escape(f"matrix shape {shape} != (3, 3)")):
             fixed_point_commutant_check(pinching_channel(np.eye(3)), np.zeros(shape))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_is_refused(self, bad):
+        b = np.diag([0.5, 0.3, 0.2]).astype(complex)
+        b[0, 1] = bad
+        with pytest.raises(InvalidValue, match="finite"):
+            fixed_point_commutant_check(pinching_channel(np.eye(3)), b)
+
     def test_subunitality_is_checked_before_the_shape(self):
         with pytest.raises(InvalidValue, match="dual map is not subunital"):
             fixed_point_commutant_check(KrausChannel((1.1 * np.eye(3, dtype=complex),)),
@@ -737,10 +744,10 @@ class TestKrausStack:
         with pytest.raises(DimensionMismatch):
             KrausChannel((np.eye(2), np.eye(3)))
 
-    @pytest.mark.parametrize("unitaries", [np.eye(2), [np.eye(3)[:, :2]]],
-                             ids=["matrix", "isometry"])
+    @pytest.mark.parametrize("unitaries", [np.eye(2), [np.eye(3)[:, :2]], [np.eye(2), np.eye(3)]],
+                             ids=["matrix", "isometry", "ragged"])
     def test_mixed_unitary_needs_a_square_stack(self, unitaries):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidValue):
             mixed_unitary_channel(np.full(len(unitaries), 1 / len(unitaries)), unitaries)
 
 
@@ -1055,9 +1062,8 @@ class TestProbeReplayContract:
 
 
 class TestRandomChannelsKeepTheDirichletStream:
-    """The random channels draw their weights with `seqmaj._flat_spectrum`, bit-identical to
-    the rng.dirichlet(np.ones(k)) draws they were built with, so `gen channel` and the
-    detector corpus keep their bytes."""
+    """The random channels draw their weights with rng.dirichlet(np.ones(k)), the draws
+    they were built with, so `gen channel` and the detector corpus keep their bytes."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_isometric_conjugation(self, seed):

@@ -9,7 +9,8 @@ from entmaj.errors import (DimensionMismatch, DomainError, InvalidValue, NotHerm
                            NotTracePreserving, require)
 from entmaj.qchan import (KrausChannel, compose_channels, depolarizing_channel, entropy_probe,
                           fixed_point_commutant_check, mixed_unitary_channel,
-                          random_bistochastic_channel, random_isometry)
+                          random_bistochastic_channel, random_isometric_conjugation_channel,
+                          random_isometry)
 from entmaj.seqmaj import (CLAMP_TOL, ProbVector, convex_weights, is_majorized,
                            random_majorized_pair, shannon_entropy, sorted_padded)
 from entmaj.serial import to_json_value
@@ -189,10 +190,12 @@ class TestArgumentsRefused:
         (lambda: random_bistochastic_channel(2, np.random.default_rng(0), kind="swap"),
          ValueError, "unknown channel kind 'swap'"),
         (lambda: to_json_value(object()), TypeError, "no JSON schema for object"),
+        (lambda: random_isometric_conjugation_channel(2, 3, np.random.default_rng(0), num_terms=0),
+         InvalidValue, "need at least one operator"),
     ], ids=["t-transform-one-index", "chain-index-past-d", "random-density-d0",
             "majorized-pair-d0", "fixed-point-of-rectangular", "composition-mismatch",
             "depolarizing-p0", "isometry-d-out-below-d-in", "unknown-channel-kind",
-            "no-json-schema"])
+            "no-json-schema", "isometric-conjugation-no-terms"])
     def test_is_refused(self, call, error, message):
         with pytest.raises(error, match=f"^{message}$"):
             call()
