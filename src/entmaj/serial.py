@@ -33,12 +33,13 @@ the keys it finds, and `vector_or_state_from_json` is the only one that takes tw
 
 Every report and every `save_json` file is one line of JSON with sorted keys
 and the json module's default separators (pipe it through `python -m json.tool`
-to indent it).  Arrays are written through one `ndarray.tolist()` each, and
-every real is written as its shortest IEEE-754 decimal repr, so it reads back
-bit for bit.  Every number read must be finite, and every dimension an
-integer >= 1.  Each matrix, vector and Kraus list is read by one np.array
-call; a value that fails a check is read again entry by entry, so the
-error names the first bad field.
+to indent it).  Arrays are written through one `ndarray.tolist()` each (a Kraus
+stack through one for all its operators), and every real is written as its
+shortest IEEE-754 decimal repr, so it reads back bit for bit.  Every number read
+must be finite, and every dimension an integer >= 1.  Each matrix, vector and
+Kraus list is read in flat passes: each nesting level is checked and flattened,
+and one np.array call reads the flat leaves; a value that fails a check is read
+again entry by entry, so the error names the first bad field.
 """
 
 from __future__ import annotations
@@ -70,21 +71,23 @@ def _number(x, where: str, *index) -> float:
 
 
 def _numbers_at_once(values: list, shape: tuple) -> np.ndarray | None:
-    """values as a float array of `shape`, non-empty, read by one np.array call; None
-    unless every leaf is a JSON number (a float or an int, not a bool) below the float
-    maximum in magnitude.  np.array would read true, "1" and null as numbers, so the
-    leaves' types are checked; a leaf at the maximum itself is left to `_number`, which
-    tells a double apart from a larger integer that rounds to it."""
+    """values as a float array of `shape`, non-empty, read by one np.array call on its
+    flat leaves; None unless each level, checked and flattened in turn, holds only lists
+    of its declared length, and every leaf is a JSON number (a float or an int, not a
+    bool) below the float maximum in magnitude.  A leaf at the maximum itself is left to
+    `_number`, which tells a double apart from a larger integer that rounds to it."""
+    level = [values]
+    for n in shape:
+        if set(map(type, level)) != {list} or set(map(len, level)) != {n}:
+            return None  # ragged, or not lists
+        level = list(chain.from_iterable(level))
+    if not level or not set(map(type, level)) <= {float, int}:
+        return None
     try:
-        arr = np.array(values, dtype=float)
-    except (TypeError, ValueError, OverflowError):  # ragged, not numbers, or too large
+        arr = np.array(level, dtype=float)
+    except OverflowError:  # an int too large for a double
         return None
-    if arr.shape != shape or not arr.size or not np.abs(arr).max() < sys.float_info.max:
-        return None
-    leaves = values
-    for _ in shape[1:]:
-        leaves = chain.from_iterable(leaves)
-    return arr if set(map(type, leaves)) <= {float, int} else None
+    return arr.reshape(shape) if np.abs(arr).max() < sys.float_info.max else None
 
 
 def _expect(obj, key, kind, where):
@@ -165,13 +168,17 @@ def real_matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
     return _matrix(obj, where, "d", "d", _number)
 
 
+def _pairs(arr: np.ndarray) -> list:
+    """A complex array as nested lists of [re, im] pairs, by one tolist()."""
+    return np.stack((arr.real, arr.imag), axis=-1).tolist()
+
+
 def complex_matrix_to_json(arr: np.ndarray) -> dict:
     """Raises ValueError unless the array is 2-D and non-empty, as the schema needs."""
     arr = np.asarray(arr, dtype=complex)
     if arr.ndim != 2 or not arr.size:
         raise ValueError(f"a complex matrix must be 2-D and non-empty, not {arr.shape}")
-    return {"d_rows": arr.shape[0], "d_cols": arr.shape[1],
-            "rows": np.stack((arr.real, arr.imag), axis=-1).tolist()}
+    return {"d_rows": arr.shape[0], "d_cols": arr.shape[1], "rows": _pairs(arr)}
 
 
 def complex_matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
@@ -198,13 +205,14 @@ def channel_to_json(phi: KrausChannel) -> dict:
     return {
         "d_in": phi.d_in,
         "d_out": phi.d_out,
-        "kraus": [complex_matrix_to_json(a) for a in phi.kraus],
+        "kraus": [{"d_rows": phi.d_out, "d_cols": phi.d_in, "rows": rows}
+                  for rows in _pairs(phi.kraus)],
         "flags": {"trace_preserving": phi.trace_preserving, "unital": phi.unital},
     }
 
 
 def _kraus_from_json(kraus_list: list, where: str):
-    """The operators of a Kraus list: one (k, r, c) complex stack read by one np.array
+    """The operators of a Kraus list: one (k, r, c) complex stack read in one flat pass
     when every operator is a complex matrix declaring the same shape, else each operator
     read alone, so that an error names the same field."""
     try:
@@ -335,5 +343,7 @@ def save_json(value, path):
 def dumps_report(obj: dict) -> str:
     """One line of sorted-key JSON; without indent the json module's C encoder writes it.
 
-    NaN and infinities raise ValueError, since `read_json` refuses them."""
-    return json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
+    NaN and infinities raise ValueError, since `read_json` refuses them.  The cycle check
+    is off because every report is a fresh tree that its writers build, which holds no
+    cycle, and the check costs the encoder a marker per list and dict."""
+    return json.dumps(obj, sort_keys=True, allow_nan=False, check_circular=False) + "\n"

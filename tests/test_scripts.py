@@ -15,7 +15,8 @@ def _main(name):
 
 def test_every_script_is_covered():
     assert {p.stem for p in SCRIPTS.glob("*.py")} == {
-        "detector_corpus", "pinch_convergence", "entropy_gap_sweep", "mixed_unitary_scaling"}
+        "detector_corpus", "pinch_convergence", "entropy_gap_sweep", "mixed_unitary_scaling",
+        "report_digest"}
 
 
 def test_detector_corpus(capsys):
@@ -45,3 +46,15 @@ def test_mixed_unitary_scaling(capsys):
     assert header == "d,seconds,terms,trace_distance"
     d, _, terms, error = row.split(",")
     assert d == "3" and 1 <= int(terms) <= 3 and float(error) <= 1e-7
+
+
+def test_report_digest_prints_the_same_lines_twice(capsys):
+    runs = []
+    for _ in range(2):
+        _main("report_digest")(["--d", "2", "--seeds", "3"])
+        runs.append(capsys.readouterr().out.splitlines())
+    assert runs[0] == runs[1]
+    assert len(runs[0]) == 17  # 4 gen outputs, 12 reports and the chain matrix
+    assert runs[0][0].startswith("gen state --d 2 --seed 3 0 ")
+    assert "save_json chain-matrix-2-3.json 0 " in "\n".join(runs[0])
+    assert all(len(line.split()[-1]) == 64 for line in runs[0])

@@ -1,6 +1,7 @@
 import gzip
 import json
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from certificates import decomposition_of_stack, orthogonal_of_rotations
-from entmaj import serial
+from entmaj import cli, serial
 from entmaj.cli import main
 from entmaj.densop import DensityMatrix, isometry_defect, random_density
 from entmaj.errors import InvalidValue, SchemaError
@@ -479,14 +480,24 @@ def test_any_mixture_is_written_as_the_rows_that_change(dec):
 BAD_LEAVES = ["true", '"1"', "null", "1e400"]
 
 
-def _with_leaf(obj, path, literal):
-    """obj with the value at `path` replaced by the JSON text `literal`, read by json."""
+def _replaced(obj, path, new):
+    """A copy of obj with the value at `path` replaced by `new`."""
     obj = json.loads(json.dumps(obj))
     parent = obj
     for key in path[:-1]:
         parent = parent[key]
-    parent[path[-1]] = "LEAF"
-    return json.loads(json.dumps(obj).replace('"LEAF"', literal))
+    parent[path[-1]] = new
+    return obj
+
+
+def _leaf_text(obj, path, literal) -> str:
+    """obj as JSON text, with the value at `path` replaced by the JSON text `literal`."""
+    return json.dumps(_replaced(obj, path, "LEAF")).replace('"LEAF"', literal)
+
+
+def _with_leaf(obj, path, literal):
+    """obj with the value at `path` replaced by the JSON text `literal`, read by json."""
+    return json.loads(_leaf_text(obj, path, literal))
 
 
 class TestOneCallReadersNameTheSameField:
@@ -545,11 +556,16 @@ class TestOneCallReadersNameTheSameField:
         self.assert_refused(channel_from_json, obj, "channel.kraus[1].d_rows", "expected int")
 
 
+def _fixture_inputs() -> dict:
+    """The determinism fixture's inputs by name, such as "gen channel --d 4 --seed 7"."""
+    with gzip.open(pathlib.Path(__file__).parent / "fixtures" / "determinism.json.gz") as fh:
+        return json.load(fh)["inputs"]
+
+
 def _fixture_values():
     """Every vector, real matrix, complex matrix and Kraus list among the determinism
     fixture's inputs, as (schema, value)."""
-    with gzip.open(pathlib.Path(__file__).parent / "fixtures" / "determinism.json.gz") as fh:
-        inputs = json.load(fh)["inputs"]
+    inputs = _fixture_inputs()
     found = []
 
     def walk(value):
@@ -572,26 +588,184 @@ def _fixture_values():
     return found
 
 
+# The flat reader's shapes per schema: a vector, a real matrix, a complex matrix of
+# [re, im] pairs and a stack of two such matrices, as each reader calls it.
+FLAT_SHAPES = {"vector": (5,), "real": (3, 3), "complex": (2, 3, 2), "kraus": (2, 2, 3, 2)}
+MAX = sys.float_info.max
+REFUSED_LEAVES = [True, False, "1", None, {}, [], [0.5], 2**1024, -2**1024, 10**400, MAX, -MAX]
+ROUNDED_LEAVES = [2**53 + 1, 2**63, -2**63 - 1, 10**308]
+
+
+def _nested(shape, leaf=0.25):
+    return [leaf] * shape[0] if len(shape) == 1 else [_nested(shape[1:], leaf)
+                                                       for _ in range(shape[0])]
+
+
+def _leaf_paths(shape):
+    """The first, a middle and the last leaf of a value of `shape`."""
+    return [tuple(0 for _ in shape), tuple(n // 2 for n in shape), tuple(n - 1 for n in shape)]
+
+
+def _read_each(schema, values, shape):
+    """The per-entry path's array of `values`, or None where that path refuses them."""
+    try:
+        if schema == "vector":
+            return np.array([serial._number(x, "entries", k) for k, x in enumerate(values)])
+        if schema == "kraus":
+            if len(values) != shape[0] or not all(isinstance(op, list) for op in values):
+                return None
+            return np.array([serial._rows_each(op, "rows", *shape[1:3], serial._pair)
+                             for op in values])
+        entry = serial._number if schema == "real" else serial._pair
+        return serial._rows_each(values, "rows", *shape[:2], entry)
+    except SchemaError:
+        return None
+
+
 @pytest.mark.parametrize("schema", ["vector", "real", "complex", "kraus"])
 def test_one_call_reads_every_fixture_input_as_the_per_entry_path(schema):
     values = [value for kind, value in _fixture_values() if kind == schema]
     assert values
     for value in values:
         if schema == "vector":
-            at_once = serial._numbers_at_once(value["entries"], (len(value["entries"]),))
-            each = np.array([serial._number(x, "entries", k)
-                             for k, x in enumerate(value["entries"])])
+            rows = value["entries"]
+            shape = (len(rows),)
         elif schema == "kraus":
             rows = [op["rows"] for op in value["kraus"]]
-            r, c = value["d_out"], value["d_in"]
-            at_once = serial._numbers_at_once(rows, (len(rows), r, c, 2))
-            each = np.array([serial._rows_each(op, "rows", r, c, serial._pair) for op in rows])
+            shape = (len(rows), value["d_out"], value["d_in"], 2)
         else:
-            r, c = (value["d"],) * 2 if schema == "real" else (value["d_rows"], value["d_cols"])
-            entry, shape = (serial._number, (r, c)) if schema == "real" else (serial._pair,
-                                                                              (r, c, 2))
-            at_once = serial._numbers_at_once(value["rows"], shape)
-            each = serial._rows_each(value["rows"], "rows", r, c, entry)
-        assert at_once is not None
+            rows = value["rows"]
+            shape = (value["d"],) * 2 if schema == "real" else (value["d_rows"],
+                                                                value["d_cols"], 2)
+        at_once, each = serial._numbers_at_once(rows, shape), _read_each(schema, rows, shape)
+        assert at_once is not None and each is not None
         assert at_once.dtype == each.dtype and at_once.shape == each.shape
         assert at_once.tobytes() == each.tobytes()
+
+
+class TestFlatReaderRefusals:
+    """`_numbers_at_once` returns None on every malformed value, so the per-entry path
+    reads it again and names the first bad field; what it accepts, the per-entry path
+    reads to the same bits."""
+
+    @pytest.mark.parametrize("schema", FLAT_SHAPES)
+    @pytest.mark.parametrize("leaf", REFUSED_LEAVES, ids=repr)
+    def test_a_bad_leaf_is_refused(self, schema, leaf):
+        shape = FLAT_SHAPES[schema]
+        for path in _leaf_paths(shape):
+            assert serial._numbers_at_once(_replaced(_nested(shape), path, leaf), shape) is None
+
+    @pytest.mark.parametrize("schema", FLAT_SHAPES)
+    def test_a_ragged_level_is_refused(self, schema):
+        shape = FLAT_SHAPES[schema]
+        for depth in range(len(shape)):
+            level = _nested(shape[depth:])  # the first list at this depth
+            for ragged in [level + level[:1], level[1:]] + [0.25] * (depth > 0):
+                value = _replaced(_nested(shape), (0,) * depth, ragged) if depth else ragged
+                assert serial._numbers_at_once(value, shape) is None
+                if schema != "vector":  # a vector's reader takes its length as its shape
+                    assert _read_each(schema, value, shape) is None
+
+    @pytest.mark.parametrize("schema", FLAT_SHAPES)
+    @pytest.mark.parametrize("leaf", ROUNDED_LEAVES, ids=repr)
+    def test_a_large_integer_reads_as_its_double(self, schema, leaf):
+        shape = FLAT_SHAPES[schema]
+        for path in _leaf_paths(shape):
+            value = _replaced(_nested(shape), path, leaf)
+            arr = serial._numbers_at_once(value, shape)
+            assert arr.shape == shape and arr[path] == float(leaf)
+            assert arr.tobytes() == _read_each(schema, value, shape).tobytes()
+
+    def test_the_empty_vector_is_refused(self):
+        assert serial._numbers_at_once([], (0,)) is None
+        with pytest.raises(SchemaError, match="non-empty"):
+            prob_vector_from_json({"entries": []})
+
+    @pytest.mark.parametrize("kind,sub,path,field", [
+        ("channel", "detect-isometry", ("kraus", 1, "rows", 0, 2, 1), ".kraus[1].rows[0][2]"),
+        ("state", "entropy", ("rows", 2, 1, 0), ".rows[2][1]"),
+        ("pair", "majorize", ("b", "entries", 2), ".b.entries[2]"),
+    ])
+    @pytest.mark.parametrize("literal", ["true", '"1"', "null", "{}", "1e400", str(2**1024)])
+    def test_the_cli_names_the_bad_field(self, tmp_path, capsys, kind, sub, path, field,
+                                         literal):
+        src = tmp_path / "gen.json"
+        assert main(["gen", kind, "--d", "3", "--seed", "4", "--out", str(src)]) == 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(_leaf_text(read_json(src), path, literal))
+        capsys.readouterr()
+        assert main([sub, "--in", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}{field}: expected a finite number\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_what_it_reads_the_per_entry_path_reads_to_the_same_bits(self, data):
+        schema = data.draw(st.sampled_from(list(FLAT_SHAPES)))
+        shape = FLAT_SHAPES[schema]
+        value = _nested(shape)
+        leaves = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                           st.integers(-2**1100, 2**1100), st.sampled_from(REFUSED_LEAVES))
+        for _ in range(data.draw(st.integers(0, 3))):
+            path = data.draw(st.sampled_from(_leaf_paths(shape)))
+            value = _replaced(value, path, data.draw(leaves))
+        arr, each = serial._numbers_at_once(value, shape), _read_each(schema, value, shape)
+        if each is None:
+            assert arr is None
+        elif arr is not None:
+            assert arr.tobytes() == each.tobytes()
+
+
+GEN_CHANNELS = {name: value for name, value in _fixture_inputs().items()
+                if name.startswith("gen channel")}
+
+
+class TestWritersKeepTheirBytes:
+    """The one-tolist channel writer and the report writer without its cycle check write
+    the bytes of the per-operator writer and of the cycle-checked encoder."""
+
+    @pytest.mark.parametrize("name", GEN_CHANNELS)
+    def test_channel_is_written_as_its_operators_one_by_one(self, name):
+        phi = channel_from_json(GEN_CHANNELS[name])
+        per_operator = {"d_in": phi.d_in, "d_out": phi.d_out,
+                        "kraus": [complex_matrix_to_json(a) for a in phi.kraus],
+                        "flags": {"trace_preserving": phi.trace_preserving,
+                                  "unital": phi.unital}}
+        text = dumps_report(channel_to_json(phi))
+        assert text == json.dumps(per_operator, sort_keys=True) + "\n"
+        assert text == json.dumps(GEN_CHANNELS[name], sort_keys=True) + "\n"
+
+    def test_every_report_is_the_cycle_checked_encoders_text(self, tmp_path, capsys,
+                                                               monkeypatch):
+        written = []
+
+        def checked(obj):
+            text = dumps_report(obj)
+            assert text == json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
+            written.append(text)
+            return text
+
+        monkeypatch.setattr(cli, "dumps_report", checked)
+        monkeypatch.setattr(serial, "dumps_report", checked)
+        runs = {"state": ["entropy"], "pair": ["majorize", "transfer", "schur-horn"],
+                "state-pair": ["uhlmann", "mixed-unitary"],
+                "channel": ["detect-isometry", "probe-entropy"]}
+        for kind, subs in runs.items():
+            path = str(tmp_path / f"{kind}.json")
+            assert main(["gen", kind, "--d", "3", "--seed", "2", "--out", path]) == 0
+            for sub in subs:
+                assert main([sub, "--in", path]) == 0
+        pair = read_json(tmp_path / "pair.json")
+        swapped = tmp_path / "swapped.json"
+        swapped.write_text(json.dumps({"a": pair["b"], "b": pair["a"]}))
+        assert main(["transfer", "--in", str(swapped)]) == 1  # the error report
+        a, b = (prob_vector_from_json(pair[k]) for k in "ab")
+        matrix = chain_to_doubly_stochastic(find_transfer_chain(a, b))
+        save_json(matrix, tmp_path / "matrix.json")
+        assert main(["birkhoff", "--in", str(tmp_path / "matrix.json")]) == 0
+        capsys.readouterr()
+        assert len(written) == 4 + 8 + 1 + 2
+
+    def test_a_shared_subtree_is_written_each_time(self):
+        row = [0.5, -0.0]
+        assert dumps_report({"b": row, "a": [row, row]}) == \
+            '{"a": [[0.5, -0.0], [0.5, -0.0]], "b": [0.5, -0.0]}\n'
