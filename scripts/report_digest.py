@@ -3,7 +3,9 @@
 
 Every `gen` kind is drawn at each --d and --seed, and each output is read by every
 subcommand that takes it, verdict flags included; `birkhoff` reads the pair's chain
-matrix, written by `save_json`.  The hash covers stdout then stderr, so a `diff` of the
+matrix, written by `save_json`.  Each pair and state pair is also read with its two
+values swapped, by the subcommands that require the first majorized by the second, so
+their refusals are covered too.  The hash covers stdout then stderr, so a `diff` of the
 output at two commits names every report, file, error or exit code that changed:
 
     PYTHONPATH=src python scripts/report_digest.py > digest.txt
@@ -17,7 +19,7 @@ import os
 import tempfile
 
 from entmaj import cli
-from entmaj.serial import prob_vector_from_json, read_json, save_json
+from entmaj.serial import dumps_report, prob_vector_from_json, read_json, save_json
 from entmaj.xfer import chain_to_doubly_stochastic, find_transfer_chain
 
 READERS = {  # the runs on each gen kind's output, "{0}" standing for its file
@@ -27,6 +29,10 @@ READERS = {  # the runs on each gen kind's output, "{0}" standing for its file
     "state-pair": ["uhlmann --in {0}", "mixed-unitary --in {0}"],
     "channel": ["detect-isometry --in {0}", "detect-isometry --in {0} --expect-isometry",
                 "probe-entropy --in {0} --trials 25 --seed {1}"],
+}
+SWAPPED_READERS = {  # the runs on each bundle with its two values swapped
+    "pair": ["majorize --in {0} --require", "transfer --in {0}", "schur-horn --in {0}"],
+    "state-pair": ["uhlmann --in {0}", "mixed-unitary --in {0}"],
 }
 
 
@@ -55,6 +61,13 @@ def main(argv=None):
                 fh.write(run(["gen", kind, "--d", str(d), "--seed", str(seed)], tmp))
             for cmd in READERS[kind]:
                 run(cmd.format(path, seed).split(), tmp)
+            if kind in SWAPPED_READERS:
+                (first, x), (second, y) = read_json(path).items()
+                swapped = os.path.join(tmp, f"{kind}-swapped-{d}-{seed}.json")
+                with open(swapped, "w", encoding="utf-8") as fh:
+                    fh.write(dumps_report({first: y, second: x}))
+                for cmd in SWAPPED_READERS[kind]:
+                    run(cmd.format(swapped).split(), tmp)
             if kind == "pair":
                 a, b = (prob_vector_from_json(read_json(path)[k]) for k in "ab")
                 matrix = os.path.join(tmp, f"chain-matrix-{d}-{seed}.json")

@@ -16,7 +16,6 @@ from .xfer import (
     DoublyStochasticMatrix,
     OrthogonalMatrix,
     TransferChain,
-    TTransform,
     birkhoff_decompose,
     chain_to_doubly_stochastic,
     chain_to_orthogonal,

@@ -32,6 +32,7 @@ from .qchan import (
 from .seqmaj import (MAJORIZATION_TOL, ProbVector, is_majorized, random_majorized_pair,
                      shannon_entropy, sorted_padded)
 from .serial import (
+    _only_keys,
     birkhoff_to_json,
     chain_to_json,
     channel_from_json,
@@ -172,6 +173,7 @@ def _load_pair(paths, keys, from_json):
         if not isinstance(obj, dict) or any(k not in obj for k in keys):
             raise SchemaError(f"bundle needs fields {keys[0]!r} and {keys[1]!r}",
                               field=str(paths[0]))
+        _only_keys(obj, keys, str(paths[0]))
         return tuple(from_json(obj[k], f"{paths[0]}.{k}") for k in keys)
     if len(paths) != 2:
         raise SchemaError(f"expected a bundle or 2 --in files, got {len(paths)}")
@@ -232,8 +234,8 @@ def _run_transfer(args) -> int:
     err = float(np.abs(chain_to_doubly_stochastic(chain).entries @ source - target).max())
     return _finish(args, {"chain": chain_to_json(chain)},
                    {"replay_max_abs_error": err, "ok_replay": err <= REPLAY_TOL,
-                    "steps": len(chain.steps), "step_bound": chain.d - 1,
-                    "ok_step_bound": len(chain.steps) <= chain.d - 1})
+                    "steps": chain.t.size, "step_bound": chain.d - 1,
+                    "ok_step_bound": chain.t.size <= chain.d - 1})
 
 
 def _run_birkhoff(args) -> int:

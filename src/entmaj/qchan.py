@@ -340,8 +340,8 @@ def uhlmann_frame(rho1: DensityMatrix, rho2: DensityMatrix,
                                  verdict=exc.verdict) from None
     e = rho2.eigenvectors @ chain_to_orthogonal(chain).entries.T
     block = np.arange(chain.d)
-    for s in chain.steps:
-        block[block == block[s.j]] = block[s.i]
+    for i, j in zip(chain.i.tolist(), chain.j.tolist()):
+        block[block == block[j]] = block[i]
     pos = np.tril(block[:, None] == block[None, :], -1).sum(axis=1)
     e.setflags(write=False)
     pos.setflags(write=False)

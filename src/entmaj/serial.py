@@ -4,7 +4,8 @@ Schemas:
   probability vector   {"entries": [x1, ...], "normalized": bool}
   real square matrix   {"d": n, "rows": [[...], ...]}                (row-major)
   complex matrix       {"d_rows": r, "d_cols": c, "rows": [[[re, im], ...], ...]}
-  density matrix       complex matrix plus "kind": "density"        (validated on load)
+  density matrix       complex matrix plus "kind": "density"        (validated on load;
+                                                                     "kind" optional)
   Kraus channel        {"d_in": n, "d_out": m, "kraus": [<complex matrix>, ...],
                         "flags": {"trace_preserving": b, "unital": b}}
   vector bundle        {"a": <probability vector>, "b": <probability vector>}
@@ -30,6 +31,7 @@ Schemas:
 
 Each reader reads the one schema its caller names; none guesses a schema from
 the keys it finds, and `vector_or_state_from_json` is the only one that takes two.
+A key outside the schema is refused, so that a misspelled field is not ignored.
 
 Every report and every `save_json` file is one line of JSON with sorted keys
 and the json module's default separators (pipe it through `python -m json.tool`
@@ -99,6 +101,15 @@ def _expect(obj, key, kind, where):
     return val
 
 
+def _only_keys(obj: dict, keys, where):
+    """Refuse a key of `obj` outside `keys`, the fields of its schema, so that a misspelled
+    field is an error and not a check skipped; the first such key in sorted order is named."""
+    extra = obj.keys() - keys
+    if extra:
+        raise SchemaError(f"unknown field (known: {', '.join(sorted(keys))})",
+                          field=f"{where}.{min(extra, key=str)}")
+
+
 def _pair(pair, where: str, i, j) -> list[float]:
     if not isinstance(pair, list) or len(pair) != 2:
         raise SchemaError("expected an [re, im] pair", field=f"{where}[{i}][{j}]")
@@ -124,12 +135,14 @@ def _rows_each(rows: list, field: str, r: int, c: int, entry) -> np.ndarray:
     return np.array(out)
 
 
-def _matrix(obj, where: str, row_key: str, col_key: str, entry) -> np.ndarray:
+def _matrix(obj, where: str, row_key: str, col_key: str, entry, keys=()) -> np.ndarray:
     """obj["rows"] as a float array of shape (r, c), or (r, c, 2) of [re, im] pairs when
-    `entry` is `_pair`: read at once, and entry by entry only to name a bad field."""
+    `entry` is `_pair`: read at once, and entry by entry only to name a bad field.  obj
+    may hold the `keys` beyond the matrix's own."""
     r = _dimension(obj, row_key, where)
     c = _dimension(obj, col_key, where)
     rows = _expect(obj, "rows", list, where)
+    _only_keys(obj, (row_key, col_key, "rows", *keys), where)
     arr = _numbers_at_once(rows, (r, c, 2) if entry is _pair else (r, c))
     return _rows_each(rows, f"{where}.rows", r, c, entry) if arr is None else arr
 
@@ -149,6 +162,7 @@ def prob_vector_to_json(p: ProbVector) -> dict:
 def prob_vector_from_json(obj, where: str = "prob_vector") -> ProbVector:
     field = f"{where}.entries"
     entries = _expect(obj, "entries", list, where)
+    _only_keys(obj, ("entries", "normalized"), where)
     values = _numbers_at_once(entries, (len(entries),))
     if values is None:  # read again entry by entry, to name the first bad one
         values = np.array([_number(x, field, k) for k, x in enumerate(entries)])
@@ -181,8 +195,9 @@ def complex_matrix_to_json(arr: np.ndarray) -> dict:
     return {"d_rows": arr.shape[0], "d_cols": arr.shape[1], "rows": _pairs(arr)}
 
 
-def complex_matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
-    return _matrix(obj, where, "d_rows", "d_cols", _pair).view(complex)[..., 0]
+def complex_matrix_from_json(obj, where: str = "matrix", keys=()) -> np.ndarray:
+    """The matrix of obj, which may hold the `keys` beyond the matrix's own."""
+    return _matrix(obj, where, "d_rows", "d_cols", _pair, keys).view(complex)[..., 0]
 
 
 def density_to_json(rho: DensityMatrix) -> dict:
@@ -190,7 +205,10 @@ def density_to_json(rho: DensityMatrix) -> dict:
 
 
 def density_from_json(obj, where: str = "density") -> DensityMatrix:
-    arr = complex_matrix_from_json(obj, where)
+    """The state of a complex matrix whose "kind", if given, is "density"."""
+    arr = complex_matrix_from_json(obj, where, ("kind",))
+    if obj.get("kind", "density") != "density":
+        raise SchemaError('expected "density"', field=f"{where}.kind")
     return _construct(where, DensityMatrix, arr)
 
 
@@ -213,17 +231,17 @@ def channel_to_json(phi: KrausChannel) -> dict:
 
 def _kraus_from_json(kraus_list: list, where: str):
     """The operators of a Kraus list: one (k, r, c) complex stack read in one flat pass
-    when every operator is a complex matrix declaring the same shape, else each operator
-    read alone, so that an error names the same field."""
-    try:
-        shapes = {(type(a["d_rows"]), a["d_rows"], type(a["d_cols"]), a["d_cols"])
+    when every operator is a complex matrix declaring the same shape and holding no other
+    key, else each operator read alone, so that an error names the same field."""
+    try:  # a dict with 3 keys, d_rows, d_cols and rows among them, holds no other
+        shapes = {(type(a["d_rows"]), a["d_rows"], type(a["d_cols"]), a["d_cols"], len(a))
                   for a in kraus_list}
         rows = [a["rows"] for a in kraus_list]
     except (TypeError, KeyError):  # an operator that is not a dict with these keys
         shapes = set()
     if len(shapes) == 1:
-        (r_type, r, c_type, c), = shapes
-        if r_type is int and c_type is int:
+        (r_type, r, c_type, c, n_keys), = shapes
+        if r_type is int and c_type is int and n_keys == 3:
             arr = _numbers_at_once(rows, (len(rows), r, c, 2))
             if arr is not None:
                 return arr.view(complex)[..., 0]
@@ -237,7 +255,9 @@ def channel_from_json(obj, where: str = "channel") -> KrausChannel:
     d_in = _dimension(obj, "d_in", where)
     d_out = _dimension(obj, "d_out", where)
     kraus_list = _expect(obj, "kraus", list, where)
+    _only_keys(obj, ("d_in", "d_out", "kraus", "flags"), where)
     flags = _expect(obj, "flags", dict, where) if "flags" in obj else {}
+    _only_keys(flags, ("trace_preserving", "unital"), f"{where}.flags")
     claims_tp, claims_unital = (_expect(flags, key, bool, f"{where}.flags") if key in flags
                                 else default
                                 for key, default in (("trace_preserving", True), ("unital", False)))
@@ -255,8 +275,8 @@ def channel_from_json(obj, where: str = "channel") -> KrausChannel:
 
 
 def chain_to_json(chain: TransferChain) -> dict:
-    return {"d": chain.d,
-            "steps": [{"i": s.i, "j": s.j, "t": float(s.t)} for s in chain.steps]}
+    return {"d": chain.d, "steps": [{"i": i, "j": j, "t": t} for i, j, t in
+                                    zip(chain.i.tolist(), chain.j.tolist(), chain.t.tolist())]}
 
 
 def birkhoff_to_json(decomp: BirkhoffDecomposition) -> dict:

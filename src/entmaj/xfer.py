@@ -31,31 +31,30 @@ _MATRIX_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
-class TTransform:
-    """Mix coordinates i and j: (v_i, v_j) -> (t*v_i + (1-t)*v_j, (1-t)*v_i + t*v_j)."""
-
-    i: int
-    j: int
-    t: float
-
-    def __post_init__(self):
-        if self.i == self.j or self.i < 0 or self.j < 0:
-            raise InvalidValue("need two distinct non-negative indices")
-        if not -CLAMP_TOL <= self.t <= 1.0 + CLAMP_TOL:
-            raise InvalidValue(f"t={self.t} outside [0, 1]")
-        object.__setattr__(self, "t", min(max(self.t, 0.0), 1.0))
-
-
-@dataclass(frozen=True)
 class TransferChain:
+    """Step k mixes coordinates i = i[k] and j = j[k] of a d-vector with t = t[k]: (v_i, v_j)
+    -> (t v_i + (1-t) v_j, (1-t) v_i + t v_j).  i, j and t are read-only arrays of one
+    length, each step checked once, here; t is clamped to [0, 1]."""
+
     d: int
-    steps: tuple[TTransform, ...]
+    i: np.ndarray
+    j: np.ndarray
+    t: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
-        for s in self.steps:
-            if s.i >= self.d or s.j >= self.d:
-                raise InvalidValue(f"step indices ({s.i},{s.j}) exceed dimension {self.d}")
+        i, j, t = _ints(self.i, "i", 1), _ints(self.j, "j", 1), np.array(self.t, dtype=float)
+        if t.ndim != 1 or not len(i) == len(j) == len(t):
+            raise InvalidValue(f"i, j and t must have one length, not shapes {i.shape}, "
+                               f"{j.shape} and {t.shape}")
+        bad = ((i == j) | (np.minimum(i, j) < 0) | (np.maximum(i, j) >= self.d)
+               | ~((t >= -CLAMP_TOL) & (t <= 1.0 + CLAMP_TOL)))  # NaN fails both
+        if bad.any():
+            k = bad.argmax()
+            raise InvalidValue(f"step {k}: (i, j, t) = ({i[k]}, {j[k]}, {t[k]}) needs two "
+                               f"distinct indices in 0..{self.d - 1} and t in [0, 1]")
+        for name, value in zip("ijt", (i, j, np.clip(t, 0.0, 1.0))):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -255,7 +254,7 @@ def find_transfer_chain(a, b, tol: float = MAJORIZATION_TOL) -> TransferChain:
     over = [i for i in range(d) if cur[i] - av[i] > MATCH_TOL]
     under = [i for i in range(d) if av[i] - cur[i] > MATCH_TOL]
 
-    steps = []
+    step_i, step_j, step_t = [], [], []
     while over:  # each step matches j or k exactly, so <= d-1 transfers
         j = over[-1]
         pos = bisect_right(under, j)
@@ -265,8 +264,9 @@ def find_transfer_chain(a, b, tol: float = MAJORIZATION_TOL) -> TransferChain:
             continue
         k = under[pos]
         delta = min(cur[j] - av[j], av[k] - cur[k])
-        t = 1.0 - delta / (cur[j] - cur[k])
-        steps.append(TTransform(i=j, j=k, t=t))
+        step_i.append(j)
+        step_j.append(k)
+        step_t.append(1.0 - delta / (cur[j] - cur[k]))
         # assign exactly-hit targets to avoid accumulating rounding residue
         cur[j] = av[j] if delta == cur[j] - av[j] else cur[j] - delta
         cur[k] = av[k] if delta == av[k] - cur[k] else cur[k] + delta
@@ -274,9 +274,9 @@ def find_transfer_chain(a, b, tol: float = MAJORIZATION_TOL) -> TransferChain:
             over.pop()
         if av[k] - cur[k] <= MATCH_TOL:
             del under[pos]
-    if len(steps) > d - 1:
+    if len(step_t) > d - 1:
         raise RuntimeError("transfer chain exceeded d-1 steps")
-    return TransferChain(d=d, steps=tuple(steps))
+    return TransferChain(d, step_i, step_j, step_t)
 
 
 def _multiply_out(chain: TransferChain, coeffs) -> np.ndarray:
@@ -287,8 +287,8 @@ def _multiply_out(chain: TransferChain, coeffs) -> np.ndarray:
     updated through views, the new row i built before row j is overwritten.
     """
     q = np.eye(chain.d)
-    for s, a, b, c, e in zip(chain.steps, *coeffs):
-        ri, rj = q[s.i], q[s.j]
+    for i, j, a, b, c, e in zip(chain.i.tolist(), chain.j.tolist(), *coeffs):
+        ri, rj = q[i], q[j]
         new_i = a * ri + b * rj
         rj *= e
         rj += c * ri
@@ -298,7 +298,7 @@ def _multiply_out(chain: TransferChain, coeffs) -> np.ndarray:
 
 def chain_to_doubly_stochastic(chain: TransferChain) -> DoublyStochasticMatrix:
     """Multiply out the chain's elementary matrices, last step leftmost."""
-    t = np.array([s.t for s in chain.steps])
+    t = chain.t
     return DoublyStochasticMatrix(_multiply_out(chain, (t, 1.0 - t, 1.0 - t, t)))
 
 
@@ -309,8 +309,7 @@ def chain_to_orthogonal(chain: TransferChain) -> OrthogonalMatrix:
     rotated, so the diagonal of U diag(b_sorted) U^T evolves exactly like the
     transfer chain.
     """
-    t = np.array([s.t for s in chain.steps])
-    c, s = np.sqrt(t), np.sqrt(1.0 - t)
+    c, s = np.sqrt(chain.t), np.sqrt(1.0 - chain.t)
     return OrthogonalMatrix(_multiply_out(chain, (c, -s, s, c)))
 
 

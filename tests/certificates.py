@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from entmaj.xfer import (BirkhoffDecomposition, OrthogonalMatrix, TransferChain, TTransform,
+from entmaj.xfer import (BirkhoffDecomposition, OrthogonalMatrix, TransferChain,
                          chain_to_orthogonal)
 
 
@@ -21,7 +21,13 @@ def decomposition_of_stack(weights, perms) -> BirkhoffDecomposition:
     return BirkhoffDecomposition(weights=weights, first=first, changes=changes)
 
 
+def chain_of_json(obj) -> TransferChain:
+    """The TransferChain of a written transfer chain {"d", "steps"}."""
+    steps = obj["steps"]
+    return TransferChain(obj["d"], [s["i"] for s in steps], [s["j"] for s in steps],
+                         [s["t"] for s in steps])
+
+
 def orthogonal_of_rotations(obj) -> OrthogonalMatrix:
     """U = G_m ... G_1 of a written transfer chain {"d", "steps"}, read as plane rotations."""
-    steps = tuple(TTransform(i=s["i"], j=s["j"], t=s["t"]) for s in obj["steps"])
-    return chain_to_orthogonal(TransferChain(d=obj["d"], steps=steps))
+    return chain_to_orthogonal(chain_of_json(obj))

@@ -21,8 +21,9 @@ from certificates import orthogonal_of_rotations
 from entmaj import cli
 from entmaj.cli import main
 from entmaj.densop import DensityMatrix, haar_unitary, random_density
-from entmaj.serial import (channel_from_json, complex_matrix_to_json, density_to_json,
-                           prob_vector_from_json, read_json, real_matrix_to_json, save_json)
+from entmaj.serial import (channel_from_json, channel_to_json, complex_matrix_to_json,
+                           density_to_json, prob_vector_from_json, read_json,
+                           real_matrix_to_json, save_json)
 from entmaj.qchan import PROBE_NOISE_FLOOR, KrausChannel, random_isometric_conjugation_channel
 from entmaj.seqmaj import NORMALIZED_TOL
 from entmaj.xfer import chain_to_doubly_stochastic, find_transfer_chain
@@ -486,6 +487,37 @@ class TestInputRejection:
             rc, _, err = run(capsys, *argv)
             self.assert_clean_exit_two(rc, err)
             assert f"{p}.flags.trace_preserving: expected bool" in err
+
+    def test_misspelled_normalized_exits_two(self, tmp_path, capsys):
+        p = tmp_path / "pair.json"
+        for key, message in (("normalised", "b.normalised: unknown field"),
+                             ("normalized", "b.entries: normalized vector sums to 1.01, not 1")):
+            write_json(p, {"a": {"entries": [0.6, 0.4]}, "b": {"entries": [0.7, 0.31], key: True}})
+            rc, _, err = run(capsys, "majorize", "--in", str(p))
+            self.assert_clean_exit_two(rc, err)
+            assert f"error: {p}.{message}" in err
+
+    def test_misspelled_unital_exits_two(self, tmp_path, capsys):
+        p = tmp_path / "channel.json"
+        chan, _ = random_isometric_conjugation_channel(2, 3, np.random.default_rng(1))
+        obj = channel_to_json(chan)
+        for flag, field, message in (
+                ("unitall", ".flags.unitall", "unknown field"),
+                ("unital", "", "flagged unital but sum AA* deviates from I by 0.59")):
+            obj["flags"] = {"trace_preserving": True, flag: True}
+            write_json(p, obj)
+            rc, _, err = run(capsys, "detect-isometry", "--in", str(p))
+            self.assert_clean_exit_two(rc, err)
+            assert f"error: {p}{field}: {message}" in err
+
+    @pytest.mark.parametrize("sub,kind", [("majorize", "pair"), ("uhlmann", "state-pair")])
+    def test_an_unknown_bundle_key_exits_two(self, tmp_path, capsys, sub, kind):
+        bundle = tmp_path / "bundle.json"
+        run(capsys, "gen", kind, "--d", "3", "--out", str(bundle))
+        write_json(bundle, {**json.loads(bundle.read_text()), "c": 1})
+        rc, _, err = run(capsys, sub, "--in", str(bundle))
+        self.assert_clean_exit_two(rc, err)
+        assert f"error: {bundle}.c: unknown field" in err
 
     @pytest.mark.parametrize("sub,kind", [("majorize", "pair"), ("uhlmann", "state-pair")])
     def test_truncated_bundle_exit_two(self, tmp_path, capsys, sub, kind):

@@ -54,7 +54,14 @@ def test_report_digest_prints_the_same_lines_twice(capsys):
         _main("report_digest")(["--d", "2", "--seeds", "3"])
         runs.append(capsys.readouterr().out.splitlines())
     assert runs[0] == runs[1]
-    assert len(runs[0]) == 17  # 4 gen outputs, 12 reports and the chain matrix
+    assert len(runs[0]) == 22  # 4 gen outputs, 17 reports and the chain matrix
     assert runs[0][0].startswith("gen state --d 2 --seed 3 0 ")
     assert "save_json chain-matrix-2-3.json 0 " in "\n".join(runs[0])
+    swapped = [line.split()[:-1] for line in runs[0] if "swapped" in line]
+    assert swapped == [  # each refused with exit code 1
+        ["majorize", "--in", "pair-swapped-2-3.json", "--require", "1"],
+        ["transfer", "--in", "pair-swapped-2-3.json", "1"],
+        ["schur-horn", "--in", "pair-swapped-2-3.json", "1"],
+        ["uhlmann", "--in", "state-pair-swapped-2-3.json", "1"],
+        ["mixed-unitary", "--in", "state-pair-swapped-2-3.json", "1"]]
     assert all(len(line.split()[-1]) == 64 for line in runs[0])

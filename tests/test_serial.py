@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certificates import decomposition_of_stack, orthogonal_of_rotations
+from certificates import chain_of_json, decomposition_of_stack, orthogonal_of_rotations
 from entmaj import cli, serial
 from entmaj.cli import main
 from entmaj.densop import DensityMatrix, isometry_defect, random_density
@@ -33,8 +33,8 @@ from entmaj.serial import (
     save_json,
     vector_or_state_from_json,
 )
-from entmaj.xfer import (birkhoff_decompose, chain_to_doubly_stochastic, find_transfer_chain,
-                         schur_horn_orthogonal)
+from entmaj.xfer import (birkhoff_decompose, chain_to_doubly_stochastic, chain_to_orthogonal,
+                         find_transfer_chain, schur_horn_orthogonal)
 
 
 class TestRoundTrips:
@@ -82,8 +82,17 @@ class TestRoundTrips:
         chain = find_transfer_chain(a, b)
         obj = chain_to_json(chain)
         assert obj["d"] == chain.d == 6
-        assert obj["steps"] == [{"i": s.i, "j": s.j, "t": s.t} for s in chain.steps]
+        assert obj["steps"] == [{"i": i, "j": j, "t": t} for i, j, t in
+                                zip(chain.i.tolist(), chain.j.tolist(), chain.t.tolist())]
         assert all(type(s["t"]) is float for s in obj["steps"])
+
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    @pytest.mark.parametrize("d", [1, 4, 20, 64])  # the grid of scripts/report_digest.py
+    def test_written_chain_rebuilds_both_matrices_bit_for_bit(self, d, seed):
+        chain = find_transfer_chain(*random_majorized_pair(d, np.random.default_rng(seed)))
+        back = chain_of_json(json.loads(dumps_report(chain_to_json(chain))))
+        for matrix in (chain_to_orthogonal, chain_to_doubly_stochastic):
+            assert matrix(back).entries.tobytes() == matrix(chain).entries.tobytes()
 
     def test_birkhoff(self):
         a, b = random_majorized_pair(5, np.random.default_rng(6))
@@ -213,6 +222,41 @@ class TestChannelClaims:
         obj = channel_to_json(random_bistochastic_channel(3, np.random.default_rng(9)))
         obj["flags"] = {"unital": False}
         assert channel_from_json(obj).unital
+
+
+class TestUnknownKeysRefused:
+    """Each reader refuses a key outside its schema and names it, so that a misspelled
+    field is an error and not a check skipped."""
+
+    CHANNEL = channel_to_json(random_bistochastic_channel(3, np.random.default_rng(9)))
+    READERS = {  # the reader, a value it reads, and the object of that value to add a key to
+        "vector": (prob_vector_from_json, prob_vector_to_json(ProbVector([0.5, 0.5])), ()),
+        "real matrix": (real_matrix_from_json, real_matrix_to_json(np.eye(2)), ()),
+        "complex matrix": (complex_matrix_from_json, complex_matrix_to_json(np.eye(2)), ()),
+        "state": (density_from_json,
+                  serial.density_to_json(DensityMatrix(np.eye(2, dtype=complex) / 2)), ()),
+        "channel": (channel_from_json, CHANNEL, ()),
+        "flags": (channel_from_json, CHANNEL, ("flags",)),
+        "kraus operator": (channel_from_json, CHANNEL, ("kraus", 1)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(READERS))
+    def test_an_unknown_key_is_named(self, name):
+        read, obj, path = self.READERS[name]
+        read(obj, "x")
+        with pytest.raises(SchemaError, match=r"unknown field \(known: ") as err:
+            read(_replaced(obj, (*path, "normalised"), True), "x")
+        where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+        assert err.value.field == f"x{where}.normalised"
+
+    def test_only_a_state_takes_kind_and_only_as_density(self):
+        rho = serial.density_to_json(DensityMatrix(np.eye(2, dtype=complex) / 2))
+        with pytest.raises(SchemaError, match="unknown field") as err:
+            complex_matrix_from_json(rho, "x")
+        assert err.value.field == "x.kind"
+        for kind in ("state", None, 1):
+            with pytest.raises(SchemaError, match='^x.kind: expected "density"$'):
+                density_from_json({**rho, "kind": kind}, "x")
 
 
 class TestWriter:

@@ -1,5 +1,7 @@
 """The validation layer: one NaN-safe check per invariant, one exception path."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,6 @@ from entmaj.xfer import (
     DoublyStochasticMatrix,
     OrthogonalMatrix,
     TransferChain,
-    TTransform,
     birkhoff_decompose,
     find_transfer_chain,
 )
@@ -48,7 +49,7 @@ BUILDERS = {
                               np.array([0.5, 0.5])),
     "random_density spec": (lambda s: random_density(2, np.random.default_rng(0), spec=s),
                             np.array([0.75, 0.25])),
-    "TTransform": (lambda t: TTransform(0, 1, float(t[0])), np.array([0.5])),
+    "TransferChain": (lambda t: TransferChain(2, [0], [1], t), np.array([0.5])),
 }
 
 
@@ -167,6 +168,36 @@ class TestRawVectorsTakenInOnce:
         RAW_VECTOR_TAKERS[name]([-CLAMP_TOL / 2, 0.5, 0.5])
 
 
+STEP = r"needs two distinct indices in 0\.\.1 and t in \[0, 1\]"
+
+
+class TestTransferChainSteps:
+    @pytest.mark.parametrize("i,j,t,message", [
+        ([0, 1], [1], [0.5, 0.5],
+         r"i, j and t must have one length, not shapes \(2,\), \(1,\) and \(2,\)"),
+        ([1, 0], [0, 0], [0.5, 0.5], rf"step 1: \(i, j, t\) = \(0, 0, 0\.5\) {STEP}"),
+        ([0, -1], [1, 0], [0.5, 0.5], rf"step 1: \(i, j, t\) = \(-1, 0, 0\.5\) {STEP}"),
+        ([0], [2], [0.5], rf"step 0: \(i, j, t\) = \(0, 2, 0\.5\) {STEP}"),
+        ([0.0], [1], [0.5], "i must hold integers, not float64"),
+        ([0], [True], [0.5], "j must hold integers, not bool"),
+        ([0], [1], [np.nan], rf"step 0: \(i, j, t\) = \(0, 1, nan\) {STEP}"),
+        ([0], [1], [np.inf], rf"step 0: \(i, j, t\) = \(0, 1, inf\) {STEP}"),
+        ([0], [1], [-np.inf], rf"step 0: \(i, j, t\) = \(0, 1, -inf\) {STEP}"),
+        ([0], [1], [-1e-11], rf"step 0: \(i, j, t\) = \(0, 1, -1e-11\) {STEP}"),
+        ([0], [1], [1 + 1e-11], rf"step 0: \(i, j, t\) = \(0, 1, 1\.00000000001\) {STEP}"),
+    ], ids=["unequal-lengths", "one-index", "negative-index", "index-past-d", "float-index",
+            "bool-index", "t-nan", "t-inf", "t-minus-inf", "t-below-0", "t-above-1"])
+    def test_is_refused(self, i, j, t, message):
+        with pytest.raises(InvalidValue, match=f"^{message}$"):
+            TransferChain(2, i, j, t)
+
+    def test_t_within_clamp_reads_as_its_bound(self):
+        chain = TransferChain(2, [0, 1], [1, 0], [1 + 1e-13, -1e-13])
+        assert chain.t.tolist() == [1.0, 0.0]
+        assert [f.name for f in dataclasses.fields(chain)] == ["d", "i", "j", "t"]
+        assert not any(a.flags.writeable for a in (chain.i, chain.j, chain.t))
+
+
 def _tall():
     """The channel of the 3 x 2 isometry onto the first two basis vectors."""
     return KrausChannel(np.eye(3, 2, dtype=complex)[None])
@@ -174,9 +205,6 @@ def _tall():
 
 class TestArgumentsRefused:
     @pytest.mark.parametrize("call,error,message", [
-        (lambda: TTransform(0, 0, 0.5), InvalidValue, "need two distinct non-negative indices"),
-        (lambda: TransferChain(d=2, steps=(TTransform(0, 2, 0.5),)), InvalidValue,
-         r"step indices \(0,2\) exceed dimension 2"),
         (lambda: random_density(0, np.random.default_rng(0)), ValueError, "d must be >= 1"),
         (lambda: random_majorized_pair(0, np.random.default_rng(0)), ValueError,
          "d must be >= 1"),
@@ -192,10 +220,9 @@ class TestArgumentsRefused:
         (lambda: to_json_value(object()), TypeError, "no JSON schema for object"),
         (lambda: random_isometric_conjugation_channel(2, 3, np.random.default_rng(0), num_terms=0),
          InvalidValue, "need at least one operator"),
-    ], ids=["t-transform-one-index", "chain-index-past-d", "random-density-d0",
-            "majorized-pair-d0", "fixed-point-of-rectangular", "composition-mismatch",
-            "depolarizing-p0", "isometry-d-out-below-d-in", "unknown-channel-kind",
-            "no-json-schema", "isometric-conjugation-no-terms"])
+    ], ids=["random-density-d0", "majorized-pair-d0", "fixed-point-of-rectangular",
+            "composition-mismatch", "depolarizing-p0", "isometry-d-out-below-d-in",
+            "unknown-channel-kind", "no-json-schema", "isometric-conjugation-no-terms"])
     def test_is_refused(self, call, error, message):
         with pytest.raises(error, match=f"^{message}$"):
             call()

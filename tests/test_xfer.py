@@ -22,7 +22,6 @@ from entmaj.xfer import (
     DoublyStochasticMatrix,
     OrthogonalMatrix,
     TransferChain,
-    TTransform,
     birkhoff_decompose,
     chain_to_doubly_stochastic,
     chain_to_orthogonal,
@@ -31,63 +30,66 @@ from entmaj.xfer import (
 )
 
 
-def apply_t_transform(step: TTransform, v) -> ProbVector:
+def steps_of(chain) -> list:
+    """The chain's steps as (i, j, t) tuples of Python numbers."""
+    return list(zip(chain.i.tolist(), chain.j.tolist(), chain.t.tolist()))
+
+
+def apply_t_transform(i, j, t, v) -> ProbVector:
     """Apply one elementary transfer; the total is preserved."""
     p = v if isinstance(v, ProbVector) else ProbVector(v)
     arr = np.array(p.entries)
-    if step.i >= arr.size or step.j >= arr.size:
-        raise InvalidValue(f"indices ({step.i},{step.j}) out of range for d={arr.size}")
-    vi, vj = arr[step.i], arr[step.j]
-    arr[step.i] = step.t * vi + (1.0 - step.t) * vj
-    arr[step.j] = (1.0 - step.t) * vi + step.t * vj
+    if i >= arr.size or j >= arr.size:
+        raise InvalidValue(f"indices ({i},{j}) out of range for d={arr.size}")
+    vi, vj = arr[i], arr[j]
+    arr[i] = t * vi + (1.0 - t) * vj
+    arr[j] = (1.0 - t) * vi + t * vj
     return ProbVector(arr, normalized=p.normalized)
 
 
 def replay(chain, b):
     """The chain applied to sorted b one step at a time: the oracle of its matrices."""
     cur = ProbVector(sorted_padded(b, chain.d))
-    for step in chain.steps:
-        cur = apply_t_transform(step, cur)
+    for i, j, t in steps_of(chain):
+        cur = apply_t_transform(i, j, t, cur)
     return cur.entries
 
 
 class TestApplyTTransform:
     def test_identity(self):
-        out = apply_t_transform(TTransform(0, 1, 1.0), ProbVector([0.7, 0.3]))
+        out = apply_t_transform(0, 1, 1.0, ProbVector([0.7, 0.3]))
         np.testing.assert_allclose(out.entries, [0.7, 0.3])
 
     def test_swap(self):
-        out = apply_t_transform(TTransform(0, 1, 0.0), ProbVector([0.7, 0.3]))
+        out = apply_t_transform(0, 1, 0.0, ProbVector([0.7, 0.3]))
         np.testing.assert_allclose(out.entries, [0.3, 0.7])
 
     def test_even_mix(self):
-        out = apply_t_transform(TTransform(0, 1, 0.5), ProbVector([0.75, 0.25]))
+        out = apply_t_transform(0, 1, 0.5, ProbVector([0.75, 0.25]))
         np.testing.assert_allclose(out.entries, [0.5, 0.5])
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            apply_t_transform(TTransform(0, 5, 0.5), ProbVector([0.5, 0.5]))
+            apply_t_transform(0, 5, 0.5, ProbVector([0.5, 0.5]))
 
 
 class TestFindTransferChain:
     def test_two_coordinate_example(self):
         chain = find_transfer_chain(ProbVector([0.5, 0.5]), ProbVector([0.75, 0.25]))
-        assert len(chain.steps) == 1
-        step = chain.steps[0]
-        assert (step.i, step.j) == (0, 1)
-        assert step.t == pytest.approx(0.5, abs=1e-12)
+        [(i, j, t)] = steps_of(chain)
+        assert (i, j) == (0, 1)
+        assert t == pytest.approx(0.5, abs=1e-12)
 
     def test_equal_inputs_give_empty_chain(self):
         chain = find_transfer_chain(ProbVector([0.4, 0.6]), ProbVector([0.6, 0.4]))
-        assert chain.steps == ()
+        assert steps_of(chain) == []
 
     def test_transfer_into_zero(self):
         chain = find_transfer_chain(ProbVector([0.5, 0.25, 0.25]),
                                     ProbVector([0.5, 0.5, 0.0]))
-        assert len(chain.steps) == 1
-        step = chain.steps[0]
-        assert (step.i, step.j) == (1, 2)
-        assert step.t == pytest.approx(0.5, abs=1e-12)
+        [(i, j, t)] = steps_of(chain)
+        assert (i, j) == (1, 2)
+        assert t == pytest.approx(0.5, abs=1e-12)
 
     def test_rejects_non_majorized(self):
         with pytest.raises(MajorizationFailed) as err:
@@ -100,8 +102,9 @@ class TestFindTransferChain:
         a = ProbVector([0.5, 0.4, 0.1], normalized=True)
         b = ProbVector([0.6, 0.3, 0.1000000009], normalized=True)
         chain = find_transfer_chain(a, b)
-        assert [(s.i, s.j) for s in chain.steps] == [(0, 1)]
-        assert chain.steps[0].t == pytest.approx(2 / 3, abs=1e-12)
+        [(i, j, t)] = steps_of(chain)
+        assert (i, j) == (0, 1)
+        assert t == pytest.approx(2 / 3, abs=1e-12)
         assert np.abs(replay(chain, b) - sorted_padded(a, 3)).max() <= 1e-9
         assert chain_steps(find_transfer_chain, a, b) == chain_steps(numpy_scan_chain, a, b)
 
@@ -112,7 +115,7 @@ class TestFindTransferChain:
         rng = np.random.default_rng(seed)
         a, b = random_majorized_pair(d, rng)
         chain = find_transfer_chain(a, b)
-        assert len(chain.steps) <= d - 1 if d > 1 else chain.steps == ()
+        assert chain.t.size <= max(d - 1, 0)
         target = sorted_padded(a, a.d)
         assert np.abs(replay(chain, b) - target).max() <= 1e-9
 
@@ -129,7 +132,7 @@ def numpy_scan_chain(a, b):
         raise MajorizationFailed("a is not majorized by b", verdict=verdict)
     d = max(a.d, b.d)
     av, cur = sorted_padded(a, d), sorted_padded(b, d)
-    steps = []
+    step_i, step_j, step_t = [], [], []
     left = np.zeros(d, dtype=bool)  # the surpluses left in place
     for _ in range(2 * d):  # each pass leaves one surplus in place or matches a coordinate
         over = np.nonzero((cur - av > MATCH_TOL) & ~left)[0]
@@ -143,10 +146,12 @@ def numpy_scan_chain(a, b):
             continue
         k = int(under[0])
         delta = min(cur[j] - av[j], av[k] - cur[k])
-        steps.append(TTransform(i=j, j=k, t=1.0 - delta / (cur[j] - cur[k])))
+        step_i.append(j)
+        step_j.append(k)
+        step_t.append(1.0 - delta / (cur[j] - cur[k]))
         cur[j] = av[j] if delta == cur[j] - av[j] else cur[j] - delta
         cur[k] = av[k] if delta == av[k] - cur[k] else cur[k] + delta
-    return TransferChain(d=d, steps=steps)
+    return TransferChain(d, step_i, step_j, step_t)
 
 
 def chain_steps(build, a, b):
@@ -156,7 +161,7 @@ def chain_steps(build, a, b):
         chain = build(a, b)
     except MajorizationFailed as exc:
         return exc.verdict
-    return [(s.i, s.j, float(s.t).hex()) for s in chain.steps]
+    return [(i, j, t.hex()) for i, j, t in steps_of(chain)]
 
 
 @st.composite
@@ -214,7 +219,7 @@ class TestChainToDoublyStochastic:
         np.testing.assert_allclose(q.entries, [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
 
     def test_empty_chain_is_identity(self):
-        q = chain_to_doubly_stochastic(TransferChain(d=3, steps=()))
+        q = chain_to_doubly_stochastic(TransferChain(3, [], [], []))
         np.testing.assert_array_equal(q.entries, np.eye(3))
 
     def test_maps_source_to_target(self):
@@ -247,8 +252,8 @@ def fancy_index_walk(chain, block):
     """The chain's matrix as one gather, 2 x 2 product and scatter per step, block(t)
     giving the step's 2 x 2 matrix: the walk that both chain matrices must reproduce."""
     q = np.eye(chain.d)
-    for s in chain.steps:
-        q[[s.i, s.j], :] = block(s.t) @ q[[s.i, s.j], :]
+    for i, j, t in steps_of(chain):
+        q[[i, j], :] = block(t) @ q[[i, j], :]
     return q
 
 
@@ -262,7 +267,7 @@ class TestChainWalk:
     def test_both_matrices_equal_the_fancy_index_walk(self, d):
         rng = np.random.default_rng(500 + d)
         chains = [find_transfer_chain(*random_majorized_pair(d, rng)) for _ in range(5)]
-        chains.append(TransferChain(d=d, steps=()))
+        chains.append(TransferChain(d, [], [], []))
         for chain in chains:
             ds = fancy_index_walk(chain, lambda t: np.array([[t, 1.0 - t], [1.0 - t, t]]))
             np.testing.assert_array_equal(chain_to_doubly_stochastic(chain).entries, ds)
@@ -792,7 +797,7 @@ class TestCaratheodoryReduce:
 
     def test_dimension_one(self):
         chain = find_transfer_chain(ProbVector([1.0]), ProbVector([1.0]))
-        assert chain.d == 1 and chain.steps == ()
+        assert chain.d == 1 and steps_of(chain) == []
         np.testing.assert_array_equal(chain_to_orthogonal(chain).entries, [[1.0]])
         np.testing.assert_array_equal(chain_to_doubly_stochastic(chain).entries, [[1.0]])
         decomp = birkhoff_decompose(np.eye(1))
@@ -833,10 +838,10 @@ class TestSchurHorn:
     def test_chain_to_orthogonal_keeps_the_chain_blocks_apart(self):
         chain = find_transfer_chain(ProbVector([0.35, 0.35, 0.15, 0.15]),
                                     ProbVector([0.4, 0.3, 0.2, 0.1]))
-        assert [(s.i, s.j) for s in chain.steps] == [(2, 3), (0, 1)]
+        assert [(i, j) for i, j, _ in steps_of(chain)] == [(2, 3), (0, 1)]
         u = chain_to_orthogonal(chain).entries
         assert not u[:2, 2:].any() and not u[2:, :2].any()
-        empty = chain_to_orthogonal(TransferChain(d=3, steps=()))
+        empty = chain_to_orthogonal(TransferChain(3, [], [], []))
         np.testing.assert_array_equal(empty.entries, np.eye(3))
 
     def test_orthostochastic_consistency(self):
