@@ -111,7 +111,7 @@ def spectra(states) -> np.ndarray:
     return _eigh(_hermitian(states, ndim=3), states=True)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian positive semidefinite complex matrix of unit trace.  `matrix` is the
     Hermitian part of the input, proved on its one decomposition, which the state keeps as

@@ -45,7 +45,7 @@ PROBE_BLOCK = 256  # entropy_probe trials drawn from one generator, default_rng(
 PROBE_NOISE_FLOOR = 1e-12  # a largest entropy deviation at or below this names no worst trial
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """Kraus operators A_i held as one read-only, non-empty, finite (k, d_out, d_in) stack.
 
@@ -107,7 +107,7 @@ class KrausChannel:
         return self.unitality_defect <= COMPLETENESS_TOL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IsometryReport:
     """Outcome of the isometric-conjugation test.
 
@@ -130,7 +130,7 @@ class IsometryReport:
         return self.isometry is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixedUnitaryTransfer:
     """The Uhlmann frame of a state pair (see uhlmann_frame), read as the uniform mixture
     of the n = max(pos) + 1 unitaries U_k = F D^k E^*, D = diag(omega^pos) and
@@ -159,7 +159,10 @@ class MixedUnitaryTransfer:
         n = self.num_terms
         phases = np.exp(2j * np.pi / n * (np.arange(n)[:, None] * self.pos % n))  # D^k per row
         e_star = self.e.conj().T
-        return tuple((self.f * p) @ e_star for p in phases)  # one d x d temporary at a time
+        us = tuple((self.f * p) @ e_star for p in phases)  # one d x d temporary at a time
+        for u in us:
+            u.setflags(write=False)
+        return us
 
     def apply(self, rho: DensityMatrix, rank_one: bool = False) -> DensityMatrix:
         """F (M o mask) F^* with M = E^* rho E, as a validated state, in O(d^3).
@@ -414,6 +417,7 @@ def detect_isometry(phi: KrausChannel, tol: float = ISOMETRY_TOL) -> IsometryRep
     lead = col[np.abs(col) > CLAMP_TOL][0]
     v = v * (lead.conjugate() / abs(lead))
     v.setflags(write=False)
+    gram.setflags(write=False)
     return IsometryReport(isometry=v, gram=gram)
 
 
@@ -425,8 +429,7 @@ def _probe_block(d: int, base_seed: int, block: int):
     depend on it.
     """
     rng = np.random.default_rng([base_seed, block])
-    x = rng.standard_exponential((PROBE_BLOCK, d))
-    return rng, x / x.sum(axis=1, keepdims=True)
+    return rng, rng.dirichlet(np.ones(d), PROBE_BLOCK)
 
 
 def probe_state(d: int, base_seed: int, trial: int) -> DensityMatrix:

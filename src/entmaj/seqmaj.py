@@ -27,7 +27,7 @@ LOG_FLOOR = 1e-300
 MAJORIZATION_TOL = 1e-9  # default absolute tolerance of the prefix-sum comparisons
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbVector:
     """Finite sequence of non-negative reals, optionally summing to 1."""
 

@@ -31,7 +31,8 @@ Schemas:
 
 Each reader reads the one schema its caller names; none guesses a schema from
 the keys it finds, and `vector_or_state_from_json` is the only one that takes two.
-A key outside the schema is refused, so that a misspelled field is not ignored.
+A key outside the schema is refused, so that a misspelled field is not ignored,
+and so is a key given twice in one object, so that no value is read over another.
 
 Every report and every `save_json` file is one line of JSON with sorted keys
 and the json module's default separators (pipe it through `python -m json.tool`
@@ -340,12 +341,26 @@ def _non_finite(token):
     raise ValueError(f"{token} is not a JSON number")
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; a key given twice, which the json module reads
+    last-wins, is a SchemaError naming it as a JSON string, so on one line."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        key = next(k for n, k in enumerate(keys) if k in keys[:n])
+        raise SchemaError(f"duplicate key {json.dumps(key)}")
+    return obj
+
+
 def read_json(path):
     """Parse a JSON file into plain Python values; malformed text is a SchemaError,
-    and so are the NaN and Infinity tokens that the json module accepts."""
+    and so are a duplicated key and the NaN and Infinity tokens that the json module
+    accepts."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_constant=_non_finite)
+            return json.load(fh, object_pairs_hook=_object, parse_constant=_non_finite)
+    except SchemaError as exc:  # a duplicated key
+        raise SchemaError(str(exc), field=str(path)) from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"malformed JSON at line {exc.lineno} column {exc.colno}: "
                           f"{exc.msg}", field=str(path)) from exc

@@ -30,7 +30,7 @@ SUPPORT_TOL = 1e-9  # default tol of birkhoff_decompose
 _MATRIX_BLOCK = 1 << 13
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransferChain:
     """Step k mixes coordinates i = i[k] and j = j[k] of a d-vector with t = t[k]: (v_i, v_j)
     -> (t v_i + (1-t) v_j, (1-t) v_i + t v_j).  i, j and t are read-only arrays of one
@@ -57,7 +57,7 @@ class TransferChain:
             object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DoublyStochasticMatrix:
     """Non-negative square matrix with unit row and column sums."""
 
@@ -78,7 +78,7 @@ class DoublyStochasticMatrix:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrthogonalMatrix:
     """Real square matrix U with max |U^T U - I| within UNITARY_TOL.
 
@@ -118,7 +118,7 @@ def _ints(values, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BirkhoffDecomposition:
     """Convex mixture of permutations, stored as it is built: the weights t_0..t_{k-1},
     the first permutation, and the net changes of each later one.
@@ -390,7 +390,8 @@ def _swap(cols, members, perm, inv, moved, residual, cur, r) -> bool:
     cur[r], cur[m] = residual[r, c2], residual[m, c]
     perm[r], perm[m] = c2, c
     inv[c2], inv[c] = r, m
-    moved += r, m
+    moved.append(r)
+    moved.append(m)
     return True
 
 
@@ -471,6 +472,7 @@ def birkhoff_decompose(q, tol: float = SUPPORT_TOL) -> BirkhoffDecomposition:
     inv = [-1] * d
     open_cols = set(range(d))  # the columns with inv -1
     cur = np.zeros(d)  # residual[r, perm[r]] where matched; residual is stale there
+    argmin, item = cur.argmin, cur.item  # C methods; ndarray.min() goes through a wrapper
     mass = residual.sum(axis=1).max()  # every round takes w from every row
 
     weights = []
@@ -490,8 +492,8 @@ def birkhoff_decompose(q, tol: float = SUPPORT_TOL) -> BirkhoffDecomposition:
             raise MatchingFailed(
                 f"no perfect matching on the support above {floor} after "
                 f"{len(weights)} terms; row mass {mass:.3g} undecomposed at tol={tol}")
-        j = int(cur.argmin())  # a C method; ndarray.min() goes through a Python wrapper
-        w = float(cur[j])
+        j = int(argmin())
+        w = item(j)
         if weights:
             term = len(weights)
             moved.sort()
@@ -499,7 +501,9 @@ def birkhoff_decompose(q, tol: float = SUPPORT_TOL) -> BirkhoffDecomposition:
                 c = perm[r]
                 if c != last[r]:
                     last[r] = c
-                    changes += term, r, c
+                    changes.append(term)
+                    changes.append(r)
+                    changes.append(c)
         else:
             first, last = perm.copy(), perm.copy()
         moved.clear()
@@ -513,17 +517,20 @@ def birkhoff_decompose(q, tol: float = SUPPORT_TOL) -> BirkhoffDecomposition:
         # they match, an unmatched root writes nothing back, and the write-back before
         # MatchingFailed reads matched rows only.
         cur[j] = np.inf
-        if cur[cur.argmin()] > floor:
+        if item(argmin()) > floor:  # row j alone is freed: a swap repairs it, or a path
+            c = perm[j]
+            cols[j].remove(c)
+            members[j].discard(c)
+            if _swap(cols, members, perm, inv, moved, residual, cur, j):
+                free = ()
+                continue
             free = [j]
         else:
             cur[j] = 0.0
             free = (cur <= floor).nonzero()[0].tolist()
-        for r in free:
-            cols[r].remove(perm[r])
-            members[r].discard(perm[r])
-        if len(free) == 1 and _swap(cols, members, perm, inv, moved, residual, cur, free[0]):
-            free = []
-            continue
+            for r in free:
+                cols[r].remove(perm[r])
+                members[r].discard(perm[r])
         # a new set: one drained from d members keeps its table, and iterating it costs that
         open_cols = {perm[r] for r in free}
         for r in free:

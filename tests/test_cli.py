@@ -519,6 +519,20 @@ class TestInputRejection:
         self.assert_clean_exit_two(rc, err)
         assert f"error: {bundle}.c: unknown field" in err
 
+    @pytest.mark.parametrize("text,key", [
+        ('{"a": {"entries": [0.5, 0.5]}, "a": {"entries": [1, 0]}, "b": {"entries": [1, 0]}}',
+         "a"),
+        ('{"a": {"entries": [0.5, 0.5], "entries": [1, 0]}, "b": {"entries": [1, 0]}}',
+         "entries"),
+    ], ids=["bundle", "vector"])
+    def test_a_duplicated_key_exits_two(self, tmp_path, capsys, text, key):
+        # read last-wins, either file would be the pair ([1, 0], [1, 0]) and exit 0
+        bundle = tmp_path / "pair.json"
+        bundle.write_text(text)
+        rc, _, err = run(capsys, "majorize", "--in", str(bundle), "--require")
+        self.assert_clean_exit_two(rc, err)
+        assert f'error: {bundle}: duplicate key "{key}"' in err
+
     @pytest.mark.parametrize("sub,kind", [("majorize", "pair"), ("uhlmann", "state-pair")])
     def test_truncated_bundle_exit_two(self, tmp_path, capsys, sub, kind):
         bundle = tmp_path / "bundle.json"
