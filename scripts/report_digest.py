@@ -5,8 +5,11 @@ Every `gen` kind is drawn at each --d and --seed, and each output is read by eve
 subcommand that takes it, verdict flags included; `birkhoff` reads the pair's chain
 matrix, written by `save_json`.  Each pair and state pair is also read with its two
 values swapped, by the subcommands that require the first majorized by the second, so
-their refusals are covered too.  The hash covers stdout then stderr, so a `diff` of the
-output at two commits names every report, file, error or exit code that changed:
+their refusals are covered too.  At each --d and --seed an isometric conjugation from d
+to d + 1 with three Kraus terms, written by `save_json`, is read by the channel readers,
+so positive detections above d = 1 are covered as well.  The hash covers stdout then
+stderr, so a `diff` of the output at two commits names every report, file, error or exit
+code that changed:
 
     PYTHONPATH=src python scripts/report_digest.py > digest.txt
 """
@@ -18,7 +21,10 @@ import io
 import os
 import tempfile
 
+from numpy.random import default_rng
+
 from entmaj import cli
+from entmaj.qchan import random_isometric_conjugation_channel
 from entmaj.serial import dumps_report, prob_vector_from_json, read_json, save_json
 from entmaj.xfer import chain_to_doubly_stochastic, find_transfer_chain
 
@@ -38,6 +44,13 @@ SWAPPED_READERS = {  # the runs on each bundle with its two values swapped
 
 def digest(argv: list[str], code: int, data: bytes, tmp: str):
     print(" ".join(argv).replace(tmp + os.sep, ""), code, hashlib.sha256(data).hexdigest())
+
+
+def save(value, path: str, tmp: str):
+    """Write `value` with `save_json` and print the digest line of the file."""
+    save_json(value, path)
+    with open(path, "rb") as fh:
+        digest(["save_json", path], 0, fh.read(), tmp)
 
 
 def run(argv: list[str], tmp: str) -> bytes:
@@ -71,10 +84,14 @@ def main(argv=None):
             if kind == "pair":
                 a, b = (prob_vector_from_json(read_json(path)[k]) for k in "ab")
                 matrix = os.path.join(tmp, f"chain-matrix-{d}-{seed}.json")
-                save_json(chain_to_doubly_stochastic(find_transfer_chain(a, b)), matrix)
-                with open(matrix, "rb") as fh:
-                    digest(["save_json", matrix], 0, fh.read(), tmp)
+                save(chain_to_doubly_stochastic(find_transfer_chain(a, b)), matrix, tmp)
                 run(["birkhoff", "--in", matrix], tmp)
+        for d, seed in ((d, s) for d in args.d for s in args.seeds):
+            phi, _ = random_isometric_conjugation_channel(d, d + 1, default_rng(seed), 3)
+            path = os.path.join(tmp, f"isometric-{d}-{seed}.json")
+            save(phi, path, tmp)
+            for cmd in READERS["channel"]:
+                run(cmd.format(path, seed).split(), tmp)
 
 
 if __name__ == "__main__":

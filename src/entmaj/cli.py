@@ -16,8 +16,7 @@ from functools import cache, partial
 import numpy as np
 
 from . import __version__
-from .densop import (UNITARY_TOL, isometry_defect, random_density, trace_distance,
-                     von_neumann_entropy)
+from .densop import UNITARY_TOL, random_density, trace_distance, von_neumann_entropy
 from .errors import DomainError, SchemaError
 from .qchan import (
     COMPLETENESS_TOL,
@@ -269,7 +268,7 @@ def _run_uhlmann(args) -> int:
     frame = uhlmann_frame(rho1, rho2, args.tol)
     td = trace_distance(frame.apply(rho2, rank_one=True), rho1)
     # for |f_i><e_i|: sum A*A = E E^* and sum AA* = F F^*, each the identity for unitary E, F
-    completeness, unitality = isometry_defect(frame.e), isometry_defect(frame.f)
+    completeness, unitality = frame.e_defect, frame.f_defect
     return _finish(args, frame_to_json(frame), {
         "trace_distance": td, "ok_trace_distance": td <= TRACE_DISTANCE_TOL,
         "completeness_defect": completeness, "ok_completeness": completeness <= COMPLETENESS_TOL,
@@ -282,7 +281,7 @@ def _run_mixed_unitary(args) -> int:
     mix = mixed_unitary_uhlmann(rho1, rho2, args.tol)
     td = trace_distance(mix.apply(rho2), rho1)
     count, bound = mix.num_terms, (rho1.d - 1) ** 2 + 1
-    unitary = max(isometry_defect(mix.f), isometry_defect(mix.e))  # the factors of each U_k
+    unitary = max(mix.f_defect, mix.e_defect)  # the factors of each U_k
     return _finish(args, mixed_unitary_to_json(mix), {
         "trace_distance": td, "ok_trace_distance": td <= TRACE_DISTANCE_TOL,
         "term_count": count, "term_bound": bound, "ok_term_bound": count <= bound,
@@ -303,10 +302,9 @@ def _run_pinch_converge(args) -> int:
 
 
 def _run_detect_isometry(args) -> int:
-    report = detect_isometry(args.load(args.inputs), args.tol)
-    defect = None if report.isometry is None else isometry_defect(report.isometry)
-    return _finish(args, isometry_report_to_json(report), {"isometry_defect": defect},
-                   holds=report.is_isometric_conjugation)
+    rep = detect_isometry(args.load(args.inputs), args.tol)
+    return _finish(args, isometry_report_to_json(rep), {"isometry_defect": rep.isometry_defect},
+                   holds=rep.is_isometric_conjugation)
 
 
 def _run_probe_entropy(args) -> int:

@@ -51,10 +51,12 @@ class DimensionMismatch(DomainError):
 class SchemaError(Exception):
     """Malformed or invalid serialized data (exit code 2 in the CLI).
 
-    `field` names the offending JSON field when known.
+    `field` names the offending JSON field when known; one that is not printable, such as a
+    key holding a newline, is escaped as `repr` escapes it, so the message is one line.
     """
 
     def __init__(self, message, field=None):
+        field = field if field is None or field.isprintable() else repr(field)[1:-1]
         super().__init__(message if field is None else f"{field}: {message}")
         self.field = field
 

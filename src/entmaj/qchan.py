@@ -34,7 +34,7 @@ from .errors import (
     require,
 )
 from .seqmaj import CLAMP_TOL, MAJORIZATION_TOL, _row_entropies, convex_weights
-from .xfer import chain_to_orthogonal, find_transfer_chain
+from .xfer import _ints, chain_to_orthogonal, find_transfer_chain
 
 COMPLETENESS_TOL = 1e-8  # channel completeness and unitality; unitarity of mixed-unitary terms
 ISOMETRY_TOL = 1e-7  # default tolerance of the isometric-conjugation detector
@@ -111,19 +111,29 @@ class KrausChannel:
 class IsometryReport:
     """Outcome of the isometric-conjugation test.
 
-    On success `isometry` holds the recovered V (global phase fixed by making
-    its first nonzero column entry real positive) and `gram` the k x k Kraus
-    Gram matrix tr(A_i^* A_j) / d_in; `gram` is None on failure.  On failure
-    `failure_witness` is ((i, j), gap): i < j is the Kraus pair with the
-    largest defect G_ii G_jj - |G_ij|^2 and gap the sum of all but the
-    largest eigenvalue of G.  When the gap passes but V misses being an
-    isometry, it is ((t, t), isometry defect of V) with t the heaviest entry
-    of the top eigenvector.  The verdict is derived: `isometry` is set on success only.
+    On success `isometry` holds the recovered V (global phase fixed by making its first
+    nonzero column entry real positive), `gram` the k x k Kraus Gram matrix
+    tr(A_i^* A_j) / d_in and `isometry_defect` max |V^* V - I|, measured here, once; the
+    arrays are stored as read-only complex copies.  On failure all three are None and
+    `failure_witness` is ((i, j), gap): i < j is the Kraus pair with the largest defect
+    G_ii G_jj - |G_ij|^2 and gap the sum of all but the largest eigenvalue of G.  When the
+    gap passes but V misses being an isometry, it is ((t, t), isometry defect of V) with t
+    the heaviest entry of the top eigenvector.  The verdict is `isometry is not None`.
     """
 
     isometry: Optional[np.ndarray] = None
     gram: Optional[np.ndarray] = None
     failure_witness: Optional[tuple[tuple[int, int], float]] = None
+    isometry_defect: Optional[float] = field(init=False)
+
+    def __post_init__(self):
+        for name in ("isometry", "gram"):
+            if getattr(self, name) is not None:
+                m = np.array(getattr(self, name), dtype=complex)
+                m.setflags(write=False)
+                object.__setattr__(self, name, m)
+        v = self.isometry
+        object.__setattr__(self, "isometry_defect", None if v is None else isometry_defect(v))
 
     @property
     def is_isometric_conjugation(self) -> bool:
@@ -136,13 +146,23 @@ class MixedUnitaryTransfer:
     of the n = max(pos) + 1 unitaries U_k = F D^k E^*, D = diag(omega^pos) and
     omega = exp(2 pi i / n).
 
-    F and E are unitary and pos numbers each coordinate by its position in its block.
-    `weights` and `unitaries` are built on first use and cached; `apply` needs neither.
+    F and E are unitary within `f_defect` and `e_defect`, measured here, once, and stored,
+    not refused; pos numbers each coordinate by its position in its block.  `weights` and
+    `unitaries` are built on first use and cached; `apply` needs neither.
     """
 
     f: np.ndarray
     e: np.ndarray
     pos: np.ndarray
+    f_defect: float = field(init=False)
+    e_defect: float = field(init=False)
+
+    def __post_init__(self):
+        for name in ("f", "e"):
+            m = _square(getattr(self, name), complex)
+            object.__setattr__(self, name, m)
+            object.__setattr__(self, f"{name}_defect", isometry_defect(m))
+        object.__setattr__(self, "pos", _ints(self.pos, "pos", 1))
 
     @property
     def num_terms(self) -> int:
@@ -346,8 +366,6 @@ def uhlmann_frame(rho1: DensityMatrix, rho2: DensityMatrix,
     for i, j in zip(chain.i.tolist(), chain.j.tolist()):
         block[block == block[j]] = block[i]
     pos = np.tril(block[:, None] == block[None, :], -1).sum(axis=1)
-    e.setflags(write=False)
-    pos.setflags(write=False)
     return MixedUnitaryTransfer(f=rho1.eigenvectors, e=e, pos=pos)
 
 
@@ -408,17 +426,14 @@ def detect_isometry(phi: KrausChannel, tol: float = ISOMETRY_TOL) -> IsometryRep
         return IsometryReport(failure_witness=((int(i), int(j)), gap))
     u = evecs[:, -1]
     v = (u @ flat).reshape(phi.d_out, phi.d_in) / np.sqrt(evals[-1])
-    dev = isometry_defect(v)
-    if not dev <= tol:
-        t = int(np.argmax(np.abs(u)))
-        return IsometryReport(failure_witness=((t, t), dev))
     # fix the global phase: first nonzero column entry becomes real positive
     col = v.T.reshape(-1)
     lead = col[np.abs(col) > CLAMP_TOL][0]
-    v = v * (lead.conjugate() / abs(lead))
-    v.setflags(write=False)
-    gram.setflags(write=False)
-    return IsometryReport(isometry=v, gram=gram)
+    report = IsometryReport(isometry=v * (lead.conjugate() / abs(lead)), gram=gram)
+    if report.isometry_defect <= tol:
+        return report
+    t = int(np.argmax(np.abs(u)))
+    return IsometryReport(failure_witness=((t, t), report.isometry_defect))
 
 
 def _probe_block(d: int, base_seed: int, block: int):

@@ -369,8 +369,8 @@ def read_json(path):
 
 
 def save_json(value, path):
-    """Write a typed value (or a plain report dict) as one line of deterministic JSON."""
-    text = dumps_report(value if isinstance(value, dict) else to_json_value(value))
+    """Write a typed value as one line of deterministic JSON."""
+    text = dumps_report(to_json_value(value))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 

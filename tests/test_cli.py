@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import entmaj
 from certificates import orthogonal_of_rotations
-from entmaj import cli
+from entmaj import cli, densop
 from entmaj.cli import main
 from entmaj.densop import DensityMatrix, haar_unitary, random_density
 from entmaj.serial import (channel_from_json, channel_to_json, complex_matrix_to_json,
@@ -340,6 +340,40 @@ class TestSolverCalls:
         assert calls == expected
 
 
+class TestDefectCalls:
+    """Each unitarity or isometry defect a subcommand reports is measured once, by the value
+    that owns it, and read from it."""
+
+    @pytest.mark.parametrize("sub,kind,expected", [
+        ("detect-isometry", "isometric", 3),  # completeness and unitality at load, then V
+        ("uhlmann", "state-pair", 3),  # the Schur-Horn rotation U, then F and E
+        ("mixed-unitary", "state-pair", 3),
+    ])
+    def test_isometry_defect_calls_per_subcommand(self, tmp_path, capsys, monkeypatch,
+                                                  sub, kind, expected):
+        p = tmp_path / "in.json"
+        if kind == "isometric":
+            chan, _ = random_isometric_conjugation_channel(3, 4, np.random.default_rng(5), 2)
+            save_json(chan, p)
+        else:
+            run(capsys, "gen", kind, "--d", "5", "--seed", "3", "--out", str(p))
+        calls = collections.Counter()
+        measure = densop.isometry_defect
+
+        def counted(m):
+            calls["isometry_defect"] += 1
+            return measure(m)
+
+        # every name an entmaj module holds the function by
+        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "entmaj"]:
+            for attr, value in list(vars(module).items()):
+                if value is measure:
+                    monkeypatch.setattr(module, attr, counted)
+        rc, out, _ = run(capsys, sub, "--in", str(p))
+        assert rc == 0 and "error" not in json.loads(out)
+        assert calls == {"isometry_defect": expected}
+
+
 class TestDetectorCli:
     def test_positive_and_expectation(self, tmp_path, capsys):
         chan, _ = random_isometric_conjugation_channel(
@@ -532,6 +566,21 @@ class TestInputRejection:
         rc, _, err = run(capsys, "majorize", "--in", str(bundle), "--require")
         self.assert_clean_exit_two(rc, err)
         assert f'error: {bundle}: duplicate key "{key}"' in err
+
+    def test_a_key_holding_a_newline_is_named_on_one_line(self, tmp_path, capsys):
+        p = tmp_path / "nl.json"
+        p.write_text('{"a": {"entries": [0.5, 0.5]}, "b": {"entries": [1, 0]}, "x\\ny": 1}')
+        rc, _, err = run(capsys, "majorize", "--in", str(p))
+        self.assert_clean_exit_two(rc, err)
+        assert err.splitlines() == [f"error: {p}.x\\ny: unknown field (known: a, b)"]
+
+    def test_a_file_name_holding_a_newline_is_named_on_one_line(self, tmp_path, capsys):
+        p = tmp_path / "mal\nformed.json"
+        p.write_text('{"a": ')
+        rc, _, err = run(capsys, "majorize", "--in", str(p))
+        self.assert_clean_exit_two(rc, err)
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {tmp_path}{os.sep}mal\\nformed.json: malformed JSON")
 
     @pytest.mark.parametrize("sub,kind", [("majorize", "pair"), ("uhlmann", "state-pair")])
     def test_truncated_bundle_exit_two(self, tmp_path, capsys, sub, kind):
@@ -1031,7 +1080,7 @@ READERS = ("entropy", "majorize", "transfer", "birkhoff", "schur-horn", "uhlmann
            "mixed-unitary", "pinch-converge", "detect-isometry", "probe-entropy")
 KEYS = ("entries", "normalized", "d", "rows", "d_rows", "d_cols", "kind", "d_in", "d_out",
         "kraus", "flags", "trace_preserving", "unital", "steps", "i", "j", "t", "weights",
-        "first", "changes", "term", "row", "col", "a", "b", "rho1", "rho2")
+        "first", "changes", "term", "row", "col", "a", "b", "rho1", "rho2", "x\ny")
 # json.dumps writes 1e300 as "1e+300"; the test swaps that text for 1e400, a
 # literal that Python's json module reads as inf.
 BIG = 1e300

@@ -54,7 +54,8 @@ def test_report_digest_prints_the_same_lines_twice(capsys):
         _main("report_digest")(["--d", "2", "--seeds", "3"])
         runs.append(capsys.readouterr().out.splitlines())
     assert runs[0] == runs[1]
-    assert len(runs[0]) == 22  # 4 gen outputs, 17 reports and the chain matrix
+    # 4 gen outputs, 20 reports, the chain matrix and the isometric channel
+    assert len(runs[0]) == 26
     assert runs[0][0].startswith("gen state --d 2 --seed 3 0 ")
     assert "save_json chain-matrix-2-3.json 0 " in "\n".join(runs[0])
     swapped = [line.split()[:-1] for line in runs[0] if "swapped" in line]
@@ -64,4 +65,10 @@ def test_report_digest_prints_the_same_lines_twice(capsys):
         ["schur-horn", "--in", "pair-swapped-2-3.json", "1"],
         ["uhlmann", "--in", "state-pair-swapped-2-3.json", "1"],
         ["mixed-unitary", "--in", "state-pair-swapped-2-3.json", "1"]]
+    positive = [line.split()[:-1] for line in runs[0] if "isometric" in line]
+    assert positive == [  # a positive detection above d = 1, each exit code 0
+        ["save_json", "isometric-2-3.json", "0"],
+        ["detect-isometry", "--in", "isometric-2-3.json", "0"],
+        ["detect-isometry", "--in", "isometric-2-3.json", "--expect-isometry", "0"],
+        ["probe-entropy", "--in", "isometric-2-3.json", "--trials", "25", "--seed", "3", "0"]]
     assert all(len(line.split()[-1]) == 64 for line in runs[0])
