@@ -7,9 +7,14 @@ matrix, written by `save_json`.  Each pair and state pair is also read with its 
 values swapped, by the subcommands that require the first majorized by the second, so
 their refusals are covered too.  At each --d and --seed an isometric conjugation from d
 to d + 1 with three Kraus terms, written by `save_json`, is read by the channel readers,
-so positive detections above d = 1 are covered as well.  The hash covers stdout then
-stderr, so a `diff` of the output at two commits names every report, file, error or exit
-code that changed:
+so positive detections above d = 1 are covered as well.  At the first --d and --seed,
+each `gen` output is also mutated in a fixed grid and read by the first subcommand that
+takes it, so that every refusal is covered: each field of each object deleted, or
+replaced by true, "x", 0, null or [], an unknown key "zz" in each object, the top level a
+list or a number, and two faults at once (a field deleted or made "x" beside a "zz", and
+a state's bad entry beside a bad "kind").  The hash covers stdout then stderr, the
+temporary directory cut from both, so a `diff` of the output at two commits names every
+report, file, error or exit code that changed:
 
     PYTHONPATH=src python scripts/report_digest.py > digest.txt
 """
@@ -18,8 +23,11 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import tempfile
+from functools import reduce
+from operator import getitem
 
 from numpy.random import default_rng
 
@@ -40,6 +48,8 @@ SWAPPED_READERS = {  # the runs on each bundle with its two values swapped
     "pair": ["majorize --in {0} --require", "transfer --in {0}", "schur-horn --in {0}"],
     "state-pair": ["uhlmann --in {0}", "mixed-unitary --in {0}"],
 }
+JUNK = {"true": True, "x": "x", "0": 0, "null": None, "list": []}  # each of another type
+DELETE = object()
 
 
 def digest(argv: list[str], code: int, data: bytes, tmp: str):
@@ -58,8 +68,51 @@ def run(argv: list[str], tmp: str) -> bytes:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    digest(argv, code, (out.getvalue() + err.getvalue()).encode(), tmp)
+    digest(argv, code, (out.getvalue() + err.getvalue()).replace(tmp + os.sep, "").encode(),
+           tmp)
     return out.getvalue().encode()
+
+
+def objects(value, path=()):
+    """The path of every JSON object within `value`, each before those it holds."""
+    if isinstance(value, dict):
+        yield path
+    for key, item in (value.items() if isinstance(value, dict) else
+                      enumerate(value) if isinstance(value, list) else ()):
+        yield from objects(item, (*path, key))
+
+
+def edited(text: str, *changes):
+    """The JSON `text` read afresh with each (path, value) of `changes` set, DELETE
+    deleting the key."""
+    value = json.loads(text)
+    for (*parents, key), new in changes:
+        node = reduce(getitem, parents, value)
+        if new is DELETE:
+            del node[key]
+        else:
+            node[key] = new
+    return value
+
+
+def mutants(text: str):
+    """(label, value) for each fault of the grid on the JSON `text`."""
+    yield "top-list", []
+    yield "top-number", 0
+    for path in objects(json.loads(text)):
+        node = reduce(getitem, path, json.loads(text))
+        at = "".join(f"{key}." for key in path)
+        yield f"{at}zz", edited(text, ((*path, "zz"), 1))
+        for key in node:
+            field = (*path, key)
+            yield f"{at}{key}-del", edited(text, (field, DELETE))
+            for name, junk in JUNK.items():
+                yield f"{at}{key}-{name}", edited(text, (field, junk))
+            yield f"{at}{key}-del+zz", edited(text, (field, DELETE), ((*path, "zz"), 1))
+            yield f"{at}{key}-x+zz", edited(text, (field, "x"), ((*path, "zz"), 1))
+        if "kind" in node:
+            yield f"{at}rows-x+kind-x", edited(text, ((*path, "rows", 0, 0, 0), "x"),
+                                               ((*path, "kind"), "x"))
 
 
 def main(argv=None):
@@ -74,6 +127,14 @@ def main(argv=None):
                 fh.write(run(["gen", kind, "--d", str(d), "--seed", str(seed)], tmp))
             for cmd in READERS[kind]:
                 run(cmd.format(path, seed).split(), tmp)
+            if (d, seed) == (args.d[0], args.seeds[0]):
+                with open(path, encoding="utf-8") as fh:
+                    text = fh.read()
+                for label, value in mutants(text):
+                    mutant = os.path.join(tmp, f"{kind}-mutant-{label}.json")
+                    with open(mutant, "w", encoding="utf-8") as fh:
+                        fh.write(dumps_report(value))
+                    run(READERS[kind][0].format(mutant, seed).split(), tmp)
             if kind in SWAPPED_READERS:
                 (first, x), (second, y) = read_json(path).items()
                 swapped = os.path.join(tmp, f"{kind}-swapped-{d}-{seed}.json")

@@ -31,8 +31,8 @@ from .qchan import (
 from .seqmaj import (MAJORIZATION_TOL, ProbVector, is_majorized, random_majorized_pair,
                      shannon_entropy, sorted_padded)
 from .serial import (
-    _only_keys,
     birkhoff_to_json,
+    bundle_from_json,
     chain_to_json,
     channel_from_json,
     channel_to_json,
@@ -168,12 +168,7 @@ def _load_one(paths, from_json):
 def _load_pair(paths, keys, from_json):
     """Two values from two files, or from one bundle holding both named fields."""
     if len(paths) == 1:
-        obj = read_json(paths[0])
-        if not isinstance(obj, dict) or any(k not in obj for k in keys):
-            raise SchemaError(f"bundle needs fields {keys[0]!r} and {keys[1]!r}",
-                              field=str(paths[0]))
-        _only_keys(obj, keys, str(paths[0]))
-        return tuple(from_json(obj[k], f"{paths[0]}.{k}") for k in keys)
+        return bundle_from_json(read_json(paths[0]), str(paths[0]), from_json, *keys)
     if len(paths) != 2:
         raise SchemaError(f"expected a bundle or 2 --in files, got {len(paths)}")
     return tuple(from_json(read_json(p), str(p)) for p in paths)

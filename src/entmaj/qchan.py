@@ -118,12 +118,14 @@ class IsometryReport:
     `failure_witness` is ((i, j), gap): i < j is the Kraus pair with the largest defect
     G_ii G_jj - |G_ij|^2 and gap the sum of all but the largest eigenvalue of G.  When the
     gap passes but V misses being an isometry, it is ((t, t), isometry defect of V) with t
-    the heaviest entry of the top eigenvector.  The verdict is `isometry is not None`.
+    the heaviest entry of the top eigenvector.  The verdict is `isometry_defect <= tol`,
+    false without V; `tol` is the detector's.
     """
 
     isometry: Optional[np.ndarray] = None
     gram: Optional[np.ndarray] = None
     failure_witness: Optional[tuple[tuple[int, int], float]] = None
+    tol: float = ISOMETRY_TOL
     isometry_defect: Optional[float] = field(init=False)
 
     def __post_init__(self):
@@ -137,7 +139,7 @@ class IsometryReport:
 
     @property
     def is_isometric_conjugation(self) -> bool:
-        return self.isometry is not None
+        return self.isometry_defect is not None and self.isometry_defect <= self.tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,8 +149,9 @@ class MixedUnitaryTransfer:
     omega = exp(2 pi i / n).
 
     F and E are unitary within `f_defect` and `e_defect`, measured here, once, and stored,
-    not refused; pos numbers each coordinate by its position in its block.  `weights` and
-    `unitaries` are built on first use and cached; `apply` needs neither.
+    not refused; pos numbers each coordinate by its position in its block, in 0..d-1, d the
+    dimension that F, E and pos share.  `weights` and `unitaries` are built on first use
+    and cached; `apply` needs neither.
     """
 
     f: np.ndarray
@@ -163,6 +166,12 @@ class MixedUnitaryTransfer:
             object.__setattr__(self, name, m)
             object.__setattr__(self, f"{name}_defect", isometry_defect(m))
         object.__setattr__(self, "pos", _ints(self.pos, "pos", 1))
+        d = self.f.shape[0]
+        if self.e.shape != self.f.shape or self.pos.shape != (d,):
+            raise DimensionMismatch(f"f {self.f.shape}, e {self.e.shape} and pos "
+                                    f"{self.pos.shape} differ in dimension")
+        if not 0 <= self.pos.min() <= self.pos.max() < d:
+            raise InvalidValue(f"pos must lie in 0..{d - 1}")
 
     @property
     def num_terms(self) -> int:
@@ -429,8 +438,8 @@ def detect_isometry(phi: KrausChannel, tol: float = ISOMETRY_TOL) -> IsometryRep
     # fix the global phase: first nonzero column entry becomes real positive
     col = v.T.reshape(-1)
     lead = col[np.abs(col) > CLAMP_TOL][0]
-    report = IsometryReport(isometry=v * (lead.conjugate() / abs(lead)), gram=gram)
-    if report.isometry_defect <= tol:
+    report = IsometryReport(isometry=v * (lead.conjugate() / abs(lead)), gram=gram, tol=tol)
+    if report.is_isometric_conjugation:
         return report
     t = int(np.argmax(np.abs(u)))
     return IsometryReport(failure_witness=((t, t), report.isometry_defect))

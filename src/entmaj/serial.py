@@ -29,10 +29,12 @@ Schemas:
                        (U_k = F diag(omega^(k pos)) E^*, omega = exp(2 pi i / n), k < n)
   pinch table          CSV "n,trace_distance,bound", then one row per n  (written only)
 
-Each reader reads the one schema its caller names; none guesses a schema from
-the keys it finds, and `vector_or_state_from_json` is the only one that takes two.
-A key outside the schema is refused, so that a misspelled field is not ignored,
-and so is a key given twice in one object, so that no value is read over another.
+Each reader reads the one schema its caller names, stated in one `_fields` call per
+object (`bundle_from_json` too); none guesses a schema from the keys it finds, and
+`vector_or_state_from_json` is the only one that takes two.  `_fields` checks the
+required fields in order, then refuses a key outside the schema, so that a misspelled
+field is not ignored, then the optional ones; a state's numbers are read before its
+"kind".  A key given twice in one object is refused, so no value is read over another.
 
 Every report and every `save_json` file is one line of JSON with sorted keys
 and the json module's default separators (pipe it through `python -m json.tool`
@@ -93,35 +95,37 @@ def _numbers_at_once(values: list, shape: tuple) -> np.ndarray | None:
     return arr.reshape(shape) if np.abs(arr).max() < sys.float_info.max else None
 
 
-def _expect(obj, key, kind, where):
-    if not isinstance(obj, dict) or key not in obj:
-        raise SchemaError("missing required field", field=f"{where}.{key}")
-    val = obj[key]
-    if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
-        raise SchemaError(f"expected {kind.__name__}", field=f"{where}.{key}")
-    return val
+def _fields(obj, where: str, **schema) -> list:
+    """obj's values of the schema's fields, in its order.  Each entry is a type, or (type,
+    default) for an optional field; an int is a dimension >= 1, and a bool is no int.  The
+    required fields are checked in order (a non-dict lacks them), then a key outside the
+    schema is refused (the first in sorted order), then the optional fields obj holds."""
+    def check(key, kind):
+        value = obj[key]
+        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+            raise SchemaError(f"expected {kind.__name__}", field=f"{where}.{key}")
+        if kind is int and value < 1:
+            raise SchemaError(f"dimension {value} is not >= 1", field=f"{where}.{key}")
 
-
-def _only_keys(obj: dict, keys, where):
-    """Refuse a key of `obj` outside `keys`, the fields of its schema, so that a misspelled
-    field is an error and not a check skipped; the first such key in sorted order is named."""
-    extra = obj.keys() - keys
+    for key, kind in schema.items():
+        if type(kind) is not tuple:
+            if not isinstance(obj, dict) or key not in obj:
+                raise SchemaError("missing required field", field=f"{where}.{key}")
+            check(key, kind)
+    extra = obj.keys() - schema.keys()
     if extra:
-        raise SchemaError(f"unknown field (known: {', '.join(sorted(keys))})",
+        raise SchemaError(f"unknown field (known: {', '.join(sorted(schema))})",
                           field=f"{where}.{min(extra, key=str)}")
+    for key, kind in schema.items():
+        if type(kind) is tuple and key in obj:
+            check(key, kind[0])
+    return [obj[key] if key in obj else schema[key][1] for key in schema]
 
 
 def _pair(pair, where: str, i, j) -> list[float]:
     if not isinstance(pair, list) or len(pair) != 2:
         raise SchemaError("expected an [re, im] pair", field=f"{where}[{i}][{j}]")
     return [_number(pair[0], where, i, j), _number(pair[1], where, i, j)]
-
-
-def _dimension(obj, key, where) -> int:
-    d = _expect(obj, key, int, where)
-    if d < 1:
-        raise SchemaError(f"dimension {d} is not >= 1", field=f"{where}.{key}")
-    return d
 
 
 def _rows_each(rows: list, field: str, r: int, c: int, entry) -> np.ndarray:
@@ -136,16 +140,15 @@ def _rows_each(rows: list, field: str, r: int, c: int, entry) -> np.ndarray:
     return np.array(out)
 
 
-def _matrix(obj, where: str, row_key: str, col_key: str, entry, keys=()) -> np.ndarray:
-    """obj["rows"] as a float array of shape (r, c), or (r, c, 2) of [re, im] pairs when
-    `entry` is `_pair`: read at once, and entry by entry only to name a bad field.  obj
-    may hold the `keys` beyond the matrix's own."""
-    r = _dimension(obj, row_key, where)
-    c = _dimension(obj, col_key, where)
-    rows = _expect(obj, "rows", list, where)
-    _only_keys(obj, (row_key, col_key, "rows", *keys), where)
-    arr = _numbers_at_once(rows, (r, c, 2) if entry is _pair else (r, c))
-    return _rows_each(rows, f"{where}.rows", r, c, entry) if arr is None else arr
+def _numbers(values: list, shape: tuple, field: str) -> np.ndarray:
+    """values as a float array of `shape`, (n,), (r, c) or (r, c, 2) of [re, im] pairs:
+    read at once, and entry by entry only to name the first bad field."""
+    arr = _numbers_at_once(values, shape)
+    if arr is not None:
+        return arr
+    if len(shape) == 1:
+        return np.array([_number(x, field, k) for k, x in enumerate(values)])
+    return _rows_each(values, field, *shape[:2], _pair if len(shape) == 3 else _number)
 
 
 def _construct(where: str, cls, *args, **kwargs):
@@ -161,13 +164,9 @@ def prob_vector_to_json(p: ProbVector) -> dict:
 
 
 def prob_vector_from_json(obj, where: str = "prob_vector") -> ProbVector:
+    entries, normalized = _fields(obj, where, entries=list, normalized=(bool, False))
     field = f"{where}.entries"
-    entries = _expect(obj, "entries", list, where)
-    _only_keys(obj, ("entries", "normalized"), where)
-    values = _numbers_at_once(entries, (len(entries),))
-    if values is None:  # read again entry by entry, to name the first bad one
-        values = np.array([_number(x, field, k) for k, x in enumerate(entries)])
-    normalized = _expect(obj, "normalized", bool, where) if "normalized" in obj else False
+    values = _numbers(entries, (len(entries),), field)
     return _construct(field, ProbVector, values, normalized=normalized)
 
 
@@ -180,7 +179,8 @@ def real_matrix_to_json(m) -> dict:
 
 
 def real_matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
-    return _matrix(obj, where, "d", "d", _number)
+    d, rows = _fields(obj, where, d=int, rows=list)
+    return _numbers(rows, (d, d), f"{where}.rows")
 
 
 def _pairs(arr: np.ndarray) -> list:
@@ -196,9 +196,9 @@ def complex_matrix_to_json(arr: np.ndarray) -> dict:
     return {"d_rows": arr.shape[0], "d_cols": arr.shape[1], "rows": _pairs(arr)}
 
 
-def complex_matrix_from_json(obj, where: str = "matrix", keys=()) -> np.ndarray:
-    """The matrix of obj, which may hold the `keys` beyond the matrix's own."""
-    return _matrix(obj, where, "d_rows", "d_cols", _pair, keys).view(complex)[..., 0]
+def complex_matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
+    r, c, rows = _fields(obj, where, d_rows=int, d_cols=int, rows=list)
+    return _numbers(rows, (r, c, 2), f"{where}.rows").view(complex)[..., 0]
 
 
 def density_to_json(rho: DensityMatrix) -> dict:
@@ -207,8 +207,10 @@ def density_to_json(rho: DensityMatrix) -> dict:
 
 def density_from_json(obj, where: str = "density") -> DensityMatrix:
     """The state of a complex matrix whose "kind", if given, is "density"."""
-    arr = complex_matrix_from_json(obj, where, ("kind",))
-    if obj.get("kind", "density") != "density":
+    r, c, rows, kind = _fields(obj, where, d_rows=int, d_cols=int, rows=list,
+                               kind=(object, "density"))
+    arr = _numbers(rows, (r, c, 2), f"{where}.rows").view(complex)[..., 0]
+    if kind != "density":
         raise SchemaError('expected "density"', field=f"{where}.kind")
     return _construct(where, DensityMatrix, arr)
 
@@ -218,6 +220,13 @@ def vector_or_state_from_json(obj, where: str = "value") -> ProbVector | Density
     if isinstance(obj, dict) and "entries" in obj:
         return prob_vector_from_json(obj, where)
     return density_from_json(obj, where)
+
+
+def bundle_from_json(obj, where: str, from_json, *keys) -> tuple:
+    """The values of the fields `keys` of a bundle, which holds no other, each read by
+    `from_json`."""
+    values = _fields(obj, where, **dict.fromkeys(keys, object))
+    return tuple(from_json(value, f"{where}.{key}") for key, value in zip(keys, values))
 
 
 def channel_to_json(phi: KrausChannel) -> dict:
@@ -253,15 +262,10 @@ def channel_from_json(obj, where: str = "channel") -> KrausChannel:
     """The channel of the operators, which must match the declared d_in and d_out and meet
     the claimed "flags", each a bool: trace_preserving (true unless given) and unital
     (false unless given)."""
-    d_in = _dimension(obj, "d_in", where)
-    d_out = _dimension(obj, "d_out", where)
-    kraus_list = _expect(obj, "kraus", list, where)
-    _only_keys(obj, ("d_in", "d_out", "kraus", "flags"), where)
-    flags = _expect(obj, "flags", dict, where) if "flags" in obj else {}
-    _only_keys(flags, ("trace_preserving", "unital"), f"{where}.flags")
-    claims_tp, claims_unital = (_expect(flags, key, bool, f"{where}.flags") if key in flags
-                                else default
-                                for key, default in (("trace_preserving", True), ("unital", False)))
+    d_in, d_out, kraus_list, flags = _fields(obj, where, d_in=int, d_out=int, kraus=list,
+                                             flags=(dict, {}))
+    claims_tp, claims_unital = _fields(flags, f"{where}.flags", trace_preserving=(bool, True),
+                                       unital=(bool, False))
     phi = _construct(where, KrausChannel, _kraus_from_json(kraus_list, f"{where}.kraus"))
     for key, declared, actual in (("d_in", d_in, phi.d_in), ("d_out", d_out, phi.d_out)):
         if declared != actual:

@@ -54,8 +54,8 @@ def test_report_digest_prints_the_same_lines_twice(capsys):
         _main("report_digest")(["--d", "2", "--seeds", "3"])
         runs.append(capsys.readouterr().out.splitlines())
     assert runs[0] == runs[1]
-    # 4 gen outputs, 20 reports, the chain matrix and the isometric channel
-    assert len(runs[0]) == 26
+    # 4 gen outputs, 20 reports, the chain matrix, the isometric channel and 328 mutants
+    assert len(runs[0]) == 354
     assert runs[0][0].startswith("gen state --d 2 --seed 3 0 ")
     assert "save_json chain-matrix-2-3.json 0 " in "\n".join(runs[0])
     swapped = [line.split()[:-1] for line in runs[0] if "swapped" in line]
@@ -71,4 +71,14 @@ def test_report_digest_prints_the_same_lines_twice(capsys):
         ["detect-isometry", "--in", "isometric-2-3.json", "0"],
         ["detect-isometry", "--in", "isometric-2-3.json", "--expect-isometry", "0"],
         ["probe-entropy", "--in", "isometric-2-3.json", "--trials", "25", "--seed", "3", "0"]]
+    mutants = {line.split()[2]: line.split()[-2] for line in runs[0] if "-mutant-" in line}
+    assert len(mutants) == 328
+    # each mutant exits 2, but one that leaves out an optional field or claims true
+    accepted = ["state-mutant-kind-del", "state-pair-mutant-rho1.kind-del",
+                "state-pair-mutant-rho2.kind-del", "channel-mutant-flags-del",
+                *(f"{name}-{fault}" for fault in ("del", "true") for name in (
+                    "pair-mutant-a.normalized", "pair-mutant-b.normalized",
+                    "channel-mutant-flags.trace_preserving", "channel-mutant-flags.unital"))]
+    assert {name: code for name, code in mutants.items() if code != "2"} == {
+        f"{name}.json": "0" for name in accepted}
     assert all(len(line.split()[-1]) == 64 for line in runs[0])

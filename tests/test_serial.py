@@ -18,6 +18,7 @@ from entmaj.qchan import (KrausChannel, random_bistochastic_channel,
 from entmaj.seqmaj import ProbVector, random_majorized_pair
 from entmaj.serial import (
     birkhoff_to_json,
+    bundle_from_json,
     chain_to_json,
     channel_from_json,
     channel_to_json,
@@ -238,6 +239,9 @@ class TestUnknownKeysRefused:
         "channel": (channel_from_json, CHANNEL, ()),
         "flags": (channel_from_json, CHANNEL, ("flags",)),
         "kraus operator": (channel_from_json, CHANNEL, ("kraus", 1)),
+        "vector bundle": (lambda obj, where: bundle_from_json(obj, where, prob_vector_from_json,
+                                                              "a", "b"),
+                          {"a": {"entries": [1.0]}, "b": {"entries": [1.0]}}, ()),
     }
 
     @pytest.mark.parametrize("name", sorted(READERS))
@@ -257,6 +261,56 @@ class TestUnknownKeysRefused:
         for kind in ("state", None, 1):
             with pytest.raises(SchemaError, match='^x.kind: expected "density"$'):
                 density_from_json({**rho, "kind": kind}, "x")
+
+
+class TestRefusalOrder:
+    """Within one object the required fields are checked first, in schema order, then an
+    unknown key, then the optional fields; the numbers a field holds are read after that,
+    but a state's before its "kind"."""
+
+    STATE = {"d_rows": 1, "d_cols": 1, "rows": [[[1.0, 0.0]]]}
+    CHANNEL = channel_to_json(KrausChannel(np.eye(1, dtype=complex)[None]))
+
+    @pytest.mark.parametrize("read,obj,field", [
+        (prob_vector_from_json, {"normalized": True, "zz": 1}, "x.entries"),
+        (channel_from_json, {**CHANNEL, "d_in": "x", "zz": 1}, "x.d_in"),
+        (density_from_json, {**STATE, "d_cols": 0, "zz": 1}, "x.d_cols"),
+        (prob_vector_from_json, {"entries": [1.0], "normalized": "yes", "zz": 1}, "x.zz"),
+        (channel_from_json, {**CHANNEL, "flags": "x", "zz": 1}, "x.zz"),
+        (channel_from_json, {**CHANNEL, "flags": {"unital": "x", "zz": 1}}, "x.flags.zz"),
+        (channel_from_json, {**CHANNEL, "flags": {"trace_preserving": 1, "unital": 1}},
+         "x.flags.trace_preserving"),
+        (density_from_json, {**STATE, "kind": "x", "zz": 1}, "x.zz"),
+        (density_from_json, {**STATE, "rows": [[["x", 0.0]]], "kind": "x"}, "x.rows[0][0]"),
+        (prob_vector_from_json, {"entries": ["x"], "normalized": "yes"}, "x.normalized"),
+        (channel_from_json, {**CHANNEL, "kraus": [{}], "flags": {"unital": "x"}},
+         "x.flags.unital"),
+    ], ids=["missing-before-unknown", "bad-dimension-before-unknown", "dimension-below-one",
+            "unknown-before-normalized", "unknown-before-flags", "unknown-before-a-flag",
+            "flags-in-order", "unknown-before-kind", "leaf-before-kind",
+            "normalized-before-leaf", "flags-before-operators"])
+    def test_the_first_fault_in_order_is_named(self, read, obj, field):
+        with pytest.raises(SchemaError) as err:
+            read(obj, "x")
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("sub,keys", [("majorize", ("a", "b")),
+                                          ("uhlmann", ("rho1", "rho2"))])
+    @pytest.mark.parametrize("fault", ["first-missing", "second-missing", "list", "number"])
+    def test_a_bundle_without_its_two_fields_names_the_first_missing(self, tmp_path, capsys,
+                                                                    sub, keys, fault):
+        bundle = tmp_path / "bundle.json"
+        assert main(["gen", "pair" if sub == "majorize" else "state-pair", "--d", "2",
+                     "--out", str(bundle)]) == 0
+        obj = read_json(bundle)
+        missing = keys[1] if fault == "second-missing" else keys[0]
+        if fault.endswith("missing"):
+            del obj[missing]
+        bundle.write_text(dumps_report({"list": [obj], "number": 1}.get(fault, obj)))
+        capsys.readouterr()
+        assert main([sub, "--in", str(bundle)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {bundle}.{missing}: missing required field\n"
 
 
 class TestWriter:

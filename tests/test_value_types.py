@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from entmaj.densop import DensityMatrix, isometry_defect
+from entmaj.errors import DimensionMismatch, InvalidValue
 from entmaj.qchan import (EntropyProbeResult, FixedPointReport, IsometryReport, KrausChannel,
                           MixedUnitaryTransfer, PinchRow, detect_isometry,
                           mixed_unitary_uhlmann)
@@ -103,6 +104,28 @@ def test_a_value_built_directly_measures_its_defects_and_refuses_none():
     assert (frame.f_defect, frame.e_defect) == (0.0, 3.0)  # |(2I)^* 2I - I| = 3
     report = BUILT_DIRECTLY[IsometryReport]()
     assert report.isometry_defect == 2.0  # |J^* J - I| = |2J - I|, J the all-ones matrix
+
+
+@pytest.mark.parametrize("f,e,pos,exc", [
+    (np.eye(2), np.eye(3), [0], DimensionMismatch),  # applied, numpy's matmul would refuse it
+    (np.eye(2), np.eye(2), [0], DimensionMismatch),
+    (np.eye(2), np.eye(2), [0, 2], InvalidValue),
+    (np.eye(2), np.eye(2), [-1, 0], InvalidValue),
+], ids=["f-and-e", "pos-length", "pos-above-d", "pos-negative"])
+def test_a_frame_whose_parts_disagree_is_refused(f, e, pos, exc):
+    with pytest.raises(exc):
+        MixedUnitaryTransfer(f=f, e=e, pos=pos)
+
+
+@pytest.mark.parametrize("isometry,tol,verdict", [
+    (np.ones((2, 2)), None, False),  # defect 2.0 over the default ISOMETRY_TOL
+    (np.ones((2, 2)), 2.0, True),
+    (np.eye(3, 2), None, True),
+    (None, 1.0, False),  # no V, no verdict
+], ids=["over-default-tol", "within-own-tol", "isometry", "no-isometry"])
+def test_the_report_decides_on_its_defect_within_its_tol(isometry, tol, verdict):
+    report = IsometryReport(isometry=isometry, **({} if tol is None else {"tol": tol}))
+    assert report.is_isometric_conjugation is verdict
 
 
 @pytest.mark.parametrize("cls", SCALAR_TYPES, ids=lambda cls: cls.__name__)
