@@ -3,18 +3,19 @@
 
 Every `gen` kind is drawn at each --d and --seed, and each output is read by every
 subcommand that takes it, verdict flags included; `birkhoff` reads the pair's chain
-matrix, written by `save_json`.  Each pair and state pair is also read with its two
-values swapped, by the subcommands that require the first majorized by the second, so
-their refusals are covered too.  At each --d and --seed an isometric conjugation from d
-to d + 1 with three Kraus terms, written by `save_json`, is read by the channel readers,
-so positive detections above d = 1 are covered as well.  At the first --d and --seed,
-each `gen` output is also mutated in a fixed grid and read by the first subcommand that
-takes it, so that every refusal is covered: each field of each object deleted, or
-replaced by true, "x", 0, null or [], an unknown key "zz" in each object, the top level a
-list or a number, and two faults at once (a field deleted or made "x" beside a "zz", and
-a state's bad entry beside a bad "kind").  The hash covers stdout then stderr, the
-temporary directory cut from both, so a `diff` of the output at two commits names every
-report, file, error or exit code that changed:
+matrix, and `pinch-converge` also reads each state beside the basis
+`haar_unitary(d, default_rng(seed))`, both written by `save_json`.  Each pair and state pair is also read
+with its two values swapped, by the subcommands that require the first majorized by the
+second, so their refusals are covered too.  At each --d and --seed an isometric
+conjugation from d to d + 1 with three Kraus terms, written by `save_json`, is read by
+the channel readers, so positive detections above d = 1 are covered as well.  At the
+first --d and --seed, each `gen` output is also mutated in a fixed grid and read by the
+first subcommand that takes it, so that every refusal is covered: each field of each
+object deleted, or replaced by true, "x", 0, null or [], an unknown key "zz" in each
+object, the top level a list or a number, and two faults at once (a field deleted or
+made "x" beside a "zz", and a state's bad entry beside a bad "kind").  The hash covers
+stdout then stderr, the temporary directory cut from both, so a `diff` of the output at
+two commits names every report, file, error or exit code that changed:
 
     PYTHONPATH=src python scripts/report_digest.py > digest.txt
 """
@@ -32,6 +33,7 @@ from operator import getitem
 from numpy.random import default_rng
 
 from entmaj import cli
+from entmaj.densop import haar_unitary
 from entmaj.qchan import random_isometric_conjugation_channel
 from entmaj.serial import dumps_report, prob_vector_from_json, read_json, save_json
 from entmaj.xfer import chain_to_doubly_stochastic, find_transfer_chain
@@ -147,6 +149,10 @@ def main(argv=None):
                 matrix = os.path.join(tmp, f"chain-matrix-{d}-{seed}.json")
                 save(chain_to_doubly_stochastic(find_transfer_chain(a, b)), matrix, tmp)
                 run(["birkhoff", "--in", matrix], tmp)
+            if kind == "state":
+                basis = os.path.join(tmp, f"basis-{d}-{seed}.json")
+                save(haar_unitary(d, default_rng(seed)), basis, tmp)
+                run(["pinch-converge", "--in", path, "--in", basis], tmp)
         for d, seed in ((d, s) for d in args.d for s in args.seeds):
             phi, _ = random_isometric_conjugation_channel(d, d + 1, default_rng(seed), 3)
             path = os.path.join(tmp, f"isometric-{d}-{seed}.json")

@@ -39,7 +39,7 @@ from .xfer import _ints, chain_to_orthogonal, find_transfer_chain
 COMPLETENESS_TOL = 1e-8  # channel completeness and unitality; unitarity of mixed-unitary terms
 ISOMETRY_TOL = 1e-7  # default tolerance of the isometric-conjugation detector
 FIXED_POINT_TOL = 1e-9  # default tolerance of fixed_point_commutant_check
-# most complex entries in one chunk of an entropy_probe or pinch_convergence_experiment stack
+# most complex entries in one chunk of an entropy_probe stack
 PROBE_CHUNK_ENTRIES = 2**14
 PROBE_BLOCK = 256  # entropy_probe trials drawn from one generator, default_rng([base_seed, block])
 PROBE_NOISE_FLOOR = 1e-12  # a largest entropy deviation at or below this names no worst trial
@@ -114,12 +114,12 @@ class IsometryReport:
     On success `isometry` holds the recovered V (global phase fixed by making its first
     nonzero column entry real positive), `gram` the k x k Kraus Gram matrix
     tr(A_i^* A_j) / d_in and `isometry_defect` max |V^* V - I|, measured here, once; the
-    arrays are stored as read-only complex copies.  On failure all three are None and
-    `failure_witness` is ((i, j), gap): i < j is the Kraus pair with the largest defect
-    G_ii G_jj - |G_ij|^2 and gap the sum of all but the largest eigenvalue of G.  When the
-    gap passes but V misses being an isometry, it is ((t, t), isometry defect of V) with t
-    the heaviest entry of the top eigenvector.  The verdict is `isometry_defect <= tol`,
-    false without V; `tol` is the detector's.
+    arrays are refused unless finite and stored as read-only complex copies.  On failure
+    all three are None and `failure_witness` is ((i, j), gap): i < j is the Kraus pair
+    with the largest defect G_ii G_jj - |G_ij|^2 and gap the sum of all but the largest
+    eigenvalue of G.  When the gap passes but V misses being an isometry, it is
+    ((t, t), isometry defect of V) with t the heaviest entry of the top eigenvector.  The
+    verdict is `isometry_defect <= tol`, false without V; `tol` is the detector's.
     """
 
     isometry: Optional[np.ndarray] = None
@@ -132,6 +132,8 @@ class IsometryReport:
         for name in ("isometry", "gram"):
             if getattr(self, name) is not None:
                 m = np.array(getattr(self, name), dtype=complex)
+                if not np.isfinite(m).all():
+                    raise InvalidValue(f"{name} entries must be finite")
                 m.setflags(write=False)
                 object.__setattr__(self, name, m)
         v = self.isometry
@@ -229,9 +231,17 @@ class EntropyProbeResult:
 
 @dataclass(frozen=True)
 class FixedPointReport:
-    is_fixed: bool
+    """`defect` is max |phi(B) - B| and `max_commutator_norm` the largest entry of a
+    commutator of B with a Kraus operator or its adjoint.  B is fixed when
+    `defect <= tol`; `tol` is the check's."""
+
     defect: float
     max_commutator_norm: float
+    tol: float = FIXED_POINT_TOL
+
+    @property
+    def is_fixed(self) -> bool:
+        return self.defect <= self.tol
 
 
 def _require_trace_preserving(phi: KrausChannel):
@@ -341,14 +351,9 @@ def pinch_convergence_experiment(rho2: DensityMatrix, basis) -> list[PinchRow]:
         raise DimensionMismatch(f"basis dimension {b.shape[0]} != state dimension {d}")
     rot = _hermitian(b.conj().T @ rho2.matrix @ b)  # rho2 expressed in the pinching basis
     tail = np.diag(rot).real
-    # row n - 1 is the n-power average minus the pinching: rot off-diagonal at i, j >= n - 1
-    step = max(1, PROBE_CHUNK_ENTRIES // d**2)
-    dists = np.empty(d)
-    for m in range(0, d, step):
-        kept = np.arange(d) >= np.arange(m, min(m + step, d))[:, None]
-        diffs = rot * (kept[:, :, None] & kept[:, None, :] & ~np.eye(d, dtype=bool))
-        dists[m:m + step] = np.abs(np.linalg.eigvalsh(diffs)).sum(axis=1)
-    return [PinchRow(n=n, trace_distance=float(dists[n - 1]),
+    off = rot * ~np.eye(d, dtype=bool)  # n-power average - pinching = off[n-1:, n-1:], zero-padded
+    dists = [float(np.abs(np.linalg.eigvalsh(off[m:, m:])).sum()) for m in range(d)]
+    return [PinchRow(n=n, trace_distance=dists[n - 1],
                      bound=2.0 * float(tail[n - 1:].sum())) for n in range(1, d + 1)]
 
 
@@ -546,8 +551,7 @@ def fixed_point_commutant_check(phi: KrausChannel, b,
     defect = float(np.abs(_sandwich(phi.kraus, x) - x).max())
     both = np.concatenate([phi.kraus, phi.kraus.conj().transpose(0, 2, 1)])
     comm = float(np.abs(both @ x - x @ both).max())
-    return FixedPointReport(is_fixed=defect <= tol, defect=defect,
-                            max_commutator_norm=comm)
+    return FixedPointReport(defect=defect, max_commutator_norm=comm, tol=tol)
 
 
 def compose_channels(outer: KrausChannel, inner: KrausChannel) -> KrausChannel:

@@ -216,8 +216,9 @@ def density_from_json(obj, where: str = "density") -> DensityMatrix:
 
 
 def vector_or_state_from_json(obj, where: str = "value") -> ProbVector | DensityMatrix:
-    """A probability vector if `obj` has "entries"; otherwise a state, "kind" optional."""
-    if isinstance(obj, dict) and "entries" in obj:
+    """A probability vector if `obj` has a vector field, "entries" or "normalized";
+    otherwise a state, "kind" optional."""
+    if isinstance(obj, dict) and ("entries" in obj or "normalized" in obj):
         return prob_vector_from_json(obj, where)
     return density_from_json(obj, where)
 

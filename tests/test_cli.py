@@ -530,6 +530,12 @@ class TestInputRejection:
             rc, _, err = run(capsys, "majorize", "--in", str(p))
             self.assert_clean_exit_two(rc, err)
             assert f"error: {p}.{message}" in err
+        # beside "normalized", a misspelled "entries" is missing from a vector, not a state
+        v = tmp_path / "v.json"
+        write_json(v, {"entrie": [0.5, 0.5], "normalized": True})
+        rc, _, err = run(capsys, "entropy", "--in", str(v))
+        self.assert_clean_exit_two(rc, err)
+        assert err == f"error: {v}.entries: missing required field\n"
 
     def test_misspelled_unital_exits_two(self, tmp_path, capsys):
         p = tmp_path / "channel.json"

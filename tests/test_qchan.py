@@ -54,7 +54,7 @@ def kraus_sum(phi: KrausChannel, x: np.ndarray) -> np.ndarray:
 
 def phase_averaging_channel(n: int, d: int) -> KrausChannel:
     """Uniform mixture of conjugations by powers of a diagonal phase unitary: the channel
-    whose distance to the pinching pinch_convergence_experiment computes from masks.
+    whose distance to the pinching pinch_convergence_experiment tabulates.
 
     The unitary carries the first n coordinates through the n-th roots of
     unity and fixes the rest; averaging its first n powers kills every
@@ -235,13 +235,20 @@ class TestPinchConvergence:
         with pytest.raises(DimensionMismatch, match="basis dimension 2 != state dimension 3"):
             pinch_convergence_experiment(rho, np.eye(2))
 
-    @pytest.mark.parametrize("entries", [1, 2 * 49, 3 * 49])
-    def test_chunked_rows_equal_one_stack(self, monkeypatch, entries):
-        rng = np.random.default_rng(13)
-        rho, basis = random_density(7, rng), haar_unitary(7, rng)
-        whole = pinch_convergence_experiment(rho, basis)
-        monkeypatch.setattr(qchan, "PROBE_CHUNK_ENTRIES", entries)
-        assert pinch_convergence_experiment(rho, basis) == whole
+    @pytest.mark.parametrize("d, seed", [(20, 13), (64, 15)])
+    def test_rows_equal_the_masked_full_matrix_trace_norm(self, d, seed):
+        # reference: the n-power average minus the pinching as a full d x d matrix,
+        # rot masked to its off-diagonal entries at coordinates n-1.. (0-based)
+        rng = np.random.default_rng(seed)
+        rho, basis = random_density(d, rng), haar_unitary(d, rng)
+        rot = basis.conj().T @ rho.matrix @ basis
+        rot = (rot + rot.conj().T) / 2
+        rows = pinch_convergence_experiment(rho, basis)
+        assert [r.n for r in rows] == list(range(1, d + 1))
+        for r in rows:
+            kept = np.arange(d) >= r.n - 1
+            diff = rot * (kept[:, None] & kept[None, :] & ~np.eye(d, dtype=bool))
+            assert abs(r.trace_distance - np.abs(np.linalg.eigvalsh(diff)).sum()) <= 1e-14
 
 
 class TestUhlmannChannel:

@@ -54,8 +54,9 @@ def test_report_digest_prints_the_same_lines_twice(capsys):
         _main("report_digest")(["--d", "2", "--seeds", "3"])
         runs.append(capsys.readouterr().out.splitlines())
     assert runs[0] == runs[1]
-    # 4 gen outputs, 20 reports, the chain matrix, the isometric channel and 328 mutants
-    assert len(runs[0]) == 354
+    # 4 gen outputs, 21 reports, the chain matrix, the basis, the isometric channel and
+    # 328 mutants
+    assert len(runs[0]) == 356
     assert runs[0][0].startswith("gen state --d 2 --seed 3 0 ")
     assert "save_json chain-matrix-2-3.json 0 " in "\n".join(runs[0])
     swapped = [line.split()[:-1] for line in runs[0] if "swapped" in line]
@@ -65,6 +66,10 @@ def test_report_digest_prints_the_same_lines_twice(capsys):
         ["schur-horn", "--in", "pair-swapped-2-3.json", "1"],
         ["uhlmann", "--in", "state-pair-swapped-2-3.json", "1"],
         ["mixed-unitary", "--in", "state-pair-swapped-2-3.json", "1"]]
+    based = [line.split()[:-1] for line in runs[0] if "basis" in line]
+    assert based == [  # the state read in a Haar basis, each exit code 0
+        ["save_json", "basis-2-3.json", "0"],
+        ["pinch-converge", "--in", "state-2-3.json", "--in", "basis-2-3.json", "0"]]
     positive = [line.split()[:-1] for line in runs[0] if "isometric" in line]
     assert positive == [  # a positive detection above d = 1, each exit code 0
         ["save_json", "isometric-2-3.json", "0"],

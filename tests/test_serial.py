@@ -151,8 +151,8 @@ class TestSchemaErrors:
 
 
 class TestVectorOrState:
-    """The one reader that takes two schemas: "entries" picks the vector, and anything
-    else is read as a state, with "kind" optional."""
+    """The one reader that takes two schemas: "entries" or "normalized" picks the vector,
+    and anything else is read as a state, with "kind" optional."""
 
     def test_entries_give_a_vector(self):
         value = vector_or_state_from_json({"entries": [0.25, 0.75], "normalized": True})

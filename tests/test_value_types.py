@@ -2,7 +2,9 @@
 
 A type that holds numpy arrays compares by identity and hashes as an object, and every
 array it stores is read-only, also when it is built directly; the Uhlmann frame and the
-isometry report store the defects of the arrays they hold.  A type that holds only scalars compares by value.
+isometry report store the defects of the arrays they hold, and the report refuses
+non-finite arrays.  A type that holds only scalars compares by value; the fixed-point
+report stores its defect and tolerance and reads its verdict from them.
 """
 
 import dataclasses
@@ -48,8 +50,7 @@ SCALAR_TYPES = {
     PinchRow: lambda: PinchRow(n=2, trace_distance=0.25, bound=0.5),
     EntropyProbeResult: lambda: EntropyProbeResult(max_deviation=0.5, base_seed=7,
                                                    worst_trial=3, trials=25),
-    FixedPointReport: lambda: FixedPointReport(is_fixed=True, defect=0.0,
-                                               max_commutator_norm=0.0),
+    FixedPointReport: lambda: FixedPointReport(defect=0.0, max_commutator_norm=0.0),
 }
 
 
@@ -126,6 +127,25 @@ def test_a_frame_whose_parts_disagree_is_refused(f, e, pos, exc):
 def test_the_report_decides_on_its_defect_within_its_tol(isometry, tol, verdict):
     report = IsometryReport(isometry=isometry, **({} if tol is None else {"tol": tol}))
     assert report.is_isometric_conjugation is verdict
+
+
+@pytest.mark.parametrize("kwargs,name", [
+    ({"gram": np.full((2, 2), np.nan)}, "gram"),
+    ({"isometry": np.array([[np.inf], [0.0]])}, "isometry"),
+], ids=["nan-gram", "infinite-isometry"])
+def test_the_report_refuses_non_finite_arrays(kwargs, name):
+    with pytest.raises(InvalidValue, match=f"{name} entries must be finite"):
+        IsometryReport(**kwargs)
+
+
+@pytest.mark.parametrize("defect,tol,verdict", [
+    (1.0, None, False),  # over the default FIXED_POINT_TOL
+    (1.0, 1.0, True),
+], ids=["over-default-tol", "within-own-tol"])
+def test_the_fixed_point_report_decides_on_its_defect_within_its_tol(defect, tol, verdict):
+    report = FixedPointReport(defect=defect, max_commutator_norm=0.0,
+                              **({} if tol is None else {"tol": tol}))
+    assert report.is_fixed is verdict
 
 
 @pytest.mark.parametrize("cls", SCALAR_TYPES, ids=lambda cls: cls.__name__)
