@@ -229,7 +229,8 @@ def _run_transfer(args) -> int:
     return _finish(args, {"chain": chain_to_json(chain)},
                    {"replay_max_abs_error": err, "ok_replay": err <= REPLAY_TOL,
                     "steps": chain.t.size, "step_bound": chain.d - 1,
-                    "ok_step_bound": chain.t.size <= chain.d - 1})
+                    "ok_step_bound": chain.t.size <= chain.d - 1},
+                   {"replay_max": REPLAY_TOL})
 
 
 def _run_birkhoff(args) -> int:
@@ -243,7 +244,8 @@ def _run_birkhoff(args) -> int:
                    {"reconstruction_max_error": err, "ok_reconstruction": err <= 10 * args.tol,
                     "term_count": len(decomp.weights), "term_bound": bound,
                     "ok_term_bound": len(decomp.weights) <= bound,
-                    "weight_sum": float(decomp.weights.sum())})
+                    "weight_sum": float(decomp.weights.sum())},
+                   {"reconstruction_max": 10 * args.tol})
 
 
 def _run_schur_horn(args) -> int:
@@ -255,7 +257,8 @@ def _run_schur_horn(args) -> int:
     defect = u.orthogonality_defect
     return _finish(args, {"rotations": chain_to_json(chain)},
                    {"diagonal_max_error": err, "ok_diagonal": err <= REPLAY_TOL,
-                    "orthogonality_defect": defect, "ok_orthogonal": defect <= UNITARY_TOL})
+                    "orthogonality_defect": defect, "ok_orthogonal": defect <= UNITARY_TOL},
+                   {"diagonal_max": REPLAY_TOL, "orthogonal_max": UNITARY_TOL})
 
 
 def _run_uhlmann(args) -> int:

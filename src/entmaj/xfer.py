@@ -274,8 +274,6 @@ def find_transfer_chain(a, b, tol: float = MAJORIZATION_TOL) -> TransferChain:
             over.pop()
         if av[k] - cur[k] <= MATCH_TOL:
             del under[pos]
-    if len(step_t) > d - 1:
-        raise RuntimeError("transfer chain exceeded d-1 steps")
     return TransferChain(d, step_i, step_j, step_t)
 
 

@@ -81,6 +81,17 @@ class TestEntropy:
             assert '"shannon_bits": 0.0' in out
             assert math.copysign(1.0, json.loads(out)["shannon_bits"]) == 1.0
 
+    def test_negative_entropy_exits_one_with_its_report(self, tmp_path, capsys):
+        """An unnormalized vector of total 2 has Shannon sum -2 bits: the report is
+        written in full and ok_nonnegative fails it."""
+        p = tmp_path / "pv.json"
+        write_json(p, {"entries": [2.0]})
+        rc, out, err = run(capsys, "entropy", "--in", str(p))
+        assert (rc, err) == (1, "")
+        report = json.loads(out)
+        assert report["shannon_bits"] == -2.0
+        assert report["verified"] == {"input_total": 2.0, "ok_nonnegative": False}
+
 
 class TestMajorize:
     def test_violation_report_and_require(self, tmp_path, capsys):
@@ -1015,22 +1026,25 @@ class TestExitCodeContract:
         self.assert_error_line(rc, out, err)
         assert err.rstrip() == f"error: out of memory{': ' + message if message else ''}"
 
-    # subcommand, input, the tolerances key of --tol and its default, the fixed bounds
+    # subcommand, input, the tolerances key of --tol and its default, the fixed bounds as a
+    # function of --tol
     TOL_CASES = [
-        ("majorize", "pair", "majorization_abs", 1e-9, {}),
-        ("transfer", "pair", "majorization_abs", 1e-9, {}),
-        ("schur-horn", "pair", "majorization_abs", 1e-9, {}),
-        ("birkhoff", "matrix", "support_threshold", 1e-9, {}),
+        ("majorize", "pair", "majorization_abs", 1e-9, lambda tol: {}),
+        ("transfer", "pair", "majorization_abs", 1e-9, lambda tol: {"replay_max": 1e-9}),
+        ("schur-horn", "pair", "majorization_abs", 1e-9,
+         lambda tol: {"diagonal_max": 1e-9, "orthogonal_max": 1e-9}),
+        ("birkhoff", "matrix", "support_threshold", 1e-9,
+         lambda tol: {"reconstruction_max": 10 * tol}),  # 10 * 2e-6 is not 2e-05
         ("uhlmann", "state-pair", "majorization_abs", 1e-9,
-         {"trace_distance_max": 1e-7, "completeness_max": 1e-8}),
+         lambda tol: {"trace_distance_max": 1e-7, "completeness_max": 1e-8}),
         ("mixed-unitary", "state-pair", "majorization_abs", 1e-9,
-         {"trace_distance_max": 1e-7, "unitary_max": 1e-8}),
-        ("detect-isometry", "isometry", "gram_rank_gap", 1e-7, {}),
+         lambda tol: {"trace_distance_max": 1e-7, "unitary_max": 1e-8}),
+        ("detect-isometry", "isometry", "gram_rank_gap", 1e-7, lambda tol: {}),
     ]
     VERDICTS = {"majorize": "holds", "detect-isometry": "is_isometric_conjugation"}
 
     @pytest.mark.parametrize("sub,kind,extra,tolerances,code", [
-        *[pytest.param(sub, kind, extra, {key: tol, **bounds}, 0, id=f"{sub}-{name}")
+        *[pytest.param(sub, kind, extra, {key: tol, **bounds(tol)}, 0, id=f"{sub}-{name}")
           for sub, kind, key, default, bounds in TOL_CASES
           for name, extra, tol in [("default", (), default), ("tol", ("--tol", "2e-6"), 2e-6)]],
         pytest.param("entropy", "state", (), {}, 0, id="entropy"),
