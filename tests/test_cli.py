@@ -293,6 +293,16 @@ class TestStatePipelines:
         assert [r[0] for r in rows] == ["1", "2", "3", "4"]
         assert float(rows[-1][1]) <= 1e-8
 
+    def test_pinch_converge_header_carries_its_checks(self, tmp_path, capsys):
+        # README's pinch recipe reads the table's # line for the outcome of both checks
+        state, table = tmp_path / "state.json", tmp_path / "state.csv"
+        run(capsys, "gen", "state", "--d", "4", "--seed", "0", "--out", str(state))
+        rc, _, err = run(capsys, "pinch-converge", "--in", str(state), "--out", str(table))
+        assert rc == 0 and err == ""
+        header = table.read_text().splitlines()[0].split()
+        assert header[:3] == ["#", "entmaj", entmaj.__version__]
+        assert {"d=4", "ok_bound=True", "ok_final=True"} <= set(header)
+
     def test_pinch_converge_basis_is_a_complex_matrix(self, tmp_path, capsys):
         rho = tmp_path / "rho.json"
         basis = tmp_path / "basis.json"
